@@ -101,15 +101,13 @@ def _write_run_config(out: Path, command: str, cfg: dict) -> None:
     )
 
 
-def _workers(cfg: dict, cap_to_in_flight: bool) -> int:
+def _workers(cfg: dict) -> int:
     workers = cfg.get("workers")
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 0:
         raise IngestError(f"--workers must be positive, got {workers}")
-    if cap_to_in_flight:
-        workers = min(workers, int(cfg["max_in_flight"]))
-    return int(workers)
+    return min(int(workers), int(cfg["max_in_flight"]))
 
 
 def _load_kb(cfg: dict, with_embeddings: bool) -> KnowledgeBase:
@@ -190,8 +188,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     np.savez(
         out / "index.npz",
-        entry_ids=np.array(index.entry_ids, dtype=object),
-        matrix=index.matrix.astype(np.float32),
+        entry_ids=np.array(index.entry_ids, dtype=np.str_),
+        dim=np.int64(index.matrix.shape[1]),
+        matrix=index.matrix,
     )
     _write_run_config(out, "index", cfg)
     print(f"indexed {len(index)} entries (dim {index.dim}) -> {out / 'index.npz'}")
@@ -202,12 +201,23 @@ def _load_index(cfg: dict, kb: KnowledgeBase) -> FlatIndex:
     if cfg.get("index"):
         path = Path(cfg["index"])
         try:
-            bundle = np.load(path, allow_pickle=True)
-            entry_ids = [str(x) for x in bundle["entry_ids"]]
-            matrix = bundle["matrix"]
-        except (OSError, KeyError, ValueError) as exc:
+            with np.load(path, allow_pickle=False) as bundle:
+                entry_ids, dim, matrix = bundle["entry_ids"], int(bundle["dim"]), bundle["matrix"]
+        except OSError as exc:
             raise IngestError(f"cannot load index {path}: {exc}") from exc
-        return FlatIndex(entry_ids, matrix)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(
+                f"{path} is not a pickle-free index with entry_ids, dim and matrix ({exc}); "
+                "rebuild it with `kbvqa index`"
+            ) from exc
+        expected = [e.entry_id for e in kb.entries]
+        if (dim != int(kb.manifest["dim"]) or matrix.shape != (len(expected), dim)
+                or entry_ids.tolist() != expected):
+            raise IngestError(
+                f"index {path} does not match --kb {cfg['kb']}: its entry ids or dimension "
+                "differ; rebuild it with `kbvqa index`"
+            )
+        return FlatIndex(expected, matrix)
     _require(cfg, "kb_embeddings")
     kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
     return build_index(kb)
@@ -217,7 +227,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {
         "kb": None, "kb_manifest": None, "kb_embeddings": None, "index": None,
         "queries": None, "query_manifest": None, "query_embeddings": None,
-        "k": 10, "workers": None, "no_url_dedup": False, "out_dir": None,
+        "k": 10, "no_url_dedup": False, "out_dir": None,
     })
     _require(cfg, "queries", "query_manifest", "query_embeddings")
     kb = _load_kb(cfg, with_embeddings=False)
@@ -235,9 +245,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
             )
         vectors.append(qemb.data[row])
     k = int(cfg["k"])
-    results = search_batch(
-        index, vectors, [q.query_id for q in queries], k, workers=_workers(cfg, False),
-    )
+    results = search_batch(index, vectors, [q.query_id for q in queries], k)
     out = _out_dir(cfg)
     write_results(results, out / "retrieval_results.jsonl")
     _write_run_config(out, "retrieve", cfg)
@@ -283,7 +291,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if variant not in ("param", "oracle"):
         _require(cfg, "retrievals")
         results = {r.query_id: r for r in read_results(cfg["retrievals"])}
-    traces = runner.run_many(variant, queries, results, workers=_workers(cfg, True))
+    traces = runner.run_many(variant, queries, results, workers=_workers(cfg))
     out = _out_dir(cfg)
     write_traces(traces, out / "traces.jsonl", include_transcripts=not cfg["no_transcripts"])
     _write_run_config(out, "run", cfg)
@@ -301,7 +309,7 @@ def cmd_probe_unimodal(args: argparse.Namespace) -> int:
         kb, backend, top_k=int(cfg["top_k"]), char_budget=int(cfg["char_budget"]),
     )
     results = {r.query_id: r for r in read_results(cfg["retrievals"])}
-    traces = runner.run_many("probe", queries, results, workers=_workers(cfg, True))
+    traces = runner.run_many("probe", queries, results, workers=_workers(cfg))
     out = _out_dir(cfg)
     write_traces(traces, out / "probe_traces.jsonl", include_transcripts=not cfg["no_transcripts"])
     _write_run_config(out, "probe-unimodal", cfg)
@@ -473,7 +481,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             core_mode=cfg["core_mode"],
         )
         traces = runner.run_many(
-            cfg["variant"], queries, results, workers=_workers(cfg, True),
+            cfg["variant"], queries, results, workers=_workers(cfg),
         )
         any_failed = any_failed or has_failures(traces)
         write_traces(traces, out / f"traces_top{m}.jsonl",
@@ -586,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-manifest", help="embedding manifest JSON for the queries")
     p.add_argument("--query-embeddings", help="query embedding matrix (raw little-endian float32)")
     p.add_argument("--k", type=int, help="hits to keep per query (default: 10)")
-    p.add_argument("--workers", type=int, help="worker threads (default: logical cores)")
     p.add_argument("--no-url-dedup", action="store_true", default=None,
                    help="rank duplicate entry URLs separately instead of collapsing them")
     _add_out_flag(p)

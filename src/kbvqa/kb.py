@@ -30,6 +30,7 @@ SPLIT_TAGS = ("unseen_q", "unseen_e", "other")
 ANSWER_TYPES = ("text", "numeric", "numeric_range")
 
 NORM_TOLERANCE = 1e-4
+NORM_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -289,8 +290,8 @@ def ingest_queries(path: str | Path) -> list[Query]:
 def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> EmbeddingMatrix:
     """Load the raw float32 matrix described by the manifest.
 
-    Rows are L2-normalized in place when the manifest says they are not
-    already; zero-norm and non-finite rows are hard errors.
+    Rows are L2-normalized in place, block by block, when the manifest says
+    they are not already; zero-norm and non-finite rows are hard errors.
     """
     manifest = load_manifest(manifest_path)
     dim, count = int(manifest["dim"]), int(manifest["count"])
@@ -305,25 +306,31 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
             f"({count}x{dim} float32), found {actual_bytes}"
         )
     data = np.fromfile(path, dtype="<f4").reshape(count, dim)
-    bad = ~np.isfinite(data)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise IngestError(f"{path}: non-finite value in row {row}")
-    if not manifest["normalized"]:
-        norms = np.linalg.norm(data.astype(np.float64), axis=1)
-        zero = norms == 0.0
-        if zero.any():
-            row = int(np.argmax(zero))
-            raise IngestError(f"{path}: zero-norm row {row} cannot be normalized")
-        data = (data.astype(np.float64) / norms[:, None]).astype(np.float32)
-    else:
-        norms = np.linalg.norm(data.astype(np.float64), axis=1)
-        off = np.abs(norms - 1.0) > NORM_TOLERANCE
-        if count and off.any():
-            row = int(np.argmax(off))
-            raise IngestError(
-                f"{path}: manifest claims normalized but row {row} has norm {norms[row]:.6f}"
-            )
+    for start in range(0, count, NORM_BLOCK_ROWS):
+        bad = ~np.isfinite(data[start:start + NORM_BLOCK_ROWS])
+        if bad.any():
+            row = start + int(np.argwhere(bad)[0][0])
+            raise IngestError(f"{path}: non-finite value in row {row}")
+    # Row blocks bound the float64 temporaries; a row's norm and quotient do
+    # not depend on the block it falls in.
+    for start in range(0, count, NORM_BLOCK_ROWS):
+        block = data[start:start + NORM_BLOCK_ROWS]
+        rows64 = block.astype(np.float64)
+        norms = np.linalg.norm(rows64, axis=1)
+        if not manifest["normalized"]:
+            zero = norms == 0.0
+            if zero.any():
+                row = start + int(np.argmax(zero))
+                raise IngestError(f"{path}: zero-norm row {row} cannot be normalized")
+            block[...] = rows64 / norms[:, None]
+        else:
+            off = np.abs(norms - 1.0) > NORM_TOLERANCE
+            if off.any():
+                row = int(np.argmax(off))
+                raise IngestError(
+                    f"{path}: manifest claims normalized but row {start + row} "
+                    f"has norm {norms[row]:.6f}"
+                )
     return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True)
 
 

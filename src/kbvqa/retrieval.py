@@ -1,15 +1,17 @@
 """Exhaustive cosine-similarity retrieval over entry image embeddings.
 
-The index is flat: every search scores all entries with a float64-accumulated
-dot product on normalized float32 rows, so results are exact and reproducible
-across chunked or parallel execution. Ties are broken by ascending ingestion
-ordinal.
+The index is flat and float32-resident. A search block scores every entry
+with one float32 GEMM, keeps each entry whose float32 score lies within a
+proven rounding bound of the k-th best, and rescores only those candidates
+in float64, one elementwise multiply-and-sum per row. Results are therefore
+those of a float64 brute-force scan: identical rows score identically
+wherever they sit, and ties are broken by ascending ingestion ordinal.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -44,12 +46,20 @@ class RetrievalResult:
         }
 
 
+# Score elements (queries x entries) one float32 GEMM may produce: 32 MiB.
+_SCORE_BLOCK = 1 << 23
+_EPS32 = float(np.finfo(np.float32).eps)
+
+
 class FlatIndex:
-    """Immutable exhaustive index; safe for concurrent search calls."""
+    """Immutable exhaustive index over float32 rows; safe for concurrent search calls."""
 
     def __init__(self, entry_ids: list[str], matrix: np.ndarray):
         self.entry_ids = entry_ids
-        self._matrix = matrix.astype(np.float64)
+        self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        # Largest row norm, for the candidate bound in search_batch.
+        squares = np.einsum("ij,ij->i", self._matrix, self._matrix)
+        self._max_norm = math.sqrt(float(squares.max())) if squares.size else 0.0
 
     def __len__(self) -> int:
         return len(self.entry_ids)
@@ -61,9 +71,6 @@ class FlatIndex:
     @property
     def matrix(self) -> np.ndarray:
         return self._matrix
-
-    def scores(self, query_vector: np.ndarray) -> np.ndarray:
-        return self._matrix @ query_vector
 
 
 def build_index(kb: KnowledgeBase) -> FlatIndex:
@@ -86,30 +93,28 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
     return FlatIndex([e.entry_id for e in kb.entries], matrix)
 
 
+def _unit_query(query_embedding: np.ndarray, dim: int) -> np.ndarray:
+    """The query as float64, L2-normalized unless its norm is already within 1e-6 of 1."""
+    q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
+    if q.shape[0] != dim:
+        raise ValueError(f"query dim {q.shape[0]} does not match index dim {dim}")
+    norm = float(np.linalg.norm(q))
+    if norm == 0.0:
+        raise ValueError("query embedding has zero norm")
+    if not math.isfinite(norm):
+        raise ValueError("query embedding has a non-finite value")
+    if abs(norm - 1.0) > 1e-6:
+        q = q / norm
+    return q
+
+
 def search(index: FlatIndex, query_embedding: np.ndarray, k: int, query_id: str = "") -> RetrievalResult:
     """Top-k entries by cosine similarity (dot product on normalized vectors).
 
     The query vector is L2-normalized here if it is not already. Ties are
     broken by ascending ingestion ordinal.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
-    if len(index) == 0:
-        return RetrievalResult(query_id=query_id, hits=(), k=k)
-    if q.shape[0] != index.dim:
-        raise ValueError(f"query dim {q.shape[0]} does not match index dim {index.dim}")
-    norm = float(np.linalg.norm(q))
-    if norm == 0.0:
-        raise ValueError("query embedding has zero norm")
-    if abs(norm - 1.0) > 1e-6:
-        q = q / norm
-    scores = index.scores(q)
-    n = min(k, len(index))
-    # stable sort on negated scores = descending score, ascending ordinal on ties
-    order = np.argsort(-scores, kind="stable")[:n]
-    hits = tuple((index.entry_ids[i], float(scores[i])) for i in order)
-    return RetrievalResult(query_id=query_id, hits=hits, k=k)
+    return search_batch(index, [query_embedding], [query_id], k)[0]
 
 
 def search_batch(
@@ -117,16 +122,44 @@ def search_batch(
     query_vectors: Sequence[np.ndarray],
     query_ids: Sequence[str],
     k: int,
-    workers: int = 1,
 ) -> list[RetrievalResult]:
-    """Search many queries; output order always equals input order."""
+    """Exact top-k for many queries; output order always equals input order."""
     if len(query_vectors) != len(query_ids):
         raise ValueError("query_vectors and query_ids must have equal length")
-    if workers <= 1 or len(query_vectors) <= 1:
-        return [search(index, v, k, qid) for v, qid in zip(query_vectors, query_ids)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pair: search(index, pair[0], k, pair[1]),
-                             zip(query_vectors, query_ids)))
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    n = len(index)
+    if n == 0:
+        return [RetrievalResult(query_id=qid, hits=(), k=k) for qid in query_ids]
+    queries = [_unit_query(v, index.dim) for v in query_vectors]
+    top = min(k, n)
+    # Candidate bound. Let u = eps32/2, r a float32 row, q the float64 unit
+    # query, q32 = float32(q) and s = r.q exactly. Then |r.q32 - s| <= u|r||q|;
+    # a float32 dot product of D terms, in any order and with or without FMA,
+    # is within D*u/(1 - D*u)*|r||q32| of r.q32; and the float64 rescore is
+    # within D*2**-53*|r||q| of s. So a float32 score and its rescore differ
+    # by at most d = (D + 2)*eps32*max|r|, about twice the sum of those terms,
+    # which also covers |q| = 1 +- 1e-6 and max|r| taken in float32.
+    # Let t be the k-th largest float32 score. The k entries scoring >= t
+    # rescore to >= t - d, so the k-th largest rescore T is >= t - d, and
+    # every entry rescoring to >= T, ties included, has a float32 score
+    # >= T - d >= t - 2d. These are the candidates.
+    slack = 2 * (index.dim + 2) * _EPS32 * index._max_norm
+    step = max(1, _SCORE_BLOCK // n)
+    results: list[RetrievalResult] = []
+    for start in range(0, len(queries), step):
+        block = np.stack(queries[start:start + step])
+        scores = block.astype(np.float32) @ index.matrix.T
+        kth = np.partition(scores, n - top, axis=1)[:, n - top]
+        for q, row_scores, t, qid in zip(block, scores, kth, query_ids[start:start + step]):
+            cand = np.flatnonzero(row_scores >= t - slack)
+            # Elementwise products and a per-row sum: a row's score does not
+            # depend on its position, so identical rows tie exactly.
+            exact = (index.matrix[cand] * q).sum(axis=1)
+            order = np.lexsort((cand, -exact))[:top]
+            hits = tuple((index.entry_ids[cand[i]], float(exact[i])) for i in order)
+            results.append(RetrievalResult(query_id=qid, hits=hits, k=k))
+    return results
 
 
 def ranked_urls(result: RetrievalResult, url_of: Callable[[str], str] | Mapping[str, str],

@@ -67,7 +67,7 @@ class TestWorkflowArtifacts:
         assert len(read_jsonl(ws.ingest / "queries_normalized.jsonl")) == 20
 
     def test_index_artifact(self, ws):
-        saved = np.load(ws.index / "index.npz", allow_pickle=True)
+        saved = np.load(ws.index / "index.npz", allow_pickle=False)
         assert list(saved["entry_ids"])[:2] == ["e000", "e001"]
         assert saved["matrix"].shape == (100, 16)
         assert saved["matrix"].dtype == np.float32
@@ -215,6 +215,71 @@ class TestConfigFile:
         assert "must hold a JSON object" in capsys.readouterr().err
 
 
+class TestIndexFile:
+    def _retrieve(self, bundle, index, out, entries=None):
+        return main([
+            "retrieve", "--kb", str(entries or bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest),
+            "--index", str(index), "--queries", str(bundle.queries_path),
+            "--query-manifest", str(bundle.query_manifest),
+            "--query-embeddings", str(bundle.query_embeddings), "--out-dir", str(out),
+        ])
+
+    def test_index_from_another_kb_exits_two_before_writing(self, ws, bundle, tmp_path, capsys):
+        other = tmp_path / "other_entries.jsonl"
+        rows = read_jsonl(bundle.entries_path)
+        for row in rows:
+            row["entry_id"] = "other-" + row["entry_id"]
+        other.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = self._retrieve(bundle, ws.index / "index.npz", tmp_path, entries=other)
+        assert rc == 2
+        assert "does not match --kb" in capsys.readouterr().err
+        assert not (tmp_path / "retrieval_results.jsonl").exists()
+
+    def test_reordered_entry_ids_rejected(self, ws, bundle, tmp_path, capsys):
+        with np.load(ws.index / "index.npz", allow_pickle=False) as saved:
+            ids, dim, matrix = saved["entry_ids"], saved["dim"], saved["matrix"]
+        swapped = tmp_path / "swapped.npz"
+        np.savez(swapped, entry_ids=ids[[1, 0, *range(2, len(ids))]], dim=dim, matrix=matrix)
+        assert self._retrieve(bundle, swapped, tmp_path) == 2
+        assert "does not match --kb" in capsys.readouterr().err
+        assert not (tmp_path / "retrieval_results.jsonl").exists()
+
+    def test_pickled_index_rejected(self, ws, bundle, tmp_path, capsys):
+        with np.load(ws.index / "index.npz", allow_pickle=False) as saved:
+            ids, matrix = saved["entry_ids"], saved["matrix"]
+        pickled = tmp_path / "pickled.npz"
+        np.savez(pickled, entry_ids=np.array(ids.tolist(), dtype=object), matrix=matrix)
+        assert self._retrieve(bundle, pickled, tmp_path) == 2
+        assert "rebuild it with `kbvqa index`" in capsys.readouterr().err
+        assert not (tmp_path / "retrieval_results.jsonl").exists()
+
+    @pytest.mark.parametrize("arrays", [
+        {"entry_ids": np.array(["e000"]), "dim": np.array([16, 16]),
+         "matrix": np.zeros((1, 16), dtype=np.float32)},
+        {"entry_ids": np.array(["e000"]), "matrix": np.zeros((1, 16), dtype=np.float32)},
+        None,
+    ], ids=["dim-not-scalar", "no-dim", "plain-npy"])
+    def test_malformed_index_rejected(self, bundle, tmp_path, capsys, arrays):
+        path = tmp_path / "index.npz"
+        if arrays is None:
+            with path.open("wb") as fh:
+                np.save(fh, np.zeros(3))
+        else:
+            np.savez(path, **arrays)
+        assert self._retrieve(bundle, path, tmp_path) == 2
+        assert "rebuild it with `kbvqa index`" in capsys.readouterr().err
+        assert not (tmp_path / "retrieval_results.jsonl").exists()
+
+    def test_retrieve_config_with_workers_rejected(self, bundle, tmp_path, capsys):
+        config = tmp_path / "retrieve.json"
+        config.write_text(json.dumps({"workers": 2}), encoding="utf-8")
+        rc = main(["retrieve", "--config", str(config), "--kb", str(bundle.entries_path),
+                   "--kb-manifest", str(bundle.kb_manifest), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "unknown keys: ['workers']" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_missing_required_flag(self, bundle, tmp_path, capsys):
         rc = main(["mine-prki", "--traces-int", "x.jsonl", "--traces-ext", "x.jsonl",
@@ -269,12 +334,10 @@ class TestExitCodes:
 
     def test_bad_workers_value(self, bundle, tmp_path, capsys):
         rc = main([
-            "retrieve", "--kb", str(bundle.entries_path),
+            "run", "--variant", "param", "--kb", str(bundle.entries_path),
             "--kb-manifest", str(bundle.kb_manifest),
-            "--kb-embeddings", str(bundle.kb_embeddings),
             "--queries", str(bundle.queries_path),
-            "--query-manifest", str(bundle.query_manifest),
-            "--query-embeddings", str(bundle.query_embeddings),
+            "--mock-script", str(bundle.mock_script),
             "--workers", "0", "--out-dir", str(tmp_path),
         ])
         assert rc == 2

@@ -8,6 +8,7 @@ import pytest
 import fixture_gen
 from kbvqa.errors import IngestError
 from kbvqa.kb import (
+    NORM_BLOCK_ROWS,
     export_kb,
     export_queries,
     ingest_kb,
@@ -129,6 +130,42 @@ def test_claimed_normalized_is_verified(tmp_path):
     manifest, data = fixture_gen.write_matrix(tmp_path, "lie", mat)
     with pytest.raises(IngestError, match="normalized"):
         load_embeddings(manifest, data)
+
+
+def _raw_manifest(manifest, matrix):
+    manifest.write_text(json.dumps({
+        "dim": int(matrix.shape[1]), "count": int(matrix.shape[0]),
+        "normalized": False, "dtype": "f32le",
+    }))
+
+
+@pytest.mark.parametrize("fault,normalized,match", [
+    ("nan", True, "non-finite value in row"),
+    ("zero", False, "zero-norm row"),
+    ("long", True, "manifest claims normalized but row"),
+])
+def test_bad_row_past_first_block_reported_by_row(tmp_path, fault, normalized, match):
+    bad_row = NORM_BLOCK_ROWS + 37
+    mat = np.zeros((NORM_BLOCK_ROWS + 50, 4), dtype=np.float32)
+    mat[:, 0] = 1.0
+    mat[bad_row] = {"nan": [1.0, np.nan, 0.0, 0.0], "zero": 0.0, "long": 2.0}[fault]
+    manifest, data = fixture_gen.write_matrix(tmp_path, "blocks", mat)
+    if not normalized:
+        _raw_manifest(manifest, mat)
+    with pytest.raises(IngestError, match=f"{match} {bad_row}"):
+        load_embeddings(manifest, data)
+
+
+def test_blockwise_normalization_matches_whole_matrix_formula(tmp_path):
+    rng = np.random.default_rng(17)
+    raw = (rng.normal(size=(2 * NORM_BLOCK_ROWS + 123, 12)) * 40.0).astype(np.float32)
+    manifest, data = fixture_gen.write_matrix(tmp_path, "raw", raw)
+    _raw_manifest(manifest, raw)
+    emb = load_embeddings(manifest, data)
+    raw64 = raw.astype(np.float64)
+    whole = (raw64 / np.linalg.norm(raw64, axis=1)[:, None]).astype(np.float32)
+    assert emb.data.dtype == np.float32
+    assert emb.data.tobytes() == whole.tobytes()
 
 
 def test_gold_range_parsing():

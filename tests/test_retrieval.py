@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_gen
+from kbvqa import retrieval
 from kbvqa.kb import ingest_kb, ingest_queries, load_embeddings
 from kbvqa.retrieval import (
     FlatIndex,
@@ -67,6 +71,97 @@ class TestAgainstOracle:
         assert got.entry_ids() == ["e1", "e2", "e4", "e0", "e3"]
 
 
+def test_duplicates_across_query_and_entry_blocks_tie_by_ordinal():
+    _, matrix = _random_index(300, 24, 5)
+    # One row copied to positions that fall in different row tiles of any
+    # kernel, at both ends of the matrix.
+    for ordinal in (1, 130, 255, 298):
+        matrix[ordinal] = matrix[77]
+    index = FlatIndex([f"e{i:04d}" for i in range(300)], matrix)
+    rng = np.random.default_rng(6)
+    noise = [matrix[77] + 0.05 * rng.normal(size=24) for _ in range(7)]
+    vectors = [matrix[77].astype(np.float64), *noise, matrix[77].astype(np.float64)]
+    qids = [f"q{i}" for i in range(len(vectors))]
+    # Two queries per float32 GEMM: the first and last queries land in different blocks.
+    with mock.patch.object(retrieval, "_SCORE_BLOCK", 2 * len(index)):
+        results = search_batch(index, vectors, qids, 8)
+    tied = ["e0001", "e0077", "e0130", "e0255", "e0298"]
+    for result in (results[0], results[-1]):
+        assert result.entry_ids()[:5] == tied
+        assert len({score for _, score in result.hits[:5]}) == 1
+    assert results[0].hits == results[-1].hits
+    for v, result in zip(vectors, results):
+        assert result.entry_ids() == [f"e{i:04d}" for i, _ in oracle_top_k(matrix, v, 8)]
+
+
+def test_near_tie_returns_float64_order():
+    # Rows within two float32 ulps of one unit vector: their float32 scores
+    # err by about as much as the rows differ, so the float32 top-k misses
+    # entries of the float64 top-k on some seeds.
+    n, dim, k = 400, 64, 5
+    missed_by_float32 = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=dim)
+        base = (base / np.linalg.norm(base)).astype(np.float32)
+        steps = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
+        matrix = (base + steps * np.spacing(base)).astype(np.float32)
+        index = FlatIndex([f"e{i:04d}" for i in range(n)], matrix)
+        q = base + 0.01 * rng.normal(size=dim)
+        q = q / np.linalg.norm(q)
+        expected = oracle_top_k(matrix, q, k)
+        s32 = (q[None].astype(np.float32) @ matrix.T)[0]
+        kth32 = np.sort(s32)[n - k]
+        missed_by_float32 += any(s32[i] < kth32 for i, _ in expected)
+        assert search(index, q, k).entry_ids() == [f"e{i:04d}" for i, _ in expected]
+    assert missed_by_float32 > 0
+
+
+def test_k_larger_than_index_returns_every_entry_in_oracle_order():
+    index, matrix = _random_index(6, 8, 13)
+    rng = np.random.default_rng(14)
+    vectors = [rng.normal(size=8) for _ in range(3)]
+    for v, result in zip(vectors, search_batch(index, vectors, ["a", "b", "c"], 50)):
+        assert result.k == 50
+        assert result.entry_ids() == [f"e{i:04d}" for i, _ in oracle_top_k(matrix, v, 50)]
+
+
+def test_empty_index_and_empty_batch():
+    empty = FlatIndex([], np.zeros((0, 8), dtype=np.float32))
+    assert search(empty, np.ones(8), 3).hits == ()
+    assert [r.hits for r in search_batch(empty, [np.ones(8)] * 2, ["a", "b"], 3)] == [(), ()]
+    index, _ = _random_index(5, 8, 1)
+    assert search_batch(index, [], [], 3) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    dim=st.integers(1, 12),
+    k=st.integers(1, 45),
+    seed=st.integers(0, 2 ** 32 - 1),
+    copies=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
+    block=st.integers(1, 4),
+)
+def test_search_batch_matches_naive_oracle(n, dim, k, seed, copies, block):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, dim))
+    matrix = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+    for src, dst in copies:
+        matrix[dst % n] = matrix[src % n]
+    index = FlatIndex([f"e{i:04d}" for i in range(n)], matrix)
+    # The last query is a duplicated row itself, so its top hits tie exactly.
+    vectors = [rng.normal(size=dim) for _ in range(5)]
+    vectors.append(matrix[copies[0][0] % n] if copies else matrix[0])
+    with mock.patch.object(retrieval, "_SCORE_BLOCK", block * n):
+        results = search_batch(index, vectors, [f"q{i}" for i in range(len(vectors))], k)
+    for v, result in zip(vectors, results):
+        expected = oracle_top_k(matrix, v, k)
+        assert result.entry_ids() == [f"e{i:04d}" for i, _ in expected]
+        for (_, got), (_, want) in zip(result.hits, expected):
+            assert abs(got - want) < 1e-6
+
+
 def test_search_clips_k_to_index_size():
     index, _ = _random_index(3, 8, 9)
     got = search(index, np.ones(8), 10)
@@ -98,11 +193,10 @@ def test_search_batch_preserves_order_and_matches_serial():
     rng = np.random.default_rng(42)
     vectors = [rng.normal(size=16) for _ in range(30)]
     ids = [f"q{i:02d}" for i in range(30)]
-    serial = search_batch(index, vectors, ids, 5, workers=1)
-    threaded = search_batch(index, vectors, ids, 5, workers=8)
-    assert [r.query_id for r in threaded] == ids
-    for a, b in zip(serial, threaded):
-        assert a.hits == b.hits
+    batched = search_batch(index, vectors, ids, 5)
+    assert [r.query_id for r in batched] == ids
+    for v, qid, result in zip(vectors, ids, batched):
+        assert search(index, v, 5, qid) == result
 
 
 def test_build_index_from_fixture(bundle):
@@ -111,7 +205,7 @@ def test_build_index_from_fixture(bundle):
     index = build_index(kb)
     assert len(index) == 100 and index.dim == 16
     assert index.entry_ids[0] == "e000"
-    assert index.matrix.dtype == np.float64
+    assert index.matrix.dtype == np.float32
 
 
 class TestUrlRanking:
