@@ -22,6 +22,7 @@ from typing import Mapping
 import requests
 
 from .errors import BackendError, IngestError, ScriptKeyError
+from .kb import read_jsonl
 from .prompts import MessageSequence, TextPart
 
 # 512 tokens for the multi-step reasoning variants, 64 elsewhere.
@@ -102,25 +103,16 @@ class MockBackend(Backend):
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
         script: dict[tuple[str, str], str] = {}
-        p = Path(path)
-        with p.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{p}:{lineno}: malformed JSON: {exc}") from exc
-                try:
-                    key = (rec["query_id"], rec["stage"])
-                    text = rec["text"]
-                except KeyError as exc:
-                    raise IngestError(f"{p}:{lineno}: missing field {exc}") from None
-                if key in script:
-                    raise IngestError(
-                        f"{p}:{lineno}: duplicate script key query_id={key[0]!r} stage={key[1]!r}"
-                    )
-                script[key] = text
+
+        def add(rec: dict, lineno: int) -> None:
+            key, text = (rec["query_id"], rec["stage"]), rec["text"]
+            if key in script:
+                raise IngestError(
+                    f"{path}:{lineno}: duplicate script key query_id={key[0]!r} stage={key[1]!r}"
+                )
+            script[key] = text
+
+        read_jsonl(path, add, IngestError)
         return cls(script)
 
     def generate(self, req: BackendRequest) -> BackendResponse:

@@ -34,7 +34,7 @@ from .metrics import (
     write_verdicts,
 )
 from .mining import export_training, mine_prki, mine_vtki, read_records, write_records
-from .pipeline import PipelineRunner, has_failures, read_traces, write_traces
+from .pipeline import PipelineRunner, has_failures, needs_retrieval, read_traces, write_traces
 from .retrieval import FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results
 
 EXIT_OK = 0
@@ -279,41 +279,32 @@ def cmd_run(args: argparse.Namespace) -> int:
     defaults.update({"variant": None, "core_mode": "staged"})
     cfg = _resolve(args, defaults)
     _require(cfg, "queries", "variant")
-    kb = _load_kb(cfg, with_embeddings=False)
-    queries = ingest_queries(cfg["queries"])
-    backend = _backend(cfg)
-    runner = PipelineRunner(
-        kb, backend, top_k=int(cfg["top_k"]), char_budget=int(cfg["char_budget"]),
-        core_mode=cfg["core_mode"],
-    )
-    variant = cfg["variant"]
-    results = None
-    if variant not in ("param", "oracle"):
-        _require(cfg, "retrievals")
-        results = {r.query_id: r for r in read_results(cfg["retrievals"])}
-    traces = runner.run_many(variant, queries, results, workers=_workers(cfg))
-    out = _out_dir(cfg)
-    write_traces(traces, out / "traces.jsonl", include_transcripts=not cfg["no_transcripts"])
-    _write_run_config(out, "run", cfg)
-    print(f"wrote {out / 'traces.jsonl'} ({_trace_summary(traces)})")
-    return EXIT_PARTIAL if has_failures(traces) else EXIT_OK
+    return _run_variant(cfg, cfg["variant"], "run", "traces.jsonl")
 
 
 def cmd_probe_unimodal(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _run_defaults())
     _require(cfg, "queries", "retrievals")
+    return _run_variant(cfg, "probe", "probe-unimodal", "probe_traces.jsonl")
+
+
+def _run_variant(cfg: dict, variant: str, command: str, traces_name: str) -> int:
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
     backend = _backend(cfg)
     runner = PipelineRunner(
         kb, backend, top_k=int(cfg["top_k"]), char_budget=int(cfg["char_budget"]),
+        core_mode=cfg.get("core_mode", "staged"),
     )
-    results = {r.query_id: r for r in read_results(cfg["retrievals"])}
-    traces = runner.run_many("probe", queries, results, workers=_workers(cfg))
+    results = None
+    if needs_retrieval(variant):
+        _require(cfg, "retrievals")
+        results = {r.query_id: r for r in read_results(cfg["retrievals"])}
+    traces = runner.run_many(variant, queries, results, workers=_workers(cfg))
     out = _out_dir(cfg)
-    write_traces(traces, out / "probe_traces.jsonl", include_transcripts=not cfg["no_transcripts"])
-    _write_run_config(out, "probe-unimodal", cfg)
-    print(f"wrote {out / 'probe_traces.jsonl'} ({_trace_summary(traces)})")
+    write_traces(traces, out / traces_name, include_transcripts=not cfg["no_transcripts"])
+    _write_run_config(out, command, cfg)
+    print(f"wrote {out / traces_name} ({_trace_summary(traces)})")
     return EXIT_PARTIAL if has_failures(traces) else EXIT_OK
 
 

@@ -18,11 +18,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import IngestError, KbvqaError
+
+T = TypeVar("T")
 
 SCHEMA_VERSION = 1
 
@@ -115,10 +119,12 @@ class KnowledgeBase:
 
     def entry_by_url(self, url: str) -> KnowledgeEntry | None:
         """First entry whose url matches byte-exactly."""
-        for entry in self.entries:
-            if entry.url == url:
-                return entry
-        return None
+        return self._first_by_url.get(url)
+
+    @cached_property
+    def _first_by_url(self) -> dict[str, KnowledgeEntry]:
+        # Built on the first lookup; reversed so the first-ingested entry wins.
+        return {entry.url: entry for entry in reversed(self.entries)}
 
     def url_of(self, entry_id: str) -> str:
         return self.by_id[entry_id].url
@@ -145,18 +151,41 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _read_jsonl(path: str | Path):
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(f"file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
+def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
+               error_class: type[KbvqaError]) -> list[T]:
+    """parse(record, lineno) for every non-blank line of a JSONL file, in order.
+
+    A missing file, bad JSON, a missing field or a malformed value raises
+    error_class naming ``path:line``; parse may raise its own errors too.
+    """
+    p = Path(path)
+    try:
+        fh = p.open("r", encoding="utf-8")
+    except OSError as exc:
+        raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
+    out: list[T] = []
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                yield lineno, json.loads(line)
+                out.append(parse(json.loads(line), lineno))
             except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}: malformed JSON on line {lineno}: {exc}") from exc
+                raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
+            except KeyError as exc:
+                raise error_class(f"{p}:{lineno}: missing field {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
+    return out
+
+
+def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
+    """One compact JSON object per line; returns the number of lines written."""
+    count = 0
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for count, obj in enumerate(dicts, start=1):
+            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    return count
 
 
 def load_manifest(manifest_path: str | Path) -> dict:
@@ -217,24 +246,28 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path) -> KnowledgeB
     """
     manifest = load_manifest(manifest_path)
     count = int(manifest["count"])
-    entries: list[KnowledgeEntry] = []
-    seen: dict[str, int] = {}
     path = Path(entries_path)
-    for lineno, obj in _read_jsonl(path):
+    seen: dict[str, int] = {}
+
+    def parse(obj: dict, lineno: int) -> KnowledgeEntry:
         entry = _entry_from_dict(obj, path, lineno)
-        if entry.entry_id in seen:
-            raise IngestError(
-                f"{path}: line {lineno}: duplicate entry_id {entry.entry_id!r} "
-                f"(first seen on line {seen[entry.entry_id]})"
-            )
-        seen[entry.entry_id] = lineno
+        _check_unique(seen, "entry_id", entry.entry_id, path, lineno)
         if entry.embedding_row is not None and entry.embedding_row >= count:
             raise IngestError(
                 f"{path}: line {lineno}: embedding_row {entry.embedding_row} out of range "
                 f"for manifest count {count} (entry {entry.entry_id!r})"
             )
-        entries.append(entry)
-    return KnowledgeBase(entries=entries, manifest=manifest)
+        return entry
+
+    return KnowledgeBase(entries=read_jsonl(path, parse, IngestError), manifest=manifest)
+
+
+def _check_unique(seen: dict[str, int], what: str, value: str, path: Path, lineno: int) -> None:
+    if value in seen:
+        raise IngestError(
+            f"{path}: line {lineno}: duplicate {what} {value!r} (first seen on line {seen[value]})"
+        )
+    seen[value] = lineno
 
 
 def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
@@ -272,19 +305,15 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
 
 def ingest_queries(path: str | Path) -> list[Query]:
     """Load and validate the query set, preserving file order."""
-    queries: list[Query] = []
-    seen: dict[str, int] = {}
     p = Path(path)
-    for lineno, obj in _read_jsonl(p):
+    seen: dict[str, int] = {}
+
+    def parse(obj: dict, lineno: int) -> Query:
         query = _query_from_dict(obj, p, lineno)
-        if query.query_id in seen:
-            raise IngestError(
-                f"{p}: line {lineno}: duplicate query_id {query.query_id!r} "
-                f"(first seen on line {seen[query.query_id]})"
-            )
-        seen[query.query_id] = lineno
-        queries.append(query)
-    return queries
+        _check_unique(seen, "query_id", query.query_id, p, lineno)
+        return query
+
+    return read_jsonl(p, parse, IngestError)
 
 
 def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> EmbeddingMatrix:
@@ -336,16 +365,8 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
 
 def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:
     """Write the KB back to entries JSONL; returns the number of lines written."""
-    path = Path(entries_path)
-    with path.open("w", encoding="utf-8") as fh:
-        for entry in kb.entries:
-            fh.write(json.dumps(entry.to_json_dict(), ensure_ascii=False) + "\n")
-    return len(kb.entries)
+    return write_jsonl(entries_path, (entry.to_json_dict() for entry in kb.entries))
 
 
 def export_queries(queries: list[Query], path: str | Path) -> int:
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        for query in queries:
-            fh.write(json.dumps(query.to_json_dict(), ensure_ascii=False) + "\n")
-    return len(queries)
+    return write_jsonl(path, (query.to_json_dict() for query in queries))

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .answers import normalize_answer
 from .errors import EvalError
-from .kb import Query
+from .kb import Query, write_jsonl
 from .pipeline import PipelineTrace
 from .retrieval import RetrievalResult, gold_rank, recall_at_k
 
@@ -437,11 +437,7 @@ def write_report_csv(
 
 
 def write_verdicts(verdicts: Sequence[MatchVerdict], path: str | Path) -> int:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for verdict in verdicts:
-            fh.write(json.dumps(verdict.to_json_dict(), ensure_ascii=False))
-            fh.write("\n")
-    return len(verdicts)
+    return write_jsonl(path, (verdict.to_json_dict() for verdict in verdicts))
 
 
 def write_deltas_csv(rows: Sequence[DeltaRow], path: str | Path) -> None:

@@ -11,7 +11,6 @@ per-objective training files with rendered prompts and supervision targets.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from .answers import index_to_letter, normalize_answer
 from .errors import EvalError
-from .kb import KnowledgeBase, Query
+from .kb import KnowledgeBase, Query, read_jsonl, write_jsonl
 from .metrics import DEFAULT_TOLERANCE, match_answer
 from .pipeline import PipelineTrace
 from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
@@ -44,15 +43,8 @@ class MiningRecord:
     provenance: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "bucket": self.bucket,
-            "objective": self.objective,
-            "target": self.target,
-            "gold_answer": self.gold_answer,
-            "context_entry_ids": list(self.context_entry_ids),
-            "provenance": dict(self.provenance),
-        }
+        return {**vars(self), "context_entry_ids": list(self.context_entry_ids),
+                "provenance": dict(self.provenance)}
 
 
 @dataclass(frozen=True)
@@ -256,80 +248,58 @@ def export_training(
             key=lambda r: (r.query_id, r.bucket),
         )
 
-    written = 0
-    with Path(out_path).open("w", encoding="utf-8") as fh:
-        for record in chosen:
-            query = query_by_qid.get(record.query_id)
-            if query is None:
-                raise EvalError(f"no query for mining record {record.query_id!r}")
-            entries = []
-            for entry_id in record.context_entry_ids:
-                entry = kb.by_id.get(entry_id)
-                if entry is None:
-                    raise EvalError(
-                        f"mining record {record.query_id!r} references unknown entry {entry_id!r}"
-                    )
-                entries.append(entry)
-            if objective == "prki":
-                ctx = PromptContext(
-                    query=query, entries=tuple(entries[:5]), char_budget=char_budget,
+    def line(record: MiningRecord) -> dict:
+        query = query_by_qid.get(record.query_id)
+        if query is None:
+            raise EvalError(f"no query for mining record {record.query_id!r}")
+        entries = []
+        for entry_id in record.context_entry_ids:
+            entry = kb.by_id.get(entry_id)
+            if entry is None:
+                raise EvalError(
+                    f"mining record {record.query_id!r} references unknown entry {entry_id!r}"
                 )
-                seq = render("one_stage", "one_stage_gen", ctx)
-                target: str | int = record.target
-            elif objective == "vtki":
-                ctx = PromptContext(
-                    query=query, entries=tuple(entries[:5]), char_budget=char_budget,
-                )
-                seq = render("core", "core_select", ctx)
-                target = index_to_letter(int(record.target))
-            else:
-                gold_idx = int(record.target)
-                ctx = PromptContext(
-                    query=query, selected_entry=entries[gold_idx], char_budget=char_budget,
-                )
-                seq = render("oracle", "oracle_gen", ctx)
-                target = record.gold_answer
-            line = {
-                "query_id": record.query_id,
-                "bucket": record.bucket,
-                "prompt_parts": seq.to_json_parts(),
-                "target": target,
-                "provenance": dict(record.provenance),
-            }
-            fh.write(json.dumps(line, ensure_ascii=False))
-            fh.write("\n")
-            written += 1
-    return written
+            entries.append(entry)
+        if objective == "prki":
+            ctx = PromptContext(query=query, entries=tuple(entries[:5]), char_budget=char_budget)
+            seq = render("one_stage", "one_stage_gen", ctx)
+            target: str | int = record.target
+        elif objective == "vtki":
+            ctx = PromptContext(query=query, entries=tuple(entries[:5]), char_budget=char_budget)
+            seq = render("core", "core_select", ctx)
+            target = index_to_letter(int(record.target))
+        else:
+            ctx = PromptContext(
+                query=query, selected_entry=entries[int(record.target)], char_budget=char_budget,
+            )
+            seq = render("oracle", "oracle_gen", ctx)
+            target = record.gold_answer
+        return {
+            "query_id": record.query_id,
+            "bucket": record.bucket,
+            "prompt_parts": seq.to_json_parts(),
+            "target": target,
+            "provenance": dict(record.provenance),
+        }
+
+    return write_jsonl(out_path, (line(record) for record in chosen))
 
 
 def write_records(records: Sequence[MiningRecord], path: str | Path) -> int:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_json_dict(), ensure_ascii=False))
-            fh.write("\n")
-    return len(records)
+    return write_jsonl(path, (record.to_json_dict() for record in records))
+
+
+def _record_from_dict(rec: dict, _lineno: int) -> MiningRecord:
+    return MiningRecord(
+        query_id=rec["query_id"],
+        bucket=rec["bucket"],
+        objective=rec["objective"],
+        target=rec["target"],
+        gold_answer=rec["gold_answer"],
+        context_entry_ids=tuple(rec["context_entry_ids"]),
+        provenance=dict(rec["provenance"]),
+    )
 
 
 def read_records(path: str | Path) -> list[MiningRecord]:
-    p = Path(path)
-    records: list[MiningRecord] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                records.append(
-                    MiningRecord(
-                        query_id=rec["query_id"],
-                        bucket=rec["bucket"],
-                        objective=rec["objective"],
-                        target=rec["target"],
-                        gold_answer=rec["gold_answer"],
-                        context_entry_ids=tuple(rec["context_entry_ids"]),
-                        provenance=dict(rec["provenance"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise EvalError(f"{p}:{lineno}: malformed mining record: {exc}") from exc
-    return records
+    return read_jsonl(path, _record_from_dict, EvalError)

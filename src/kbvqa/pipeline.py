@@ -10,7 +10,6 @@ two intermediate answers.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Mapping, Sequence
 from .answers import bracket_spans, extract_answer, normalize_answer, parse_reference_letter
 from .backend import Backend, BackendRequest, max_new_tokens_for
 from .errors import BackendError, ParseError, PipelineError, PromptError
-from .kb import KnowledgeBase, KnowledgeEntry, Query
+from .kb import KnowledgeBase, KnowledgeEntry, Query, read_jsonl, write_jsonl
 from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
@@ -37,15 +36,7 @@ class StageTranscript:
     max_new_tokens: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "prompt_parts": list(self.prompt_parts),
-            "text": self.text,
-            "latency_ms": self.latency_ms,
-            "raw": self.raw,
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-        }
+        return {**vars(self), "prompt_parts": list(self.prompt_parts)}
 
 
 @dataclass(frozen=True)
@@ -68,25 +59,13 @@ class PipelineTrace:
     transcripts: tuple[StageTranscript, ...] = ()
 
     def to_json_dict(self, include_transcripts: bool = True) -> dict:
-        out = {
-            "query_id": self.query_id,
-            "variant": self.variant,
-            "mode": self.mode,
-            "y_int": self.y_int,
-            "i_v": self.i_v,
-            "i_t": self.i_t,
-            "i_tv": self.i_tv,
-            "y_ext": self.y_ext,
-            "y_final": self.y_final,
-            "prki_flag": self.prki_flag,
-            "vtki_flag": self.vtki_flag,
-            "context_entry_ids": list(self.context_entry_ids),
-            "warnings": list(self.warnings),
-            "failed": self.failed,
-            "error": self.error,
-        }
+        # The trace format's key order is the field order: vars() keeps it and
+        # an overridden key keeps its place.
+        out = {**vars(self), "context_entry_ids": list(self.context_entry_ids),
+               "warnings": list(self.warnings)}
+        transcripts = out.pop("transcripts")
         if include_transcripts:
-            out["transcripts"] = [t.to_json_dict() for t in self.transcripts]
+            out["transcripts"] = [t.to_json_dict() for t in transcripts]
         return out
 
 
@@ -104,13 +83,83 @@ def vtki_value(i_v: int | None, i_t: int | None) -> bool | None:
     return i_v != i_t
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One backend call of a variant.
+
+    context: what the prompt is rendered from: "query" (the query alone),
+    "gold" (the query's gold entry), "entries" (the retrieved entries,
+    labelled A..E), "selected" (the entry picked by the last letter stage) or
+    "reconcile" (that entry plus y_int and y_ext).
+    parse: "answer" (the bracketed answer), "letter" (a reference letter; a
+    failure ends the query) or "single" (core single's best-effort parse of
+    y_final, y_int and i_tv, in that order).
+    fields: the trace fields the parsed value sets.
+    """
+
+    token: str
+    context: str
+    parse: str
+    fields: tuple[str, ...]
+
+
+# A variant's stages run in order, each after the previous one returned. The
+# key's second part is the core mode; other variants have none.
+STAGE_TABLE: dict[tuple[str, str | None], tuple[Stage, ...]] = {
+    ("param", None): (Stage("param_gen", "query", "answer", ("y_int", "y_final")),),
+    ("oracle", None): (Stage("oracle_gen", "gold", "answer", ("y_final",)),),
+    ("one_stage", None): (Stage("one_stage_gen", "entries", "answer", ("y_final",)),),
+    ("two_stage", None): (
+        Stage("rerank", "entries", "letter", ("i_t",)),
+        Stage("two_stage_gen", "selected", "answer", ("y_final",)),
+    ),
+    ("mmstar", None): (Stage("mmstar_gen", "entries", "answer", ("y_final",)),),
+    ("core", "staged"): (
+        Stage("core_param", "query", "answer", ("y_int",)),
+        Stage("core_select", "entries", "letter", ("i_tv",)),
+        Stage("core_ext_gen", "selected", "answer", ("y_ext",)),
+        Stage("core_reconcile", "reconcile", "answer", ("y_final",)),
+    ),
+    ("core", "single"): (
+        Stage("core_single", "entries", "single", ("y_final", "y_int", "i_tv")),
+    ),
+    ("probe", None): (
+        Stage("probe_visual", "entries", "letter", ("i_v",)),
+        Stage("probe_text", "entries", "letter", ("i_t",)),
+    ),
+}
+
+
+def needs_retrieval(variant: str) -> bool:
+    """Whether any stage of the variant is rendered from retrieved entries."""
+    uses = [s.context == "entries" for (name, _mode), stages in STAGE_TABLE.items()
+            if name == variant for s in stages]
+    if not uses:
+        raise PipelineError(f"unknown variant: {variant!r}")
+    return any(uses)
+
+
+def _parse_single(text: str, n_entries: int) -> tuple[str, str | None, int | None]:
+    y_final = extract_answer(text)
+    # Best-effort recovery of intermediate fields the model may emit in its
+    # single response; absence is not an error in this mode.
+    spans = bracket_spans(text)
+    y_int = spans[0].strip() if len(spans) >= 2 else None
+    try:
+        i_tv = parse_reference_letter(text, n_entries)
+    except ParseError:
+        i_tv = None
+    return y_final, y_int, i_tv
+
+
 class PipelineRunner:
     """Executes one variant per call against a knowledge base and backend.
 
-    Per-variant methods take the query plus the ranked entries already
-    resolved from retrieval hits; run_many() does that resolution and fans
-    queries out over a worker pool while keeping trace order equal to input
-    order. Stages within one query are strictly sequential.
+    run_query() runs the variant's stages from STAGE_TABLE over the query
+    plus the ranked entries already resolved from retrieval hits; run_many()
+    does that resolution and fans queries out over a worker pool while
+    keeping trace order equal to input order. Stages within one query are
+    strictly sequential.
     """
 
     def __init__(
@@ -131,8 +180,6 @@ class PipelineRunner:
         self.char_budget = char_budget
         self.core_mode = core_mode
 
-    # -- plumbing ---------------------------------------------------------
-
     def resolve_entries(self, result: RetrievalResult) -> tuple[KnowledgeEntry, ...]:
         entries = []
         for entry_id, _score in result.hits[: self.top_k]:
@@ -143,6 +190,9 @@ class PipelineRunner:
                 )
             entries.append(entry)
         return tuple(entries)
+
+    def _mode(self, variant: str) -> str | None:
+        return self.core_mode if variant == "core" else None
 
     def _call(
         self, variant: str, stage: str, ctx: PromptContext, query_id: str,
@@ -163,14 +213,6 @@ class PipelineRunner:
         )
         return resp.text, transcript
 
-    @staticmethod
-    def _need_entries(variant: str, query: Query, entries: Sequence[KnowledgeEntry]) -> None:
-        if not entries:
-            raise PipelineError(
-                f"variant {variant!r} requires at least one retrieved entry "
-                f"for query {query.query_id!r}"
-            )
-
     def _gold_entry(self, query: Query) -> KnowledgeEntry:
         if not query.gold_entry_url:
             raise PipelineError(f"query {query.query_id!r} has no gold entry URL")
@@ -182,189 +224,63 @@ class PipelineRunner:
             )
         return entry
 
-    # -- variants ---------------------------------------------------------
-
-    def run_param(self, query: Query) -> PipelineTrace:
-        warnings: list[str] = []
-        ctx = PromptContext(query=query, char_budget=self.char_budget)
-        text, tr = self._call("param", "param_gen", ctx, query.query_id, warnings)
-        answer = extract_answer(text)
-        return PipelineTrace(
-            query_id=query.query_id, variant="param", y_int=answer, y_final=answer,
-            warnings=tuple(warnings), transcripts=(tr,),
-        )
-
-    def run_oracle(self, query: Query) -> PipelineTrace:
-        warnings: list[str] = []
-        gold = self._gold_entry(query)
-        ctx = PromptContext(query=query, selected_entry=gold, char_budget=self.char_budget)
-        text, tr = self._call("oracle", "oracle_gen", ctx, query.query_id, warnings)
-        return PipelineTrace(
-            query_id=query.query_id, variant="oracle", y_final=extract_answer(text),
-            context_entry_ids=(gold.entry_id,), warnings=tuple(warnings), transcripts=(tr,),
-        )
-
-    def run_one_stage(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        self._need_entries("one_stage", query, entries)
-        warnings: list[str] = []
-        ctx = PromptContext(query=query, entries=tuple(entries), char_budget=self.char_budget)
-        text, tr = self._call("one_stage", "one_stage_gen", ctx, query.query_id, warnings)
-        return PipelineTrace(
-            query_id=query.query_id, variant="one_stage", y_final=extract_answer(text),
-            context_entry_ids=tuple(e.entry_id for e in entries),
-            warnings=tuple(warnings), transcripts=(tr,),
-        )
-
-    def run_two_stage(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        self._need_entries("two_stage", query, entries)
-        warnings: list[str] = []
-        ids = tuple(e.entry_id for e in entries)
-        ctx = PromptContext(query=query, entries=tuple(entries), char_budget=self.char_budget)
-        rerank_text, tr1 = self._call("two_stage", "rerank", ctx, query.query_id, warnings)
-        try:
-            i_t = parse_reference_letter(rerank_text, len(entries))
-        except ParseError as exc:
-            return PipelineTrace(
-                query_id=query.query_id, variant="two_stage", context_entry_ids=ids,
-                warnings=tuple(warnings), failed=True, error=f"rerank: {exc}",
-                transcripts=(tr1,),
-            )
-        gen_ctx = PromptContext(
-            query=query, selected_entry=entries[i_t], char_budget=self.char_budget,
-        )
-        gen_text, tr2 = self._call("two_stage", "two_stage_gen", gen_ctx, query.query_id, warnings)
-        return PipelineTrace(
-            query_id=query.query_id, variant="two_stage", i_t=i_t,
-            y_final=extract_answer(gen_text), context_entry_ids=ids,
-            warnings=tuple(warnings), transcripts=(tr1, tr2),
-        )
-
-    def run_mmstar(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        self._need_entries("mmstar", query, entries)
-        warnings: list[str] = []
-        ctx = PromptContext(query=query, entries=tuple(entries), char_budget=self.char_budget)
-        text, tr = self._call("mmstar", "mmstar_gen", ctx, query.query_id, warnings)
-        return PipelineTrace(
-            query_id=query.query_id, variant="mmstar", y_final=extract_answer(text),
-            context_entry_ids=tuple(e.entry_id for e in entries),
-            warnings=tuple(warnings), transcripts=(tr,),
-        )
-
-    def run_core(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        if self.core_mode == "single":
-            return self._run_core_single(query, entries)
-        return self._run_core_staged(query, entries)
-
-    def _run_core_single(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        self._need_entries("core", query, entries)
-        warnings: list[str] = []
-        ctx = PromptContext(query=query, entries=tuple(entries), char_budget=self.char_budget)
-        text, tr = self._call("core", "core_single", ctx, query.query_id, warnings)
-        y_final = extract_answer(text)
-        # Best-effort recovery of intermediate fields the model may emit in
-        # its single response; absence is not an error in this mode.
-        spans = bracket_spans(text)
-        y_int = spans[0].strip() if len(spans) >= 2 else None
-        try:
-            i_tv = parse_reference_letter(text, len(entries))
-        except ParseError:
-            i_tv = None
-        return PipelineTrace(
-            query_id=query.query_id, variant="core", mode="single",
-            y_int=y_int, i_tv=i_tv, y_final=y_final,
-            context_entry_ids=tuple(e.entry_id for e in entries),
-            warnings=tuple(warnings), transcripts=(tr,),
-        )
-
-    def _run_core_staged(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        self._need_entries("core", query, entries)
-        warnings: list[str] = []
-        ids = tuple(e.entry_id for e in entries)
-        qid = query.query_id
-
-        param_ctx = PromptContext(query=query, char_budget=self.char_budget)
-        step1_text, tr1 = self._call("core", "core_param", param_ctx, qid, warnings)
-        y_int = extract_answer(step1_text)
-
-        select_ctx = PromptContext(query=query, entries=tuple(entries), char_budget=self.char_budget)
-        select_text, tr2 = self._call("core", "core_select", select_ctx, qid, warnings)
-        try:
-            i_tv = parse_reference_letter(select_text, len(entries))
-        except ParseError as exc:
-            return PipelineTrace(
-                query_id=qid, variant="core", mode="staged", y_int=y_int,
-                context_entry_ids=ids, warnings=tuple(warnings), failed=True,
-                error=f"core_select: {exc}", transcripts=(tr1, tr2),
-            )
-        selected = entries[i_tv]
-
-        ext_ctx = PromptContext(query=query, selected_entry=selected, char_budget=self.char_budget)
-        step3_text, tr3 = self._call("core", "core_ext_gen", ext_ctx, qid, warnings)
-        y_ext = extract_answer(step3_text)
-
-        rec_ctx = PromptContext(
-            query=query, selected_entry=selected, step1_answer=y_int,
-            step3_answer=y_ext, char_budget=self.char_budget,
-        )
-        rec_text, tr4 = self._call("core", "core_reconcile", rec_ctx, qid, warnings)
-        return PipelineTrace(
-            query_id=qid, variant="core", mode="staged", y_int=y_int, i_tv=i_tv,
-            y_ext=y_ext, y_final=extract_answer(rec_text),
-            prki_flag=prki_value(y_int, y_ext), context_entry_ids=ids,
-            warnings=tuple(warnings), transcripts=(tr1, tr2, tr3, tr4),
-        )
-
-    def run_probes(self, query: Query, entries: Sequence[KnowledgeEntry]) -> PipelineTrace:
-        """Diagnostic unimodal selections: image-only and text-only entry
-        choice over the same candidates, flag set when they disagree."""
-        self._need_entries("probe", query, entries)
-        warnings: list[str] = []
-        ids = tuple(e.entry_id for e in entries)
-        ctx = PromptContext(query=query, entries=tuple(entries), char_budget=self.char_budget)
-        v_text, tr1 = self._call("probe", "probe_visual", ctx, query.query_id, warnings)
-        try:
-            i_v = parse_reference_letter(v_text, len(entries))
-        except ParseError as exc:
-            return PipelineTrace(
-                query_id=query.query_id, variant="probe", context_entry_ids=ids,
-                warnings=tuple(warnings), failed=True, error=f"probe_visual: {exc}",
-                transcripts=(tr1,),
-            )
-        t_text, tr2 = self._call("probe", "probe_text", ctx, query.query_id, warnings)
-        try:
-            i_t = parse_reference_letter(t_text, len(entries))
-        except ParseError as exc:
-            return PipelineTrace(
-                query_id=query.query_id, variant="probe", i_v=i_v, context_entry_ids=ids,
-                warnings=tuple(warnings), failed=True, error=f"probe_text: {exc}",
-                transcripts=(tr1, tr2),
-            )
-        return PipelineTrace(
-            query_id=query.query_id, variant="probe", i_v=i_v, i_t=i_t,
-            vtki_flag=vtki_value(i_v, i_t), context_entry_ids=ids,
-            warnings=tuple(warnings), transcripts=(tr1, tr2),
-        )
-
-    # -- batch ------------------------------------------------------------
-
     def run_query(
         self, variant: str, query: Query, entries: Sequence[KnowledgeEntry] = (),
     ) -> PipelineTrace:
-        if variant == "param":
-            return self.run_param(query)
-        if variant == "oracle":
-            return self.run_oracle(query)
-        if variant == "one_stage":
-            return self.run_one_stage(query, entries)
-        if variant == "two_stage":
-            return self.run_two_stage(query, entries)
-        if variant == "mmstar":
-            return self.run_mmstar(query, entries)
-        if variant == "core":
-            return self.run_core(query, entries)
-        if variant == "probe":
-            return self.run_probes(query, entries)
-        raise PipelineError(f"unknown variant: {variant!r}")
+        mode = self._mode(variant)
+        stages = STAGE_TABLE.get((variant, mode))
+        if stages is None:
+            raise PipelineError(f"unknown variant: {variant!r}")
+        entries = tuple(entries or ())
+        contexts = {s.context for s in stages}
+        selected: KnowledgeEntry | None = None
+        if "entries" in contexts:
+            if not entries:
+                raise PipelineError(
+                    f"variant {variant!r} requires at least one retrieved entry "
+                    f"for query {query.query_id!r}"
+                )
+            ids = tuple(e.entry_id for e in entries)
+        elif "gold" in contexts:
+            selected = self._gold_entry(query)
+            ids = (selected.entry_id,)
+        else:
+            ids = ()
+
+        fields: dict = {}
+        warnings: list[str] = []
+        transcripts: list[StageTranscript] = []
+        error = None
+        for stage in stages:
+            ctx = PromptContext(
+                query=query,
+                entries=entries if stage.context == "entries" else (),
+                selected_entry=None if stage.context in ("query", "entries") else selected,
+                step1_answer=fields.get("y_int") if stage.context == "reconcile" else None,
+                step3_answer=fields.get("y_ext") if stage.context == "reconcile" else None,
+                char_budget=self.char_budget,
+            )
+            text, transcript = self._call(variant, stage.token, ctx, query.query_id, warnings)
+            transcripts.append(transcript)
+            if stage.parse == "answer":
+                values = (extract_answer(text),) * len(stage.fields)
+            elif stage.parse == "single":
+                values = _parse_single(text, len(entries))
+            else:
+                try:
+                    values = (parse_reference_letter(text, len(entries)),)
+                except ParseError as exc:
+                    error = f"{stage.token}: {exc}"
+                    break
+                selected = entries[values[0]]
+            fields.update(zip(stage.fields, values))
+        return PipelineTrace(
+            query_id=query.query_id, variant=variant, mode=mode, **fields,
+            prki_flag=prki_value(fields.get("y_int"), fields.get("y_ext")),
+            vtki_flag=vtki_value(fields.get("i_v"), fields.get("i_t")),
+            context_entry_ids=ids, warnings=tuple(warnings), failed=error is not None,
+            error=error, transcripts=tuple(transcripts),
+        )
 
     def run_many(
         self,
@@ -381,9 +297,8 @@ class PipelineRunner:
         """
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        needs_retrieval = variant not in ("param", "oracle")
         entries_by_qid: dict[str, tuple[KnowledgeEntry, ...]] = {}
-        if needs_retrieval:
+        if needs_retrieval(variant):
             if results is None:
                 raise PipelineError(f"variant {variant!r} requires retrieval results")
             missing = [q.query_id for q in queries if q.query_id not in results]
@@ -394,7 +309,7 @@ class PipelineRunner:
             for q in queries:
                 entries_by_qid[q.query_id] = self.resolve_entries(results[q.query_id])
 
-        mode = self.core_mode if variant == "core" else None
+        mode = self._mode(variant)
 
         def one(query: Query) -> PipelineTrace:
             try:
@@ -418,42 +333,29 @@ def has_failures(traces: Sequence[PipelineTrace]) -> bool:
 def write_traces(
     traces: Sequence[PipelineTrace], path: str | Path, include_transcripts: bool = True,
 ) -> None:
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace.to_json_dict(include_transcripts), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, (trace.to_json_dict(include_transcripts) for trace in traces))
+
+
+def _trace_from_dict(rec: dict, _lineno: int) -> PipelineTrace:
+    transcripts = tuple(
+        StageTranscript(
+            stage=t["stage"], prompt_parts=tuple(t["prompt_parts"]),
+            text=t["text"], latency_ms=t["latency_ms"], raw=t["raw"],
+            temperature=t["temperature"], max_new_tokens=t["max_new_tokens"],
+        )
+        for t in rec.get("transcripts", [])
+    )
+    return PipelineTrace(
+        query_id=rec["query_id"], variant=rec["variant"], mode=rec.get("mode"),
+        y_int=rec.get("y_int"), i_v=rec.get("i_v"), i_t=rec.get("i_t"),
+        i_tv=rec.get("i_tv"), y_ext=rec.get("y_ext"),
+        y_final=rec.get("y_final", ""), prki_flag=rec.get("prki_flag"),
+        vtki_flag=rec.get("vtki_flag"),
+        context_entry_ids=tuple(rec.get("context_entry_ids", ())),
+        warnings=tuple(rec.get("warnings", ())), failed=rec.get("failed", False),
+        error=rec.get("error"), transcripts=transcripts,
+    )
 
 
 def read_traces(path: str | Path) -> list[PipelineTrace]:
-    p = Path(path)
-    traces: list[PipelineTrace] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise PipelineError(f"{p}:{lineno}: malformed trace line: {exc}") from exc
-            transcripts = tuple(
-                StageTranscript(
-                    stage=t["stage"], prompt_parts=tuple(t["prompt_parts"]),
-                    text=t["text"], latency_ms=t["latency_ms"], raw=t["raw"],
-                    temperature=t["temperature"], max_new_tokens=t["max_new_tokens"],
-                )
-                for t in rec.get("transcripts", [])
-            )
-            traces.append(
-                PipelineTrace(
-                    query_id=rec["query_id"], variant=rec["variant"], mode=rec.get("mode"),
-                    y_int=rec.get("y_int"), i_v=rec.get("i_v"), i_t=rec.get("i_t"),
-                    i_tv=rec.get("i_tv"), y_ext=rec.get("y_ext"),
-                    y_final=rec.get("y_final", ""), prki_flag=rec.get("prki_flag"),
-                    vtki_flag=rec.get("vtki_flag"),
-                    context_entry_ids=tuple(rec.get("context_entry_ids", ())),
-                    warnings=tuple(rec.get("warnings", ())), failed=rec.get("failed", False),
-                    error=rec.get("error"), transcripts=transcripts,
-                )
-            )
-    return traces
+    return read_jsonl(path, _trace_from_dict, PipelineError)

@@ -10,7 +10,6 @@ wherever they sit, and ties are broken by ascending ingestion ordinal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import EvalError, IngestError
-from .kb import KnowledgeBase, Query
+from .kb import KnowledgeBase, Query, read_jsonl, write_jsonl
 
 DEFAULT_TOP_K = 5
 
@@ -89,7 +88,10 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
     if not kb.embeddings.normalized:
         raise IngestError("embedding matrix must be normalized before indexing")
     rows = np.array([e.embedding_row for e in kb.entries], dtype=np.int64)
-    matrix = kb.embeddings.data[rows]
+    if np.array_equal(rows, np.arange(len(rows))):
+        matrix = kb.embeddings.data[:len(rows)]  # a view: no second copy of the matrix
+    else:
+        matrix = kb.embeddings.data[rows]
     return FlatIndex([e.entry_id for e in kb.entries], matrix)
 
 
@@ -215,26 +217,13 @@ def recall_at_k(
 
 
 def write_results(results: Sequence[RetrievalResult], path: str | Path) -> int:
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps(result.to_json_dict(), ensure_ascii=False) + "\n")
-    return len(results)
+    return write_jsonl(path, (result.to_json_dict() for result in results))
+
+
+def _result_from_dict(obj: dict, _lineno: int) -> RetrievalResult:
+    hits = tuple((h["entry_id"], float(h["score"])) for h in obj["hits"])
+    return RetrievalResult(query_id=obj["query_id"], hits=hits, k=int(obj["k"]))
 
 
 def read_results(path: str | Path) -> list[RetrievalResult]:
-    p = Path(path)
-    if not p.exists():
-        raise IngestError(f"retrieval results file not found: {p}")
-    results: list[RetrievalResult] = []
-    with p.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{p}: malformed JSON on line {lineno}: {exc}") from exc
-            hits = tuple((h["entry_id"], float(h["score"])) for h in obj["hits"])
-            results.append(RetrievalResult(query_id=obj["query_id"], hits=hits, k=int(obj["k"])))
-    return results
+    return read_jsonl(path, _result_from_dict, IngestError)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -342,6 +346,83 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "--workers must be positive" in capsys.readouterr().err
+
+
+# id -> (role of the file under test, a field to drop, argv given the
+# workspace's paths and the bad file).
+_READER_CASES = {
+    "kb_entries": ("entries", "url", lambda c, bad: [
+        "ingest", "--kb", bad, "--kb-manifest", c.manifest, *c.queries]),
+    "queries": ("queries", "question", lambda c, bad: [
+        "ingest", *c.kb, "--queries", bad]),
+    "retrievals": ("retrievals", "hits", lambda c, bad: [
+        "run", "--variant", "one_stage", *c.kb, *c.queries, "--retrievals", bad, *c.mock]),
+    "traces": ("traces", "variant", lambda c, bad: [
+        "mine-prki", "--traces-int", bad, "--traces-ext", c.traces, *c.queries]),
+    "records": ("records", "bucket", lambda c, bad: [
+        "export-training", "--records", bad, "--objective", "prki", *c.kb, *c.queries]),
+    "mock_script": ("mock", "stage", lambda c, bad: [
+        "run", "--variant", "param", *c.kb, *c.queries, "--mock-script", bad]),
+}
+
+
+class TestReaderErrors:
+    """A missing JSONL input or a line without a required field exits 2 with
+    the file named, never with a traceback."""
+
+    @pytest.mark.parametrize("fault", ["missing_file", "missing_field"])
+    @pytest.mark.parametrize("case", sorted(_READER_CASES))
+    def test_exits_two_naming_the_file(self, ws, bundle, tmp_path, capsys, case, fault):
+        role, field, argv = _READER_CASES[case]
+        c = SimpleNamespace(
+            kb=["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)],
+            manifest=str(bundle.kb_manifest), queries=["--queries", str(bundle.queries_path)],
+            mock=["--mock-script", str(bundle.mock_script)], traces=str(ws.run / "traces.jsonl"),
+        )
+        source = {
+            "entries": bundle.entries_path, "queries": bundle.queries_path,
+            "retrievals": ws.retrieve / "retrieval_results.jsonl",
+            "traces": ws.run / "traces.jsonl", "records": ws.mine_prki / "d_int.jsonl",
+            "mock": bundle.mock_script,
+        }[role]
+        bad = tmp_path / f"bad_{role}.jsonl"
+        if fault == "missing_field":
+            rows = read_jsonl(source)
+            del rows[1][field]
+            bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = main([*argv(c, str(bad)), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(bad) in err and "Traceback" not in err
+        if fault == "missing_field":
+            assert f"{bad}:2: missing field '{field}'" in err or f"{bad}: line 2:" in err
+
+
+def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
+    """The per-layer benchmark wraps functions by name; a refactor that moves
+    them out of its reach would leave these spans empty."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    common = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+              "--queries", str(bundle.queries_path), "--mock-script", str(bundle.mock_script),
+              "--workers", "1"]
+    names = set()
+    for label, variant in (
+        ("core", ["--variant", "core", "--core-mode", "staged",
+                  "--retrievals", str(ws.retrieve / "retrieval_results.jsonl")]),
+        ("oracle", ["--variant", "oracle"]),
+    ):
+        spans = tmp_path / f"spans_{label}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "traced_cli.py"), str(spans),
+             "run", *variant, *common, "--out-dir", str(tmp_path / label)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names |= {row[1] for row in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert {"pipeline.run_query", "prompts.render", "answers.parse", "backend.generate",
+            "kb.entry_by_url"} <= names
 
 
 class TestHelpGoldens:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fixture_gen
-from kbvqa.errors import IngestError
+from kbvqa.errors import EvalError, IngestError
 from kbvqa.kb import (
     NORM_BLOCK_ROWS,
     export_kb,
@@ -15,6 +15,8 @@ from kbvqa.kb import (
     ingest_queries,
     load_embeddings,
     load_manifest,
+    read_jsonl,
+    write_jsonl,
 )
 
 
@@ -64,6 +66,37 @@ def test_missing_field_names_line(tmp_path, bundle):
     fixture_gen.write_jsonl(bad, rows)
     with pytest.raises(IngestError, match="line 2"):
         ingest_kb(bad, bundle.kb_manifest)
+
+
+def test_entry_by_url_returns_first_ingested_of_duplicate_urls(tmp_path, bundle):
+    rows = fixture_gen.make_entries(4)
+    rows[2]["url"] = rows[1]["url"]
+    path = tmp_path / "dup_url.jsonl"
+    fixture_gen.write_jsonl(path, rows)
+    kb = ingest_kb(path, bundle.kb_manifest)
+    assert kb.entry_by_url(rows[1]["url"]) is kb.by_id["e001"]
+    assert kb.entry_by_url(rows[3]["url"]) is kb.by_id["e003"]
+    assert kb.entry_by_url(rows[0]["url"] + "/") is None
+
+
+def test_read_jsonl_names_path_and_line(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    assert write_jsonl(path, [{"a": 1}, {"a": "é"}]) == 2
+    assert path.read_text(encoding="utf-8") == '{"a": 1}\n{"a": "é"}\n'
+    pairs = read_jsonl(path, lambda obj, lineno: (lineno, obj["a"]), EvalError)
+    assert pairs == [(1, 1), (2, "é")]
+
+    def get_a(obj, _lineno):
+        return obj["a"]
+
+    for text, match in (('{"a": 1}\n\n{"b": 2}\n', r"rows\.jsonl:3: missing field 'a'"),
+                        ('{"a": 1}\n{"a": \n', r"rows\.jsonl:2: malformed JSON"),
+                        ("[1, 2]\n", r"rows\.jsonl:1: malformed record")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EvalError, match=match):
+            read_jsonl(path, get_a, EvalError)
+    with pytest.raises(EvalError, match=r"cannot read .*absent\.jsonl"):
+        read_jsonl(tmp_path / "absent.jsonl", get_a, EvalError)
 
 
 def test_embedding_row_out_of_range(tmp_path, bundle):

@@ -4,12 +4,15 @@ import io
 
 import pytest
 
+from kbvqa import prompts
 from kbvqa.backend import MockBackend
 from kbvqa.errors import PipelineError
 from kbvqa.kb import KnowledgeBase, KnowledgeEntry, Query
 from kbvqa.pipeline import (
+    STAGE_TABLE,
     PipelineRunner,
     has_failures,
+    needs_retrieval,
     prki_value,
     read_traces,
     vtki_value,
@@ -70,7 +73,7 @@ class TestFlagHelpers:
 class TestParam:
     def test_fields(self):
         run, backend = runner({("q1", "param_gen"): "thinking... [Scotland]"})
-        trace = run.run_param(query())
+        trace = run.run_query("param", query())
         assert trace.variant == "param"
         assert trace.y_int == "Scotland" and trace.y_final == "Scotland"
         assert trace.y_ext is None and trace.prki_flag is None
@@ -82,26 +85,26 @@ class TestParam:
 class TestOracle:
     def test_uses_gold_entry(self):
         run, _ = runner({("q1", "oracle_gen"): "[42]"})
-        trace = run.run_oracle(query())
+        trace = run.run_query("oracle", query())
         assert trace.y_final == "42"
         assert trace.context_entry_ids == ("e2",)
 
     def test_missing_gold_url_fails(self):
         run, _ = runner({})
         with pytest.raises(PipelineError, match="gold"):
-            run.run_oracle(query(gold_url=None))
+            run.run_query("oracle", query(gold_url=None))
 
     def test_unknown_gold_url_fails(self):
         run, _ = runner({})
         with pytest.raises(PipelineError):
-            run.run_oracle(query(gold_url="https://kb.example/wiki/NOPE"))
+            run.run_query("oracle", query(gold_url="https://kb.example/wiki/NOPE"))
 
 
 class TestOneStage:
     def test_fields(self):
         run, _ = runner({("q1", "one_stage_gen"): "[blue]"})
         entries = run.resolve_entries(result())
-        trace = run.run_one_stage(query(), entries)
+        trace = run.run_query("one_stage", query(), entries)
         assert trace.y_final == "blue"
         assert trace.context_entry_ids == ("e0", "e1", "e2", "e3", "e4")
         assert trace.i_tv is None
@@ -114,7 +117,7 @@ class TestTwoStage:
             ("q1", "two_stage_gen"): "[red]",
         })
         entries = run.resolve_entries(result())
-        trace = run.run_two_stage(query(), entries)
+        trace = run.run_query("two_stage", query(), entries)
         assert trace.i_t == 2
         assert trace.y_final == "red"
         assert backend.calls("q1") == (("q1", "rerank"), ("q1", "two_stage_gen"))
@@ -122,7 +125,7 @@ class TestTwoStage:
     def test_rerank_parse_failure_keeps_transcript(self):
         run, backend = runner({("q1", "rerank"): "no letter here"})
         entries = run.resolve_entries(result())
-        trace = run.run_two_stage(query(), entries)
+        trace = run.run_query("two_stage", query(), entries)
         assert trace.failed and "rerank" in trace.error
         assert [t.stage for t in trace.transcripts] == ["rerank"]
         assert backend.calls("q1") == (("q1", "rerank"),)
@@ -130,7 +133,7 @@ class TestTwoStage:
     def test_out_of_range_letter_with_fewer_entries(self):
         run, _ = runner({("q1", "rerank"): "[Reference D]"})
         entries = run.resolve_entries(result(ids=("e0", "e1")))
-        trace = run.run_two_stage(query(), entries)
+        trace = run.run_query("two_stage", query(), entries)
         assert trace.failed and "rerank" in trace.error
 
 
@@ -145,7 +148,7 @@ class TestCoreStaged:
     def test_four_calls_in_order(self):
         run, backend = runner(self.SCRIPT)
         entries = run.resolve_entries(result())
-        trace = run.run_core(query(), entries)
+        trace = run.run_query("core", query(), entries)
         assert backend.calls("q1") == (
             ("q1", "core_param"), ("q1", "core_select"),
             ("q1", "core_ext_gen"), ("q1", "core_reconcile"),
@@ -164,7 +167,7 @@ class TestCoreStaged:
         script[("q1", "core_ext_gen")] = "[the paris.]"
         script[("q1", "core_reconcile")] = "[Paris]"
         run, backend = runner(script)
-        trace = run.run_core(query(), run.resolve_entries(result()))
+        trace = run.run_query("core", query(), run.resolve_entries(result()))
         assert trace.prki_flag is False
         assert len(backend.calls("q1")) == 4
 
@@ -172,7 +175,7 @@ class TestCoreStaged:
         script = dict(self.SCRIPT)
         script[("q1", "core_select")] = "hmm, not sure"
         run, backend = runner(script)
-        trace = run.run_core(query(), run.resolve_entries(result()))
+        trace = run.run_query("core", query(), run.resolve_entries(result()))
         assert trace.failed and "core_select" in trace.error
         assert trace.y_int == "Paris"
         assert [t.stage for t in trace.transcripts] == ["core_param", "core_select"]
@@ -184,7 +187,7 @@ class TestCoreSingle:
         script = {("q1", "core_single"):
                   "Step 1: [Paris]. Step 2 picks Reference B. Final: [London]"}
         run, backend = runner(script, core_mode="single")
-        trace = run.run_core(query(), run.resolve_entries(result()))
+        trace = run.run_query("core", query(), run.resolve_entries(result()))
         assert backend.calls("q1") == (("q1", "core_single"),)
         assert trace.mode == "single"
         assert trace.y_final == "London"
@@ -196,7 +199,7 @@ class TestCoreSingle:
     def test_single_span_yields_no_y_int(self):
         script = {("q1", "core_single"): "only the final [London]"}
         run, _ = runner(script, core_mode="single")
-        trace = run.run_core(query(), run.resolve_entries(result()))
+        trace = run.run_query("core", query(), run.resolve_entries(result()))
         assert trace.y_final == "London"
         assert trace.y_int is None and trace.i_tv is None
 
@@ -211,7 +214,7 @@ class TestProbes:
             ("q1", "probe_visual"): "[Reference A]",
             ("q1", "probe_text"): "[Reference C]",
         })
-        trace = run.run_probes(query(), run.resolve_entries(result()))
+        trace = run.run_query("probe", query(), run.resolve_entries(result()))
         assert trace.variant == "probe"
         assert trace.i_v == 0 and trace.i_t == 2
         assert trace.vtki_flag is True
@@ -223,7 +226,7 @@ class TestProbes:
             ("q1", "probe_visual"): "Reference D",
             ("q1", "probe_text"): "[Reference D]",
         })
-        trace = run.run_probes(query(), run.resolve_entries(result()))
+        trace = run.run_query("probe", query(), run.resolve_entries(result()))
         assert trace.vtki_flag is False
 
     def test_probe_parse_failure(self):
@@ -231,7 +234,7 @@ class TestProbes:
             ("q1", "probe_visual"): "???",
             ("q1", "probe_text"): "[Reference A]",
         })
-        trace = run.run_probes(query(), run.resolve_entries(result()))
+        trace = run.run_query("probe", query(), run.resolve_entries(result()))
         assert trace.failed and "probe_visual" in trace.error
         assert trace.transcripts
 
@@ -255,13 +258,57 @@ class TestRunner:
 
     def test_empty_response_warning(self):
         run, _ = runner({("q1", "param_gen"): "   "})
-        trace = run.run_param(query())
+        trace = run.run_query("param", query())
         assert "empty_response:param_gen" in trace.warnings
 
     def test_unknown_variant(self):
         run, _ = runner({})
         with pytest.raises(PipelineError, match="variant"):
             run.run_query("bogus", query(), None)
+
+
+_GOOD_REPLY = {"answer": "[Paris]", "letter": "[Reference B]",
+               "single": "Step 1 [Paris]. Reference B. Final: [London]"}
+_TABLE_CASES = [(variant, mode, i) for (variant, mode), stages in STAGE_TABLE.items()
+                for i, stage in enumerate(stages) if stage.parse == "letter"]
+
+
+class TestStageTable:
+    """The pipeline's stage table and prompts.VARIANT_STAGES stay in step."""
+
+    def test_every_prompt_stage_is_run_by_the_pipeline(self):
+        run_stages: dict[str, set[str]] = {}
+        for (variant, _mode), stages in STAGE_TABLE.items():
+            run_stages.setdefault(variant, set()).update(s.token for s in stages)
+        assert run_stages == {v: set(s) for v, s in prompts.VARIANT_STAGES.items()}
+
+    @pytest.mark.parametrize("variant,mode", list(STAGE_TABLE))
+    def test_stages_render_and_run_in_table_order(self, variant, mode):
+        stages = STAGE_TABLE[(variant, mode)]
+        script = {("q1", s.token): _GOOD_REPLY[s.parse] for s in stages}
+        run, backend = runner(script, core_mode=mode or "staged")
+        trace = run.run_query(variant, query(), run.resolve_entries(result()))
+        assert not trace.failed, trace.error
+        assert trace.mode == mode
+        assert backend.calls("q1") == tuple(("q1", s.token) for s in stages)
+        assert [t.stage for t in trace.transcripts] == [s.token for s in stages]
+        assert needs_retrieval(variant) == any(s.context == "entries" for s in stages)
+
+    @pytest.mark.parametrize("variant,mode,failing", _TABLE_CASES)
+    def test_letter_parse_failure_stops_after_that_stage(self, variant, mode, failing):
+        stages = STAGE_TABLE[(variant, mode)]
+        script = {("q1", s.token): _GOOD_REPLY[s.parse] for s in stages}
+        script[("q1", stages[failing].token)] = "no letter here"
+        run, backend = runner(script, core_mode=mode or "staged")
+        trace = run.run_query(variant, query(), run.resolve_entries(result()))
+        made = tuple(("q1", s.token) for s in stages[: failing + 1])
+        assert backend.calls("q1") == made
+        assert trace.failed and trace.error.startswith(f"{stages[failing].token}: ")
+        assert len(trace.transcripts) == failing + 1
+
+    def test_needs_retrieval_rejects_unknown_variant(self):
+        with pytest.raises(PipelineError, match="variant"):
+            needs_retrieval("bogus")
 
 
 def _many_script(n: int) -> dict:
@@ -316,7 +363,7 @@ class TestTraceIO:
             ("q1", "core_ext_gen"): "[London]",
             ("q1", "core_reconcile"): "[London]",
         })
-        return [run.run_core(query(), run.resolve_entries(result()))]
+        return [run.run_query("core", query(), run.resolve_entries(result()))]
 
     def test_round_trip(self, tmp_path):
         traces = self._traces()

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import fixture_gen
 from kbvqa import retrieval
-from kbvqa.kb import ingest_kb, ingest_queries, load_embeddings
+from kbvqa.kb import (
+    EmbeddingMatrix,
+    KnowledgeBase,
+    KnowledgeEntry,
+    ingest_kb,
+    ingest_queries,
+    load_embeddings,
+)
 from kbvqa.retrieval import (
     FlatIndex,
     RetrievalResult,
@@ -206,6 +213,28 @@ def test_build_index_from_fixture(bundle):
     assert len(index) == 100 and index.dim == 16
     assert index.entry_ids[0] == "e000"
     assert index.matrix.dtype == np.float32
+
+
+def test_build_index_keeps_in_order_rows_without_a_copy(bundle):
+    kb = ingest_kb(bundle.entries_path, bundle.kb_manifest)
+    kb.attach_embeddings(load_embeddings(bundle.kb_manifest, bundle.kb_embeddings))
+    index = build_index(kb)
+    assert np.shares_memory(index.matrix, kb.embeddings.data)
+    assert np.array_equal(index.matrix, kb.embeddings.data)
+
+
+@pytest.mark.parametrize("rows", [[3, 0, 4, 1, 2], [0, 1, 2, 3], [5, 1, 2]])
+def test_build_index_gathers_permuted_or_partial_rows(rows):
+    _, matrix = _random_index(6, 8, 13)
+    entries = [KnowledgeEntry(f"e{i}", f"u{i}", "", "", embedding_row=row)
+               for i, row in enumerate(rows)]
+    kb = KnowledgeBase(entries=entries, manifest={"dim": 8, "count": 6})
+    kb.attach_embeddings(EmbeddingMatrix(dim=8, count=6, data=matrix, normalized=True))
+    index = build_index(kb)
+    assert np.array_equal(index.matrix, matrix[rows])
+    q = np.random.default_rng(2).normal(size=8)
+    expected = oracle_top_k(matrix[rows], q, 3)
+    assert search(index, q, 3).entry_ids() == [f"e{i}" for i, _ in expected]
 
 
 class TestUrlRanking:
