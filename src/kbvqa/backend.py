@@ -12,26 +12,36 @@ from __future__ import annotations
 import base64
 import json
 import os
+import stat
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
-
-import requests
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
 from .kb import read_jsonl
 from .prompts import MessageSequence, TextPart
+
+if TYPE_CHECKING:
+    import requests
 
 # 512 tokens for the multi-step reasoning variants, 64 elsewhere.
 LONG_OUTPUT_VARIANTS = frozenset({"mmstar", "core"})
 DEFAULT_MAX_NEW_TOKENS = 64
 LONG_MAX_NEW_TOKENS = 512
 
-# One initial attempt plus one retry per backoff value, timeout/5xx only.
+# One initial attempt plus one retry per backoff value: timeouts, 429 and 5xx.
 RETRY_BACKOFFS_S = (0.5, 1.0, 2.0)
+
+# Backend calls a run keeps in flight unless told otherwise (--max-in-flight).
+DEFAULT_MAX_IN_FLIGHT = 8
+
+# Local images go on the wire base64-encoded this many file bytes at a time.
+# A multiple of 3 encodes without padding, so consecutive blocks concatenate
+# into the base64 of the whole file.
+IMAGE_BLOCK_BYTES = 12 * 1024
 
 
 def max_new_tokens_for(variant: str) -> int:
@@ -167,12 +177,32 @@ class EndpointConfig:
         return self.base_url.rstrip("/") + "/" + self.path.lstrip("/")
 
 
+def _requests():
+    """The requests package, imported on first use: only HTTP runs pay for it."""
+    import requests
+
+    return requests
+
+
+def _local_file_size(image_ref: str) -> int | None:
+    """The size of the regular file image_ref names, or None for a URI."""
+    try:
+        st = os.stat(image_ref)
+    except (OSError, ValueError):
+        return None
+    return st.st_size if stat.S_ISREG(st.st_mode) else None
+
+
 def _image_payload(image_ref: str) -> str:
     """Local files ship as base64 bytes; anything else passes through as a URI."""
-    p = Path(image_ref)
-    if p.is_file():
-        return base64.b64encode(p.read_bytes()).decode("ascii")
-    return image_ref
+    if _local_file_size(image_ref) is None:
+        return image_ref
+    return base64.b64encode(Path(image_ref).read_bytes()).decode("ascii")
+
+
+def _temperature(req: BackendRequest) -> float:
+    # Zero goes on the wire as the integer 0.
+    return 0 if req.temperature == 0 else req.temperature
 
 
 def request_body(config: EndpointConfig, req: BackendRequest) -> dict:
@@ -183,27 +213,132 @@ def request_body(config: EndpointConfig, req: BackendRequest) -> dict:
             content.append({"type": "text", "text": part.text})
         else:
             content.append({"type": "image", "data": _image_payload(part.image_ref)})
-    temperature = 0 if req.temperature == 0 else req.temperature
     return {
         "model": config.model,
         "messages": [{"role": "user", "content": content}],
-        "temperature": temperature,
+        "temperature": _temperature(req),
         "max_tokens": req.max_new_tokens,
     }
+
+
+class StreamedBody:
+    """The bytes of ``json.dumps(request_body(config, req)).encode()``, made
+    one piece at a time, so a call holds one image block, never the body.
+
+    JSON literals go out as they are; each local image is read and
+    base64-encoded IMAGE_BLOCK_BYTES at a time. Image files are sized when
+    the body is made, so len() is known and requests sends a Content-Length
+    rather than chunked encoding; a file whose size has changed by the time
+    it is sent raises BackendError. Iterating again reads the files again.
+    """
+
+    def __init__(self, config: EndpointConfig, req: BackendRequest):
+        self._pieces: list[bytes | tuple[str, int]] = []
+        literal = ['{"model": ', json.dumps(config.model),
+                   ', "messages": [{"role": "user", "content": [']
+        for i, part in enumerate(req.messages.parts):
+            if i:
+                literal.append(", ")
+            if isinstance(part, TextPart):
+                literal += ['{"type": "text", "text": ', json.dumps(part.text), "}"]
+                continue
+            size = _local_file_size(part.image_ref)
+            if size is None:
+                literal += ['{"type": "image", "data": ', json.dumps(part.image_ref), "}"]
+            else:
+                literal.append('{"type": "image", "data": "')
+                self._pieces += ["".join(literal).encode("ascii"), (part.image_ref, size)]
+                literal = ['"}']
+        literal += [']}], "temperature": ', json.dumps(_temperature(req)),
+                    ', "max_tokens": ', json.dumps(req.max_new_tokens), "}"]
+        self._pieces.append("".join(literal).encode("ascii"))
+        self._len = sum(len(p) if isinstance(p, bytes) else 4 * ((p[1] + 2) // 3)
+                        for p in self._pieces)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[bytes]:
+        for piece in self._pieces:
+            if isinstance(piece, bytes):
+                yield piece
+            else:
+                yield from _base64_blocks(*piece)
+
+
+def _base64_blocks(path: str, size: int) -> Iterator[bytes]:
+    """base64 of the file at path, IMAGE_BLOCK_BYTES of it at a time; the
+    file must still hold exactly size bytes."""
+    try:
+        with open(path, "rb") as fh:
+            left = size
+            while left:
+                block = fh.read(min(IMAGE_BLOCK_BYTES, left))
+                if not block:
+                    break
+                left -= len(block)
+                yield base64.b64encode(block)
+            changed = bool(left or fh.read(1))
+    except OSError as exc:
+        raise BackendError(f"cannot read image {path}: {exc}") from exc
+    if changed:
+        raise BackendError(f"image {path} changed size while being sent (was {size} bytes)")
+
+
+def _endpoint_session(url: str, max_in_flight: int) -> requests.Session:
+    """A session for one endpoint that reads the environment once.
+
+    requests would look up proxies, the CA bundle and netrc auth on every
+    call; here they are resolved for url now, set on the session, and
+    trust_env is turned off. The pool keeps max_in_flight connections, so
+    that many concurrent calls each keep theirs.
+    """
+    requests = _requests()
+    session = requests.Session()
+    env = session.merge_environment_settings(url, {}, None, None, None)
+    session.proxies = env["proxies"]
+    session.verify = env["verify"]
+    session.auth = requests.utils.get_netrc_auth(url)
+    session.trust_env = False
+    session.headers["Content-Type"] = "application/json"
+    adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_in_flight)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
+def _retry_wait(backoff_s: float, retry_after: str | None, cap_s: float) -> float:
+    """Seconds before the next attempt: a Retry-After of delta-seconds
+    (RFC 9110 section 10.2.3) replaces the backoff, capped at cap_s; an
+    HTTP-date, or anything else, keeps the backoff."""
+    value = (retry_after or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), cap_s)
+    return backoff_s
 
 
 class HttpBackend(Backend):
     """Chat-completion client: POST {model, messages, temperature, max_tokens},
     answer text read from the first choice's message content.
 
-    Timeouts and 5xx responses are retried with 0.5s/1s/2s backoff (three
-    retries after the initial attempt), then surfaced. Client errors and
+    Timeouts, 429 and 5xx responses are retried with 0.5s/1s/2s backoff
+    (three retries after the initial attempt), then surfaced; a Retry-After
+    of delta-seconds replaces that step's backoff. Other client errors and
     malformed bodies surface immediately: retrying them cannot help.
+
+    Each attempt streams a fresh StreamedBody. Without an injected session
+    the backend builds one with _endpoint_session; an injected session is
+    used as given, so it must send ``Content-Type: application/json`` itself.
     """
 
-    def __init__(self, config: EndpointConfig, session: requests.Session | None = None):
+    def __init__(self, config: EndpointConfig, session: requests.Session | None = None,
+                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
+        if max_in_flight <= 0:
+            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
         self.config = config
-        self._session = session or requests.Session()
+        if session is None:
+            session = _endpoint_session(config.url, max_in_flight)
+        self._session = session
 
     def _headers(self) -> dict[str, str]:
         headers = {}
@@ -214,33 +349,36 @@ class HttpBackend(Backend):
         return headers
 
     def generate(self, req: BackendRequest) -> BackendResponse:
-        body = request_body(self.config, req)
+        requests = _requests()
         tag = f"query_id={req.query_id!r} stage={req.stage!r}"
         attempts = 1 + len(RETRY_BACKOFFS_S)
         last_error: BackendError | None = None
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(RETRY_BACKOFFS_S[attempt - 1])
+        wait = 0.0
+        for attempt in range(1, attempts + 1):
+            if attempt > 1:
+                time.sleep(wait)
+            wait = RETRY_BACKOFFS_S[attempt - 1] if attempt < attempts else 0.0
             started = time.monotonic()
             try:
                 resp = self._session.post(
-                    self.config.url, json=body, headers=self._headers(),
-                    timeout=self.config.timeout_s,
+                    self.config.url, data=StreamedBody(self.config, req),
+                    headers=self._headers(), timeout=self.config.timeout_s,
                 )
             except requests.Timeout:
                 last_error = BackendError(
                     f"timeout after {self.config.timeout_s}s on attempt "
-                    f"{attempt + 1}/{attempts} for {tag}"
+                    f"{attempt}/{attempts} for {tag}"
                 )
                 continue
-            except requests.RequestException as exc:
+            except (requests.RequestException, BackendError) as exc:
                 raise BackendError(f"request failed for {tag}: {exc}") from exc
             latency_ms = (time.monotonic() - started) * 1000.0
-            if resp.status_code >= 500:
+            if resp.status_code == 429 or resp.status_code >= 500:
+                kind = "rate limited" if resp.status_code == 429 else "server error"
                 last_error = BackendError(
-                    f"server error {resp.status_code} on attempt "
-                    f"{attempt + 1}/{attempts} for {tag}"
+                    f"{kind} {resp.status_code} on attempt {attempt}/{attempts} for {tag}"
                 )
+                wait = _retry_wait(wait, resp.headers.get("Retry-After"), self.config.timeout_s)
                 continue
             if resp.status_code != 200:
                 raise BackendError(

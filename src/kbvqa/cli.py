@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .backend import EndpointConfig, HttpBackend, MockBackend
+from .backend import DEFAULT_MAX_IN_FLIGHT, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
 from .kb import KnowledgeBase, export_kb, export_queries, ingest_kb, ingest_queries, load_embeddings
 from .metrics import (
@@ -101,13 +100,25 @@ def _write_run_config(out: Path, command: str, cfg: dict) -> None:
     )
 
 
+def _max_in_flight(cfg: dict) -> int:
+    max_in_flight = int(cfg["max_in_flight"])
+    if max_in_flight <= 0:
+        raise IngestError(f"--max-in-flight must be positive, got {max_in_flight}")
+    return max_in_flight
+
+
 def _workers(cfg: dict) -> int:
+    """Query worker threads: --max-in-flight, or fewer if --workers asks.
+
+    A worker has at most one backend call in flight, so this is also the
+    number of concurrent calls.
+    """
     workers = cfg.get("workers")
     if workers is None:
-        workers = os.cpu_count() or 1
+        return _max_in_flight(cfg)
     if workers <= 0:
         raise IngestError(f"--workers must be positive, got {workers}")
-    return min(int(workers), int(cfg["max_in_flight"]))
+    return min(int(workers), _max_in_flight(cfg))
 
 
 def _load_kb(cfg: dict, with_embeddings: bool) -> KnowledgeBase:
@@ -130,7 +141,7 @@ def _backend(cfg: dict):
         raise IngestError("exactly one of --mock-script and --endpoint-config is required")
     if mock:
         return MockBackend.from_script_file(mock)
-    return HttpBackend(EndpointConfig.from_json_file(endpoint))
+    return HttpBackend(EndpointConfig.from_json_file(endpoint), max_in_flight=_max_in_flight(cfg))
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -268,7 +279,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 def _run_defaults() -> dict:
     return {
         "kb": None, "kb_manifest": None, "queries": None, "retrievals": None,
-        "mock_script": None, "endpoint_config": None, "max_in_flight": 8,
+        "mock_script": None, "endpoint_config": None, "max_in_flight": DEFAULT_MAX_IN_FLIGHT,
         "top_k": 5, "char_budget": 2000, "workers": None,
         "no_transcripts": False, "out_dir": None,
     }
@@ -522,7 +533,7 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mock-script", help="scripted mock backend JSONL keyed by (query_id, stage)")
     p.add_argument("--endpoint-config", help="HTTP backend endpoint config JSON")
     p.add_argument("--max-in-flight", type=int,
-                   help="max concurrent backend calls (default: 8)")
+                   help=f"max concurrent backend calls (default: {DEFAULT_MAX_IN_FLIGHT})")
 
 
 def _add_run_shared_flags(p: argparse.ArgumentParser) -> None:
@@ -533,7 +544,7 @@ def _add_run_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--char-budget", type=int,
                    help="per-entry content truncation budget in characters (default: 2000)")
     p.add_argument("--workers", type=int,
-                   help="worker threads (default: logical cores, capped by --max-in-flight)")
+                   help="worker threads (default and maximum: --max-in-flight)")
     p.add_argument("--no-transcripts", action="store_true", default=None,
                    help="omit per-stage transcripts from trace output")
     _add_out_flag(p)

@@ -165,18 +165,36 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
         raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
     out: list[T] = []
     with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line), lineno))
-            except json.JSONDecodeError as exc:
-                raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
-            except KeyError as exc:
-                raise error_class(f"{p}:{lineno}: missing field {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(parse(json.loads(line), lineno))
+                except json.JSONDecodeError as exc:
+                    raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
+                except KeyError as exc:
+                    raise error_class(f"{p}:{lineno}: missing field {exc}") from None
+                except (AttributeError, TypeError, ValueError) as exc:
+                    raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise error_class(_undecodable_line(p, exc)) from exc
     return out
+
+
+def _undecodable_line(p: Path, exc: UnicodeDecodeError) -> str:
+    """Name the first line of p that is not UTF-8.
+
+    Text is decoded a buffer at a time, ahead of the line being parsed, so
+    the file is read again as bytes to find the line; only on this error
+    path. Bytes split on the same line ends as text mode does.
+    """
+    for lineno, raw in enumerate(p.read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as line_exc:
+            return f"{p}:{lineno}: not UTF-8: {line_exc}"
+    return f"{p}: not UTF-8: {exc}"
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
@@ -285,6 +303,12 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
     answer_type = obj.get("answer_type", "text")
     if answer_type not in ANSWER_TYPES:
         raise IngestError(f"{path}: line {lineno}: unknown answer_type {answer_type!r}")
+    embedding_row = obj.get("query_embedding_row")
+    if embedding_row is not None and (type(embedding_row) is not int or embedding_row < 0):
+        raise IngestError(
+            f"{path}: line {lineno}: query_embedding_row must be a non-negative integer "
+            f"(query {query_id!r})"
+        )
     query = Query(
         query_id=query_id,
         question=question,
@@ -293,7 +317,7 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
         gold_entry_url=obj.get("gold_entry_url"),
         split_tag=split_tag,
         answer_type=answer_type,
-        query_embedding_row=obj.get("query_embedding_row"),
+        query_embedding_row=embedding_row,
     )
     if answer_type == "numeric_range":
         try:

@@ -1,21 +1,31 @@
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kbvqa.backend import (
+    IMAGE_BLOCK_BYTES,
     BackendRequest,
     EndpointConfig,
     HttpBackend,
     MockBackend,
+    StreamedBody,
     max_new_tokens_for,
     request_body,
 )
 from kbvqa.errors import BackendError, IngestError, ScriptKeyError
 from kbvqa.prompts import ImagePart, MessageSequence, TextPart
+
+from http_stub import LocalServer
 
 
 def _req(query_id="q1", stage="param_gen", text="Question: ", image="img/a.jpg",
@@ -158,10 +168,11 @@ class TestRequestBody:
 
 
 class FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=None):
+    def __init__(self, status_code=200, payload=None, text=None, headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text if text is not None else json.dumps(payload)
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -180,9 +191,10 @@ class FakeSession:
         self.outcomes = list(outcomes)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
+    def post(self, url, data=None, json=None, headers=None, timeout=None):
         self.calls.append({"url": url, "body": json, "headers": headers,
-                           "timeout": timeout})
+                           "timeout": timeout,
+                           "data": None if data is None else b"".join(data)})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -265,6 +277,57 @@ class TestHttpRetry:
         assert backend.generate(_req()).text == "done"
         assert no_sleep == [0.5, 1.0]
 
+    def test_429_retried_on_the_5xx_schedule(self, no_sleep):
+        session = FakeSession([
+            FakeResponse(status_code=429, payload={}),
+            FakeResponse(payload=_ok_payload("later")),
+        ])
+        assert HttpBackend(CONFIG, session=session).generate(_req()).text == "later"
+        assert no_sleep == [0.5]
+
+    def test_429_retry_after_zero_replaces_backoff(self, no_sleep):
+        session = FakeSession([
+            FakeResponse(status_code=429, payload={}, headers={"Retry-After": "0"}),
+            FakeResponse(payload=_ok_payload("now")),
+        ])
+        assert HttpBackend(CONFIG, session=session).generate(_req()).text == "now"
+        assert no_sleep == [0.0]
+
+    def test_429_four_times_exhausts(self, no_sleep):
+        session = FakeSession([FakeResponse(status_code=429, payload={})] * 4)
+        with pytest.raises(BackendError, match=r"429 on attempt 4/4"):
+            HttpBackend(CONFIG, session=session).generate(_req())
+        assert len(session.calls) == 4
+        assert no_sleep == [0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("retry_after, slept", [
+        ("2", 2.0),
+        ("120", 3.0),  # capped at timeout_s
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.5),  # an HTTP-date keeps the backoff
+        ("-1", 0.5),
+        ("1.5", 0.5),
+    ])
+    def test_retry_after_values(self, no_sleep, retry_after, slept):
+        session = FakeSession([
+            FakeResponse(status_code=429, payload={}, headers={"Retry-After": retry_after}),
+            FakeResponse(payload=_ok_payload()),
+        ])
+        HttpBackend(CONFIG, session=session).generate(_req())
+        assert no_sleep == [slept]
+
+    def test_retry_resends_identical_bytes(self, no_sleep, tmp_path):
+        img = tmp_path / "img.bin"
+        img.write_bytes(bytes(range(256)) * 300)
+        req = _req(image=str(img))
+        session = FakeSession([
+            FakeResponse(status_code=503, payload={}),
+            requests.Timeout("t"),
+            FakeResponse(payload=_ok_payload()),
+        ])
+        HttpBackend(CONFIG, session=session).generate(req)
+        expected = json.dumps(request_body(CONFIG, req)).encode()
+        assert [c["data"] for c in session.calls] == [expected] * 3
+
     def test_api_key_header_from_env(self, no_sleep, monkeypatch):
         monkeypatch.setenv("FAKE_KEY", "sk-123")
         cfg = EndpointConfig(base_url="http://fake", api_key_env="FAKE_KEY")
@@ -276,3 +339,147 @@ class TestHttpRetry:
         session = FakeSession([FakeResponse(payload=_ok_payload())])
         HttpBackend(CONFIG, session=session).generate(_req())
         assert session.calls[0]["headers"] == {}
+
+
+# -- streamed request body ---------------------------------------------------
+
+_EDGE_SIZES = (0, 1, 2, 3, IMAGE_BLOCK_BYTES - 1, IMAGE_BLOCK_BYTES, IMAGE_BLOCK_BYTES + 1)
+
+
+@pytest.fixture(scope="module")
+def image_files(tmp_path_factory):
+    """One file of random bytes per edge size around the block length."""
+    root = tmp_path_factory.mktemp("images")
+    paths = []
+    for size in _EDGE_SIZES:
+        path = root / f"img_{size}.bin"
+        path.write_bytes(random.Random(size).randbytes(size))
+        paths.append(str(path))
+    return paths
+
+
+_TEXT = st.text(max_size=40) | st.sampled_from([
+    '"quoted" \\ backslash', "tab\tnew\nline\r\x00\x1f\x7f", "café 漢字 \U0001f600",
+])
+_URIS = ["https://img.example/a.jpg", "", "no/such/file.jpg", "data:image/png;base64,AAAA"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_streamed_body_is_the_json_body(image_files, data):
+    parts = data.draw(st.lists(
+        st.one_of(
+            _TEXT.map(TextPart),
+            st.sampled_from(image_files).map(lambda p: ImagePart(p, "<image>")),
+            st.sampled_from(_URIS).map(lambda p: ImagePart(p, "<image>")),
+        ),
+        max_size=8,
+    ))
+    req = BackendRequest(
+        messages=MessageSequence(parts=tuple(parts)), query_id="q", stage="s",
+        max_new_tokens=data.draw(st.integers(1, 4096)),
+        temperature=data.draw(st.sampled_from([0, 0.0, 0.2, 1, 1e-7])),
+    )
+    config = EndpointConfig(base_url="http://x", model=data.draw(_TEXT))
+    expected = json.dumps(request_body(config, req)).encode()
+    body = StreamedBody(config, req)
+    assert b"".join(body) == expected
+    assert len(body) == len(expected)
+    assert b"".join(body) == expected  # a second pass reads the files again
+
+
+def test_image_goes_out_one_block_at_a_time(tmp_path):
+    assert IMAGE_BLOCK_BYTES % 3 == 0
+    data = random.Random(0).randbytes(2 * IMAGE_BLOCK_BYTES + 2)
+    img = tmp_path / "img.bin"
+    img.write_bytes(data)
+    pieces = list(StreamedBody(CONFIG, _req(image=str(img))))
+    b = IMAGE_BLOCK_BYTES
+    assert pieces[1:4] == [base64.b64encode(data[:b]), base64.b64encode(data[b:2 * b]),
+                           base64.b64encode(data[2 * b:])]
+    assert len(pieces) == 5
+
+
+@pytest.mark.parametrize("grow", [True, False])
+def test_file_changing_size_before_send_is_a_backend_error(tmp_path, grow):
+    img = tmp_path / "img.bin"
+    img.write_bytes(b"x" * (3 * IMAGE_BLOCK_BYTES))
+    body = StreamedBody(CONFIG, _req(image=str(img)))
+    img.write_bytes(b"x" * (3 * IMAGE_BLOCK_BYTES + 1 if grow else IMAGE_BLOCK_BYTES))
+    with pytest.raises(BackendError, match="changed size"):
+        b"".join(body)
+
+
+def test_changed_file_fails_the_call_naming_the_request(tmp_path, monkeypatch, no_sleep):
+    img = tmp_path / "img.bin"
+    img.write_bytes(b"x" * 10)
+    req = _req(image=str(img))
+    stale = StreamedBody(CONFIG, req)
+    img.write_bytes(b"x" * 11)
+    monkeypatch.setattr("kbvqa.backend.StreamedBody", lambda config, r: stale)
+    session = FakeSession([FakeResponse(payload=_ok_payload())])
+    with pytest.raises(BackendError, match="stage='param_gen'.*changed size"):
+        HttpBackend(CONFIG, session=session).generate(req)
+
+
+# -- against a local HTTP server ---------------------------------------------
+
+
+def test_one_call_holds_one_block_not_the_image(tmp_path):
+    img = tmp_path / "big.bin"
+    img.write_bytes(random.Random(4).randbytes(4 * 1024 * 1024))
+    req = _req(image=str(img))
+    with LocalServer() as server:
+        config = EndpointConfig(base_url=server.url, model="m")
+        backend = HttpBackend(config)
+        backend.generate(_req(image="https://img.example/warm.jpg"))  # opens the connection
+        tracemalloc.start()
+        try:
+            assert backend.generate(req).text == "ok"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    expected = json.dumps(request_body(config, req)).encode()
+    seen = server.requests[-1]
+    assert seen["sha256"] == hashlib.sha256(expected).hexdigest()
+    assert int(seen["headers"]["Content-Length"]) == len(expected)
+    assert "Transfer-Encoding" not in seen["headers"]
+    assert seen["headers"]["Content-Type"] == "application/json"
+    assert peak < 256 * 1024, f"traced peak {peak} bytes"
+
+
+def test_pool_keeps_one_connection_per_call_in_flight():
+    """Between batches every connection sits idle at once; a pool smaller
+    than the calls in flight (requests keeps 10) closes the rest, and the
+    next batch opens new ones."""
+    with LocalServer(delay_s=0.1) as server:
+        backend = HttpBackend(EndpointConfig(base_url=server.url), max_in_flight=16)
+        reqs = [_req(query_id=f"q{i}", image="https://img.example/a.jpg") for i in range(16)]
+        slots = [s for _ in range(3) for s in backend.generate_batch(reqs, max_in_flight=16)]
+    assert [s.text for s in slots] == ["ok"] * 48
+    assert server.in_flight_max > 10
+    assert len({r["port"] for r in server.requests}) <= 16
+
+
+def test_proxy_and_netrc_are_read_once_at_construction(tmp_path, monkeypatch):
+    """The server plays an HTTP proxy. Proxy and netrc settings present when
+    the backend is built still apply after the environment has changed."""
+    for name in ("NO_PROXY", "no_proxy", "ALL_PROXY", "all_proxy", "http_proxy",
+                 "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n")
+    netrc.chmod(0o600)
+    target = "http://127.0.0.1:9"  # nothing listens there: only the proxy answers
+    with LocalServer() as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.url)
+        monkeypatch.setenv("NETRC", str(netrc))
+        backend = HttpBackend(EndpointConfig(base_url=target))
+        monkeypatch.delenv("HTTP_PROXY")
+        monkeypatch.setenv("NETRC", str(tmp_path / "absent"))
+        for _ in range(2):
+            assert backend.generate(_req(image="https://img.example/a.jpg")).text == "ok"
+    assert [r["target"] for r in proxy.requests] == [target + "/v1/chat/completions"] * 2
+    basic = "Basic " + base64.b64encode(b"user:secret").decode()
+    assert [r["headers"]["Authorization"] for r in proxy.requests] == [basic] * 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from kbvqa.cli import build_parser, main
+
+from http_stub import LocalServer
 
 
 def read_jsonl(path):
@@ -347,6 +350,52 @@ class TestExitCodes:
         assert rc == 2
         assert "--workers must be positive" in capsys.readouterr().err
 
+    def test_bad_max_in_flight_value(self, bundle, tmp_path, capsys):
+        rc = main([
+            "run", "--variant", "param", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(bundle.queries_path),
+            "--mock-script", str(bundle.mock_script),
+            "--max-in-flight", "0", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "--max-in-flight must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1", True, -1, 1.0])
+    def test_bad_query_embedding_row(self, bundle, tmp_path, capsys, row):
+        rows = read_jsonl(bundle.queries_path)
+        rows[1]["query_embedding_row"] = row
+        bad = tmp_path / "queries.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        rc = main([
+            "retrieve", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest),
+            "--kb-embeddings", str(bundle.kb_embeddings), "--queries", str(bad),
+            "--query-manifest", str(bundle.query_manifest),
+            "--query-embeddings", str(bundle.query_embeddings),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}: line 2: query_embedding_row must be a non-negative integer" in err
+        assert not (tmp_path / "out" / "retrieval_results.jsonl").exists()
+
+    def test_mock_script_that_is_not_utf8(self, bundle, tmp_path, capsys):
+        raw = bytearray(bundle.mock_script.read_bytes())
+        third = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+        raw[raw.index(b'"text": "', third) + 9] = 0xFF
+        bad = tmp_path / "mock_script.jsonl"
+        bad.write_bytes(bytes(raw))
+        rc = main([
+            "run", "--variant", "param", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(bundle.queries_path),
+            "--mock-script", str(bad), "--out-dir", str(tmp_path / "out"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:3: not UTF-8" in err and "0xff" in err
+
 
 # id -> (role of the file under test, a field to drop, argv given the
 # workspace's paths and the bad file).
@@ -423,6 +472,69 @@ def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
         names |= {row[1] for row in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert {"pipeline.run_query", "prompts.render", "answers.parse", "backend.generate",
             "kb.entry_by_url"} <= names
+
+
+def test_cli_import_leaves_requests_unloaded():
+    """Only an HTTP run pays for importing requests."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kbvqa.cli; print('requests' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# Core stage recognised by a phrase only its template contains.
+_CORE_STAGE_MARKERS = (
+    ("Answer from Step 1:", "core_reconcile"),
+    ("Please use parametric knowledge", "core_param"),
+    ("Identify the most similar Wikipedia reference", "core_select"),
+    ("Based on the retrieved document, answer the question", "core_ext_gen"),
+)
+
+
+def _without_latency(value):
+    if isinstance(value, dict):
+        return {k: _without_latency(v) for k, v in value.items() if k != "latency_ms"}
+    if isinstance(value, list):
+        return [_without_latency(v) for v in value]
+    return value
+
+
+def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
+    """With default flags a run holds --max-in-flight (8) calls at once, never
+    more, and writes the traces a one-worker run writes."""
+    def reply(body):
+        content = json.loads(body)["messages"][0]["content"]
+        text = "".join(p["text"] for p in content if p["type"] == "text")
+        stage = next(s for marker, s in _CORE_STAGE_MARKERS if marker in text)
+        qnum = int(re.search(r"What does query (\d+) ask about", text).group(1))
+        return bundle.script[(f"q{qnum:02d}", stage)]
+
+    def run(endpoint, label, *extra):
+        assert main([
+            "run", "--variant", "core", "--core-mode", "staged",
+            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--endpoint-config", str(endpoint), *extra, "--out-dir", str(tmp_path / label),
+        ]) == 0
+        return _without_latency(read_jsonl(tmp_path / label / "traces.jsonl"))
+
+    endpoint = tmp_path / "endpoint.json"
+    with LocalServer(delay_s=0.05, reply=reply) as server:
+        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
+        concurrent = run(endpoint, "default")
+        in_flight_max = server.in_flight_max
+        server.delay_s = 0.0
+        serial = run(endpoint, "serial", "--workers", "1")
+    assert in_flight_max == 8
+    assert len(server.requests) == 2 * 4 * len(bundle.queries)
+    assert concurrent == serial
+    assert [t["query_id"] for t in serial] == [q["query_id"] for q in bundle.queries]
 
 
 class TestHelpGoldens:

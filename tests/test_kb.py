@@ -99,6 +99,18 @@ def test_read_jsonl_names_path_and_line(tmp_path):
         read_jsonl(tmp_path / "absent.jsonl", get_a, EvalError)
 
 
+@pytest.mark.parametrize("endings", ["\n", "\r\n", "\r"])
+def test_read_jsonl_names_the_first_line_that_is_not_utf8(tmp_path, endings):
+    path = tmp_path / "rows.jsonl"
+    # Far enough down that text decoding fails a buffer ahead of parsing.
+    lines = ['{"a": %d}' % i for i in range(2000)]
+    raw = bytearray(endings.join(lines).encode() + endings.encode())
+    raw[raw.index(b'{"a": 1500}') + 2] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(EvalError, match=r"rows\.jsonl:1501: not UTF-8: .*0xff"):
+        read_jsonl(path, lambda obj, lineno: obj["a"], EvalError)
+
+
 def test_embedding_row_out_of_range(tmp_path, bundle):
     rows = fixture_gen.make_entries(3)
     rows[2]["embedding_row"] = 4096
