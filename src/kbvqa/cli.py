@@ -13,15 +13,22 @@ configuration or input errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import sys
+import zipfile
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .backend import DEFAULT_MAX_IN_FLIGHT, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
-from .kb import KnowledgeBase, export_kb, export_queries, ingest_kb, ingest_queries, load_embeddings
+from .kb import (
+    KnowledgeBase, export_kb, export_queries, ingest_kb, ingest_queries, load_embeddings,
+    load_manifest,
+)
 from .metrics import (
     PluginScorer,
     compare_runs,
@@ -194,44 +201,126 @@ def cmd_index(args: argparse.Namespace) -> int:
     cfg = _resolve(args, {
         "kb": None, "kb_manifest": None, "kb_embeddings": None, "out_dir": None,
     })
+    _require(cfg, "kb", "kb_manifest", "kb_embeddings")
+    # Hashed before they are read: a file that changes while `index` runs
+    # then fails the check in `retrieve --index` instead of passing it.
+    digests = {member: np.array(_sha256(cfg[key])) for key, member in INDEX_DIGESTS.items()}
     kb = _load_kb(cfg, with_embeddings=True)
     index = build_index(kb)
+    url_blob, url_offsets = _pack_strings(e.url for e in kb.entries)
     out = _out_dir(cfg)
-    np.savez(
-        out / "index.npz",
-        entry_ids=np.array(index.entry_ids, dtype=np.str_),
-        dim=np.int64(index.matrix.shape[1]),
-        matrix=index.matrix,
-    )
+    path = out / "index.npz"
+    # Written beside the target and renamed over it, so an interrupted run
+    # never leaves a partial index.npz.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(
+                fh,
+                entry_ids=np.array(index.entry_ids, dtype=np.str_),
+                dim=np.int64(index.matrix.shape[1]),
+                matrix=index.matrix,
+                url_blob=url_blob,
+                url_offsets=url_offsets,
+                **digests,
+            )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     _write_run_config(out, "index", cfg)
-    print(f"indexed {len(index)} entries (dim {index.dim}) -> {out / 'index.npz'}")
+    print(f"indexed {len(index)} entries (dim {index.dim}) -> {path}")
     return EXIT_OK
 
 
-def _load_index(cfg: dict, kb: KnowledgeBase) -> FlatIndex:
-    if cfg.get("index"):
-        path = Path(cfg["index"])
-        try:
-            with np.load(path, allow_pickle=False) as bundle:
-                entry_ids, dim, matrix = bundle["entry_ids"], int(bundle["dim"]), bundle["matrix"]
-        except OSError as exc:
-            raise IngestError(f"cannot load index {path}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(
-                f"{path} is not a pickle-free index with entry_ids, dim and matrix ({exc}); "
-                "rebuild it with `kbvqa index`"
-            ) from exc
-        expected = [e.entry_id for e in kb.entries]
-        if (dim != int(kb.manifest["dim"]) or matrix.shape != (len(expected), dim)
-                or entry_ids.tolist() != expected):
-            raise IngestError(
-                f"index {path} does not match --kb {cfg['kb']}: its entry ids or dimension "
-                "differ; rebuild it with `kbvqa index`"
-            )
-        return FlatIndex(expected, matrix)
-    _require(cfg, "kb_embeddings")
-    kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
-    return build_index(kb)
+# index.npz member holding the sha256 of each file the index was built from.
+INDEX_DIGESTS = {
+    "kb": "kb_sha256", "kb_manifest": "kb_manifest_sha256", "kb_embeddings": "kb_embeddings_sha256",
+}
+_HASH_CHUNK = 1 << 20
+# What np.load and reading an .npz member raise for a file that is not an
+# intact pickle-free index: truncation, a CRC mismatch, a missing or pickled
+# member, or a member of the wrong shape.
+_UNREADABLE = (KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError)
+
+
+def _sha256(path: str) -> str:
+    """Hex sha256 of a file, read a chunk at a time (hashlib.file_digest needs 3.11)."""
+    digest = hashlib.sha256()
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    try:
+        with open(path, "rb") as fh:
+            while n := fh.readinto(buf):
+                digest.update(view[:n])
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return digest.hexdigest()
+
+
+def _pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Strings as one UTF-8 uint8 blob plus int64 offsets; string i is blob[off[i]:off[i+1]]."""
+    encoded = [s.encode("utf-8") for s in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum([len(b) for b in encoded], out=offsets[1:])
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
+
+
+def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """Inverse of _pack_strings; ValueError when the offsets do not split the blob."""
+    if (blob.dtype != np.uint8 or blob.ndim != 1 or offsets.ndim != 1 or offsets.size == 0
+            or offsets[0] != 0 or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0)):
+        raise ValueError("url_offsets do not split url_blob")
+    data = blob.tobytes()
+    bounds = offsets.tolist()
+    return [data[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
+
+
+def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
+    """The index at --index and its entry URLs, without parsing --kb.
+
+    `kbvqa index` stores the sha256 of --kb, --kb-manifest and
+    --kb-embeddings. They must equal the digests of the files given here
+    (--kb-embeddings only when it is given), so the index belongs to the
+    exact bytes of this KB. Its own ids, URLs and matrix are then trusted as
+    written by `kbvqa index`; the zip CRC-32 of each member, checked as it is
+    read, catches accidental corruption.
+    """
+    _require(cfg, "kb", "kb_manifest")
+    path = Path(cfg["index"])
+    dim = int(load_manifest(cfg["kb_manifest"])["dim"])
+
+    def stale(reason: str) -> IngestError:
+        return IngestError(
+            f"index {path} does not match --kb {cfg['kb']}: {reason}; rebuild it with `kbvqa index`"
+        )
+
+    try:
+        bundle = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise IngestError(f"cannot load index {path}: {exc}") from exc
+    except _UNREADABLE as exc:
+        raise stale(f"it is not a readable index ({exc})") from exc
+    if not isinstance(bundle, np.lib.npyio.NpzFile):
+        raise stale("it is not an .npz index")
+    try:
+        with bundle:
+            for key, member in INDEX_DIGESTS.items():
+                if not cfg.get(key):
+                    continue
+                flag = "--" + key.replace("_", "-")
+                if member not in bundle.files:
+                    raise stale(f"it holds no sha256 of {flag} (an index from an older kbvqa)")
+                if bundle[member].item() != _sha256(cfg[key]):
+                    raise stale(f"{flag} {cfg[key]} is not the file it was built from")
+            entry_ids = bundle["entry_ids"].tolist()
+            index_dim = int(bundle["dim"])
+            matrix = bundle["matrix"]
+            urls = _unpack_strings(bundle["url_blob"], bundle["url_offsets"])
+    except _UNREADABLE as exc:
+        raise stale(f"it is not an intact pickle-free index ({exc})") from exc
+    if index_dim != dim or matrix.shape != (len(entry_ids), dim) or len(urls) != len(entry_ids):
+        raise stale("its entry count or dimension differ")
+    return FlatIndex(entry_ids, matrix), urls
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
@@ -241,8 +330,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         "k": 10, "no_url_dedup": False, "out_dir": None,
     })
     _require(cfg, "queries", "query_manifest", "query_embeddings")
-    kb = _load_kb(cfg, with_embeddings=False)
-    index = _load_index(cfg, kb)
+    if cfg.get("index"):
+        index, urls = _load_index(cfg)
+    else:
+        kb = _load_kb(cfg, with_embeddings=True)
+        index, urls = build_index(kb), [entry.url for entry in kb.entries]
     queries = ingest_queries(cfg["queries"])
     qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"])
     vectors = []
@@ -263,7 +355,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
 
     dedup = not cfg["no_url_dedup"]
     if all(q.gold_entry_url for q in queries):
-        url_map = _url_map(kb)
+        url_map = dict(zip(index.entry_ids, urls))
         parts = []
         for kk in (1, 2, 5, 10):
             if kk <= k:
@@ -591,7 +683,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="run top-k retrieval for all queries")
     _add_kb_flags(p, embeddings=True)
-    p.add_argument("--index", help="saved index.npz (alternative to --kb-embeddings)")
+    p.add_argument("--index", help="saved index.npz from `kbvqa index`; its sha256 digests must "
+                                   "match --kb, --kb-manifest and --kb-embeddings if given")
     p.add_argument("--queries", help="queries JSONL")
     p.add_argument("--query-manifest", help="embedding manifest JSON for the queries")
     p.add_argument("--query-embeddings", help="query embedding matrix (raw little-endian float32)")

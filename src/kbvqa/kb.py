@@ -241,7 +241,7 @@ def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
         raise IngestError(f"{path}: line {lineno}: url must be non-empty (entry {entry_id!r})")
     embedding_row = obj.get("embedding_row")
     if embedding_row is not None:
-        if not isinstance(embedding_row, int) or embedding_row < 0:
+        if type(embedding_row) is not int or embedding_row < 0:
             raise IngestError(
                 f"{path}: line {lineno}: embedding_row must be a non-negative integer "
                 f"(entry {entry_id!r})"

@@ -1,17 +1,28 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
+import zipfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kbvqa.cli import build_parser, main
+import fixture_gen
+from kbvqa import cli as cli_module
+from kbvqa import kb as kb_module
+from kbvqa.cli import INDEX_DIGESTS, _pack_strings, _unpack_strings, build_parser, main
 
 from http_stub import LocalServer
 
@@ -285,6 +296,218 @@ class TestIndexFile:
                    "--kb-manifest", str(bundle.kb_manifest), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "unknown keys: ['workers']" in capsys.readouterr().err
+
+
+def _flip_byte(path, offset):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+class TestDigestBoundIndex:
+    """`retrieve --index` trusts the index only for the exact files it was built from."""
+
+    @pytest.fixture
+    def kb_copy(self, bundle, tmp_path):
+        """Copies of the KB files, and an index built from them."""
+        d = tmp_path / "kb"
+        d.mkdir()
+        files = SimpleNamespace(
+            kb=d / "entries.jsonl", kb_manifest=d / "manifest.json", kb_embeddings=d / "kb.f32",
+            index=d / "index" / "index.npz", out=tmp_path / "out",
+        )
+        files.kb.write_bytes(bundle.entries_path.read_bytes())
+        files.kb_manifest.write_bytes(bundle.kb_manifest.read_bytes())
+        files.kb_embeddings.write_bytes(bundle.kb_embeddings.read_bytes())
+        assert main(["index", *self._kb_flags(files), "--kb-embeddings", str(files.kb_embeddings),
+                     "--out-dir", str(files.index.parent)]) == 0
+        return files
+
+    @staticmethod
+    def _kb_flags(files):
+        return ["--kb", str(files.kb), "--kb-manifest", str(files.kb_manifest)]
+
+    def _retrieve(self, bundle, files, *extra):
+        return main([
+            "retrieve", *self._kb_flags(files), "--index", str(files.index), *extra,
+            "--queries", str(bundle.queries_path),
+            "--query-manifest", str(bundle.query_manifest),
+            "--query-embeddings", str(bundle.query_embeddings), "--out-dir", str(files.out),
+        ])
+
+    def _assert_rejected(self, capsys, files, text="does not match --kb"):
+        err = capsys.readouterr().err
+        assert text in err and "rebuild it with `kbvqa index`" in err
+        assert not (files.out / "retrieval_results.jsonl").exists()
+
+    def test_index_holds_digests_and_urls(self, kb_copy, bundle):
+        with np.load(kb_copy.index, allow_pickle=False) as saved:
+            for key, member in INDEX_DIGESTS.items():
+                expected = hashlib.sha256(getattr(kb_copy, key).read_bytes()).hexdigest()
+                assert saved[member].item() == expected
+            urls = _unpack_strings(saved["url_blob"], saved["url_offsets"])
+        assert urls == [row["url"] for row in read_jsonl(bundle.entries_path)]
+
+    def test_matching_index_never_parses_the_kb(self, ws, bundle, kb_copy, monkeypatch, capsys):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("ingest_kb called")
+        monkeypatch.setattr(kb_module, "ingest_kb", refuse)
+        monkeypatch.setattr(cli_module, "ingest_kb", refuse)
+        assert self._retrieve(bundle, kb_copy, "--k", "10") == 0
+        assert "Recall@1 0.200  Recall@2 0.400  Recall@5 0.850  Recall@10 0.950" in (
+            capsys.readouterr().out)
+        assert (kb_copy.out / "retrieval_results.jsonl").read_bytes() == (
+            ws.retrieve / "retrieval_results.jsonl").read_bytes()
+
+    def test_flipped_entries_byte_rejected(self, bundle, kb_copy, capsys):
+        # A byte of one entry's title: still a valid KB, but not the indexed one.
+        _flip_byte(kb_copy.kb, kb_copy.kb.read_bytes().index(b"Entry 042"))
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy, "is not the file it was built from")
+
+    def test_flipped_manifest_byte_rejected(self, bundle, kb_copy, capsys):
+        # "count": 100 becomes 101: still a valid manifest, but not the indexed one.
+        raw = kb_copy.kb_manifest.read_bytes()
+        _flip_byte(kb_copy.kb_manifest, raw.index(b'"count": 100') + len(b'"count": 10'))
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy)
+
+    def test_flipped_embedding_byte_rejected(self, bundle, kb_copy, capsys):
+        _flip_byte(kb_copy.kb_embeddings, 4 * 16 * 7 + 1)
+        assert self._retrieve(bundle, kb_copy, "--kb-embeddings", str(kb_copy.kb_embeddings)) == 2
+        self._assert_rejected(capsys, kb_copy, "--kb-embeddings")
+
+    def test_swapped_entry_lines_rejected(self, bundle, kb_copy, capsys):
+        lines = kb_copy.kb.read_bytes().splitlines(keepends=True)
+        lines[3], lines[4] = lines[4], lines[3]
+        kb_copy.kb.write_bytes(b"".join(lines))
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy)
+
+    def test_same_ids_over_another_matrix_rejected(self, bundle, kb_copy, tmp_path, capsys):
+        matrix = np.fromfile(kb_copy.kb_embeddings, dtype="<f4").reshape(100, 16)
+        other = tmp_path / "other.f32"
+        other.write_bytes(matrix[::-1].tobytes())
+        assert self._retrieve(bundle, kb_copy, "--kb-embeddings", str(other)) == 2
+        self._assert_rejected(capsys, kb_copy, "--kb-embeddings")
+
+    def test_missing_embedding_file_exits_two(self, bundle, kb_copy, tmp_path, capsys):
+        absent = tmp_path / "absent.f32"
+        assert self._retrieve(bundle, kb_copy, "--kb-embeddings", str(absent)) == 2
+        assert f"cannot read {absent}" in capsys.readouterr().err
+        assert not (kb_copy.out / "retrieval_results.jsonl").exists()
+
+    def test_digestless_index_rejected(self, bundle, kb_copy, capsys):
+        with np.load(kb_copy.index, allow_pickle=False) as saved:
+            arrays = {name: saved[name] for name in saved.files
+                      if name not in INDEX_DIGESTS.values()}
+        np.savez(kb_copy.index, **arrays)
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy, "holds no sha256 of --kb")
+
+    def test_truncated_index_rejected(self, bundle, kb_copy, capsys):
+        raw = kb_copy.index.read_bytes()
+        kb_copy.index.write_bytes(raw[:len(raw) // 2])
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy)
+
+    def test_flipped_matrix_byte_rejected(self, bundle, kb_copy, capsys):
+        with zipfile.ZipFile(kb_copy.index) as zf:
+            info = zf.getinfo("matrix.npy")
+        with kb_copy.index.open("rb") as fh:
+            fh.seek(info.header_offset)
+            header = fh.read(30)
+        name_len, extra_len = struct.unpack("<HH", header[26:30])
+        data_start = info.header_offset + 30 + name_len + extra_len
+        _flip_byte(kb_copy.index, data_start + info.file_size - 5)  # inside the last row
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy, "CRC")
+
+    def test_interrupted_index_keeps_the_previous_file(self, kb_copy, monkeypatch):
+        before = kb_copy.index.read_bytes()
+
+        def interrupted(fh, **_arrays):
+            fh.write(b"PK partial")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["index", *self._kb_flags(kb_copy), "--kb-embeddings",
+                  str(kb_copy.kb_embeddings), "--out-dir", str(kb_copy.index.parent)])
+        assert kb_copy.index.read_bytes() == before
+        assert sorted(p.name for p in kb_copy.index.parent.iterdir()) == [
+            "index.npz", "run_config.json"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(strings=st.lists(st.text(max_size=12) | st.sampled_from(["", " ", "\x00", "é漢\U0001f600"]),
+                        max_size=12))
+def test_url_blob_round_trips(strings):
+    blob, offsets = _pack_strings(strings)
+    assert blob.dtype == np.uint8 and offsets.dtype == np.int64
+    assert _unpack_strings(blob, offsets) == strings
+
+
+def test_url_blob_rejects_offsets_that_do_not_split_it():
+    blob, offsets = _pack_strings(["ab", "c"])
+    for bad in (offsets[:-1] - 0, np.array([0, 2, 1, 3]), np.array([1, 2, 3]), np.array([])):
+        with pytest.raises(ValueError, match="do not split"):
+            _unpack_strings(blob, bad.astype(np.int64))
+
+
+# Non-ASCII, blank-looking and JSON-looking URLs; duplicates come from sampling.
+_URL = st.text(min_size=1, max_size=10) | st.sampled_from(
+    [" ", "\t", "\u200b", "null", '""', "https://kb.example/café", "漢字"])
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_retrieve_with_index_matches_retrieve_from_embeddings(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    dim = data.draw(st.integers(1, 6), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    raw = rng.normal(size=(n, dim))
+    matrix = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+    for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       max_size=6), label="copies"):
+        matrix[dst] = matrix[src]
+    rows = data.draw(st.permutations(range(n)), label="rows")
+    urls = data.draw(st.lists(_URL, min_size=n, max_size=n), label="urls")
+    with_gold = data.draw(st.booleans(), label="with_gold")
+    queries = []
+    for i in range(data.draw(st.integers(1, 5), label="queries")):
+        query = {"query_id": f"q{i}", "question": "?", "gold_answers": ["a"],
+                 "query_embedding_row": i}
+        if with_gold:
+            query["gold_entry_url"] = data.draw(st.sampled_from(urls))
+        queries.append(query)
+    k = data.draw(st.integers(1, n + 2), label="k")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        fixture_gen.write_jsonl(root / "entries.jsonl", [
+            {"entry_id": f"e{i}", "url": url, "embedding_row": row}
+            for i, (url, row) in enumerate(zip(urls, rows))
+        ])
+        kb_manifest, kb_data = fixture_gen.write_matrix(root, "kb", matrix)
+        fixture_gen.write_jsonl(root / "queries.jsonl", queries)
+        q_raw = rng.normal(size=(len(queries), dim))
+        q_manifest, q_data = fixture_gen.write_matrix(
+            root, "query", fixture_gen._normalize_rows(q_raw))
+        kb_flags = ["--kb", str(root / "entries.jsonl"), "--kb-manifest", str(kb_manifest)]
+        assert main(["index", *kb_flags, "--kb-embeddings", str(kb_data),
+                     "--out-dir", str(root / "index")]) == 0
+
+        def retrieve(*source):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert main(["retrieve", *kb_flags, *source,
+                             "--queries", str(root / "queries.jsonl"),
+                             "--query-manifest", str(q_manifest), "--query-embeddings", str(q_data),
+                             "--k", str(k), "--out-dir", str(root / "out")]) == 0
+            return stdout.getvalue(), (root / "out" / "retrieval_results.jsonl").read_bytes()
+
+        assert retrieve("--index", str(root / "index" / "index.npz")) == retrieve(
+            "--kb-embeddings", str(kb_data))
 
 
 class TestExitCodes:

@@ -120,6 +120,16 @@ def test_embedding_row_out_of_range(tmp_path, bundle):
         ingest_kb(bad, bundle.kb_manifest)
 
 
+@pytest.mark.parametrize("row", [True, False])
+def test_bool_embedding_row_rejected(tmp_path, bundle, row):
+    rows = fixture_gen.make_entries(3)
+    rows[1]["embedding_row"] = row
+    bad = tmp_path / "row.jsonl"
+    fixture_gen.write_jsonl(bad, rows)
+    with pytest.raises(IngestError, match=r"line 2: embedding_row must be a non-negative integer"):
+        ingest_kb(bad, bundle.kb_manifest)
+
+
 def test_manifest_validation(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, "dtype": "f32le"}))
