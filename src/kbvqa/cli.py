@@ -197,41 +197,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "kb": None, "kb_manifest": None, "kb_embeddings": None, "out_dir": None,
-    })
-    _require(cfg, "kb", "kb_manifest", "kb_embeddings")
-    # Hashed before they are read: a file that changes while `index` runs
-    # then fails the check in `retrieve --index` instead of passing it.
-    digests = {member: np.array(_sha256(cfg[key])) for key, member in INDEX_DIGESTS.items()}
-    kb = _load_kb(cfg, with_embeddings=True)
-    index = build_index(kb)
-    url_blob, url_offsets = _pack_strings(e.url for e in kb.entries)
-    out = _out_dir(cfg)
-    path = out / "index.npz"
-    # Written beside the target and renamed over it, so an interrupted run
-    # never leaves a partial index.npz.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            np.savez(
-                fh,
-                entry_ids=np.array(index.entry_ids, dtype=np.str_),
-                dim=np.int64(index.matrix.shape[1]),
-                matrix=index.matrix,
-                url_blob=url_blob,
-                url_offsets=url_offsets,
-                **digests,
-            )
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    _write_run_config(out, "index", cfg)
-    print(f"indexed {len(index)} entries (dim {index.dim}) -> {path}")
-    return EXIT_OK
-
-
 # index.npz member holding the sha256 of each file the index was built from.
 INDEX_DIGESTS = {
     "kb": "kb_sha256", "kb_manifest": "kb_manifest_sha256", "kb_embeddings": "kb_embeddings_sha256",
@@ -275,6 +240,41 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
     return [data[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
+def cmd_index(args: argparse.Namespace) -> int:
+    cfg = _resolve(args, {
+        "kb": None, "kb_manifest": None, "kb_embeddings": None, "out_dir": None,
+    })
+    _require(cfg, "kb", "kb_manifest", "kb_embeddings")
+    # Hashed before they are read: a file that changes while `index` runs
+    # then fails the check in `retrieve --index` instead of passing it.
+    digests = {member: np.array(_sha256(cfg[key])) for key, member in INDEX_DIGESTS.items()}
+    kb = _load_kb(cfg, with_embeddings=True)
+    index = build_index(kb)
+    url_blob, url_offsets = _pack_strings(e.url for e in kb.entries)
+    out = _out_dir(cfg)
+    path = out / "index.npz"
+    # Written beside the target and renamed over it, so an interrupted run
+    # never leaves a partial index.npz.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            np.savez(
+                fh,
+                entry_ids=np.array(index.entry_ids, dtype=np.str_),
+                dim=np.int64(index.matrix.shape[1]),
+                matrix=index.matrix,
+                url_blob=url_blob,
+                url_offsets=url_offsets,
+                **digests,
+            )
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    _write_run_config(out, "index", cfg)
+    print(f"indexed {len(index)} entries (dim {index.dim}) -> {path}")
+    return EXIT_OK
+
+
 def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     """The index at --index and its entry URLs, without parsing --kb.
 
@@ -295,29 +295,33 @@ def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
         )
 
     try:
-        bundle = np.load(path, allow_pickle=False)
+        fh = path.open("rb")
     except OSError as exc:
         raise IngestError(f"cannot load index {path}: {exc}") from exc
-    except _UNREADABLE as exc:
-        raise stale(f"it is not a readable index ({exc})") from exc
-    if not isinstance(bundle, np.lib.npyio.NpzFile):
-        raise stale("it is not an .npz index")
-    try:
-        with bundle:
-            for key, member in INDEX_DIGESTS.items():
-                if not cfg.get(key):
-                    continue
-                flag = "--" + key.replace("_", "-")
-                if member not in bundle.files:
-                    raise stale(f"it holds no sha256 of {flag} (an index from an older kbvqa)")
-                if bundle[member].item() != _sha256(cfg[key]):
-                    raise stale(f"{flag} {cfg[key]} is not the file it was built from")
-            entry_ids = bundle["entry_ids"].tolist()
-            index_dim = int(bundle["dim"])
-            matrix = bundle["matrix"]
-            urls = _unpack_strings(bundle["url_blob"], bundle["url_offsets"])
-    except _UNREADABLE as exc:
-        raise stale(f"it is not an intact pickle-free index ({exc})") from exc
+    # Opened here, not by np.load, which leaks its file when a zip fails to open.
+    with fh:
+        try:
+            bundle = np.load(fh, allow_pickle=False)
+        except _UNREADABLE as exc:
+            raise stale(f"it is not a readable index ({exc})") from exc
+        if not isinstance(bundle, np.lib.npyio.NpzFile):
+            raise stale("it is not an .npz index")
+        try:
+            with bundle:
+                for key, member in INDEX_DIGESTS.items():
+                    if not cfg.get(key):
+                        continue
+                    flag = "--" + key.replace("_", "-")
+                    if member not in bundle.files:
+                        raise stale(f"it holds no sha256 of {flag} (an index from an older kbvqa)")
+                    if bundle[member].item() != _sha256(cfg[key]):
+                        raise stale(f"{flag} {cfg[key]} is not the file it was built from")
+                entry_ids = bundle["entry_ids"].tolist()
+                index_dim = int(bundle["dim"])
+                matrix = bundle["matrix"]
+                urls = _unpack_strings(bundle["url_blob"], bundle["url_offsets"])
+        except _UNREADABLE as exc:
+            raise stale(f"it is not an intact pickle-free index ({exc})") from exc
     if index_dim != dim or matrix.shape != (len(entry_ids), dim) or len(urls) != len(entry_ids):
         raise stale("its entry count or dimension differ")
     return FlatIndex(entry_ids, matrix), urls

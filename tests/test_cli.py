@@ -440,8 +440,8 @@ class TestDigestBoundIndex:
 
 
 @settings(max_examples=50, deadline=None)
-@given(strings=st.lists(st.text(max_size=12) | st.sampled_from(["", " ", "\x00", "é漢\U0001f600"]),
-                        max_size=12))
+@given(strings=st.lists(
+    st.text(max_size=12) | st.sampled_from(["", " ", "\x00", "é漢\U0001f600"]), max_size=12))
 def test_url_blob_round_trips(strings):
     blob, offsets = _pack_strings(strings)
     assert blob.dtype == np.uint8 and offsets.dtype == np.int64

@@ -64,7 +64,10 @@ def used_seeds(root: Path) -> set[int]:
     return seeds
 
 
-def plan(workloads: list[tuple[str, int]], first_seed: int) -> list[tuple[str, int, int, tuple[str, str]]]:
+Step = tuple[str, int, int, tuple[str, str]]  # workload, pair, seed, side order
+
+
+def plan(workloads: list[tuple[str, int]], first_seed: int) -> list[Step]:
     """(workload, pair, seed, side order) for every pair; a fresh seed per pair."""
     steps = []
     seed = first_seed
@@ -159,8 +162,9 @@ def machine() -> dict:
             "numpy": numpy.__version__}
     try:
         deps = numpy.show_config(mode="dicts")["Build Dependencies"]
-        info["blas"] = {k: deps["blas"].get(k) for k in ("name", "version", "openblas configuration")
-                        if k in deps["blas"]}
+        blas = deps["blas"]
+        info["blas"] = {k: blas[k] for k in ("name", "version", "openblas configuration")
+                        if k in blas}
     except (TypeError, KeyError):  # numpy before 1.26 prints its config only
         info["blas"] = "unknown"
     return info
@@ -233,7 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     bench = {
         "label": args.label,
         "refs": {side: {"ref": getattr(args, side), "commit": commits[side]} for side in SIDES},
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
+        "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                    "--trace 0"),
         "protocol": "alternating pairs on one seed each; the side that runs first alternates",
         "date_utc": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "machine": machine(),
