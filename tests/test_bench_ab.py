@@ -57,6 +57,18 @@ def test_summarize_flags_a_regression_beyond_its_bound():
     assert rss["worse_than_bound"] and rss["change_losses"] == 3 and rss["gain_fraction"] < 0
 
 
+def test_summarize_marks_a_spread_wider_than_its_bound_unresolved():
+    # A parent qps median of 50 with a 0.25 bound: an IQR up to 12.5 resolves it.
+    rows = [(40, 300, 41, 300), (50, 300, 50, 300), (60, 300, 59, 300)]
+    metrics = bench_ab.summarize(_runs(rows), SPEC)["retrieve_100k"]["metrics"]
+    assert metrics["qps"]["parent_iqr"] == 10 and not metrics["qps"]["unresolved"]
+    rows = [(20, 300, 20, 300), (50, 300, 50, 300), (80, 300, 80, 300)]
+    metrics = bench_ab.summarize(_runs(rows), SPEC)["retrieve_100k"]["metrics"]
+    assert metrics["qps"]["parent_iqr"] == 30 and metrics["qps"]["unresolved"]
+    assert not metrics["qps"]["worse_than_bound"]
+    assert not metrics["peak_rss_mb"]["unresolved"]  # no spread at all
+
+
 def test_summarize_keeps_workloads_apart():
     runs = _runs([(1, 1, 2, 1)], "core_http") + _runs([(3, 1, 4, 1)], "offline_eval")
     got = bench_ab.summarize(runs, SPEC)

@@ -405,6 +405,27 @@ class TestDigestBoundIndex:
         assert self._retrieve(bundle, kb_copy) == 2
         self._assert_rejected(capsys, kb_copy, "holds no sha256 of --kb")
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda a: {"dim": np.array([16, 16])}, "not an intact"),
+        (lambda a: {"dim": np.int64(8)}, "entry count or dimension"),
+        (lambda a: {"matrix": a["matrix"][:-1]}, "entry count or dimension"),
+        (lambda a: {"matrix": a["matrix"][:, :8]}, "entry count or dimension"),
+        (lambda a: dict(zip(("url_blob", "url_offsets"), _pack_strings(
+            _unpack_strings(a["url_blob"], a["url_offsets"])[:-1]))), "entry count or dimension"),
+        (lambda a: {"url_offsets": a["url_offsets"][::-1]}, "not an intact"),
+        (lambda a: {"entry_ids": a["entry_ids"].astype(object)}, "not an intact"),
+        (lambda a: {"matrix": None}, "not an intact"),
+    ], ids=["dim-not-scalar", "other-dim", "row-missing", "narrow-matrix", "url-missing",
+            "offsets-reversed", "pickled-ids", "no-matrix"])
+    def test_malformed_index_with_matching_digests_rejected(
+            self, bundle, kb_copy, capsys, change, message):
+        with np.load(kb_copy.index, allow_pickle=False) as saved:
+            arrays = {name: saved[name] for name in saved.files}
+        arrays.update(change(arrays))
+        np.savez(kb_copy.index, **{k: v for k, v in arrays.items() if v is not None})
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy, message)
+
     def test_truncated_index_rejected(self, bundle, kb_copy, capsys):
         raw = kb_copy.index.read_bytes()
         kb_copy.index.write_bytes(raw[:len(raw) // 2])

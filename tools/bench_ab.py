@@ -7,13 +7,17 @@ Each ref is extracted with ``git archive`` into a temporary directory (no
 worktree, nothing written in this checkout except the result file). For
 every pair, both copies run their own ``perfbench/run.py --trace 0`` on the
 same seed, one after the other; which side runs first alternates from pair
-to pair. Seeds start above every seed recorded in the ``BENCH_*.json`` files
-at the root of this checkout, unless --first-seed is given.
+to pair. Each run lasts ``run_seconds`` of the parent's ``BENCHMARK.json``.
+Seeds start above every seed recorded in the ``BENCH_*.json`` files at the
+root of this checkout, and at least at 1000.
 
 The result, ``BENCH_<label>.json`` at the root of this checkout, holds per
 workload and end-to-end metric: each side's median and quartiles, the
 parent's IQR, and how many pairs the change won, lost and tied, the winning
-direction being ``better`` in ``BENCHMARK.json``. It also holds the seeds,
+direction being ``better`` in ``BENCHMARK.json``. A metric whose parent IQR
+is wider than its bound times the parent's median is marked ``unresolved``:
+its runs spread too widely to tell a change within the bound from none. It
+also holds the seeds,
 each run's ``correct``, ``attempted`` and ``failed``, and the machine
 (nproc, Python, numpy and its BLAS).
 
@@ -137,6 +141,7 @@ def summarize(runs: list[dict], spec: dict) -> dict:
                 "gain_fraction": gain / abs(medians["parent"]) if medians["parent"] else 0.0,
                 "gain_shown": wins >= 0.9 * len(complete) and gain > parent_iqr,
                 "worse_than_bound": -gain > m["bound"] * abs(medians["parent"]),
+                "unresolved": parent_iqr > m["bound"] * abs(medians["parent"]),
             }
         out[name] = {
             "pairs": len(complete),
@@ -188,24 +193,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--label", required=True, help="names the result file BENCH_<label>.json")
     ap.add_argument("--workload", type=_workload_arg, action="append", required=True,
                     metavar="NAME[:PAIRS]", help="workload and its pair count (default 10)")
-    ap.add_argument("--first-seed", type=int,
-                    help="first seed (default: above every seed in BENCH_*.json, at least 1000)")
-    ap.add_argument("--seconds", type=float,
-                    help="run length of each run.py (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     commits = {"parent": git(root, "rev-parse", "--verify", args.parent + "^{commit}"),
                "change": git(root, "rev-parse", "--verify", args.change + "^{commit}")}
-    used = used_seeds(root)
-    first_seed = args.first_seed
-    if first_seed is None:
-        first_seed = max([FIRST_SEED_FLOOR - 1, *used]) + 1
-    steps = plan(args.workload, first_seed)
-    reused = sorted(used & {seed for _, _, seed, _ in steps})
-    if reused:
-        print(f"error: seeds already in a BENCH file: {reused}", file=sys.stderr)
-        return 2
+    steps = plan(args.workload, max([FIRST_SEED_FLOOR - 1, *used_seeds(root)]) + 1)
 
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench_ab.") as tmp:
@@ -214,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         for side in SIDES:
             extract(root, commits[side], copies[side])
         spec = json.loads((copies["parent"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-        seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+        seconds = spec["run_seconds"]
         unknown = {name for name, _ in args.workload} - {w["name"] for w in spec["workloads"]}
         if unknown:
             print(f"error: workloads not in BENCHMARK.json: {sorted(unknown)}", file=sys.stderr)
