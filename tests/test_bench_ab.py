@@ -67,6 +67,9 @@ def test_summarize_marks_a_spread_wider_than_its_bound_unresolved():
     assert metrics["qps"]["parent_iqr"] == 30 and metrics["qps"]["unresolved"]
     assert not metrics["qps"]["worse_than_bound"]
     assert not metrics["peak_rss_mb"]["unresolved"]  # no spread at all
+    rows = [(20, 300, 90, 300), (50, 300, 95, 300), (80, 300, 99, 300)]
+    metrics = bench_ab.summarize(_runs(rows), SPEC)["retrieve_100k"]["metrics"]
+    assert metrics["qps"]["parent_iqr"] == 30 and not metrics["qps"]["unresolved"]
 
 
 def test_summarize_keeps_workloads_apart():

@@ -15,7 +15,8 @@ The result, ``BENCH_<label>.json`` at the root of this checkout, holds per
 workload and end-to-end metric: each side's median and quartiles, the
 parent's IQR, and how many pairs the change won, lost and tied, the winning
 direction being ``better`` in ``BENCHMARK.json``. A metric whose parent IQR
-is wider than its bound times the parent's median is marked ``unresolved``:
+is wider than its bound times the parent's median is marked ``unresolved``,
+unless every run of the change reads better than every run of the parent:
 its runs spread too widely to tell a change within the bound from none. It
 also holds the seeds,
 each run's ``correct``, ``attempted`` and ``failed``, and the machine
@@ -141,7 +142,11 @@ def summarize(runs: list[dict], spec: dict) -> dict:
                 "gain_fraction": gain / abs(medians["parent"]) if medians["parent"] else 0.0,
                 "gain_shown": wins >= 0.9 * len(complete) and gain > parent_iqr,
                 "worse_than_bound": -gain > m["bound"] * abs(medians["parent"]),
-                "unresolved": parent_iqr > m["bound"] * abs(medians["parent"]),
+                # a spread wider than the bound cannot show "unchanged", unless
+                # every run of the change reads better than every run of the parent
+                "unresolved": (parent_iqr > m["bound"] * abs(medians["parent"])
+                               and min(sign * v for v in values["change"])
+                               <= max(sign * v for v in values["parent"])),
             }
         out[name] = {
             "pairs": len(complete),
