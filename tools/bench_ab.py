@@ -201,8 +201,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    commits = {"parent": git(root, "rev-parse", "--verify", args.parent + "^{commit}"),
-               "change": git(root, "rev-parse", "--verify", args.change + "^{commit}")}
+    try:
+        commits = {side: git(root, "rev-parse", "--verify", getattr(args, side) + "^{commit}")
+                   for side in SIDES}
+    except subprocess.CalledProcessError as exc:
+        print(f"error: not a commit: {exc.cmd[-1].removesuffix('^{commit}')}", file=sys.stderr)
+        return 2
     steps = plan(args.workload, max([FIRST_SEED_FLOOR - 1, *used_seeds(root)]) + 1)
 
     runs: list[dict] = []
