@@ -799,3 +799,53 @@ class TestHelpGoldens:
                    if isinstance(a, argparse._SubParsersAction))
         self._golden_check(sub.choices["run"].format_help(),
                            goldens_dir / "help_run.golden.txt")
+
+    @pytest.mark.parametrize("command", [
+        "ingest", "index", "retrieve", "probe-unimodal", "mine-prki", "mine-vtki",
+        "export-training", "score", "report", "sweep",
+    ])
+    def test_subcommand_help(self, command, goldens_dir, monkeypatch):
+        import argparse
+        monkeypatch.setenv("COLUMNS", "100")
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        self._golden_check(sub.choices[command].format_help(),
+                           goldens_dir / f"help_{command.replace('-', '_')}.golden.txt")
+
+
+def resolved_defaults() -> str:
+    """Each subcommand's configuration with no flags and no config file, as JSON.
+
+    Stops each handler right after it has resolved its configuration, so
+    nothing is read or written.
+    """
+    import argparse
+
+    class Resolved(Exception):
+        pass
+
+    real_resolve = cli_module._resolve
+    captured = {}
+
+    def capture(*args, **kwargs):
+        captured["cfg"] = real_resolve(*args, **kwargs)
+        raise Resolved
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_module, "_resolve", capture)
+        for command in sub.choices:
+            args = parser.parse_args([command])
+            with pytest.raises(Resolved):
+                args.func(args)
+            out[command] = captured.pop("cfg")
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+def test_resolved_default_config(goldens_dir):
+    golden = goldens_dir / "resolved_defaults.golden.json"
+    assert golden.exists(), f"golden missing: {golden}"
+    assert resolved_defaults() == golden.read_text(encoding="utf-8")
