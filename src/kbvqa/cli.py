@@ -2,9 +2,12 @@
 
 Subcommands cover ingest through reporting. Every flag can also be supplied
 through a JSON config file (--config, key = flag name with underscores);
-precedence is CLI flag, then config file, then built-in default, and the
+config values get the same type and choices checks as the flags.
+Precedence is CLI flag, then config file, then built-in default, and the
 resolved configuration is written to the output directory as
-run_config.json so a run can be reproduced from its artifacts alone.
+run_config.json so a run can be reproduced from its artifacts alone. Each
+flag's default, help line and config key are declared once, in FLAGS;
+COMMANDS says which flags each subcommand takes.
 
 Exit codes: 0 success, 1 a run finished but some queries failed, 2
 configuration or input errors.
@@ -18,6 +21,7 @@ import json
 import os
 import sys
 import zipfile
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -30,6 +34,9 @@ from .kb import (
     load_manifest,
 )
 from .metrics import (
+    DEFAULT_RECALL_KS,
+    DEFAULT_TOLERANCE,
+    STRATUM_MODES,
     PluginScorer,
     compare_runs,
     read_report_json,
@@ -39,9 +46,14 @@ from .metrics import (
     write_report_json,
     write_verdicts,
 )
-from .mining import export_training, mine_prki, mine_vtki, read_records, write_records
-from .pipeline import PipelineRunner, has_failures, needs_retrieval, read_traces, write_traces
-from .retrieval import FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results
+from .mining import OBJECTIVES, export_training, mine_prki, mine_vtki, read_records, write_records
+from .pipeline import (
+    CORE_MODES, PipelineRunner, has_failures, needs_retrieval, read_traces, write_traces,
+)
+from .prompts import DEFAULT_CHAR_BUDGET
+from .retrieval import (
+    DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results,
+)
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -49,6 +61,59 @@ EXIT_CONFIG = 2
 
 RUN_VARIANTS = ("param", "oracle", "one_stage", "two_stage", "mmstar", "core")
 SWEEP_VARIANTS = ("one_stage", "two_stage", "mmstar", "core")
+
+
+# -- flags ----------------------------------------------------------------
+
+# One row per flag: its argparse keywords and its built-in `default`. The
+# parser hands argparse default=None, so _resolve can tell a flag that was
+# given from one that was not, and ends the help line with " (default: X)"
+# unless the default is None or the flag is a switch.
+FLAGS: dict[str, dict] = {
+    "kb": {"help": "knowledge entries JSONL"},
+    "kb_manifest": {"help": "embedding manifest JSON for the entries"},
+    "kb_embeddings": {"help": "entry embedding matrix (raw little-endian float32)"},
+    "index": {"help": "saved index.npz from `kbvqa index`; its sha256 digests must "
+                      "match --kb, --kb-manifest and --kb-embeddings if given"},
+    "queries": {"help": "queries JSONL"},
+    "query_manifest": {"help": "embedding manifest JSON for the queries"},
+    "query_embeddings": {"help": "query embedding matrix (raw little-endian float32)"},
+    "k": {"type": int, "default": 10, "help": "hits to keep per query"},
+    "retrievals": {"help": "retrieval results JSONL from the retrieve step"},
+    "variant": {"choices": RUN_VARIANTS, "help": "pipeline variant to run"},
+    "core_mode": {"choices": CORE_MODES, "default": "staged", "help": "core execution mode"},
+    "top_k": {"type": int, "default": DEFAULT_TOP_K, "help": "retrieved entries per prompt, 1..5"},
+    "top_m": {"default": "1,2,5", "help": "comma-separated top-m values"},
+    "mock_script": {"help": "scripted mock backend JSONL keyed by (query_id, stage)"},
+    "endpoint_config": {"help": "HTTP backend endpoint config JSON"},
+    "max_in_flight": {"type": int, "default": DEFAULT_MAX_IN_FLIGHT,
+                      "help": "max concurrent backend calls"},
+    "char_budget": {"type": int, "default": DEFAULT_CHAR_BUDGET,
+                    "help": "per-entry content truncation budget in characters"},
+    "workers": {"type": int, "help": "worker threads (default and maximum: --max-in-flight)"},
+    "no_transcripts": {"action": "store_true", "default": False,
+                       "help": "omit per-stage transcripts from trace output"},
+    "traces": {"help": "trace JSONL from a run"},
+    "traces_int": {"help": "traces supplying the parametric answer"},
+    "traces_ext": {"help": "traces supplying the retrieval-grounded answer"},
+    "probe_traces": {"help": "probe traces JSONL"},
+    "records": {"nargs": "+", "help": "mined record JSONL file(s)"},
+    "objective": {"choices": OBJECTIVES, "help": "training objective to export"},
+    "sample": {"type": int, "help": "cap the export to a seeded random sample"},
+    "seed": {"type": int, "default": 0, "help": "sampling seed"},
+    "ks": {"default": ",".join(map(str, DEFAULT_RECALL_KS)),
+           "help": "comma-separated recall cutoffs"},
+    "tolerance": {"type": float, "default": DEFAULT_TOLERANCE,
+                  "help": "relative tolerance for numeric answers"},
+    "stratum_mode": {"choices": STRATUM_MODES, "default": "disjoint",
+                     "help": "gold-rank stratum buckets"},
+    "no_url_dedup": {"action": "store_true", "default": False,
+                     "help": "rank duplicate entry URLs separately instead of collapsing them"},
+    "plugin": {"help": "external answer-equivalence scorer command"},
+    "compare_to": {"help": "baseline report.json to diff against"},
+    "out_dir": {"help": "directory for all outputs (created if missing)"},
+    "config": {"help": "JSON config file; keys are flag names (CLI flags win)"},
+}
 
 
 # -- config plumbing ------------------------------------------------------
@@ -65,23 +130,39 @@ def _load_config_file(path: str) -> dict:
     return raw
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge CLI values over config-file values over built-in defaults."""
+def _check_config_value(key: str, value, row: dict) -> None:
+    """Give a config-file value the type and choices checks argparse gives the flag."""
+    kind = row.get("type", str)
+    if row.get("action") == "store_true":
+        want, ok = "true or false", isinstance(value, bool)
+    elif row.get("nargs"):
+        want = "a string or a non-empty list of strings"
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value))
+    else:
+        want = {int: "an integer", float: "a number", str: "a string"}[kind]
+        ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if ok and "choices" in row:
+        want, ok = "one of " + ", ".join(row["choices"]), value in row["choices"]
+    if not ok:
+        raise IngestError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Merge CLI values over config-file values over the defaults in the command's rows."""
+    rows = args.flag_rows
     file_cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_cfg = _load_config_file(args.config)
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(rows)
         if unknown:
             raise IngestError(f"config file has unknown keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_config_value(key, value, rows[key])
     resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
+    for key, row in rows.items():
+        cli_value = getattr(args, key)
+        resolved[key] = cli_value if cli_value is not None else file_cfg.get(key, row.get("default"))
     return resolved
 
 
@@ -99,16 +180,14 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _write_run_config(out: Path, command: str, cfg: dict) -> None:
-    payload = {"command": command}
-    for key in sorted(cfg):
-        payload[key] = cfg[key]
+    payload = {"command": command, **{key: cfg[key] for key in sorted(cfg)}}
     (out / "run_config.json").write_text(
         json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
 
 
 def _max_in_flight(cfg: dict) -> int:
-    max_in_flight = int(cfg["max_in_flight"])
+    max_in_flight = cfg["max_in_flight"]
     if max_in_flight <= 0:
         raise IngestError(f"--max-in-flight must be positive, got {max_in_flight}")
     return max_in_flight
@@ -125,7 +204,7 @@ def _workers(cfg: dict) -> int:
         return _max_in_flight(cfg)
     if workers <= 0:
         raise IngestError(f"--workers must be positive, got {workers}")
-    return min(int(workers), _max_in_flight(cfg))
+    return min(workers, _max_in_flight(cfg))
 
 
 def _load_kb(cfg: dict, with_embeddings: bool) -> KnowledgeBase:
@@ -172,23 +251,15 @@ def _trace_summary(traces) -> str:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "kb": None, "kb_manifest": None, "queries": None, "out_dir": None,
-    })
+    cfg = _resolve(args)
     _require(cfg, "queries")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
     out = _out_dir(cfg)
     export_kb(kb, out / "entries_normalized.jsonl")
     export_queries(queries, out / "queries_normalized.jsonl")
-    splits: dict[str, int] = {}
-    for q in queries:
-        splits[q.split_tag] = splits.get(q.split_tag, 0) + 1
-    summary = {
-        "entries": len(kb),
-        "queries": len(queries),
-        "splits": dict(sorted(splits.items())),
-    }
+    splits = Counter(q.split_tag for q in queries)
+    summary = {"entries": len(kb), "queries": len(queries), "splits": dict(sorted(splits.items()))}
     (out / "ingest_summary.json").write_text(
         json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -241,9 +312,7 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "kb": None, "kb_manifest": None, "kb_embeddings": None, "out_dir": None,
-    })
+    cfg = _resolve(args)
     _require(cfg, "kb", "kb_manifest", "kb_embeddings")
     # Hashed before they are read: a file that changes while `index` runs
     # then fails the check in `retrieve --index` instead of passing it.
@@ -328,11 +397,7 @@ def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "kb": None, "kb_manifest": None, "kb_embeddings": None, "index": None,
-        "queries": None, "query_manifest": None, "query_embeddings": None,
-        "k": 10, "no_url_dedup": False, "out_dir": None,
-    })
+    cfg = _resolve(args)
     _require(cfg, "queries", "query_manifest", "query_embeddings")
     if cfg.get("index"):
         index, urls = _load_index(cfg)
@@ -351,7 +416,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
                 f"query {q.query_id!r} embedding row {row} out of range ({qemb.count} rows)"
             )
         vectors.append(qemb.data[row])
-    k = int(cfg["k"])
+    k = cfg["k"]
     results = search_batch(index, vectors, [q.query_id for q in queries], k)
     out = _out_dir(cfg)
     write_results(results, out / "retrieval_results.jsonl")
@@ -360,11 +425,10 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     dedup = not cfg["no_url_dedup"]
     if all(q.gold_entry_url for q in queries):
         url_map = dict(zip(index.entry_ids, urls))
-        parts = []
-        for kk in (1, 2, 5, 10):
-            if kk <= k:
-                parts.append(f"Recall@{kk} {recall_at_k(results, queries, kk, url_map, dedup=dedup):.3f}")
-        print("  ".join(parts))
+        print("  ".join(
+            f"Recall@{kk} {recall_at_k(results, queries, kk, url_map, dedup=dedup):.3f}"
+            for kk in DEFAULT_RECALL_KS if kk <= k
+        ))
     else:
         missing = sum(1 for q in queries if not q.gold_entry_url)
         print(f"recall skipped ({missing} queries lack gold_entry_url)")
@@ -372,25 +436,14 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_defaults() -> dict:
-    return {
-        "kb": None, "kb_manifest": None, "queries": None, "retrievals": None,
-        "mock_script": None, "endpoint_config": None, "max_in_flight": DEFAULT_MAX_IN_FLIGHT,
-        "top_k": 5, "char_budget": 2000, "workers": None,
-        "no_transcripts": False, "out_dir": None,
-    }
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    defaults = _run_defaults()
-    defaults.update({"variant": None, "core_mode": "staged"})
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     _require(cfg, "queries", "variant")
     return _run_variant(cfg, cfg["variant"], "run", "traces.jsonl")
 
 
 def cmd_probe_unimodal(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _run_defaults())
+    cfg = _resolve(args)
     _require(cfg, "queries", "retrievals")
     return _run_variant(cfg, "probe", "probe-unimodal", "probe_traces.jsonl")
 
@@ -400,8 +453,8 @@ def _run_variant(cfg: dict, variant: str, command: str, traces_name: str) -> int
     queries = ingest_queries(cfg["queries"])
     backend = _backend(cfg)
     runner = PipelineRunner(
-        kb, backend, top_k=int(cfg["top_k"]), char_budget=int(cfg["char_budget"]),
-        core_mode=cfg.get("core_mode", "staged"),
+        kb, backend, top_k=cfg["top_k"], char_budget=cfg["char_budget"],
+        core_mode=cfg.get("core_mode", FLAGS["core_mode"]["default"]),
     )
     results = None
     if needs_retrieval(variant):
@@ -416,82 +469,53 @@ def _run_variant(cfg: dict, variant: str, command: str, traces_name: str) -> int
 
 
 def cmd_mine_prki(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "traces_int": None, "traces_ext": None, "queries": None,
-        "tolerance": 0.05, "out_dir": None,
-    })
+    cfg = _resolve(args)
     _require(cfg, "traces_int", "traces_ext", "queries")
     queries = ingest_queries(cfg["queries"])
     mining = mine_prki(
         read_traces(cfg["traces_int"]), read_traces(cfg["traces_ext"]),
         queries, tolerance=float(cfg["tolerance"]),
     )
-    out = _out_dir(cfg)
-    write_records(mining.d_int, out / "d_int.jsonl")
-    write_records(mining.d_ext, out / "d_ext.jsonl")
-    (out / "mining_summary.json").write_text(
-        json.dumps(mining.counters, indent=2) + "\n", encoding="utf-8"
-    )
-    _write_run_config(out, "mine-prki", cfg)
-    print("mined " + ", ".join(f"{k}={v}" for k, v in mining.counters.items()))
-    return EXIT_OK
+    return _write_mining(cfg, "mine-prki", mining, ("d_int", "d_ext"))
 
 
 def cmd_mine_vtki(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "probe_traces": None, "kb": None, "kb_manifest": None, "queries": None,
-        "out_dir": None,
-    })
+    cfg = _resolve(args)
     _require(cfg, "probe_traces", "queries")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
     mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, _url_map(kb))
+    return _write_mining(cfg, "mine-vtki", mining, ("d_v", "d_t"))
+
+
+def _write_mining(cfg: dict, command: str, mining, buckets: tuple[str, ...]) -> int:
     out = _out_dir(cfg)
-    write_records(mining.d_v, out / "d_v.jsonl")
-    write_records(mining.d_t, out / "d_t.jsonl")
+    for bucket in buckets:
+        write_records(getattr(mining, bucket), out / f"{bucket}.jsonl")
     (out / "mining_summary.json").write_text(
         json.dumps(mining.counters, indent=2) + "\n", encoding="utf-8"
     )
-    _write_run_config(out, "mine-vtki", cfg)
+    _write_run_config(out, command, cfg)
     print("mined " + ", ".join(f"{k}={v}" for k, v in mining.counters.items()))
     return EXIT_OK
 
 
 def cmd_export_training(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, {
-        "records": None, "objective": None, "kb": None, "kb_manifest": None,
-        "queries": None, "char_budget": 2000, "sample": None, "seed": 0,
-        "out_dir": None,
-    })
+    cfg = _resolve(args)
     _require(cfg, "records", "objective", "queries")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
-    record_paths = cfg["records"]
-    if isinstance(record_paths, str):
-        record_paths = [record_paths]
-    records = []
-    for path in record_paths:
-        records.extend(read_records(path))
+    paths = [cfg["records"]] if isinstance(cfg["records"], str) else cfg["records"]
+    records = [record for path in paths for record in read_records(path)]
     out = _out_dir(cfg)
     out_path = out / f"training_{cfg['objective']}.jsonl"
     count = export_training(
         records, cfg["objective"], out_path, kb, queries,
-        char_budget=int(cfg["char_budget"]),
-        sample=None if cfg["sample"] is None else int(cfg["sample"]),
-        seed=int(cfg["seed"]),
+        char_budget=cfg["char_budget"], sample=cfg["sample"], seed=cfg["seed"],
     )
     _write_run_config(out, "export-training", cfg)
     print(f"wrote {out_path} ({count} records)")
     return EXIT_OK
-
-
-def _score_defaults() -> dict:
-    return {
-        "traces": None, "queries": None, "retrievals": None,
-        "kb": None, "kb_manifest": None, "ks": "1,2,5,10", "tolerance": 0.05,
-        "stratum_mode": "disjoint", "no_url_dedup": False, "plugin": None,
-        "out_dir": None,
-    }
 
 
 def _score(cfg: dict):
@@ -501,26 +525,26 @@ def _score(cfg: dict):
     traces = read_traces(cfg["traces"])
     results = read_results(cfg["retrievals"])
     plugin = PluginScorer(cfg["plugin"]) if cfg.get("plugin") else None
-    scored = score_run(
-        traces, queries, results, _url_map(kb),
-        ks=_parse_int_list(cfg["ks"], "--ks"),
-        tolerance=float(cfg["tolerance"]),
-        dedup=not cfg["no_url_dedup"],
-        stratum_mode=cfg["stratum_mode"],
-        plugin=plugin,
-    )
+    scored = score_run(traces, queries, results, _url_map(kb), plugin=plugin, **_score_options(cfg))
     return scored, queries
+
+
+def _score_options(cfg: dict) -> dict:
+    """score_run's keyword arguments from --ks, --tolerance, --no-url-dedup and --stratum-mode."""
+    return {
+        "ks": _parse_int_list(cfg["ks"], "--ks"), "tolerance": float(cfg["tolerance"]),
+        "dedup": not cfg["no_url_dedup"], "stratum_mode": cfg["stratum_mode"],
+    }
 
 
 def _print_report(scored) -> None:
     report = scored.report
-    recall = "  ".join(f"Recall@{k} {v:.3f}" for k, v in report.recall.items())
-    print(recall)
+    print("  ".join(f"Recall@{k} {v:.3f}" for k, v in report.recall.items()))
     print(f"accuracy_overall {report.accuracy_overall:.4f} (n={report.total})")
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _score_defaults())
+    cfg = _resolve(args)
     scored, _queries = _score(cfg)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
@@ -532,9 +556,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    defaults = _score_defaults()
-    defaults["compare_to"] = None
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     scored, queries = _score(cfg)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
@@ -552,14 +574,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    defaults = _run_defaults()
-    defaults.update({
-        "variant": "core", "core_mode": "staged", "top_m": "1,2,5",
-        "ks": "1,2,5,10", "tolerance": 0.05, "stratum_mode": "disjoint",
-        "no_url_dedup": False,
-    })
-    del defaults["top_k"]
-    cfg = _resolve(args, defaults)
+    cfg = _resolve(args)
     _require(cfg, "queries", "retrievals")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
@@ -570,27 +585,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     url_map = _url_map(kb)
 
     top_ms = _parse_int_list(cfg["top_m"], "--top-m")
+    options = _score_options(cfg)
     rows = []
     any_failed = False
     baseline = None
     for m in top_ms:
         runner = PipelineRunner(
-            kb, backend, top_k=m, char_budget=int(cfg["char_budget"]),
-            core_mode=cfg["core_mode"],
+            kb, backend, top_k=m, char_budget=cfg["char_budget"], core_mode=cfg["core_mode"],
         )
-        traces = runner.run_many(
-            cfg["variant"], queries, results, workers=_workers(cfg),
-        )
+        traces = runner.run_many(cfg["variant"], queries, results, workers=_workers(cfg))
         any_failed = any_failed or has_failures(traces)
         write_traces(traces, out / f"traces_top{m}.jsonl",
                      include_transcripts=not cfg["no_transcripts"])
-        scored = score_run(
-            traces, queries, results_list, url_map,
-            ks=_parse_int_list(cfg["ks"], "--ks"),
-            tolerance=float(cfg["tolerance"]),
-            dedup=not cfg["no_url_dedup"],
-            stratum_mode=cfg["stratum_mode"],
-        )
+        scored = score_run(traces, queries, results_list, url_map, **options)
         write_report_json(scored.report, out / f"report_top{m}.json")
         if baseline is None:
             baseline = scored.report
@@ -610,58 +617,58 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------
 
 
-def _add_config_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; keys are flag names (CLI flags win)")
+# Flags shared by several subcommands, in help order. A (name, overrides)
+# entry changes a flag's row for one subcommand.
+_KB = ("kb", "kb_manifest")
+_RUN_SHARED = (
+    *_KB, "queries", "retrievals", "mock_script", "endpoint_config", "max_in_flight",
+    "char_budget", "workers", "no_transcripts", "out_dir",
+)
+_SCORE_SHARED = (
+    "traces", "queries", ("retrievals", {"help": "retrieval results JSONL"}), *_KB,
+    "ks", "tolerance", "stratum_mode", "no_url_dedup", "plugin", "out_dir",
+)
+
+# Subcommand -> (handler, help line, flags in help order). Every subcommand
+# also takes --config, listed last.
+COMMANDS = {
+    "ingest": (cmd_ingest, "validate and normalize KB entries and queries",
+               (*_KB, "queries", "out_dir")),
+    "index": (cmd_index, "build and save the flat retrieval index",
+              (*_KB, "kb_embeddings", "out_dir")),
+    "retrieve": (cmd_retrieve, "run top-k retrieval for all queries", (
+        *_KB, "kb_embeddings", "index", "queries", "query_manifest", "query_embeddings",
+        "k", "no_url_dedup", "out_dir",
+    )),
+    "run": (cmd_run, "execute one pipeline variant over all queries",
+            ("variant", "core_mode", "top_k", *_RUN_SHARED)),
+    "probe-unimodal": (cmd_probe_unimodal, "run image-only and text-only entry selection probes",
+                       ("top_k", *_RUN_SHARED)),
+    "mine-prki": (cmd_mine_prki, "mine answer-inconsistency training buckets (d_int, d_ext)",
+                  ("traces_int", "traces_ext", "queries", "tolerance", "out_dir")),
+    "mine-vtki": (cmd_mine_vtki, "mine selection-inconsistency training buckets (d_v, d_t)",
+                  ("probe_traces", *_KB, "queries", "out_dir")),
+    "export-training": (
+        cmd_export_training, "render mined records into training JSONL for one objective",
+        ("records", "objective", *_KB, "queries", "char_budget", "sample", "seed", "out_dir"),
+    ),
+    "score": (cmd_score, "score a run: verdicts plus metric report", _SCORE_SHARED),
+    "report": (cmd_report, "write report tables, optionally against a baseline",
+               ("compare_to", *_SCORE_SHARED)),
+    "sweep": (cmd_sweep, "run and score one variant at several top-m values", (
+        "top_m",
+        ("variant", {"choices": SWEEP_VARIANTS, "default": "core",
+                     "help": "pipeline variant to sweep"}),
+        "core_mode", "ks", "tolerance", "stratum_mode", "no_url_dedup", *_RUN_SHARED,
+    )),
+}
 
 
-def _add_kb_flags(p: argparse.ArgumentParser, embeddings: bool = False) -> None:
-    p.add_argument("--kb", help="knowledge entries JSONL")
-    p.add_argument("--kb-manifest", help="embedding manifest JSON for the entries")
-    if embeddings:
-        p.add_argument("--kb-embeddings", help="entry embedding matrix (raw little-endian float32)")
-
-
-def _add_out_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out-dir", help="directory for all outputs (created if missing)")
-
-
-def _add_backend_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mock-script", help="scripted mock backend JSONL keyed by (query_id, stage)")
-    p.add_argument("--endpoint-config", help="HTTP backend endpoint config JSON")
-    p.add_argument("--max-in-flight", type=int,
-                   help=f"max concurrent backend calls (default: {DEFAULT_MAX_IN_FLIGHT})")
-
-
-def _add_run_shared_flags(p: argparse.ArgumentParser) -> None:
-    _add_kb_flags(p)
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--retrievals", help="retrieval results JSONL from the retrieve step")
-    _add_backend_flags(p)
-    p.add_argument("--char-budget", type=int,
-                   help="per-entry content truncation budget in characters (default: 2000)")
-    p.add_argument("--workers", type=int,
-                   help="worker threads (default and maximum: --max-in-flight)")
-    p.add_argument("--no-transcripts", action="store_true", default=None,
-                   help="omit per-stage transcripts from trace output")
-    _add_out_flag(p)
-    _add_config_flag(p)
-
-
-def _add_score_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--traces", help="trace JSONL from a run")
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--retrievals", help="retrieval results JSONL")
-    _add_kb_flags(p)
-    p.add_argument("--ks", help="comma-separated recall cutoffs (default: 1,2,5,10)")
-    p.add_argument("--tolerance", type=float,
-                   help="relative tolerance for numeric answers (default: 0.05)")
-    p.add_argument("--stratum-mode", choices=["disjoint", "cumulative"],
-                   help="gold-rank stratum buckets (default: disjoint)")
-    p.add_argument("--no-url-dedup", action="store_true", default=None,
-                   help="rank duplicate entry URLs separately instead of collapsing them")
-    p.add_argument("--plugin", help="external answer-equivalence scorer command")
-    _add_out_flag(p)
-    _add_config_flag(p)
+def _add_flag(p: argparse.ArgumentParser, name: str, row: dict) -> None:
+    kwargs = {key: value for key, value in row.items() if key != "default"}
+    if row.get("default") is not None and row.get("action") != "store_true":
+        kwargs["help"] += f" (default: {row['default']})"
+    p.add_argument("--" + name.replace("_", "-"), **kwargs, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -671,110 +678,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "inconsistency mining, and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("ingest", help="validate and normalize KB entries and queries")
-    _add_kb_flags(p)
-    p.add_argument("--queries", help="queries JSONL")
-    _add_out_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("index", help="build and save the flat retrieval index")
-    _add_kb_flags(p, embeddings=True)
-    _add_out_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("retrieve", help="run top-k retrieval for all queries")
-    _add_kb_flags(p, embeddings=True)
-    p.add_argument("--index", help="saved index.npz from `kbvqa index`; its sha256 digests must "
-                                   "match --kb, --kb-manifest and --kb-embeddings if given")
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--query-manifest", help="embedding manifest JSON for the queries")
-    p.add_argument("--query-embeddings", help="query embedding matrix (raw little-endian float32)")
-    p.add_argument("--k", type=int, help="hits to keep per query (default: 10)")
-    p.add_argument("--no-url-dedup", action="store_true", default=None,
-                   help="rank duplicate entry URLs separately instead of collapsing them")
-    _add_out_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_retrieve)
-
-    p = sub.add_parser("run", help="execute one pipeline variant over all queries")
-    p.add_argument("--variant", choices=list(RUN_VARIANTS), help="pipeline variant to run")
-    p.add_argument("--core-mode", choices=["staged", "single"],
-                   help="core execution mode (default: staged)")
-    p.add_argument("--top-k", type=int,
-                   help="retrieved entries per prompt, 1..5 (default: 5)")
-    _add_run_shared_flags(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("probe-unimodal",
-                       help="run image-only and text-only entry selection probes")
-    p.add_argument("--top-k", type=int,
-                   help="retrieved entries per prompt, 1..5 (default: 5)")
-    _add_run_shared_flags(p)
-    p.set_defaults(func=cmd_probe_unimodal)
-
-    p = sub.add_parser("mine-prki",
-                       help="mine answer-inconsistency training buckets (d_int, d_ext)")
-    p.add_argument("--traces-int", help="traces supplying the parametric answer")
-    p.add_argument("--traces-ext", help="traces supplying the retrieval-grounded answer")
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--tolerance", type=float,
-                   help="relative tolerance for numeric answers (default: 0.05)")
-    _add_out_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_mine_prki)
-
-    p = sub.add_parser("mine-vtki",
-                       help="mine selection-inconsistency training buckets (d_v, d_t)")
-    p.add_argument("--probe-traces", help="probe traces JSONL")
-    _add_kb_flags(p)
-    p.add_argument("--queries", help="queries JSONL")
-    _add_out_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_mine_vtki)
-
-    p = sub.add_parser("export-training",
-                       help="render mined records into training JSONL for one objective")
-    p.add_argument("--records", nargs="+", help="mined record JSONL file(s)")
-    p.add_argument("--objective", choices=["prki", "vtki", "sft"],
-                   help="training objective to export")
-    _add_kb_flags(p)
-    p.add_argument("--queries", help="queries JSONL")
-    p.add_argument("--char-budget", type=int,
-                   help="per-entry content truncation budget in characters (default: 2000)")
-    p.add_argument("--sample", type=int, help="cap the export to a seeded random sample")
-    p.add_argument("--seed", type=int, help="sampling seed (default: 0)")
-    _add_out_flag(p)
-    _add_config_flag(p)
-    p.set_defaults(func=cmd_export_training)
-
-    p = sub.add_parser("score", help="score a run: verdicts plus metric report")
-    _add_score_shared_flags(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("report", help="write report tables, optionally against a baseline")
-    p.add_argument("--compare-to", help="baseline report.json to diff against")
-    _add_score_shared_flags(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("sweep", help="run and score one variant at several top-m values")
-    p.add_argument("--top-m", help="comma-separated top-m values (default: 1,2,5)")
-    p.add_argument("--variant", choices=list(SWEEP_VARIANTS),
-                   help="pipeline variant to sweep (default: core)")
-    p.add_argument("--core-mode", choices=["staged", "single"],
-                   help="core execution mode (default: staged)")
-    p.add_argument("--ks", help="comma-separated recall cutoffs (default: 1,2,5,10)")
-    p.add_argument("--tolerance", type=float,
-                   help="relative tolerance for numeric answers (default: 0.05)")
-    p.add_argument("--stratum-mode", choices=["disjoint", "cumulative"],
-                   help="gold-rank stratum buckets (default: disjoint)")
-    p.add_argument("--no-url-dedup", action="store_true", default=None,
-                   help="rank duplicate entry URLs separately instead of collapsing them")
-    _add_run_shared_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
+    for command, (handler, help_line, entries) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        rows = {}
+        for entry in entries:
+            name, overrides = entry if isinstance(entry, tuple) else (entry, {})
+            rows[name] = {**FLAGS[name], **overrides}
+            _add_flag(p, name, rows[name])
+        _add_flag(p, "config", FLAGS["config"])
+        # _resolve reads each flag's default and config check from these rows.
+        p.set_defaults(func=handler, flag_rows=rows)
     return parser
 
 
@@ -783,10 +696,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KbvqaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (KbvqaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

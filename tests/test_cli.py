@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -231,6 +232,74 @@ class TestConfigFile:
                                       ["--config", str(cfg)]))
         assert rc == 2
         assert "must hold a JSON object" in capsys.readouterr().err
+
+    def _run_args(self, ws, bundle, out, extra=()):
+        return [
+            "run", "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--mock-script", str(bundle.mock_script), "--out-dir", str(out), *extra,
+        ]
+
+    @pytest.mark.parametrize("command, values, message", [
+        # a variant that --variant does not offer
+        ("run", {"variant": "probe"},
+         "config key 'variant' must be one of param, oracle, one_stage, two_stage, mmstar, "
+         "core, got \"probe\""),
+        # a string where the flag takes an integer
+        ("run", {"variant": "core", "workers": "2"},
+         "config key 'workers' must be an integer, got \"2\""),
+        # a string where the flag is a switch
+        ("retrieve", {"no_url_dedup": "false"},
+         "config key 'no_url_dedup' must be true or false, got \"false\""),
+        # a fraction where the flag takes an integer
+        ("retrieve", {"k": 2.9}, "config key 'k' must be an integer, got 2.9"),
+        ("retrieve", {"k": "3"}, "config key 'k' must be an integer, got \"3\""),
+        ("retrieve", {"k": True}, "config key 'k' must be an integer, got true"),
+        ("retrieve", {"k": None}, "config key 'k' must be an integer, got null"),
+    ], ids=["variant-probe", "workers-string", "switch-string", "k-fraction", "k-string",
+            "k-bool", "k-null"])
+    def test_config_value_checked_against_flag(self, ws, bundle, tmp_path, capsys,
+                                               command, values, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        make_args = (functools.partial(self._run_args, ws) if command == "run"
+                     else self._retrieve_args)
+        assert main(make_args(bundle, out, ["--config", str(cfg)])) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, values", [
+        ("retrieve", {"no_url_dedup": True, "k": 3}),
+        ("sweep", {"variant": "mmstar", "tolerance": 1, "ks": "1,2"}),
+        ("score", {"tolerance": 0.1, "stratum_mode": "cumulative"}),
+        ("export-training", {"records": "d_int.jsonl", "objective": "sft", "sample": 4}),
+        ("export-training", {"records": ["d_int.jsonl", "d_ext.jsonl"]}),
+    ])
+    def test_config_values_of_the_flag_types_resolve(self, command, values, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        resolved = cli_module._resolve(args)
+        assert {key: resolved[key] for key in values} == values
+
+    @pytest.mark.parametrize("command, values", [
+        ("sweep", {"variant": "param"}),
+        ("score", {"stratum_mode": "nested"}),
+        ("score", {"tolerance": "0.1"}),
+        ("export-training", {"records": []}),
+        ("export-training", {"records": ["d_int.jsonl", 3]}),
+        ("export-training", {"objective": "dpo"}),
+        ("ingest", {"kb": 3}),
+    ])
+    def test_config_values_outside_the_flag_rejected(self, command, values, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = build_parser().parse_args([command, "--config", str(cfg)])
+        key = next(iter(values))
+        with pytest.raises(cli_module.IngestError, match=f"config key '{key}' must be"):
+            cli_module._resolve(args)
 
 
 class TestIndexFile:
