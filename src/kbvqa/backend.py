@@ -15,7 +15,7 @@ import os
 import stat
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
@@ -83,18 +83,14 @@ class Backend:
     ) -> list[BackendResponse | BackendError]:
         if max_in_flight <= 0:
             raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
-        if not reqs:
-            return []
-        slots: list[BackendResponse | BackendError | None] = [None] * len(reqs)
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            futures = {pool.submit(self.generate, req): i for i, req in enumerate(reqs)}
-            for future in as_completed(futures):
-                i = futures[future]
-                try:
-                    slots[i] = future.result()
-                except BackendError as exc:
-                    slots[i] = exc
-        return slots  # type: ignore[return-value]
+            return list(pool.map(self._generate_or_error, reqs))
+
+    def _generate_or_error(self, req: BackendRequest) -> BackendResponse | BackendError:
+        try:
+            return self.generate(req)
+        except BackendError as exc:
+            return exc
 
 
 class MockBackend(Backend):
