@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import zipfile
-from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -180,7 +179,9 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _write_run_config(out: Path, command: str, cfg: dict) -> None:
-    payload = {"command": command, **{key: cfg[key] for key in sorted(cfg)}}
+    payload = {"command": command}
+    for key in sorted(cfg):
+        payload[key] = cfg[key]
     (out / "run_config.json").write_text(
         json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -258,8 +259,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     export_kb(kb, out / "entries_normalized.jsonl")
     export_queries(queries, out / "queries_normalized.jsonl")
-    splits = Counter(q.split_tag for q in queries)
-    summary = {"entries": len(kb), "queries": len(queries), "splits": dict(sorted(splits.items()))}
+    splits: dict[str, int] = {}
+    for q in queries:
+        splits[q.split_tag] = splits.get(q.split_tag, 0) + 1
+    summary = {
+        "entries": len(kb),
+        "queries": len(queries),
+        "splits": dict(sorted(splits.items())),
+    }
     (out / "ingest_summary.json").write_text(
         json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
@@ -425,10 +432,11 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     dedup = not cfg["no_url_dedup"]
     if all(q.gold_entry_url for q in queries):
         url_map = dict(zip(index.entry_ids, urls))
-        print("  ".join(
-            f"Recall@{kk} {recall_at_k(results, queries, kk, url_map, dedup=dedup):.3f}"
-            for kk in DEFAULT_RECALL_KS if kk <= k
-        ))
+        parts = []
+        for kk in DEFAULT_RECALL_KS:
+            if kk <= k:
+                parts.append(f"Recall@{kk} {recall_at_k(results, queries, kk, url_map, dedup=dedup):.3f}")
+        print("  ".join(parts))
     else:
         missing = sum(1 for q in queries if not q.gold_entry_url)
         print(f"recall skipped ({missing} queries lack gold_entry_url)")
@@ -505,8 +513,12 @@ def cmd_export_training(args: argparse.Namespace) -> int:
     _require(cfg, "records", "objective", "queries")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
-    paths = [cfg["records"]] if isinstance(cfg["records"], str) else cfg["records"]
-    records = [record for path in paths for record in read_records(path)]
+    record_paths = cfg["records"]
+    if isinstance(record_paths, str):
+        record_paths = [record_paths]
+    records = []
+    for path in record_paths:
+        records.extend(read_records(path))
     out = _out_dir(cfg)
     out_path = out / f"training_{cfg['objective']}.jsonl"
     count = export_training(
