@@ -18,14 +18,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
 from .kb import read_jsonl
 from .prompts import MessageSequence, TextPart
-
-if TYPE_CHECKING:
-    import requests
 
 # 512 tokens for the multi-step reasoning variants, 64 elsewhere.
 LONG_OUTPUT_VARIANTS = frozenset({"mmstar", "core"})
@@ -173,13 +170,6 @@ class EndpointConfig:
         return self.base_url.rstrip("/") + "/" + self.path.lstrip("/")
 
 
-def _requests():
-    """The requests package, imported on first use: only HTTP runs pay for it."""
-    import requests
-
-    return requests
-
-
 def _local_file_size(image_ref: str) -> int | None:
     """The size of the regular file image_ref names, or None for a URI."""
     try:
@@ -223,9 +213,10 @@ class StreamedBody:
 
     JSON literals go out as they are; each local image is read and
     base64-encoded IMAGE_BLOCK_BYTES at a time. Image files are sized when
-    the body is made, so len() is known and requests sends a Content-Length
-    rather than chunked encoding; a file whose size has changed by the time
-    it is sent raises BackendError. Iterating again reads the files again.
+    the body is made, so len() is known and the body goes out with a
+    Content-Length rather than chunked encoding; a file whose size has
+    changed by the time it is sent raises BackendError. Iterating again
+    reads the files again.
     """
 
     def __init__(self, config: EndpointConfig, req: BackendRequest):
@@ -281,28 +272,6 @@ def _base64_blocks(path: str, size: int) -> Iterator[bytes]:
         raise BackendError(f"image {path} changed size while being sent (was {size} bytes)")
 
 
-def _endpoint_session(url: str, max_in_flight: int) -> requests.Session:
-    """A session for one endpoint that reads the environment once.
-
-    requests would look up proxies, the CA bundle and netrc auth on every
-    call; here they are resolved for url now, set on the session, and
-    trust_env is turned off. The pool keeps max_in_flight connections, so
-    that many concurrent calls each keep theirs.
-    """
-    requests = _requests()
-    session = requests.Session()
-    env = session.merge_environment_settings(url, {}, None, None, None)
-    session.proxies = env["proxies"]
-    session.verify = env["verify"]
-    session.auth = requests.utils.get_netrc_auth(url)
-    session.trust_env = False
-    session.headers["Content-Type"] = "application/json"
-    adapter = requests.adapters.HTTPAdapter(pool_maxsize=max_in_flight)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
-
-
 def _retry_wait(backoff_s: float, retry_after: str | None, cap_s: float) -> float:
     """Seconds before the next attempt: a Retry-After of delta-seconds
     (RFC 9110 section 10.2.3) replaces the backoff, capped at cap_s; an
@@ -322,18 +291,25 @@ class HttpBackend(Backend):
     of delta-seconds replaces that step's backoff. Other client errors and
     malformed bodies surface immediately: retrying them cannot help.
 
+    Redirects are not followed: a 3xx fails at once, naming its Location.
+
     Each attempt streams a fresh StreamedBody. Without an injected session
-    the backend builds one with _endpoint_session; an injected session is
-    used as given, so it must send ``Content-Type: application/json`` itself.
+    the backend posts through a transport.Transport that keeps up to
+    max_in_flight idle connections. A session is anything with the
+    Transport.post signature whose reply has status_code, headers.get, text
+    and json(); it is used as given, so it must send
+    ``Content-Type: application/json`` itself.
     """
 
-    def __init__(self, config: EndpointConfig, session: requests.Session | None = None,
+    def __init__(self, config: EndpointConfig, session=None,
                  max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
         if max_in_flight <= 0:
             raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
         self.config = config
         if session is None:
-            session = _endpoint_session(config.url, max_in_flight)
+            from .transport import Transport  # only HTTP runs load the stdlib HTTP stack
+
+            session = Transport(config.url, max_in_flight)
         self._session = session
 
     def _headers(self) -> dict[str, str]:
@@ -345,7 +321,8 @@ class HttpBackend(Backend):
         return headers
 
     def generate(self, req: BackendRequest) -> BackendResponse:
-        requests = _requests()
+        from http.client import HTTPException
+
         tag = f"query_id={req.query_id!r} stage={req.stage!r}"
         attempts = 1 + len(RETRY_BACKOFFS_S)
         last_error: BackendError | None = None
@@ -360,13 +337,13 @@ class HttpBackend(Backend):
                     self.config.url, data=StreamedBody(self.config, req),
                     headers=self._headers(), timeout=self.config.timeout_s,
                 )
-            except requests.Timeout:
+            except TimeoutError:
                 last_error = BackendError(
                     f"timeout after {self.config.timeout_s}s on attempt "
                     f"{attempt}/{attempts} for {tag}"
                 )
                 continue
-            except (requests.RequestException, BackendError) as exc:
+            except (OSError, HTTPException, BackendError) as exc:
                 raise BackendError(f"request failed for {tag}: {exc}") from exc
             latency_ms = (time.monotonic() - started) * 1000.0
             if resp.status_code == 429 or resp.status_code >= 500:
@@ -376,6 +353,11 @@ class HttpBackend(Backend):
                 )
                 wait = _retry_wait(wait, resp.headers.get("Retry-After"), self.config.timeout_s)
                 continue
+            if 300 <= resp.status_code < 400:
+                raise BackendError(
+                    f"redirect {resp.status_code} to {resp.headers.get('Location')!r} for {tag}:"
+                    " redirects are not followed"
+                )
             if resp.status_code != 200:
                 raise BackendError(
                     f"client error {resp.status_code} for {tag}: {resp.text[:200]}"

@@ -47,7 +47,8 @@ from .metrics import (
 )
 from .mining import OBJECTIVES, export_training, mine_prki, mine_vtki, read_records, write_records
 from .pipeline import (
-    CORE_MODES, PipelineRunner, has_failures, needs_retrieval, read_traces, write_traces,
+    CORE_MODES, MAX_TOP_K, PipelineRunner, has_failures, needs_retrieval, read_traces,
+    write_traces,
 )
 from .prompts import DEFAULT_CHAR_BUDGET
 from .retrieval import (
@@ -231,13 +232,17 @@ def _backend(cfg: dict):
     return HttpBackend(EndpointConfig.from_json_file(endpoint), max_in_flight=_max_in_flight(cfg))
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, flag: str, high: int | None = None) -> tuple[int, ...]:
+    """Comma-separated integers, each at least 1 and at most high."""
     try:
         values = tuple(int(part) for part in str(text).split(",") if part.strip())
     except ValueError as exc:
         raise IngestError(f"{flag} expects comma-separated integers, got {text!r}") from exc
     if not values:
         raise IngestError(f"{flag} is empty")
+    if any(v < 1 or (high is not None and v > high) for v in values):
+        allowed = "positive" if high is None else f"within 1..{high}"
+        raise IngestError(f"{flag} values must be {allowed}, got {text!r}")
     return values
 
 
@@ -587,6 +592,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    top_ms = _parse_int_list(cfg["top_m"], "--top-m", high=MAX_TOP_K)
+    options = _score_options(cfg)
     _require(cfg, "queries", "retrievals")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
@@ -596,8 +603,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(cfg)
     url_map = _url_map(kb)
 
-    top_ms = _parse_int_list(cfg["top_m"], "--top-m")
-    options = _score_options(cfg)
     rows = []
     any_failed = False
     baseline = None

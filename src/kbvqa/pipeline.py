@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .answers import bracket_spans, extract_answer, normalize_answer, parse_reference_letter
+from .answers import (
+    REFERENCE_LETTERS, bracket_spans, extract_answer, normalize_answer, parse_reference_letter,
+)
 from .backend import Backend, BackendRequest, max_new_tokens_for
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query, read_jsonl, write_jsonl
@@ -23,6 +25,9 @@ from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
 CORE_MODES = ("staged", "single")
+
+# Prompts letter their reference entries A..E, so at most five go in one prompt.
+MAX_TOP_K = len(REFERENCE_LETTERS)
 
 
 @dataclass(frozen=True)
@@ -172,8 +177,8 @@ class PipelineRunner:
     ):
         if core_mode not in CORE_MODES:
             raise ValueError(f"core_mode must be one of {CORE_MODES}, got {core_mode!r}")
-        if not 1 <= top_k <= 5:
-            raise ValueError(f"top_k must be within 1..5 for prompting, got {top_k}")
+        if not 1 <= top_k <= MAX_TOP_K:
+            raise ValueError(f"top_k must be within 1..{MAX_TOP_K} for prompting, got {top_k}")
         self.kb = kb
         self.backend = backend
         self.top_k = top_k

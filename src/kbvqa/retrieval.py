@@ -152,8 +152,10 @@ def search_batch(
     for start in range(0, len(queries), step):
         block = np.stack(queries[start:start + step])
         scores = block.astype(np.float32) @ index.matrix.T
-        kth = np.partition(scores, n - top, axis=1)[:, n - top]
-        for q, row_scores, t, qid in zip(block, scores, kth, query_ids[start:start + step]):
+        for q, row_scores, qid in zip(block, scores, query_ids[start:start + step]):
+            # Partitioning a copy of one row, not of the whole block, keeps
+            # the block's working set to the scores themselves.
+            t = np.partition(row_scores, n - top)[n - top]
             cand = np.flatnonzero(row_scores >= t - slack)
             # Elementwise products and a per-row sum: a row's score does not
             # depend on its position, so identical rows tie exactly.

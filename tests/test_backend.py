@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.client
+import io
 import json
 import random
 import re
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
-import requests
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,8 +27,9 @@ from kbvqa.backend import (
 )
 from kbvqa.errors import BackendError, IngestError, ScriptKeyError
 from kbvqa.prompts import ImagePart, MessageSequence, TextPart
+from kbvqa.transport import Reply
 
-from http_stub import LocalServer
+from http_stub import ConnectProxy, LocalServer
 
 
 def _req(query_id="q1", stage="param_gen", text="Question: ", image="img/a.jpg",
@@ -233,7 +237,7 @@ class TestHttpRetry:
         assert no_sleep == [0.5, 1.0]
 
     def test_timeout_exhausts_after_three_retries(self, no_sleep):
-        session = FakeSession([requests.Timeout("t")] * 4)
+        session = FakeSession([TimeoutError("t")] * 4)
         backend = HttpBackend(CONFIG, session=session)
         with pytest.raises(BackendError, match="attempt 4/4"):
             backend.generate(_req())
@@ -248,7 +252,7 @@ class TestHttpRetry:
         assert len(session.calls) == 1 and no_sleep == []
 
     def test_connection_error_fails_immediately(self, no_sleep):
-        session = FakeSession([requests.ConnectionError("refused")])
+        session = FakeSession([ConnectionRefusedError("refused")])
         backend = HttpBackend(CONFIG, session=session)
         with pytest.raises(BackendError, match="request failed"):
             backend.generate(_req())
@@ -269,7 +273,7 @@ class TestHttpRetry:
 
     def test_mixed_timeout_then_5xx_then_ok(self, no_sleep):
         session = FakeSession([
-            requests.Timeout("t"),
+            TimeoutError("t"),
             FakeResponse(status_code=502, payload={}),
             FakeResponse(payload=_ok_payload("done")),
         ])
@@ -321,7 +325,7 @@ class TestHttpRetry:
         req = _req(image=str(img))
         session = FakeSession([
             FakeResponse(status_code=503, payload={}),
-            requests.Timeout("t"),
+            TimeoutError("t"),
             FakeResponse(payload=_ok_payload()),
         ])
         HttpBackend(CONFIG, session=session).generate(req)
@@ -483,3 +487,116 @@ def test_proxy_and_netrc_are_read_once_at_construction(tmp_path, monkeypatch):
     assert [r["target"] for r in proxy.requests] == [target + "/v1/chat/completions"] * 2
     basic = "Basic " + base64.b64encode(b"user:secret").decode()
     assert [r["headers"]["Authorization"] for r in proxy.requests] == [basic] * 2
+
+
+# -- the stdlib transport ----------------------------------------------------
+
+CERT = Path(__file__).resolve().parent / "certs" / "127.0.0.1.pem"
+CERT_KEY = CERT.with_suffix(".key")
+URI_IMAGE = "https://img.example/a.jpg"
+
+
+@pytest.fixture
+def clean_env(monkeypatch):
+    """No proxy, CA bundle or netrc from the caller's environment."""
+    for name in ("NO_PROXY", "no_proxy", "ALL_PROXY", "all_proxy", "HTTP_PROXY", "http_proxy",
+                 "HTTPS_PROXY", "https_proxy", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NETRC", "/nonexistent/netrc")
+    return monkeypatch
+
+
+def test_api_key_beats_netrc_for_the_endpoint(tmp_path, clean_env):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login user password secret\n")
+    clean_env.setenv("NETRC", str(netrc))
+    clean_env.setenv("MYKEY", "sk-mine")
+    with LocalServer() as server:
+        cfg = EndpointConfig(base_url=server.url, api_key_env="MYKEY")
+        assert HttpBackend(cfg).generate(_req(image=URI_IMAGE)).text == "ok"
+    headers = server.requests[0]["headers"]
+    assert headers["Authorization"] == "Bearer sk-mine"
+    assert headers["User-Agent"] == "kbvqa/0.1.0"
+    assert headers["Accept-Encoding"] == "identity"
+
+
+def test_server_closing_idle_connections_gets_a_new_one(clean_env):
+    """The server closes each connection after replying, without saying so;
+    the next call notices before sending and opens a new connection."""
+    with LocalServer(close_after_reply=True) as server:
+        backend = HttpBackend(EndpointConfig(base_url=server.url))
+        for _ in range(3):
+            assert backend.generate(_req(image=URI_IMAGE)).text == "ok"
+            time.sleep(0.05)  # the close reaches the client while it is idle
+    assert len({r["port"] for r in server.requests}) == 3
+
+
+def test_body_error_mid_send_closes_the_connection(tmp_path, clean_env, monkeypatch):
+    img = tmp_path / "img.bin"
+    img.write_bytes(b"x" * (3 * IMAGE_BLOCK_BYTES))
+    req = _req(image=str(img))
+    stale = StreamedBody(CONFIG, req)
+    img.write_bytes(b"x" * IMAGE_BLOCK_BYTES)
+    with LocalServer() as server:
+        backend = HttpBackend(EndpointConfig(base_url=server.url))
+        assert backend.generate(_req(image=URI_IMAGE)).text == "ok"
+        with monkeypatch.context() as m:
+            m.setattr("kbvqa.backend.StreamedBody", lambda config, r: stale)
+            with pytest.raises(BackendError, match="request failed.*changed size") as failure:
+                backend.generate(req)
+        # Closed at once, not when the traceback lets go of it: the server
+        # reads the cut-short body to its end.
+        deadline = time.monotonic() + 5
+        while len(server.requests) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(server.requests) == 2, failure
+        assert backend.generate(req).text == "ok"
+    ports = [r["port"] for r in server.requests]
+    assert ports[0] == ports[1] != ports[2]
+
+
+def test_redirect_fails_once_without_following(clean_env):
+    with LocalServer(status=302, headers={"Location": "http://127.0.0.1:9/elsewhere"}) as server:
+        backend = HttpBackend(EndpointConfig(base_url=server.url))
+        with pytest.raises(BackendError, match=r"redirect 302 to 'http://127\.0\.0\.1:9/elsewhere'"):
+            backend.generate(_req(image=URI_IMAGE))
+    assert len(server.requests) == 1
+
+
+def test_https_verifies_against_the_ca_bundle(clean_env):
+    with LocalServer(tls=(str(CERT), str(CERT_KEY))) as server:
+        assert server.url.startswith("https://")
+        clean_env.setenv("REQUESTS_CA_BUNDLE", str(CERT))
+        trusted = HttpBackend(EndpointConfig(base_url=server.url))
+        assert trusted.generate(_req(image=URI_IMAGE)).text == "ok"
+        clean_env.delenv("REQUESTS_CA_BUNDLE")
+        untrusted = HttpBackend(EndpointConfig(base_url=server.url))
+        with pytest.raises(BackendError, match="request failed"):
+            untrusted.generate(_req(image=URI_IMAGE))
+    assert len(server.requests) == 1
+
+
+def test_https_through_a_connect_proxy(clean_env):
+    with LocalServer(tls=(str(CERT), str(CERT_KEY))) as server, ConnectProxy() as proxy:
+        clean_env.setenv("REQUESTS_CA_BUNDLE", str(CERT))
+        clean_env.setenv("HTTPS_PROXY", proxy.url.replace("http://", "http://pu:pw@"))
+        backend = HttpBackend(EndpointConfig(base_url=server.url))
+        for _ in range(2):
+            assert backend.generate(_req(image=URI_IMAGE)).text == "ok"
+    host_port = server.url.removeprefix("https://")
+    assert [(t["method"], t["target"]) for t in proxy.tunnels] == [("CONNECT", host_port)]
+    assert proxy.tunnels[0]["headers"]["Proxy-Authorization"] == (
+        "Basic " + base64.b64encode(b"pu:pw").decode())
+    assert [r["target"] for r in server.requests] == ["/v1/chat/completions"] * 2
+    assert "Proxy-Authorization" not in server.requests[0]["headers"]
+
+
+@pytest.mark.parametrize("content_type, body, text", [
+    ("application/json", "café".encode(), "café"),
+    ("text/plain; charset=latin-1", "café".encode("latin-1"), "café"),
+    ("text/plain; charset=no-such-codec", b"caf\xe9", "caf\ufffd"),
+    ("application/json", b"\xff{}", "\ufffd{}"),
+])
+def test_reply_text_follows_the_charset(content_type, body, text):
+    headers = http.client.parse_headers(io.BytesIO(f"Content-Type: {content_type}\r\n\r\n".encode()))
+    assert Reply(200, headers, body).text == text

@@ -709,6 +709,35 @@ class TestExitCodes:
         assert rc == 2
         assert f"{bad}:3: not UTF-8" in err and "0xff" in err
 
+    @pytest.mark.parametrize("command", ["score", "report", "sweep"])
+    @pytest.mark.parametrize("ks", ["0,-1", "1,0", "-3"])
+    def test_non_positive_recall_cutoffs_rejected(self, ws, bundle, tmp_path, capsys,
+                                                  command, ks):
+        flags = ["--traces", str(ws.run / "traces.jsonl")] if command != "sweep" else [
+            "--variant", "core", "--mock-script", str(bundle.mock_script)]
+        rc = main([
+            command, *flags, "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+            "--ks", ks, "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"--ks values must be positive, got '{ks}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("top_m", ["1,9", "0", "2,6"])
+    def test_sweep_top_m_out_of_range_exits_before_the_first_pass(
+            self, ws, bundle, tmp_path, capsys, top_m):
+        rc = main([
+            "sweep", "--top-m", top_m, "--variant", "core", "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+            "--mock-script", str(bundle.mock_script), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"--top-m values must be within 1..5, got '{top_m}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 # id -> (role of the file under test, a field to drop, argv given the
 # workspace's paths and the bad file).
@@ -817,15 +846,21 @@ def _without_latency(value):
     return value
 
 
-def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
-    """With default flags a run holds --max-in-flight (8) calls at once, never
-    more, and writes the traces a one-worker run writes."""
+def _script_reply(bundle):
+    """A LocalServer reply that answers each core staged call from the mock script."""
     def reply(body):
         content = json.loads(body)["messages"][0]["content"]
         text = "".join(p["text"] for p in content if p["type"] == "text")
         stage = next(s for marker, s in _CORE_STAGE_MARKERS if marker in text)
         qnum = int(re.search(r"What does query (\d+) ask about", text).group(1))
         return bundle.script[(f"q{qnum:02d}", stage)]
+    return reply
+
+
+def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
+    """With default flags a run holds --max-in-flight (8) calls at once, never
+    more, and writes the traces a one-worker run writes."""
+    reply = _script_reply(bundle)
 
     def run(endpoint, label, *extra):
         assert main([
@@ -848,6 +883,32 @@ def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
     assert len(server.requests) == 2 * 4 * len(bundle.queries)
     assert concurrent == serial
     assert [t["query_id"] for t in serial] == [q["query_id"] for q in bundle.queries]
+
+
+def test_http_run_needs_no_requests_package(ws, bundle, tmp_path):
+    """A `kbvqa run` over HTTP, in a process where `import requests` fails."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    for name in ("NO_PROXY", "no_proxy", "ALL_PROXY", "all_proxy", "HTTP_PROXY", "http_proxy"):
+        env.pop(name, None)
+    code = ("import sys; sys.modules['requests'] = None; "
+            "from kbvqa.cli import main; sys.exit(main(sys.argv[1:]))")
+    endpoint = tmp_path / "endpoint.json"
+    with LocalServer(reply=_script_reply(bundle)) as server:
+        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "--variant", "core", "--core-mode", "staged",
+             "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+             "--queries", str(bundle.queries_path),
+             "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+             "--endpoint-config", str(endpoint), "--out-dir", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr
+    assert len(server.requests) == 4 * len(bundle.queries)
+    traces = read_jsonl(tmp_path / "run" / "traces.jsonl")
+    assert not any(t["failed"] for t in traces)
 
 
 class TestHelpGoldens:
