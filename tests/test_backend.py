@@ -7,6 +7,7 @@ import io
 import json
 import random
 import re
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -600,3 +601,21 @@ def test_https_through_a_connect_proxy(clean_env):
 def test_reply_text_follows_the_charset(content_type, body, text):
     headers = http.client.parse_headers(io.BytesIO(f"Content-Type: {content_type}\r\n\r\n".encode()))
     assert Reply(200, headers, body).text == text
+
+
+def test_pool_under_thread_contention(clean_env):
+    """More threads than the pool keeps, with a short switch interval: no
+    connection serves two calls at once, and the idle pool stays bounded."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with LocalServer() as server:
+            backend = HttpBackend(EndpointConfig(base_url=server.url), max_in_flight=3)
+            reqs = [_req(query_id=f"q{i}", image=URI_IMAGE) for i in range(24)]
+            for _ in range(4):
+                slots = backend.generate_batch(reqs, max_in_flight=12)
+                assert [getattr(s, "text", s) for s in slots] == ["ok"] * 24
+                assert len(backend._session._idle) <= 3
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(server.requests) == 96
