@@ -829,6 +829,22 @@ def test_cli_import_leaves_requests_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_http_stack_unloaded():
+    """Commands that never talk to an endpoint do not pay for loading
+    http.client, ssl and urllib.request: every command imports kbvqa.cli."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    modules = ("kbvqa.transport", "http.client", "ssl", "urllib.request")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, kbvqa.cli; print([m for m in {modules!r} if m in sys.modules])"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # Core stage recognised by a phrase only its template contains.
 _CORE_STAGE_MARKERS = (
     ("Answer from Step 1:", "core_reconcile"),
