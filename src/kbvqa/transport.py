@@ -16,6 +16,7 @@ import select
 import ssl
 import threading
 import urllib.request
+import weakref
 from typing import TYPE_CHECKING, Mapping
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
@@ -73,6 +74,11 @@ def _dropped(sock) -> bool:
     return bool(poller.poll(0))
 
 
+def _close_all(conns: list[http.client.HTTPConnection]) -> None:
+    while conns:
+        conns.pop().close()
+
+
 class Reply:
     """A response as HttpBackend reads it: status_code, headers.get, text, json()."""
 
@@ -108,6 +114,8 @@ class Transport:
         self._max_idle = max_idle
         self._idle: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
+        # Idle connections are closed when the transport is collected.
+        weakref.finalize(self, _close_all, self._idle)
         self._headers = {"Content-Type": "application/json", "Accept-Encoding": "identity",
                          "User-Agent": f"kbvqa/{__version__}"}
         self._auth = _url_auth(parts) or _netrc_auth(parts.hostname)

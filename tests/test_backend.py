@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import gc
 import hashlib
 import http.client
 import io
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kbvqa
 from kbvqa.backend import (
     IMAGE_BLOCK_BYTES,
     BackendRequest,
@@ -517,7 +519,7 @@ def test_api_key_beats_netrc_for_the_endpoint(tmp_path, clean_env):
         assert HttpBackend(cfg).generate(_req(image=URI_IMAGE)).text == "ok"
     headers = server.requests[0]["headers"]
     assert headers["Authorization"] == "Bearer sk-mine"
-    assert headers["User-Agent"] == "kbvqa/0.1.0"
+    assert headers["User-Agent"] == f"kbvqa/{kbvqa.__version__}"
     assert headers["Accept-Encoding"] == "identity"
 
 
@@ -619,3 +621,13 @@ def test_pool_under_thread_contention(clean_env):
     finally:
         sys.setswitchinterval(interval)
     assert len(server.requests) == 96
+
+
+def test_idle_connections_close_with_the_backend(clean_env):
+    with LocalServer() as server:
+        backend = HttpBackend(EndpointConfig(base_url=server.url))
+        assert backend.generate(_req(image=URI_IMAGE)).text == "ok"
+        sock = backend._session._idle[0].sock
+        del backend
+        gc.collect()
+        assert sock.fileno() == -1
