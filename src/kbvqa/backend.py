@@ -31,6 +31,8 @@ LONG_MAX_NEW_TOKENS = 512
 
 # One initial attempt plus one retry per backoff value: timeouts, 429 and 5xx.
 RETRY_BACKOFFS_S = (0.5, 1.0, 2.0)
+# The backoff wait; tests replace this name, not the process-wide time.sleep.
+_sleep = time.sleep
 
 # Backend calls a run keeps in flight unless told otherwise (--max-in-flight).
 DEFAULT_MAX_IN_FLIGHT = 8
@@ -329,7 +331,7 @@ class HttpBackend(Backend):
         wait = 0.0
         for attempt in range(1, attempts + 1):
             if attempt > 1:
-                time.sleep(wait)
+                _sleep(wait)
             wait = RETRY_BACKOFFS_S[attempt - 1] if attempt < attempts else 0.0
             started = time.monotonic()
             try:

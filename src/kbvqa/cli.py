@@ -22,9 +22,7 @@ import os
 import sys
 import zipfile
 from pathlib import Path
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .backend import DEFAULT_MAX_IN_FLIGHT, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
@@ -54,6 +52,9 @@ from .prompts import DEFAULT_CHAR_BUDGET
 from .retrieval import (
     DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -307,6 +308,8 @@ def _sha256(path: str) -> str:
 
 def _pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     """Strings as one UTF-8 uint8 blob plus int64 offsets; string i is blob[off[i]:off[i+1]]."""
+    import numpy as np
+
     encoded = [s.encode("utf-8") for s in strings]
     offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
     np.cumsum([len(b) for b in encoded], out=offsets[1:])
@@ -315,6 +318,8 @@ def _pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
     """Inverse of _pack_strings; ValueError when the offsets do not split the blob."""
+    import numpy as np
+
     if (blob.dtype != np.uint8 or blob.ndim != 1 or offsets.ndim != 1 or offsets.size == 0
             or offsets[0] != 0 or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0)):
         raise ValueError("url_offsets do not split url_blob")
@@ -324,6 +329,8 @@ def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    import numpy as np
+
     cfg = _resolve(args)
     _require(cfg, "kb", "kb_manifest", "kb_embeddings")
     # Hashed before they are read: a file that changes while `index` runs
@@ -366,6 +373,8 @@ def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     written by `kbvqa index`; the zip CRC-32 of each member, checked as it is
     read, catches accidental corruption.
     """
+    import numpy as np
+
     _require(cfg, "kb", "kb_manifest")
     path = Path(cfg["index"])
     dim = int(load_manifest(cfg["kb_manifest"])["dim"])

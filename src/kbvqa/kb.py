@@ -20,11 +20,12 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from .errors import IngestError, KbvqaError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 
@@ -199,10 +200,13 @@ def _undecodable_line(p: Path, exc: UnicodeDecodeError) -> str:
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
     """One compact JSON object per line; returns the number of lines written."""
+    # One encoder for the file: json.dumps with any non-default argument
+    # builds a new one per call. The bytes are json.dumps(obj, ensure_ascii=False).
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     count = 0
     with Path(path).open("w", encoding="utf-8") as fh:
         for count, obj in enumerate(dicts, start=1):
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(encode(obj) + "\n")
     return count
 
 
@@ -246,14 +250,27 @@ def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
                 f"{path}: line {lineno}: embedding_row must be a non-negative integer "
                 f"(entry {entry_id!r})"
             )
+    where = f"{path}: line {lineno}"
+    what = f"entry {entry_id!r}"
+    image_refs = obj.get("image_refs", [])
+    if not isinstance(image_refs, list) or not all(isinstance(r, str) for r in image_refs):
+        raise IngestError(f"{where}: image_refs must be a list of strings ({what})")
     return KnowledgeEntry(
         entry_id=entry_id,
         url=url,
-        title=obj.get("title", ""),
-        content=obj.get("content", ""),
-        image_refs=tuple(obj.get("image_refs", ())),
+        title=_string_field(obj, "title", where, what),
+        content=_string_field(obj, "content", where, what),
+        image_refs=tuple(image_refs),
         embedding_row=embedding_row,
     )
+
+
+def _string_field(obj: dict, name: str, where: str, what: str) -> str:
+    """obj[name], "" when absent; IngestError when present but not a string."""
+    value = obj.get(name, "")
+    if not isinstance(value, str):
+        raise IngestError(f"{where}: {name} must be a string, got {value!r} ({what})")
+    return value
 
 
 def ingest_kb(entries_path: str | Path, manifest_path: str | Path) -> KnowledgeBase:
@@ -294,9 +311,19 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
         question = obj["question"]
     except KeyError as exc:
         raise IngestError(f"{path}: line {lineno}: query missing field {exc.args[0]!r}") from exc
+    where = f"{path}: line {lineno}"
+    what = f"query {query_id!r}"
+    if not isinstance(question, str):
+        raise IngestError(f"{where}: question must be a string, got {question!r} ({what})")
     gold_answers = obj.get("gold_answers", [])
+    # A bool is an int to isinstance, but str(True) is no answer.
+    if not isinstance(gold_answers, list) or not all(
+            isinstance(a, (str, int, float)) and not isinstance(a, bool) for a in gold_answers):
+        raise IngestError(
+            f"{where}: gold_answers must be a non-empty list of strings or numbers ({what})"
+        )
     if not gold_answers:
-        raise IngestError(f"{path}: line {lineno}: gold_answers is empty (query {query_id!r})")
+        raise IngestError(f"{where}: gold_answers is empty ({what})")
     split_tag = obj.get("split_tag", "other")
     if split_tag not in SPLIT_TAGS:
         raise IngestError(f"{path}: line {lineno}: unknown split_tag {split_tag!r}")
@@ -312,7 +339,7 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
     query = Query(
         query_id=query_id,
         question=question,
-        image_ref=obj.get("image_ref", ""),
+        image_ref=_string_field(obj, "image_ref", where, what),
         gold_answers=tuple(str(a) for a in gold_answers),
         gold_entry_url=obj.get("gold_entry_url"),
         split_tag=split_tag,
@@ -346,6 +373,8 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
     Rows are L2-normalized in place, block by block, when the manifest says
     they are not already; zero-norm and non-finite rows are hard errors.
     """
+    import numpy as np
+
     manifest = load_manifest(manifest_path)
     dim, count = int(manifest["dim"]), int(manifest["count"])
     path = Path(data_path)

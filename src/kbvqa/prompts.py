@@ -2,9 +2,10 @@
 
 Templates live under ``kbvqa/templates/`` as verbatim resource files using
 ``{placeholder}`` substitution plus ``<image>`` / ``<image#X>`` markers.
-Rendering splits a template into text and image parts without ever running
-substituted content back through the marker scanner, so questions or wiki
-text containing marker-like strings cannot inject image slots.
+Each (template, entry count) is compiled once into text segments and image
+slots; rendering only fills in values, so substituted content never runs
+back through the marker scanner, and questions or wiki text containing
+marker-like strings cannot inject image slots.
 """
 
 from __future__ import annotations
@@ -191,6 +192,47 @@ def _letter_of_line(body: str) -> str | None:
     return None
 
 
+@dataclass(frozen=True)
+class _ImageSlot:
+    """An image marker of a compiled template."""
+
+    marker: str
+    letter: str | None  # X of <image#X>; None for a plain <image>
+    after_reference: bool  # the template text before it ends with "Reference Image:"
+
+
+# A compiled text segment: literal text at even indexes, placeholder names at
+# odd ones, as _PLACEHOLDER.split gives them.
+_Segment = Union[tuple[str, ...], _ImageSlot]
+
+
+@lru_cache(maxsize=None)
+def _compiled(name: str, n_entries: int) -> tuple[_Segment, ...]:
+    """The template with the blocks of absent letters stripped, split once
+    into text segments and image slots, in template order.
+
+    Only template text is scanned for markers and placeholders; render
+    fills the placeholders afterwards, so substituted values never are.
+    """
+    template = _strip_letter_blocks(_template_text(name), n_entries)
+    segments: list[_Segment] = []
+    pos = 0
+    for marker in _MARKER.finditer(template):
+        raw_segment = template[pos : marker.start()]
+        if raw_segment:
+            segments.append(tuple(_PLACEHOLDER.split(raw_segment)))
+        segments.append(_ImageSlot(
+            marker=marker.group(0),
+            letter=marker.group(1),
+            after_reference=raw_segment.rstrip(" ").endswith("Reference Image:"),
+        ))
+        pos = marker.end()
+    tail = template[pos:]
+    if tail:
+        segments.append(tuple(_PLACEHOLDER.split(tail)))
+    return tuple(segments)
+
+
 def _context_values(stage: str, ctx: PromptContext) -> dict[str, str]:
     values = {"question": ctx.query.question}
     for idx, entry in enumerate(ctx.entries):
@@ -215,6 +257,34 @@ def _entry_image(entry: KnowledgeEntry, label: str) -> str:
     return entry.image_refs[0]
 
 
+def _fill(segment: tuple[str, ...], values: dict[str, str], stage: str) -> str:
+    text = list(segment)
+    for i in range(1, len(segment), 2):
+        try:
+            text[i] = values[segment[i]]
+        except KeyError:
+            raise PromptError(
+                f"stage {stage!r} is missing context for placeholder {{{segment[i]}}}"
+            ) from None
+    return "".join(text)
+
+
+def _slot_image(slot: _ImageSlot, stage: str, ctx: PromptContext) -> str:
+    if slot.letter is not None:
+        idx = REFERENCE_LETTERS.index(slot.letter)
+        if idx >= len(ctx.entries):
+            raise PromptError(
+                f"marker <image#{slot.letter}> survived block removal with only "
+                f"{len(ctx.entries)} entries"
+            )
+        return _entry_image(ctx.entries[idx], f"reference {slot.letter}")
+    if slot.after_reference:
+        if ctx.selected_entry is None:
+            raise PromptError(f"stage {stage!r} requires selected_entry for its reference image")
+        return _entry_image(ctx.selected_entry, "selected entry")
+    return ctx.query.image_ref
+
+
 def render(variant: str, stage: str, ctx: PromptContext) -> MessageSequence:
     """Render one stage prompt into an ordered text/image part sequence.
 
@@ -231,44 +301,14 @@ def render(variant: str, stage: str, ctx: PromptContext) -> MessageSequence:
     if stage in _STAGES_NEEDING_ENTRIES and not ctx.entries:
         raise PromptError(f"stage {stage!r} requires at least one retrieved entry")
 
-    template = _strip_letter_blocks(_template_text(template_for_stage(stage)), len(ctx.entries))
+    segments = _compiled(template_for_stage(stage), len(ctx.entries))
     values = _context_values(stage, ctx)
-
-    def fill(match: re.Match[str]) -> str:
-        name = match.group(1)
-        try:
-            return values[name]
-        except KeyError:
-            raise PromptError(
-                f"stage {stage!r} is missing context for placeholder {{{name}}}"
-            ) from None
-
     parts: list[Part] = []
-    pos = 0
-    for marker in _MARKER.finditer(template):
-        raw_segment = template[pos : marker.start()]
-        if raw_segment:
-            parts.append(TextPart(_PLACEHOLDER.sub(fill, raw_segment)))
-        letter = marker.group(1)
-        if letter is not None:
-            idx = REFERENCE_LETTERS.index(letter)
-            if idx >= len(ctx.entries):
-                raise PromptError(
-                    f"marker <image#{letter}> survived block removal with only "
-                    f"{len(ctx.entries)} entries"
-                )
-            ref = _entry_image(ctx.entries[idx], f"reference {letter}")
-        elif raw_segment.rstrip(" ").endswith("Reference Image:"):
-            if ctx.selected_entry is None:
-                raise PromptError(f"stage {stage!r} requires selected_entry for its reference image")
-            ref = _entry_image(ctx.selected_entry, "selected entry")
+    for segment in segments:
+        if isinstance(segment, _ImageSlot):
+            parts.append(ImagePart(image_ref=_slot_image(segment, stage, ctx), marker=segment.marker))
         else:
-            ref = ctx.query.image_ref
-        parts.append(ImagePart(image_ref=ref, marker=marker.group(0)))
-        pos = marker.end()
-    tail = template[pos:]
-    if tail:
-        parts.append(TextPart(_PLACEHOLDER.sub(fill, tail)))
+            parts.append(TextPart(_fill(segment, values, stage)))
     return MessageSequence(parts=tuple(parts))
 
 

@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .errors import EvalError, IngestError
 from .kb import KnowledgeBase, Query, read_jsonl, write_jsonl
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOP_K = 5
 
@@ -47,13 +48,17 @@ class RetrievalResult:
 
 # Score elements (queries x entries) one float32 GEMM may produce: 32 MiB.
 _SCORE_BLOCK = 1 << 23
-_EPS32 = float(np.finfo(np.float32).eps)
+# float32 machine epsilon, float(np.finfo(np.float32).eps); a literal so
+# that importing this module does not load numpy.
+_EPS32 = 2.0 ** -23
 
 
 class FlatIndex:
     """Immutable exhaustive index over float32 rows; safe for concurrent search calls."""
 
     def __init__(self, entry_ids: list[str], matrix: np.ndarray):
+        import numpy as np
+
         self.entry_ids = entry_ids
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         # Largest row norm, for the candidate bound in search_batch.
@@ -78,6 +83,8 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
     All entries must have a bound embedding_row and the KB must have its
     normalized matrix attached.
     """
+    import numpy as np
+
     if len(kb) == 0:
         return FlatIndex([], np.zeros((0, int(kb.manifest["dim"])), dtype=np.float32))
     unbound = [e.entry_id for e in kb.entries if e.embedding_row is None]
@@ -97,6 +104,8 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
 
 def _unit_query(query_embedding: np.ndarray, dim: int) -> np.ndarray:
     """The query as float64, L2-normalized unless its norm is already within 1e-6 of 1."""
+    import numpy as np
+
     q = np.asarray(query_embedding, dtype=np.float64).reshape(-1)
     if q.shape[0] != dim:
         raise ValueError(f"query dim {q.shape[0]} does not match index dim {dim}")
@@ -126,6 +135,8 @@ def search_batch(
     k: int,
 ) -> list[RetrievalResult]:
     """Exact top-k for many queries; output order always equals input order."""
+    import numpy as np
+
     if len(query_vectors) != len(query_ids):
         raise ValueError("query_vectors and query_ids must have equal length")
     if k <= 0:

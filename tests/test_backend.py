@@ -211,7 +211,7 @@ class FakeSession:
 @pytest.fixture
 def no_sleep(monkeypatch):
     slept = []
-    monkeypatch.setattr("kbvqa.backend.time.sleep", lambda s: slept.append(s))
+    monkeypatch.setattr("kbvqa.backend._sleep", lambda s: slept.append(s))
     return slept
 
 
@@ -564,6 +564,20 @@ def test_redirect_fails_once_without_following(clean_env):
         with pytest.raises(BackendError, match=r"redirect 302 to 'http://127\.0\.0\.1:9/elsewhere'"):
             backend.generate(_req(image=URI_IMAGE))
     assert len(server.requests) == 1
+
+
+def test_no_sleep_skips_the_backoff_but_not_the_stub_delay(clean_env, no_sleep):
+    """no_sleep replaces the backend's backoff wait only; the stub's own
+    delay, slept on its server thread, still passes."""
+    with LocalServer(delay_s=0.1, status=503) as server:
+        backend = HttpBackend(EndpointConfig(base_url=server.url))
+        started = time.monotonic()
+        with pytest.raises(BackendError, match="server error 503 on attempt 4/4"):
+            backend.generate(_req(image=URI_IMAGE))
+        elapsed = time.monotonic() - started
+    assert no_sleep == [0.5, 1.0, 2.0]
+    assert len(server.requests) == 4
+    assert 4 * 0.1 <= elapsed < 0.5 + 1.0 + 2.0
 
 
 def test_https_verifies_against_the_ca_bundle(clean_env):
