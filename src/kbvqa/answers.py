@@ -23,13 +23,15 @@ REFERENCE_LETTERS = "ABCDE"
 def normalize_answer(text: str) -> str:
     """Canonical answer form: NFC, lowercased, whitespace collapsed, outer
     punctuation stripped, leading articles dropped."""
-    s = unicodedata.normalize("NFC", text).lower()
-    s = " ".join(s.split())
-    s = s.strip(_OUTER_PUNCT)
-    parts = s.split()
+    # Lowercasing can undo NFC (U+03AA with an acute lowers to a decomposed
+    # sequence), so the lowered text is composed again.
+    s = unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).lower())
+    parts = " ".join(s.split()).strip(_OUTER_PUNCT).split()
+    # Stripping again after each dropped article can expose another one
+    # ("a .the x"), so the result is its own canonical form.
     while parts and parts[0] in _ARTICLES:
-        parts.pop(0)
-    return " ".join(parts).strip(_OUTER_PUNCT)
+        parts = " ".join(parts[1:]).strip(_OUTER_PUNCT).split()
+    return " ".join(parts)
 
 
 def extract_answer(text: str) -> str:

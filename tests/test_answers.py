@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kbvqa.answers import (
     bracket_spans,
@@ -32,6 +34,22 @@ class TestNormalize:
 
     def test_inner_punctuation_kept(self):
         assert normalize_answer("3.5 km") == "3.5 km"
+
+    def test_article_exposed_by_stripping_drops(self):
+        assert normalize_answer("a .the x") == "x"
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["a", "An", "THE", " ", "\t", ".", "(", "'", "!", "x", "Caf\u00e9",
+                         "e\u0301", "\u0130", "\u03a3"]),
+        st.text(max_size=4),
+    ), max_size=8).map("".join))
+    @example("a .the x")
+    @example("the (a) b")
+    @example("\u03aa\u0301")  # lowercases to a sequence NFC composes
+    def test_idempotent(self, raw):
+        once = normalize_answer(raw)
+        assert normalize_answer(once) == once
 
 
 class TestExtract:

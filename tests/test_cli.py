@@ -789,6 +789,35 @@ class TestReaderErrors:
             assert f"{bad}:2: missing field '{field}'" in err or f"{bad}: line 2:" in err
 
 
+@pytest.mark.parametrize("role, field, value, match", [
+    ("queries", "gold_answers", "Paris", "gold_answers must be a non-empty list"),
+    ("entries", "image_refs", "img.jpg", "image_refs must be a list of strings"),
+    ("entries", "content", 12345, "content must be a string, got 12345"),
+])
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_field_of_the_wrong_type_exits_two(bundle, tmp_path, capsys, role, field, value, match,
+                                           command):
+    """A field of the wrong JSON type stops ingest and run with exit 2 and
+    the line named, instead of being split into letters or failing later
+    with a traceback."""
+    source = {"queries": bundle.queries_path, "entries": bundle.entries_path}[role]
+    rows = read_jsonl(source)
+    rows[1][field] = value
+    bad = tmp_path / f"bad_{role}.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    files = {"queries": bundle.queries_path, "entries": bundle.entries_path, role: bad}
+    argv = ["--kb", str(files["entries"]), "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(files["queries"]), "--out-dir", str(tmp_path / "out")]
+    if command == "run":
+        argv = ["run", "--variant", "oracle", "--mock-script", str(bundle.mock_script), *argv]
+    else:
+        argv = ["ingest", *argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 2: {match}" in err
+    assert "Traceback" not in err
+
+
 def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
     """The per-layer benchmark wraps functions by name; a refactor that moves
     them out of its reach would leave these spans empty."""
@@ -843,6 +872,87 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """Only commands that read embeddings or an index pay for importing numpy."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kbvqa, kbvqa.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _chain(bundle, retrievals: Path, out: Path) -> list[list[str]]:
+    """The commands of the offline chain that read no embedding."""
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    q = ["--queries", str(bundle.queries_path)]
+    r = ["--retrievals", str(retrievals)]
+    mock = ["--mock-script", str(bundle.mock_script), "--workers", "1"]
+    traces = str(out / "run" / "traces.jsonl")
+    return [
+        ["ingest", *kb, *q, "--out-dir", str(out / "ingest")],
+        ["run", "--variant", "core", *kb, *q, *r, *mock, "--out-dir", str(out / "run")],
+        ["probe-unimodal", *kb, *q, *r, *mock, "--out-dir", str(out / "probe")],
+        ["mine-prki", "--traces-int", traces, "--traces-ext", traces, *q,
+         "--out-dir", str(out / "prki")],
+        ["export-training", "--records", str(out / "prki" / "d_int.jsonl"),
+         str(out / "prki" / "d_ext.jsonl"), "--objective", "prki", *kb, *q,
+         "--out-dir", str(out / "export")],
+        ["score", "--traces", traces, *q, *r, *kb, "--out-dir", str(out / "score")],
+    ]
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root by relative path, with root itself written as ROOT."""
+    return {str(p.relative_to(root)): p.read_bytes().replace(str(root).encode(), b"ROOT")
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_offline_chain_runs_where_numpy_cannot_load(ws, bundle, tmp_path):
+    """ingest, run, probe-unimodal, mine-prki, export-training and score in
+    processes where `import numpy` fails write the bytes a normal run writes."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; sys.modules['numpy'] = None; "
+            "from kbvqa.cli import main; sys.exit(main(sys.argv[1:]))")
+    retrievals = ws.retrieve / "retrieval_results.jsonl"
+    for argv in _chain(bundle, retrievals, tmp_path / "plain"):
+        assert main(argv) == 0
+    for argv in _chain(bundle, retrievals, tmp_path / "no_numpy"):
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    plain = _tree_bytes(tmp_path / "plain")
+    assert len(plain) >= 6 * 2
+    assert _tree_bytes(tmp_path / "no_numpy") == plain
+
+
+def test_index_and_retrieve_load_numpy_when_they_run(ws, bundle, tmp_path):
+    """In fresh processes, index and retrieve import numpy themselves and
+    write the results the in-process workflow wrote."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    for argv in (
+        ["index", *kb, "--kb-embeddings", str(bundle.kb_embeddings),
+         "--out-dir", str(tmp_path / "index")],
+        ["retrieve", *kb, "--index", str(tmp_path / "index" / "index.npz"),
+         "--queries", str(bundle.queries_path), "--query-manifest", str(bundle.query_manifest),
+         "--query-embeddings", str(bundle.query_embeddings), "--k", "10",
+         "--out-dir", str(tmp_path / "retrieve")],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "kbvqa.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    name = "retrieval_results.jsonl"
+    assert (tmp_path / "retrieve" / name).read_bytes() == (ws.retrieve / name).read_bytes()
 
 
 # Core stage recognised by a phrase only its template contains.

@@ -130,6 +130,63 @@ def test_bool_embedding_row_rejected(tmp_path, bundle, row):
         ingest_kb(bad, bundle.kb_manifest)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("title", 5, r"title must be a string, got 5 \(entry 'e001'\)"),
+    ("content", 12345, r"content must be a string, got 12345"),
+    ("content", None, r"content must be a string, got None"),
+    ("image_refs", "img.jpg", r"image_refs must be a list of strings"),
+    ("image_refs", ["a.jpg", 7], r"image_refs must be a list of strings"),
+    ("image_refs", None, r"image_refs must be a list of strings"),
+])
+def test_entry_field_of_the_wrong_type_rejected(tmp_path, bundle, field, value, match):
+    rows = fixture_gen.make_entries(3)
+    rows[1][field] = value
+    bad = tmp_path / "typed.jsonl"
+    fixture_gen.write_jsonl(bad, rows)
+    with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: {match}"):
+        ingest_kb(bad, bundle.kb_manifest)
+
+
+def _query_row(**fields) -> dict:
+    row = {"query_id": "q1", "question": "what?", "image_ref": "q.jpg", "gold_answers": ["x"]}
+    row.update(fields)
+    return row
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"gold_answers": "Paris"}, r"gold_answers must be a non-empty list of strings or numbers"),
+    ({"gold_answers": [True]}, r"gold_answers must be a non-empty list of strings or numbers"),
+    ({"gold_answers": [["x"]]}, r"gold_answers must be a non-empty list of strings or numbers"),
+    ({"gold_answers": None}, r"gold_answers must be a non-empty list of strings or numbers"),
+    ({"gold_answers": []}, r"gold_answers is empty"),
+    ({"question": 5}, r"question must be a string, got 5"),
+    ({"image_ref": ["q.jpg"]}, r"image_ref must be a string, got \['q.jpg'\]"),
+])
+def test_query_field_of_the_wrong_type_rejected(tmp_path, fields, match):
+    path = tmp_path / "typed.jsonl"
+    fixture_gen.write_jsonl(path, [_query_row(query_id="q0"), _query_row(**fields)])
+    with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: {match} \(query 'q1'\)"):
+        ingest_queries(path)
+
+
+def test_numeric_gold_answers_keep_their_str_form(tmp_path):
+    path = tmp_path / "q.jsonl"
+    fixture_gen.write_jsonl(path, [_query_row(gold_answers=[42, 3.5, "1e3", 1e3])])
+    assert ingest_queries(path)[0].gold_answers == ("42", "3.5", "1e3", "1000.0")
+
+
+@pytest.mark.parametrize("obj", [
+    {"a": float("nan"), "b": float("-inf"), "c": 1e308, "d": -0.0, "e": 10 ** 30},
+    {"text": "é ☃ \u2028 \x00 \U0001f600", "nested": [None, True, [], {}], "": ""},
+    ["top", "level", "list"],
+])
+def test_write_jsonl_bytes_equal_json_dumps(tmp_path, obj):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [obj, obj])
+    line = json.dumps(obj, ensure_ascii=False) + "\n"
+    assert path.read_text(encoding="utf-8") == line + line
+
+
 def test_manifest_validation(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, "dtype": "f32le"}))

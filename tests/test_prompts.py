@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import functools
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kbvqa import prompts
 from kbvqa.errors import PromptError
 from kbvqa.kb import KnowledgeEntry, Query
 from kbvqa.prompts import (
@@ -271,3 +277,124 @@ def test_message_sequence_json_parts():
     ]
     assert seq.text_only() == "before  after"
     assert seq.marked_text() == "before <image> after"
+
+
+class TestTruncationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="ab .!?\n", max_size=60), budget=st.integers(1, 70))
+    def test_prefix_within_budget(self, text, budget):
+        out = truncate_content(text, budget)
+        assert text.startswith(out)
+        assert len(out) <= budget
+        if len(text) <= budget:
+            assert out == text
+            return
+        ends = [i for i in range(budget) if text[i] in ".!?"
+                and (i + 1 == len(text) or text[i + 1].isspace())]
+        if ends:
+            # the last sentence end the window holds
+            assert out == text[:ends[-1] + 1]
+        else:
+            assert out == text[:budget]
+
+
+# Strings a question, title or content could carry that look like template syntax.
+_INJECTIONS = ("<image>", "<image#A>", "<image#E>", "{question}", "{wiki_title_A}",
+               "Reference Image:", "Reference Image: ", "Reference B:", "\n")
+_injected_text = st.lists(
+    st.one_of(st.sampled_from(_INJECTIONS), st.text(alphabet="xyz .<>{}#:", max_size=5)),
+    min_size=1, max_size=6,
+).map("".join)
+
+# (variant, stage, needs a selected entry, needs step answers), every stage once.
+_STAGE_CASES = (
+    ("param", "param_gen", False, False),
+    ("oracle", "oracle_gen", True, False),
+    ("one_stage", "one_stage_gen", False, False),
+    ("two_stage", "rerank", False, False),
+    ("two_stage", "two_stage_gen", True, False),
+    ("mmstar", "mmstar_gen", False, False),
+    ("core", "core_single", False, False),
+    ("core", "core_param", False, False),
+    ("core", "core_select", False, False),
+    ("core", "core_ext_gen", True, False),
+    ("core", "core_reconcile", True, True),
+    ("probe", "probe_visual", False, False),
+    ("probe", "probe_text", False, False),
+)
+
+
+def _stage_ctx(case, n, question, titles, contents, steps=("s1", "s3")) -> PromptContext:
+    _variant, _stage, selected, stepped = case
+    entries = tuple(
+        KnowledgeEntry(entry_id=f"e{i}", url=f"u{i}", title=titles[i], content=contents[i],
+                       image_refs=(f"images/e{i}.jpg",))
+        for i in range(n)
+    )
+    selected_entry = KnowledgeEntry(entry_id="sel", url="u", title=titles[-1],
+                                    content=contents[-1], image_refs=("images/sel.jpg",))
+    query = Query(query_id="q", question=question, image_ref="images/q.jpg", gold_answers=("x",))
+    return PromptContext(
+        query=query, entries=entries, selected_entry=selected_entry if selected else None,
+        step1_answer=steps[0] if stepped else None, step3_answer=steps[1] if stepped else None,
+    )
+
+
+class TestMarkerInjectionProperties:
+    """Values that look like markers, placeholders or the "Reference Image:"
+    cue change no image slot and reach the text parts verbatim."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=st.sampled_from(_STAGE_CASES), n=st.integers(1, 5), question=_injected_text,
+           titles=st.lists(_injected_text, min_size=6, max_size=6),
+           contents=st.lists(_injected_text, min_size=6, max_size=6),
+           steps=st.tuples(_injected_text, _injected_text))
+    def test_injected_values_stay_text(self, case, n, question, titles, contents, steps):
+        variant, stage = case[:2]
+        # Neutral sentinels, one per value; the injected text has no "§".
+        sentinels = {"§Q§": question, "§S1§": steps[0], "§S3§": steps[1]}
+        sentinels.update({f"§T{i}§": t for i, t in enumerate(titles)})
+        sentinels.update({f"§C{i}§": c for i, c in enumerate(contents)})
+        neutral = render(variant, stage, _stage_ctx(
+            case, n, "§Q§", [f"§T{i}§" for i in range(6)], [f"§C{i}§" for i in range(6)],
+            ("§S1§", "§S3§")))
+        injected = render(variant, stage, _stage_ctx(case, n, question, titles, contents, steps))
+        assert len(injected.parts) == len(neutral.parts)
+        for got, base in zip(injected.parts, neutral.parts):
+            if isinstance(base, ImagePart):
+                assert got == base
+            else:
+                expected = re.sub(r"§[A-Z0-9]+§", lambda m: sentinels[m.group(0)], base.text)
+                assert got == TextPart(expected)
+
+
+def _golden_ctx(case: dict, n: int) -> PromptContext:
+    """A golden case's context over its first n entries."""
+    ctx = _ctx_for(case)
+    return PromptContext(query=ctx.query, entries=ctx.entries[:n],
+                         selected_entry=ctx.selected_entry,
+                         step1_answer=ctx.step1_answer, step3_answer=ctx.step3_answer)
+
+
+@functools.lru_cache(maxsize=None)
+def _render_from_empty_cache(idx: int, n: int) -> str:
+    variant, stage, case, _golden = GOLDEN_CASES[idx]
+    prompts._compiled.cache_clear()
+    return rendered_text(variant, stage, _golden_ctx(case, n))
+
+
+class TestTemplateCacheProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.lists(st.tuples(st.integers(0, len(GOLDEN_CASES) - 1), st.integers(1, 5)),
+                          min_size=1, max_size=12))
+    def test_any_order_of_entry_counts_renders_the_same(self, order, goldens_dir):
+        """A template compiled for one entry count never leaks into another:
+        renders in any order, such as 5, 2, 5 or 1, 4, match a render from
+        an empty cache, and the goldens at five entries."""
+        expected = {key: _render_from_empty_cache(*key) for key in order}
+        for idx, n in order:
+            variant, stage, case, golden = GOLDEN_CASES[idx]
+            ctx = _golden_ctx(case, n)
+            assert rendered_text(variant, stage, ctx) == expected[idx, n]
+            if n == 5:
+                assert golden_check(variant, stage, ctx, goldens_dir / golden).passed

@@ -294,3 +294,9 @@ def test_results_round_trip_and_score_format(tmp_path):
         assert a.entry_ids() == b.entry_ids()
         for (_, sa), (_, sb) in zip(a.hits, b.hits):
             assert abs(sa - sb) < 1e-8
+
+
+def test_eps32_literal_is_float32_machine_epsilon():
+    """The candidate bound's epsilon is a literal, so that importing
+    retrieval loads no numpy; it must stay numpy's float32 epsilon."""
+    assert retrieval._EPS32 == float(np.finfo(np.float32).eps)
