@@ -250,27 +250,39 @@ def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
                 f"{path}: line {lineno}: embedding_row must be a non-negative integer "
                 f"(entry {entry_id!r})"
             )
-    where = f"{path}: line {lineno}"
-    what = f"entry {entry_id!r}"
+    title = obj.get("title", "")
+    if not isinstance(title, str):
+        raise _not_a_string(path, lineno, "title", title, f"entry {entry_id!r}")
+    content = obj.get("content", "")
+    if not isinstance(content, str):
+        raise _not_a_string(path, lineno, "content", content, f"entry {entry_id!r}")
     image_refs = obj.get("image_refs", [])
-    if not isinstance(image_refs, list) or not all(isinstance(r, str) for r in image_refs):
-        raise IngestError(f"{where}: image_refs must be a list of strings ({what})")
+    if not isinstance(image_refs, list) or not _all_strings(image_refs):
+        raise IngestError(
+            f"{path}: line {lineno}: image_refs must be a list of strings (entry {entry_id!r})"
+        )
     return KnowledgeEntry(
         entry_id=entry_id,
         url=url,
-        title=_string_field(obj, "title", where, what),
-        content=_string_field(obj, "content", where, what),
+        title=title,
+        content=content,
         image_refs=tuple(image_refs),
         embedding_row=embedding_row,
     )
 
 
-def _string_field(obj: dict, name: str, where: str, what: str) -> str:
-    """obj[name], "" when absent; IngestError when present but not a string."""
-    value = obj.get(name, "")
-    if not isinstance(value, str):
-        raise IngestError(f"{where}: {name} must be a string, got {value!r} ({what})")
-    return value
+def _all_strings(values: list) -> bool:
+    # A plain loop: all() over a generator costs several times as much, on
+    # every line of a large KB.
+    for value in values:
+        if not isinstance(value, str):
+            return False
+    return True
+
+
+def _not_a_string(path: Path, lineno: int, name: str, value: object, what: str) -> IngestError:
+    # The message is built only on this error path, not for every line.
+    return IngestError(f"{path}: line {lineno}: {name} must be a string, got {value!r} ({what})")
 
 
 def ingest_kb(entries_path: str | Path, manifest_path: str | Path) -> KnowledgeBase:
@@ -311,19 +323,21 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
         question = obj["question"]
     except KeyError as exc:
         raise IngestError(f"{path}: line {lineno}: query missing field {exc.args[0]!r}") from exc
-    where = f"{path}: line {lineno}"
-    what = f"query {query_id!r}"
     if not isinstance(question, str):
-        raise IngestError(f"{where}: question must be a string, got {question!r} ({what})")
+        raise _not_a_string(path, lineno, "question", question, f"query {query_id!r}")
+    image_ref = obj.get("image_ref", "")
+    if not isinstance(image_ref, str):
+        raise _not_a_string(path, lineno, "image_ref", image_ref, f"query {query_id!r}")
     gold_answers = obj.get("gold_answers", [])
     # A bool is an int to isinstance, but str(True) is no answer.
     if not isinstance(gold_answers, list) or not all(
             isinstance(a, (str, int, float)) and not isinstance(a, bool) for a in gold_answers):
         raise IngestError(
-            f"{where}: gold_answers must be a non-empty list of strings or numbers ({what})"
+            f"{path}: line {lineno}: gold_answers must be a non-empty list of strings or "
+            f"numbers (query {query_id!r})"
         )
     if not gold_answers:
-        raise IngestError(f"{where}: gold_answers is empty ({what})")
+        raise IngestError(f"{path}: line {lineno}: gold_answers is empty (query {query_id!r})")
     split_tag = obj.get("split_tag", "other")
     if split_tag not in SPLIT_TAGS:
         raise IngestError(f"{path}: line {lineno}: unknown split_tag {split_tag!r}")
@@ -339,7 +353,7 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
     query = Query(
         query_id=query_id,
         question=question,
-        image_ref=_string_field(obj, "image_ref", where, what),
+        image_ref=image_ref,
         gold_answers=tuple(str(a) for a in gold_answers),
         gold_entry_url=obj.get("gold_entry_url"),
         split_tag=split_tag,
