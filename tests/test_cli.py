@@ -874,11 +874,16 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    root = Path(__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """Only commands that read embeddings or an index pay for importing numpy."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, kbvqa, kbvqa.cli; print('numpy' in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60,
@@ -916,9 +921,7 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 def test_offline_chain_runs_where_numpy_cannot_load(ws, bundle, tmp_path):
     """ingest, run, probe-unimodal, mine-prki, export-training and score in
     processes where `import numpy` fails write the bytes a normal run writes."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     code = ("import sys; sys.modules['numpy'] = None; "
             "from kbvqa.cli import main; sys.exit(main(sys.argv[1:]))")
     retrievals = ws.retrieve / "retrieval_results.jsonl"
@@ -936,9 +939,7 @@ def test_offline_chain_runs_where_numpy_cannot_load(ws, bundle, tmp_path):
 def test_index_and_retrieve_load_numpy_when_they_run(ws, bundle, tmp_path):
     """In fresh processes, index and retrieve import numpy themselves and
     write the results the in-process workflow wrote."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    env = _src_env()
     kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
     for argv in (
         ["index", *kb, "--kb-embeddings", str(bundle.kb_embeddings),
