@@ -10,6 +10,7 @@ are recorded alongside the files.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,6 +214,27 @@ def build_fixture(root: Path, seed: int = 2024) -> FixtureBundle:
         ext_answers=ext_answers,
         probe_indices=probe_indices,
     )
+
+
+# Core staged stage recognised by a phrase only its template contains.
+_CORE_STAGE_MARKERS = (
+    ("Answer from Step 1:", "core_reconcile"),
+    ("Please use parametric knowledge", "core_param"),
+    ("Identify the most similar Wikipedia reference", "core_select"),
+    ("Based on the retrieved document, answer the question", "core_ext_gen"),
+)
+
+
+def core_staged_reply(bundle: FixtureBundle):
+    """An http_stub.LocalServer reply that answers each core staged call of
+    the standard fixture with the mock script's text for that query and stage."""
+    def reply(body: bytes) -> str:
+        content = json.loads(body)["messages"][0]["content"]
+        text = "".join(p["text"] for p in content if p["type"] == "text")
+        stage = next(s for marker, s in _CORE_STAGE_MARKERS if marker in text)
+        qnum = int(re.search(r"What does query (\d+) ask about", text).group(1))
+        return bundle.script[(f"q{qnum:02d}", stage)]
+    return reply
 
 
 def build_strata_fixture():

@@ -1,0 +1,154 @@
+"""Whole-chain output goldens: every file the CLI writes over the standard
+fixture bundle, compared byte for byte with tests/goldens/chain/.
+
+The chain runs ingest, retrieve, run for every variant and core mode,
+probe-unimodal, mine-prki, mine-vtki, export-training for each objective,
+score, report, a two-value sweep and one core staged run over HTTP against
+http_stub.LocalServer. Two things are masked before comparing: the path
+values in run_config.json, which name the temporary input and output
+directories, and latency_ms on the HTTP run.
+
+After a deliberate change to an output format, rewrite the goldens with
+
+    PYTHONPATH=src python tests/test_chain_goldens.py
+
+and review the diff.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import fixture_gen
+from http_stub import LocalServer
+from kbvqa.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens" / "chain"
+HTTP_STEP = "run_http_core_staged"
+_LATENCY = re.compile(rb'"latency_ms": [^,}]+')
+
+
+def run_chain(bundle: fixture_gen.FixtureBundle, out: Path) -> None:
+    """Every command of the chain, each writing into its own directory of out."""
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    q = ["--queries", str(bundle.queries_path)]
+    r = ["--retrievals", str(out / "retrieve" / "retrieval_results.jsonl")]
+    mock = ["--mock-script", str(bundle.mock_script)]
+
+    def cli(step: str, *argv: str, exit_code: int = 0) -> None:
+        assert main([*argv, "--out-dir", str(out / step)]) == exit_code, step
+
+    cli("ingest", "ingest", *kb, *q)
+    cli("retrieve", "retrieve", *kb, "--kb-embeddings", str(bundle.kb_embeddings), *q,
+        "--query-manifest", str(bundle.query_manifest),
+        "--query-embeddings", str(bundle.query_embeddings), "--k", "10")
+    for variant in ("param", "oracle", "one_stage", "two_stage", "mmstar"):
+        cli(f"run_{variant}", "run", "--variant", variant, *kb, *q, *r, *mock)
+    for mode in ("staged", "single"):
+        cli(f"run_core_{mode}", "run", "--variant", "core", "--core-mode", mode,
+            *kb, *q, *r, *mock)
+    cli("probe", "probe-unimodal", *kb, *q, *r, *mock)
+    cli("mine_prki", "mine-prki", "--traces-int", str(out / "run_param" / "traces.jsonl"),
+        "--traces-ext", str(out / "run_one_stage" / "traces.jsonl"), *q)
+    cli("mine_vtki", "mine-vtki", "--probe-traces", str(out / "probe" / "probe_traces.jsonl"),
+        *kb, *q)
+    for objective, step in (("prki", "mine_prki"), ("vtki", "mine_vtki"), ("sft", "mine_vtki")):
+        buckets = ("d_int", "d_ext") if step == "mine_prki" else ("d_v", "d_t")
+        cli(f"export_{objective}", "export-training", "--objective", objective,
+            "--records", *(str(out / step / f"{b}.jsonl") for b in buckets), *kb, *q)
+    traces = ["--traces", str(out / "run_core_staged" / "traces.jsonl")]
+    cli("score", "score", *traces, *q, *r, *kb)
+    cli("report", "report", *traces, *q, *r, *kb,
+        "--compare-to", str(out / "score" / "report.json"))
+    # At top-m 2, core_select fails for the queries whose planted letter is
+    # C..E, so the sweep exits 1 and its traces hold failed queries.
+    cli("sweep", "sweep", "--top-m", "2,5", "--variant", "core", *kb, *q, *r, *mock,
+        "--no-transcripts", exit_code=1)
+
+    endpoint = out / "endpoint.json"
+    with LocalServer(reply=fixture_gen.core_staged_reply(bundle)) as server:
+        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}), encoding="utf-8")
+        cli(HTTP_STEP, "run", "--variant", "core", "--core-mode", "staged", *kb, *q, *r,
+            "--endpoint-config", str(endpoint))
+    endpoint.unlink()
+
+
+def chain_outputs(bundle: fixture_gen.FixtureBundle, out: Path) -> dict[str, bytes]:
+    """Run the chain into out; every file it wrote by relative path, masked."""
+    run_chain(bundle, out)
+    # Longest root first, so a root inside another is replaced whole.
+    roots = sorted({(str(out), "OUT"), (str(bundle.root), "FIXTURE")},
+                   key=lambda pair: -len(pair[0]))
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if not path.is_file():
+            continue
+        rel = path.relative_to(out).as_posix()
+        data = path.read_bytes()
+        if path.name == "run_config.json":
+            for root, label in roots:
+                data = data.replace(root.encode(), label.encode())
+        if rel.startswith(HTTP_STEP + "/"):
+            data = _LATENCY.sub(b'"latency_ms": "masked"', data)
+        files[rel] = data
+    return files
+
+
+def first_difference(golden: bytes, actual: bytes) -> str:
+    """The first line that differs, with a window of each side around its first differing column."""
+    g_lines = golden.decode("utf-8").splitlines()
+    a_lines = actual.decode("utf-8").splitlines()
+    for number, (g, a) in enumerate(zip(g_lines, a_lines), 1):
+        if g != a:
+            col = next((i for i, (x, y) in enumerate(zip(g, a)) if x != y), min(len(g), len(a)))
+            lo = max(0, col - 60)
+            return (f"line {number}, column {col + 1}: golden {g[lo:col + 60]!r} "
+                    f"!= output {a[lo:col + 60]!r}")
+    if len(g_lines) != len(a_lines):
+        return f"golden has {len(g_lines)} lines, output {len(a_lines)}"
+    return "line endings differ"
+
+
+def _golden_files() -> list[str]:
+    return sorted(p.relative_to(GOLDEN_DIR).as_posix()
+                  for p in GOLDEN_DIR.rglob("*") if p.is_file())
+
+
+@pytest.fixture(scope="module")
+def outputs(bundle, tmp_path_factory) -> dict[str, bytes]:
+    return chain_outputs(bundle, tmp_path_factory.mktemp("chain"))
+
+
+def test_chain_writes_exactly_the_golden_files(outputs):
+    assert sorted(outputs) == _golden_files()
+
+
+@pytest.mark.parametrize("rel", _golden_files())
+def test_output_matches_golden(outputs, rel):
+    assert rel in outputs, f"{rel}: not written by the chain"
+    golden = (GOLDEN_DIR / rel).read_bytes()
+    if outputs[rel] != golden:
+        pytest.fail(f"{rel}: {first_difference(golden, outputs[rel])}", pytrace=False)
+
+
+def write_goldens() -> None:
+    """Replace tests/goldens/chain with the outputs of a fresh chain run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = fixture_gen.build_fixture(Path(tmp) / "fixture")
+        outputs = chain_outputs(bundle, Path(tmp) / "chain")
+    shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
+    for rel, data in outputs.items():
+        path = GOLDEN_DIR / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    print(f"wrote {len(outputs)} goldens under {GOLDEN_DIR}")
+
+
+if __name__ == "__main__":
+    write_goldens()

@@ -6,7 +6,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import struct
 import subprocess
 import sys
@@ -956,15 +955,6 @@ def test_index_and_retrieve_load_numpy_when_they_run(ws, bundle, tmp_path):
     assert (tmp_path / "retrieve" / name).read_bytes() == (ws.retrieve / name).read_bytes()
 
 
-# Core stage recognised by a phrase only its template contains.
-_CORE_STAGE_MARKERS = (
-    ("Answer from Step 1:", "core_reconcile"),
-    ("Please use parametric knowledge", "core_param"),
-    ("Identify the most similar Wikipedia reference", "core_select"),
-    ("Based on the retrieved document, answer the question", "core_ext_gen"),
-)
-
-
 def _without_latency(value):
     if isinstance(value, dict):
         return {k: _without_latency(v) for k, v in value.items() if k != "latency_ms"}
@@ -973,21 +963,10 @@ def _without_latency(value):
     return value
 
 
-def _script_reply(bundle):
-    """A LocalServer reply that answers each core staged call from the mock script."""
-    def reply(body):
-        content = json.loads(body)["messages"][0]["content"]
-        text = "".join(p["text"] for p in content if p["type"] == "text")
-        stage = next(s for marker, s in _CORE_STAGE_MARKERS if marker in text)
-        qnum = int(re.search(r"What does query (\d+) ask about", text).group(1))
-        return bundle.script[(f"q{qnum:02d}", stage)]
-    return reply
-
-
 def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
     """With default flags a run holds --max-in-flight (8) calls at once, never
     more, and writes the traces a one-worker run writes."""
-    reply = _script_reply(bundle)
+    reply = fixture_gen.core_staged_reply(bundle)
 
     def run(endpoint, label, *extra):
         assert main([
@@ -1022,7 +1001,7 @@ def test_http_run_needs_no_requests_package(ws, bundle, tmp_path):
     code = ("import sys; sys.modules['requests'] = None; "
             "from kbvqa.cli import main; sys.exit(main(sys.argv[1:]))")
     endpoint = tmp_path / "endpoint.json"
-    with LocalServer(reply=_script_reply(bundle)) as server:
+    with LocalServer(reply=fixture_gen.core_staged_reply(bundle)) as server:
         endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
         proc = subprocess.run(
             [sys.executable, "-c", code, "run", "--variant", "core", "--core-mode", "staged",
