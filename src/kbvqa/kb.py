@@ -323,6 +323,10 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
         question = obj["question"]
     except KeyError as exc:
         raise IngestError(f"{path}: line {lineno}: query missing field {exc.args[0]!r}") from exc
+    if not isinstance(query_id, str) or not query_id:
+        raise IngestError(
+            f"{path}: line {lineno}: query_id must be a non-empty string, got {query_id!r}"
+        )
     if not isinstance(question, str):
         raise _not_a_string(path, lineno, "question", question, f"query {query_id!r}")
     image_ref = obj.get("image_ref", "")
@@ -344,6 +348,12 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
     answer_type = obj.get("answer_type", "text")
     if answer_type not in ANSWER_TYPES:
         raise IngestError(f"{path}: line {lineno}: unknown answer_type {answer_type!r}")
+    gold_entry_url = obj.get("gold_entry_url")
+    if gold_entry_url is not None and not isinstance(gold_entry_url, str):
+        raise IngestError(
+            f"{path}: line {lineno}: gold_entry_url must be a string or null, "
+            f"got {gold_entry_url!r} (query {query_id!r})"
+        )
     embedding_row = obj.get("query_embedding_row")
     if embedding_row is not None and (type(embedding_row) is not int or embedding_row < 0):
         raise IngestError(
@@ -355,7 +365,7 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
         question=question,
         image_ref=image_ref,
         gold_answers=tuple(str(a) for a in gold_answers),
-        gold_entry_url=obj.get("gold_entry_url"),
+        gold_entry_url=gold_entry_url,
         split_tag=split_tag,
         answer_type=answer_type,
         query_embedding_row=embedding_row,

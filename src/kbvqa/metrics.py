@@ -14,8 +14,6 @@ import csv
 import hashlib
 import json
 import re
-import shlex
-import subprocess
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -114,6 +112,9 @@ class PluginScorer:
     """
 
     def __init__(self, command: str | Sequence[str]):
+        # Imported here: only --plugin runs pay for loading them.
+        import shlex
+
         self.argv = shlex.split(command) if isinstance(command, str) else list(command)
         if not self.argv:
             raise ValueError("plugin command is empty")
@@ -125,6 +126,8 @@ class PluginScorer:
             json.dumps({"pred": pred, "golds": list(golds)}, ensure_ascii=False) + "\n"
             for pred, golds in pairs
         )
+        import subprocess
+
         try:
             proc = subprocess.run(
                 self.argv, input=payload, capture_output=True, text=True, check=False,

@@ -792,6 +792,8 @@ class TestReaderErrors:
     ("queries", "gold_answers", "Paris", "gold_answers must be a non-empty list"),
     ("entries", "image_refs", "img.jpg", "image_refs must be a list of strings"),
     ("entries", "content", 12345, "content must be a string, got 12345"),
+    ("queries", "query_id", 5, "query_id must be a non-empty string, got 5"),
+    ("queries", "gold_entry_url", 7, "gold_entry_url must be a string or null, got 7"),
 ])
 @pytest.mark.parametrize("command", ["ingest", "run"])
 def test_field_of_the_wrong_type_exits_two(bundle, tmp_path, capsys, role, field, value, match,
@@ -844,6 +846,33 @@ def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
             "kb.entry_by_url"} <= names
 
 
+def test_traced_cli_counts_each_core_staged_call(ws, bundle, tmp_path):
+    """A core staged run over the 20 fixture queries renders, calls the
+    backend and parses 4 times per query. The benchmark's traced run wraps
+    pipeline.render, pipeline.extract_answer, pipeline.parse_reference_letter
+    and MockBackend.generate by name, so a binding that moves shows here as
+    a count short of 80."""
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"),
+         str(spans), "run", "--variant", "core",
+         "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+         "--queries", str(bundle.queries_path), "--mock-script", str(bundle.mock_script),
+         "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+         "--out-dir", str(tmp_path / "run")],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts: dict[str, int] = {}
+    for row in json.loads(spans.read_text(encoding="utf-8"))["spans"]:
+        counts[row[1]] = counts.get(row[1], 0) + 1
+    wanted = ("prompts.render", "answers.parse", "backend.generate", "pipeline.run_query")
+    assert {name: counts.get(name, 0) for name in wanted} == {
+        "prompts.render": 80, "answers.parse": 80, "backend.generate": 80,
+        "pipeline.run_query": 20,
+    }
+
+
 def test_cli_import_leaves_requests_unloaded():
     """Only an HTTP run pays for importing requests."""
     root = Path(__file__).resolve().parents[1]
@@ -859,11 +888,12 @@ def test_cli_import_leaves_requests_unloaded():
 
 def test_cli_import_leaves_the_http_stack_unloaded():
     """Commands that never talk to an endpoint do not pay for loading
-    http.client, ssl and urllib.request: every command imports kbvqa.cli."""
+    http.client, ssl and urllib.request, nor those without --plugin for
+    subprocess and shlex: every command imports kbvqa.cli."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
-    modules = ("kbvqa.transport", "http.client", "ssl", "urllib.request")
+    modules = ("kbvqa.transport", "http.client", "ssl", "urllib.request", "subprocess", "shlex")
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, kbvqa.cli; print([m for m in {modules!r} if m in sys.modules])"],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -161,12 +162,30 @@ def _query_row(**fields) -> dict:
     ({"gold_answers": []}, r"gold_answers is empty"),
     ({"question": 5}, r"question must be a string, got 5"),
     ({"image_ref": ["q.jpg"]}, r"image_ref must be a string, got \['q.jpg'\]"),
+    ({"gold_entry_url": 7}, r"gold_entry_url must be a string or null, got 7"),
+    ({"gold_entry_url": ["https://kb.example/a"]},
+     r"gold_entry_url must be a string or null, got \['https://kb.example/a'\]"),
 ])
 def test_query_field_of_the_wrong_type_rejected(tmp_path, fields, match):
     path = tmp_path / "typed.jsonl"
     fixture_gen.write_jsonl(path, [_query_row(query_id="q0"), _query_row(**fields)])
     with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: {match} \(query 'q1'\)"):
         ingest_queries(path)
+
+
+@pytest.mark.parametrize("query_id", [5, "", None, ["q1"]])
+def test_query_id_must_be_a_non_empty_string(tmp_path, query_id):
+    path = tmp_path / "typed.jsonl"
+    fixture_gen.write_jsonl(path, [_query_row(query_id="q0"), _query_row(query_id=query_id)])
+    with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: query_id must be a "
+                                          rf"non-empty string, got {re.escape(repr(query_id))}$"):
+        ingest_queries(path)
+
+
+def test_null_gold_entry_url_ingests(tmp_path):
+    path = tmp_path / "queries.jsonl"
+    fixture_gen.write_jsonl(path, [_query_row(gold_entry_url=None)])
+    assert ingest_queries(path)[0].gold_entry_url is None
 
 
 def test_numeric_gold_answers_keep_their_str_form(tmp_path):

@@ -18,7 +18,6 @@ from kbvqa.prompts import (
     golden_check,
     render,
     rendered_text,
-    template_for_stage,
     truncate_content,
 )
 
@@ -194,8 +193,18 @@ class TestErrors:
                                  selected_entry=entries[0]))
 
     def test_unknown_stage(self):
-        with pytest.raises(PromptError):
-            template_for_stage("no_such_stage")
+        with pytest.raises(PromptError, match=r"^stage 'no_such_stage' does not belong "
+                                              r"to variant 'param'$"):
+            render("param", "no_such_stage", lake_ctx())
+
+    def test_stage_of_another_variant(self):
+        with pytest.raises(PromptError, match=r"^stage 'core_select' does not belong "
+                                              r"to variant 'param'$"):
+            render("param", "core_select", lake_ctx())
+
+    def test_unknown_variant(self):
+        with pytest.raises(PromptError, match=r"^unknown variant: 'bogus'$"):
+            render("bogus", "param_gen", lake_ctx())
 
     def test_entry_without_image(self):
         entry = KnowledgeEntry(entry_id="x", url="u", title="t", content="c",
