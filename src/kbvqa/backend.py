@@ -24,10 +24,9 @@ from .errors import BackendError, IngestError, ScriptKeyError
 from .kb import read_jsonl
 from .prompts import MessageSequence, TextPart
 
-# 512 tokens for the multi-step reasoning variants, 64 elsewhere.
-LONG_OUTPUT_VARIANTS = frozenset({"mmstar", "core"})
+# A request's output budget when it names none; the pipeline sends each
+# stage's own (prompts.STAGE_TABLE).
 DEFAULT_MAX_NEW_TOKENS = 64
-LONG_MAX_NEW_TOKENS = 512
 
 # One initial attempt plus one retry per backoff value: timeouts, 429 and 5xx.
 RETRY_BACKOFFS_S = (0.5, 1.0, 2.0)
@@ -41,10 +40,6 @@ DEFAULT_MAX_IN_FLIGHT = 8
 # A multiple of 3 encodes without padding, so consecutive blocks concatenate
 # into the base64 of the whole file.
 IMAGE_BLOCK_BYTES = 12 * 1024
-
-
-def max_new_tokens_for(variant: str) -> int:
-    return LONG_MAX_NEW_TOKENS if variant in LONG_OUTPUT_VARIANTS else DEFAULT_MAX_NEW_TOKENS
 
 
 @dataclass(frozen=True)

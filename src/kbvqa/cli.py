@@ -48,7 +48,7 @@ from .pipeline import (
     CORE_MODES, MAX_TOP_K, PipelineRunner, has_failures, needs_retrieval, read_traces,
     write_traces,
 )
-from .prompts import DEFAULT_CHAR_BUDGET
+from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE
 from .retrieval import (
     DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results,
 )
@@ -60,8 +60,13 @@ EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
-RUN_VARIANTS = ("param", "oracle", "one_stage", "two_stage", "mmstar", "core")
-SWEEP_VARIANTS = ("one_stage", "two_stage", "mmstar", "core")
+# In table order: `run` takes the variants that answer (set y_final), and
+# `sweep` those of them whose prompts hold the retrieved entries.
+RUN_VARIANTS = tuple(dict.fromkeys(
+    variant for (variant, _mode), stages in STAGE_TABLE.items()
+    if any("y_final" in stage.fields for stage in stages)
+))
+SWEEP_VARIANTS = tuple(variant for variant in RUN_VARIANTS if needs_retrieval(variant))
 
 
 # -- flags ----------------------------------------------------------------

@@ -23,7 +23,6 @@ from .metrics import DEFAULT_TOLERANCE, match_answer
 from .pipeline import PipelineTrace
 from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
 
-BUCKETS = ("d_int", "d_ext", "d_v", "d_t")
 OBJECTIVES = ("prki", "vtki", "sft")
 _OBJECTIVE_BUCKETS = {
     "prki": ("d_int", "d_ext"),

@@ -5,7 +5,8 @@ plus a diagnostic probe run. The core variant runs in one of two modes:
 "single" sends the whole multi-step template as one prompt, "staged" issues
 four separate calls (parametric answer, joint entry selection, external
 answer, reconciliation) and computes the answer-inconsistency flag from the
-two intermediate answers.
+two intermediate answers. Each variant's stages are rows of
+prompts.STAGE_TABLE, and PipelineRunner runs those rows.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from typing import Mapping, Sequence
 from .answers import (
     REFERENCE_LETTERS, bracket_spans, extract_answer, normalize_answer, parse_reference_letter,
 )
-from .backend import Backend, BackendRequest, max_new_tokens_for
+from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query, read_jsonl, write_jsonl
-from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
+from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, render
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
-CORE_MODES = ("staged", "single")
+# The core variant's modes, in table order.
+CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
 
 # Prompts letter their reference entries A..E, so at most five go in one prompt.
 MAX_TOP_K = len(REFERENCE_LETTERS)
@@ -86,53 +88,6 @@ def vtki_value(i_v: int | None, i_t: int | None) -> bool | None:
     if i_v is None or i_t is None:
         return None
     return i_v != i_t
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One backend call of a variant.
-
-    context: what the prompt is rendered from: "query" (the query alone),
-    "gold" (the query's gold entry), "entries" (the retrieved entries,
-    labelled A..E), "selected" (the entry picked by the last letter stage) or
-    "reconcile" (that entry plus y_int and y_ext).
-    parse: "answer" (the bracketed answer), "letter" (a reference letter; a
-    failure ends the query) or "single" (core single's best-effort parse of
-    y_final, y_int and i_tv, in that order).
-    fields: the trace fields the parsed value sets.
-    """
-
-    token: str
-    context: str
-    parse: str
-    fields: tuple[str, ...]
-
-
-# A variant's stages run in order, each after the previous one returned. The
-# key's second part is the core mode; other variants have none.
-STAGE_TABLE: dict[tuple[str, str | None], tuple[Stage, ...]] = {
-    ("param", None): (Stage("param_gen", "query", "answer", ("y_int", "y_final")),),
-    ("oracle", None): (Stage("oracle_gen", "gold", "answer", ("y_final",)),),
-    ("one_stage", None): (Stage("one_stage_gen", "entries", "answer", ("y_final",)),),
-    ("two_stage", None): (
-        Stage("rerank", "entries", "letter", ("i_t",)),
-        Stage("two_stage_gen", "selected", "answer", ("y_final",)),
-    ),
-    ("mmstar", None): (Stage("mmstar_gen", "entries", "answer", ("y_final",)),),
-    ("core", "staged"): (
-        Stage("core_param", "query", "answer", ("y_int",)),
-        Stage("core_select", "entries", "letter", ("i_tv",)),
-        Stage("core_ext_gen", "selected", "answer", ("y_ext",)),
-        Stage("core_reconcile", "reconcile", "answer", ("y_final",)),
-    ),
-    ("core", "single"): (
-        Stage("core_single", "entries", "single", ("y_final", "y_int", "i_tv")),
-    ),
-    ("probe", None): (
-        Stage("probe_visual", "entries", "letter", ("i_v",)),
-        Stage("probe_text", "entries", "letter", ("i_t",)),
-    ),
-}
 
 
 def needs_retrieval(variant: str) -> bool:
@@ -200,19 +155,19 @@ class PipelineRunner:
         return self.core_mode if variant == "core" else None
 
     def _call(
-        self, variant: str, stage: str, ctx: PromptContext, query_id: str,
+        self, variant: str, stage: Stage, ctx: PromptContext, query_id: str,
         warnings: list[str],
     ) -> tuple[str, StageTranscript]:
-        seq = render(variant, stage, ctx)
+        seq = render(variant, stage.token, ctx)
         req = BackendRequest(
-            messages=seq, query_id=query_id, stage=stage,
-            max_new_tokens=max_new_tokens_for(variant),
+            messages=seq, query_id=query_id, stage=stage.token,
+            max_new_tokens=stage.max_new_tokens,
         )
         resp = self.backend.generate(req)
         if not resp.text.strip():
-            warnings.append(f"empty_response:{stage}")
+            warnings.append(f"empty_response:{stage.token}")
         transcript = StageTranscript(
-            stage=stage, prompt_parts=tuple(seq.to_json_parts()), text=resp.text,
+            stage=stage.token, prompt_parts=tuple(seq.to_json_parts()), text=resp.text,
             latency_ms=resp.latency_ms, raw=resp.raw,
             temperature=req.temperature, max_new_tokens=req.max_new_tokens,
         )
@@ -265,7 +220,7 @@ class PipelineRunner:
                 step3_answer=fields.get("y_ext") if stage.context == "reconcile" else None,
                 char_budget=self.char_budget,
             )
-            text, transcript = self._call(variant, stage.token, ctx, query.query_id, warnings)
+            text, transcript = self._call(variant, stage, ctx, query.query_id, warnings)
             transcripts.append(transcript)
             if stage.parse == "answer":
                 values = (extract_answer(text),) * len(stage.fields)

@@ -1,4 +1,11 @@
-"""Bit-exact prompt rendering for every pipeline variant.
+"""The stage catalog and bit-exact prompt rendering for every pipeline variant.
+
+STAGE_TABLE declares each variant once: its stages in call order, and for
+each stage its template file, what its prompt is rendered from, how its
+reply is parsed, the trace fields it sets and its output budget. render()
+reads a stage's template and entry requirement from its row, the pipeline
+runs the rows, and the CLI derives its variant and core mode choices from
+them. Adding a variant means adding a row and its template file.
 
 Templates live under ``kbvqa/templates/`` as verbatim resource files using
 ``{placeholder}`` substitution plus ``<image>`` / ``<image#X>`` markers.
@@ -23,41 +30,72 @@ from .kb import KnowledgeEntry, Query
 
 DEFAULT_CHAR_BUDGET = 2000
 
-VARIANTS = ("param", "oracle", "one_stage", "two_stage", "mmstar", "core", "probe")
 
-# Stage tokens are globally unique so mock scripts can key on them directly.
-VARIANT_STAGES: dict[str, tuple[str, ...]] = {
-    "param": ("param_gen",),
-    "oracle": ("oracle_gen",),
-    "one_stage": ("one_stage_gen",),
-    "two_stage": ("rerank", "two_stage_gen"),
-    "mmstar": ("mmstar_gen",),
-    "core": ("core_single", "core_param", "core_select", "core_ext_gen", "core_reconcile"),
-    "probe": ("probe_visual", "probe_text"),
+@dataclass(frozen=True)
+class Stage:
+    """One backend call of a variant.
+
+    token: the stage's name, unique across variants so mock scripts can key
+    on it directly.
+    template: the file under kbvqa/templates/ its prompt is rendered from.
+    context: what the prompt is rendered from: "query" (the query alone),
+    "gold" (the query's gold entry), "entries" (the retrieved entries,
+    labelled A..E; render refuses zero), "selected" (the entry picked by the
+    last letter stage) or "reconcile" (that entry plus y_int and y_ext).
+    parse: "answer" (the bracketed answer), "letter" (a reference letter; a
+    failure ends the query) or "single" (core single's best-effort parse of
+    y_final, y_int and i_tv, in that order).
+    fields: the trace fields the parsed value sets.
+    max_new_tokens: the output budget of the call: 512 tokens for the
+    multi-step reasoning variants, 64 elsewhere.
+    """
+
+    token: str
+    template: str
+    context: str
+    parse: str
+    fields: tuple[str, ...]
+    max_new_tokens: int
+
+
+# Every variant, one row per (variant, core mode); only core has modes. A
+# variant's stages run in order, each after the previous one returned.
+STAGE_TABLE: dict[tuple[str, str | None], tuple[Stage, ...]] = {
+    ("param", None): (
+        Stage("param_gen", "param.tmpl", "query", "answer", ("y_int", "y_final"), 64),
+    ),
+    ("oracle", None): (
+        Stage("oracle_gen", "oracle.tmpl", "gold", "answer", ("y_final",), 64),
+    ),
+    ("one_stage", None): (
+        Stage("one_stage_gen", "one_stage.tmpl", "entries", "answer", ("y_final",), 64),
+    ),
+    ("two_stage", None): (
+        Stage("rerank", "two_stage_rerank.tmpl", "entries", "letter", ("i_t",), 64),
+        Stage("two_stage_gen", "two_stage_generate.tmpl", "selected", "answer", ("y_final",), 64),
+    ),
+    ("mmstar", None): (
+        Stage("mmstar_gen", "mmstar.tmpl", "entries", "answer", ("y_final",), 512),
+    ),
+    ("core", "staged"): (
+        Stage("core_param", "param.tmpl", "query", "answer", ("y_int",), 512),
+        Stage("core_select", "core_select.tmpl", "entries", "letter", ("i_tv",), 512),
+        Stage("core_ext_gen", "oracle.tmpl", "selected", "answer", ("y_ext",), 512),
+        Stage("core_reconcile", "core_reconcile.tmpl", "reconcile", "answer", ("y_final",), 512),
+    ),
+    ("core", "single"): (
+        Stage("core_single", "core_single.tmpl", "entries", "single",
+              ("y_final", "y_int", "i_tv"), 512),
+    ),
+    ("probe", None): (
+        Stage("probe_visual", "probe_visual.tmpl", "entries", "letter", ("i_v",), 64),
+        Stage("probe_text", "two_stage_rerank.tmpl", "entries", "letter", ("i_t",), 64),
+    ),
 }
 
-_STAGE_TEMPLATES = {
-    "param_gen": "param.tmpl",
-    "oracle_gen": "oracle.tmpl",
-    "one_stage_gen": "one_stage.tmpl",
-    "rerank": "two_stage_rerank.tmpl",
-    "two_stage_gen": "two_stage_generate.tmpl",
-    "mmstar_gen": "mmstar.tmpl",
-    "core_single": "core_single.tmpl",
-    "core_param": "param.tmpl",
-    "core_select": "core_select.tmpl",
-    "core_ext_gen": "oracle.tmpl",
-    "core_reconcile": "core_reconcile.tmpl",
-    "probe_visual": "probe_visual.tmpl",
-    "probe_text": "two_stage_rerank.tmpl",
-}
-
-# Stages whose templates carry per-letter reference blocks; they refuse to
-# render with zero entries rather than emit a prompt with no references.
-_STAGES_NEEDING_ENTRIES = frozenset(
-    {"one_stage_gen", "rerank", "mmstar_gen", "core_single", "core_select",
-     "probe_visual", "probe_text"}
-)
+# render's lookup: (variant, stage token) -> Stage, over every core mode.
+_STAGES = {(variant, stage.token): stage
+           for (variant, _mode), stages in STAGE_TABLE.items() for stage in stages}
 
 _MARKER = re.compile(r"<image#([A-E])>|<image>")
 _PLACEHOLDER = re.compile(r"\{([A-Za-z0-9_]+)\}")
@@ -136,21 +174,6 @@ def _template_text(name: str) -> str:
         return ref.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise PromptError(f"template resource missing: {name}") from exc
-
-
-def template_for_stage(stage: str) -> str:
-    try:
-        return _STAGE_TEMPLATES[stage]
-    except KeyError:
-        raise PromptError(f"unknown stage: {stage!r}") from None
-
-
-def _check_variant_stage(variant: str, stage: str) -> None:
-    stages = VARIANT_STAGES.get(variant)
-    if stages is None:
-        raise PromptError(f"unknown variant: {variant!r}")
-    if stage not in stages:
-        raise PromptError(f"stage {stage!r} does not belong to variant {variant!r}")
 
 
 def truncate_content(text: str, char_budget: int) -> str:
@@ -293,15 +316,19 @@ def render(variant: str, stage: str, ctx: PromptContext) -> MessageSequence:
     preceding template text ends with ``Reference Image:``, which attaches
     the selected entry's image instead.
     """
-    _check_variant_stage(variant, stage)
+    row = _STAGES.get((variant, stage))
+    if row is None:
+        if all(name != variant for name, _mode in STAGE_TABLE):
+            raise PromptError(f"unknown variant: {variant!r}")
+        raise PromptError(f"stage {stage!r} does not belong to variant {variant!r}")
     if len(ctx.entries) > len(REFERENCE_LETTERS):
         raise PromptError(
             f"at most {len(REFERENCE_LETTERS)} entries may be supplied, got {len(ctx.entries)}"
         )
-    if stage in _STAGES_NEEDING_ENTRIES and not ctx.entries:
+    if row.context == "entries" and not ctx.entries:
         raise PromptError(f"stage {stage!r} requires at least one retrieved entry")
 
-    segments = _compiled(template_for_stage(stage), len(ctx.entries))
+    segments = _compiled(row.template, len(ctx.entries))
     values = _context_values(stage, ctx)
     parts: list[Part] = []
     for segment in segments:

@@ -25,11 +25,10 @@ from kbvqa.backend import (
     HttpBackend,
     MockBackend,
     StreamedBody,
-    max_new_tokens_for,
     request_body,
 )
 from kbvqa.errors import BackendError, IngestError, ScriptKeyError
-from kbvqa.prompts import ImagePart, MessageSequence, TextPart
+from kbvqa.prompts import STAGE_TABLE, ImagePart, MessageSequence, TextPart
 from kbvqa.transport import Reply
 
 from http_stub import ConnectProxy, LocalServer
@@ -108,11 +107,20 @@ class TestMock:
                 assert slot.text == f"ans{i}"
 
 
-def test_max_new_tokens_per_variant():
-    assert max_new_tokens_for("param") == 64
-    assert max_new_tokens_for("two_stage") == 64
-    assert max_new_tokens_for("mmstar") == 512
-    assert max_new_tokens_for("core") == 512
+def test_stage_table_output_budgets():
+    """512 new tokens for every stage of the multi-step reasoning variants
+    (core in both modes, mmstar), 64 for every other stage."""
+    budgets = {(variant, stage.token): stage.max_new_tokens
+               for (variant, _mode), stages in STAGE_TABLE.items() for stage in stages}
+    assert budgets == {
+        ("param", "param_gen"): 64, ("oracle", "oracle_gen"): 64,
+        ("one_stage", "one_stage_gen"): 64, ("two_stage", "rerank"): 64,
+        ("two_stage", "two_stage_gen"): 64, ("mmstar", "mmstar_gen"): 512,
+        ("core", "core_param"): 512, ("core", "core_select"): 512,
+        ("core", "core_ext_gen"): 512, ("core", "core_reconcile"): 512,
+        ("core", "core_single"): 512,
+        ("probe", "probe_visual"): 64, ("probe", "probe_text"): 64,
+    }
 
 
 class TestEndpointConfig:
