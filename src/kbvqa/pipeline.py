@@ -25,7 +25,6 @@ from .kb import KnowledgeBase, KnowledgeEntry, Query, read_jsonl, write_jsonl
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, render
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
-# The core variant's modes, in table order.
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
 
 # Prompts letter their reference entries A..E, so at most five go in one prompt.
