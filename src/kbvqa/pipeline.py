@@ -22,7 +22,7 @@ from .answers import (
 from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query, read_jsonl, write_jsonl
-from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, render
+from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
@@ -33,8 +33,12 @@ MAX_TOP_K = len(REFERENCE_LETTERS)
 
 @dataclass(frozen=True)
 class StageTranscript:
+    """One backend call of a trace. The prompt is named by its digest
+    (MessageSequence.sha256), not copied: render rebuilds it from the KB,
+    the query and the trace."""
+
     stage: str
-    prompt_parts: tuple[dict, ...]
+    prompt_sha256: str
     text: str
     latency_ms: float
     raw: str
@@ -42,7 +46,7 @@ class StageTranscript:
     max_new_tokens: int
 
     def to_json_dict(self) -> dict:
-        return {**vars(self), "prompt_parts": list(self.prompt_parts)}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,7 @@ class PipelineRunner:
         if not resp.text.strip():
             warnings.append(f"empty_response:{stage.token}")
         transcript = StageTranscript(
-            stage=stage.token, prompt_parts=tuple(seq.to_json_parts()), text=resp.text,
+            stage=stage.token, prompt_sha256=seq.sha256(), text=resp.text,
             latency_ms=resp.latency_ms, raw=resp.raw,
             temperature=req.temperature, max_new_tokens=req.max_new_tokens,
         )
@@ -295,10 +299,18 @@ def write_traces(
     write_jsonl(path, (trace.to_json_dict(include_transcripts) for trace in traces))
 
 
+def _prompt_sha256(transcript: dict) -> str:
+    # Traces written before transcripts named their prompts by digest carry
+    # the parts themselves.
+    if "prompt_sha256" not in transcript and "prompt_parts" in transcript:
+        return parts_sha256(transcript["prompt_parts"])
+    return transcript["prompt_sha256"]
+
+
 def _trace_from_dict(rec: dict, _lineno: int) -> PipelineTrace:
     transcripts = tuple(
         StageTranscript(
-            stage=t["stage"], prompt_parts=tuple(t["prompt_parts"]),
+            stage=t["stage"], prompt_sha256=_prompt_sha256(t),
             text=t["text"], latency_ms=t["latency_ms"], raw=t["raw"],
             temperature=t["temperature"], max_new_tokens=t["max_new_tokens"],
         )

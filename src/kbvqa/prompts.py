@@ -12,17 +12,20 @@ Templates live under ``kbvqa/templates/`` as verbatim resource files using
 Each (template, entry count) is compiled once into text segments and image
 slots; rendering only fills in values, so substituted content never runs
 back through the marker scanner, and questions or wiki text containing
-marker-like strings cannot inject image slots.
+marker-like strings cannot inject image slots. Rendering is byte-stable,
+so a prompt is named by the sha256 of its JSON parts (parts_sha256).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Sequence, Union
 
 from .answers import REFERENCE_LETTERS
 from .errors import PromptError
@@ -144,6 +147,19 @@ class MessageSequence:
             else:
                 out.append({"type": "image", "marker": p.marker, "image_ref": p.image_ref})
         return out
+
+    def sha256(self) -> str:
+        """The digest a trace names this prompt by: parts_sha256 of its parts."""
+        return parts_sha256(self.to_json_parts())
+
+
+_encode_parts = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def parts_sha256(parts: Sequence[dict]) -> str:
+    """Hex sha256 of the UTF-8 bytes of json.dumps(parts, ensure_ascii=False):
+    the bytes the parts take as a value in a JSONL line."""
+    return hashlib.sha256(_encode_parts(parts).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

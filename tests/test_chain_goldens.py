@@ -6,7 +6,9 @@ probe-unimodal, mine-prki, mine-vtki, export-training for each objective,
 score, report, a two-value sweep and one core staged run over HTTP against
 http_stub.LocalServer. Two things are masked before comparing: the path
 values in run_config.json, which name the temporary input and output
-directories, and latency_ms on the HTTP run.
+directories, and latency_ms on the HTTP run. Each transcript's
+prompt_sha256 is also checked against its prompt rendered again from the
+KB, the query, the trace and run_config.json.
 
 After a deliberate change to an output format, rewrite the goldens with
 
@@ -17,6 +19,7 @@ and review the diff.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import shutil
@@ -28,10 +31,19 @@ import pytest
 import fixture_gen
 from http_stub import LocalServer
 from kbvqa.cli import main
+from kbvqa.kb import ingest_kb, ingest_queries
+from kbvqa.prompts import STAGE_TABLE, PromptContext, Stage, render
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens" / "chain"
 HTTP_STEP = "run_http_core_staged"
 _LATENCY = re.compile(rb'"latency_ms": [^,}]+')
+# Every trace file the chain writes with transcripts: all variants, both core
+# modes, the probe and the HTTP run. The sweep writes none.
+TRACE_FILES = (
+    *(f"run_{v}/traces.jsonl" for v in ("param", "oracle", "one_stage", "two_stage", "mmstar",
+                                        "core_staged", "core_single")),
+    "probe/probe_traces.jsonl", f"{HTTP_STEP}/traces.jsonl",
+)
 
 
 def run_chain(bundle: fixture_gen.FixtureBundle, out: Path) -> None:
@@ -135,6 +147,53 @@ def test_output_matches_golden(outputs, rel):
     golden = (GOLDEN_DIR / rel).read_bytes()
     if outputs[rel] != golden:
         pytest.fail(f"{rel}: {first_difference(golden, outputs[rel])}", pytrace=False)
+
+
+def prompt_context(trace: dict, stages: tuple[Stage, ...], stage: Stage, kb, query,
+                   char_budget: int) -> PromptContext:
+    """The context a transcript's prompt was rendered from, rebuilt from the KB,
+    the query, the trace's entry ids, selection and answers, and the run's
+    char_budget."""
+    entries = tuple(kb.by_id[entry_id] for entry_id in trace["context_entry_ids"])
+    selected = None
+    if stage.context == "gold":
+        selected = entries[0]
+    elif stage.context in ("selected", "reconcile"):
+        letter = next(s for s in stages if s.parse == "letter")
+        selected = entries[trace[letter.fields[0]]]
+    reconcile = stage.context == "reconcile"
+    return PromptContext(
+        query=query, entries=entries if stage.context == "entries" else (),
+        selected_entry=selected, step1_answer=trace["y_int"] if reconcile else None,
+        step3_answer=trace["y_ext"] if reconcile else None, char_budget=char_budget,
+    )
+
+
+@pytest.fixture(scope="module")
+def kb_and_queries(bundle):
+    queries = {q.query_id: q for q in ingest_queries(bundle.queries_path)}
+    return ingest_kb(bundle.entries_path, bundle.kb_manifest), queries
+
+
+@pytest.mark.parametrize("rel", TRACE_FILES)
+def test_each_digest_names_the_prompt_render_rebuilds(outputs, kb_and_queries, rel):
+    """prompt_sha256 is the sha256 of the prompt's JSON parts, as a trace line
+    held them before it named prompts by digest."""
+    kb, queries = kb_and_queries
+    char_budget = json.loads(outputs[rel.split("/")[0] + "/run_config.json"])["char_budget"]
+    checked = 0
+    for line in outputs[rel].decode("utf-8").splitlines():
+        trace = json.loads(line)
+        stages = STAGE_TABLE[(trace["variant"], trace["mode"])]
+        by_token = {s.token: s for s in stages}
+        for transcript in trace["transcripts"]:
+            stage = by_token[transcript["stage"]]
+            ctx = prompt_context(trace, stages, stage, kb, queries[trace["query_id"]], char_budget)
+            parts = render(trace["variant"], stage.token, ctx).to_json_parts()
+            expected = hashlib.sha256(json.dumps(parts, ensure_ascii=False).encode()).hexdigest()
+            assert transcript["prompt_sha256"] == expected, (trace["query_id"], stage.token)
+            checked += 1
+    assert checked >= len(queries)
 
 
 def write_goldens() -> None:

@@ -23,6 +23,7 @@ import fixture_gen
 from kbvqa import cli as cli_module
 from kbvqa import kb as kb_module
 from kbvqa.cli import INDEX_DIGESTS, _pack_strings, _unpack_strings, build_parser, main
+from kbvqa.pipeline import read_traces
 
 from http_stub import LocalServer
 
@@ -945,6 +946,42 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
     """Every file under root by relative path, with root itself written as ROOT."""
     return {str(p.relative_to(root)): p.read_bytes().replace(str(root).encode(), b"ROOT")
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_traces_with_prompt_parts_score_and_mine_as_their_digest_form(bundle, goldens_dir,
+                                                                     tmp_path):
+    """Core staged traces written when transcripts carried their prompt parts
+    read as the digest form of the same lines, and score and mine-prki write
+    the same bytes for both."""
+    old_lines = (Path(__file__).parent / "data" / "core_staged_traces_with_prompt_parts.jsonl"
+                 ).read_text(encoding="utf-8").splitlines(keepends=True)
+    qids = [json.loads(line)["query_id"] for line in old_lines]
+    chain = goldens_dir / "chain"
+    new_by_qid = {json.loads(line)["query_id"]: line for line in
+                  (chain / "run_core_staged" / "traces.jsonl").read_text(
+                      encoding="utf-8").splitlines(keepends=True)}
+    queries = [line for line in bundle.queries_path.read_text(encoding="utf-8").splitlines(
+        keepends=True) if json.loads(line)["query_id"] in qids]
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    trees = {}
+    for side, lines in (("parts", old_lines), ("digest", [new_by_qid[q] for q in qids])):
+        root = tmp_path / side
+        root.mkdir()
+        (root / "traces.jsonl").write_text("".join(lines), encoding="utf-8")
+        (root / "queries.jsonl").write_text("".join(queries), encoding="utf-8")
+        traces, q = str(root / "traces.jsonl"), ["--queries", str(root / "queries.jsonl")]
+        assert main(["score", "--traces", traces, *q, *kb, "--retrievals",
+                     str(chain / "retrieve" / "retrieval_results.jsonl"),
+                     "--out-dir", str(root / "score")]) == 0
+        assert main(["mine-prki", "--traces-int", traces, "--traces-ext", traces, *q,
+                     "--out-dir", str(root / "mine_prki")]) == 0
+        trees[side] = _tree_bytes(root)
+    assert (read_traces(tmp_path / "parts" / "traces.jsonl")
+            == read_traces(tmp_path / "digest" / "traces.jsonl"))
+    assert trees["parts"].pop("traces.jsonl") != trees["digest"].pop("traces.jsonl")
+    assert trees["parts"] == trees["digest"]
+    counts = json.loads(trees["digest"]["mine_prki/mining_summary.json"])
+    assert (counts["d_int"], counts["d_ext"], counts["equal_answers"]) == (1, 1, 1)
 
 
 def test_offline_chain_runs_where_numpy_cannot_load(ws, bundle, tmp_path):

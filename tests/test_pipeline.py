@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import pytest
 
@@ -16,7 +17,7 @@ from kbvqa.pipeline import (
     vtki_value,
     write_traces,
 )
-from kbvqa.prompts import STAGE_TABLE
+from kbvqa.prompts import STAGE_TABLE, parts_sha256
 from kbvqa.retrieval import RetrievalResult
 
 
@@ -375,10 +376,32 @@ class TestTraceIO:
         assert a.prki_flag == b.prki_flag
         assert a.context_entry_ids == b.context_entry_ids
         assert [t.stage for t in a.transcripts] == [t.stage for t in b.transcripts]
-        assert a.transcripts[0].prompt_parts == b.transcripts[0].prompt_parts
+        assert a.transcripts[0].prompt_sha256 == b.transcripts[0].prompt_sha256
+
+    def test_transcript_with_prompt_parts_reads_as_its_digest(self, tmp_path):
+        # Traces written before transcripts named their prompts by digest.
+        traces = self._traces()
+        parts = [{"type": "text", "text": "Question: \u2028\"x\"\\"},
+                 {"type": "image", "marker": "<image>", "image_ref": "images/q1.jpg"}]
+        row = traces[0].to_json_dict()
+        for t in row["transcripts"]:
+            del t["prompt_sha256"]
+            t["prompt_parts"] = parts
+        path = tmp_path / "traces.jsonl"
+        path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+        again = read_traces(path)[0]
+        assert {t.prompt_sha256 for t in again.transcripts} == {parts_sha256(parts)}
+        assert again.transcripts[0].text == traces[0].transcripts[0].text
+
+    def test_transcript_without_a_prompt_is_an_error(self, tmp_path):
+        row = self._traces()[0].to_json_dict()
+        del row["transcripts"][1]["prompt_sha256"]
+        path = tmp_path / "traces.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        with pytest.raises(PipelineError, match=f"{path}:1: missing field 'prompt_sha256'"):
+            read_traces(path)
 
     def test_transcripts_can_be_omitted(self, tmp_path):
-        import json
         traces = self._traces()
         path = tmp_path / "traces.jsonl"
         write_traces(traces, path, include_transcripts=False)

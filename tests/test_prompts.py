@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import re
 
 import pytest
@@ -16,6 +18,7 @@ from kbvqa.prompts import (
     PromptContext,
     TextPart,
     golden_check,
+    parts_sha256,
     render,
     rendered_text,
     truncate_content,
@@ -286,6 +289,27 @@ def test_message_sequence_json_parts():
     ]
     assert seq.text_only() == "before  after"
     assert seq.marked_text() == "before <image> after"
+
+
+# Characters JSON escapes or that UTF-8 takes several bytes for, next to any other.
+_digest_text = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\u2029é漢😀<>#'),
+    st.characters(exclude_categories=("Cs",)),
+), max_size=30)
+_digest_parts = st.lists(st.one_of(
+    st.builds(TextPart, _digest_text),
+    st.builds(ImagePart, _digest_text, st.sampled_from(("<image>", "<image#A>", "<image#E>"))),
+), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_digest_parts)
+def test_digest_is_sha256_of_the_json_parts(parts):
+    seq = MessageSequence(parts=tuple(parts))
+    json_parts = seq.to_json_parts()
+    expected = hashlib.sha256(json.dumps(json_parts, ensure_ascii=False).encode()).hexdigest()
+    assert seq.sha256() == expected
+    assert parts_sha256(json.loads(json.dumps(json_parts))) == expected
 
 
 class TestTruncationProperties:
