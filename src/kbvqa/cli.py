@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import zipfile
 from pathlib import Path
@@ -27,8 +26,8 @@ from typing import TYPE_CHECKING, Iterable
 from .backend import DEFAULT_MAX_IN_FLIGHT, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
 from .kb import (
-    KnowledgeBase, export_kb, export_queries, ingest_kb, ingest_queries, load_embeddings,
-    load_manifest,
+    KnowledgeBase, atomic_write, catalog_path, export_kb, export_queries, ingest_kb,
+    ingest_queries, load_embeddings, load_manifest, write_catalog,
 )
 from .metrics import (
     DEFAULT_RECALL_KS,
@@ -215,17 +214,13 @@ def _workers(cfg: dict) -> int:
     return min(workers, _max_in_flight(cfg))
 
 
-def _load_kb(cfg: dict, with_embeddings: bool) -> KnowledgeBase:
+def _load_kb(cfg: dict, with_embeddings: bool, use_catalog: bool = True) -> KnowledgeBase:
     _require(cfg, "kb", "kb_manifest")
-    kb = ingest_kb(cfg["kb"], cfg["kb_manifest"])
+    kb = ingest_kb(cfg["kb"], cfg["kb_manifest"], use_catalog=use_catalog)
     if with_embeddings:
         _require(cfg, "kb_embeddings")
         kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
     return kb
-
-
-def _url_map(kb: KnowledgeBase) -> dict[str, str]:
-    return {entry.entry_id: entry.url for entry in kb.entries}
 
 
 def _backend(cfg: dict):
@@ -265,7 +260,9 @@ def _trace_summary(traces) -> str:
 def cmd_ingest(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "queries")
-    kb = _load_kb(cfg, with_embeddings=False)
+    # Every line is parsed and checked, catalog or not: this is what the
+    # catalog written below vouches for.
+    kb = _load_kb(cfg, with_embeddings=False, use_catalog=False)
     queries = ingest_queries(cfg["queries"])
     out = _out_dir(cfg)
     export_kb(kb, out / "entries_normalized.jsonl")
@@ -282,6 +279,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
     )
     _write_run_config(out, "ingest", cfg)
+    try:
+        write_catalog(kb, cfg["kb"])
+    except OSError as exc:
+        print(f"warning: cannot write the KB catalog {catalog_path(cfg['kb'])}: "
+              f"{exc.strerror or exc}; later commands parse the whole KB", file=sys.stderr)
     print(f"ingested {len(kb)} entries, {len(queries)} queries -> {out}")
     return EXIT_OK
 
@@ -338,31 +340,25 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     cfg = _resolve(args)
     _require(cfg, "kb", "kb_manifest", "kb_embeddings")
-    # Hashed before they are read: a file that changes while `index` runs
-    # then fails the check in `retrieve --index` instead of passing it.
-    digests = {member: np.array(_sha256(cfg[key])) for key, member in INDEX_DIGESTS.items()}
     kb = _load_kb(cfg, with_embeddings=True)
+    # The sha256 of the bytes ingest_kb and load_embeddings read: a file that
+    # changes while `index` runs then fails the check in `retrieve --index`.
+    digests = {INDEX_DIGESTS["kb"]: kb.sha256, INDEX_DIGESTS["kb_manifest"]: kb.manifest_sha256,
+               INDEX_DIGESTS["kb_embeddings"]: kb.embeddings.sha256}
     index = build_index(kb)
-    url_blob, url_offsets = _pack_strings(e.url for e in kb.entries)
+    url_blob, url_offsets = _pack_strings(kb.urls)
     out = _out_dir(cfg)
     path = out / "index.npz"
-    # Written beside the target and renamed over it, so an interrupted run
-    # never leaves a partial index.npz.
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            np.savez(
-                fh,
-                entry_ids=np.array(index.entry_ids, dtype=np.str_),
-                dim=np.int64(index.matrix.shape[1]),
-                matrix=index.matrix,
-                url_blob=url_blob,
-                url_offsets=url_offsets,
-                **digests,
-            )
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        np.savez(
+            fh,
+            entry_ids=np.array(index.entry_ids, dtype=np.str_),
+            dim=np.int64(index.matrix.shape[1]),
+            matrix=index.matrix,
+            url_blob=url_blob,
+            url_offsets=url_offsets,
+            **{member: np.array(digest) for member, digest in digests.items()},
+        )
     _write_run_config(out, "index", cfg)
     print(f"indexed {len(index)} entries (dim {index.dim}) -> {path}")
     return EXIT_OK
@@ -429,7 +425,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
         index, urls = _load_index(cfg)
     else:
         kb = _load_kb(cfg, with_embeddings=True)
-        index, urls = build_index(kb), [entry.url for entry in kb.entries]
+        index, urls = build_index(kb), kb.urls
     queries = ingest_queries(cfg["queries"])
     qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"])
     vectors = []
@@ -511,7 +507,7 @@ def cmd_mine_vtki(args: argparse.Namespace) -> int:
     _require(cfg, "probe_traces", "queries")
     kb = _load_kb(cfg, with_embeddings=False)
     queries = ingest_queries(cfg["queries"])
-    mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, _url_map(kb))
+    mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, kb.url_map())
     return _write_mining(cfg, "mine-vtki", mining, ("d_v", "d_t"))
 
 
@@ -556,7 +552,7 @@ def _score(cfg: dict):
     traces = read_traces(cfg["traces"])
     results = read_results(cfg["retrievals"])
     plugin = PluginScorer(cfg["plugin"]) if cfg.get("plugin") else None
-    scored = score_run(traces, queries, results, _url_map(kb), plugin=plugin, **_score_options(cfg))
+    scored = score_run(traces, queries, results, kb.url_map(), plugin=plugin, **_score_options(cfg))
     return scored, queries
 
 
@@ -615,7 +611,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     results_list = read_results(cfg["retrievals"])
     results = {r.query_id: r for r in results_list}
     out = _out_dir(cfg)
-    url_map = _url_map(kb)
+    url_map = kb.url_map()
 
     rows = []
     any_failed = False

@@ -10,17 +10,27 @@ File formats:
                     "query_embedding_row"}
   embeddings.manifest.json   {"dim", "count", "normalized", "dtype": "f32le"}
   embeddings.bin             raw little-endian float32, row-major, count*dim values
+  entries.jsonl.catalog.json written by `kbvqa ingest` beside the entries
+                   (write_catalog): the sha256 of the entries file and of
+                   the manifest, and per entry, in file order, its id, url,
+                   embedding row and the byte span of its line
 
 Loaded handles are immutable after ingestion and safe for concurrent readers.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-from dataclasses import dataclass, field
+import os
+import threading
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, TypeVar
 
 from .errors import IngestError, KbvqaError
 
@@ -36,6 +46,13 @@ ANSWER_TYPES = ("text", "numeric", "numeric_range")
 
 NORM_TOLERANCE = 1e-4
 NORM_BLOCK_ROWS = 4096
+
+CATALOG_VERSION = 1
+CATALOG_SUFFIX = ".catalog.json"
+# The catalog's per-entry columns, each a list in file order; a line span is
+# [byte offset, byte length] of the entry's line, its line end included.
+CATALOG_COLUMNS = ("entry_id", "url", "embedding_row", "line_span")
+_READ_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -100,35 +117,68 @@ class EmbeddingMatrix:
     count: int
     data: np.ndarray
     normalized: bool
+    sha256: str | None = None  # of the file's bytes, as read
 
 
-@dataclass
 class KnowledgeBase:
-    """Validated entry set plus the manifest of its embedding matrix."""
+    """Validated entry set plus the manifest of its embedding matrix.
 
-    entries: list[KnowledgeEntry]
-    manifest: dict
-    by_id: dict[str, KnowledgeEntry] = field(default_factory=dict)
-    embeddings: EmbeddingMatrix | None = None
+    Entry ids, URLs and embedding rows are also kept as columns in file
+    order, so len(), URL maps and index rows never need the entries. A KB
+    that ingest_kb loaded through its catalog holds the bytes of the entries
+    file and parses an entry's line the first time the entry is looked up,
+    through by_id, entry_by_url or entries.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.by_id:
-            self.by_id = {e.entry_id: e for e in self.entries}
+    def __init__(self, entries: Iterable[KnowledgeEntry], manifest: dict,
+                 embeddings: EmbeddingMatrix | None = None) -> None:
+        self.manifest = manifest
+        self.embeddings = embeddings
+        self._parsed: list[KnowledgeEntry | None] = list(entries)
+        self.entry_ids = [e.entry_id for e in self._parsed]
+        self.urls = [e.url for e in self._parsed]
+        self.embedding_rows = [e.embedding_row for e in self._parsed]
+        # Set by ingest_kb: the sha256 of the entries and manifest bytes it
+        # read, and each entry's line as (byte offset, byte length).
+        self.sha256: str | None = None
+        self.manifest_sha256: str | None = None
+        self.line_spans: list | None = None
+        # (entries bytes, entries path, catalog path) of a catalog-backed KB.
+        self._source: tuple[bytes, Path, Path] | None = None
+        self._parse_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.entry_ids)
+
+    @property
+    def entries(self) -> list[KnowledgeEntry]:
+        """Every entry, in file order."""
+        return [self._entry(i) for i in range(len(self))]
+
+    @property
+    def by_id(self) -> Mapping[str, KnowledgeEntry]:
+        return _EntriesById(self)
 
     def entry_by_url(self, url: str) -> KnowledgeEntry | None:
         """First entry whose url matches byte-exactly."""
-        return self._first_by_url.get(url)
+        i = self._first_by_url.get(url)
+        return None if i is None else self._entry(i)
 
     @cached_property
-    def _first_by_url(self) -> dict[str, KnowledgeEntry]:
+    def _first_by_url(self) -> dict[str, int]:
         # Built on the first lookup; reversed so the first-ingested entry wins.
-        return {entry.url: entry for entry in reversed(self.entries)}
+        return dict(zip(reversed(self.urls), range(len(self.urls) - 1, -1, -1)))
+
+    @cached_property
+    def _ordinal(self) -> dict[str, int]:
+        return {entry_id: i for i, entry_id in enumerate(self.entry_ids)}
 
     def url_of(self, entry_id: str) -> str:
-        return self.by_id[entry_id].url
+        return self.urls[self._ordinal[entry_id]]
+
+    def url_map(self) -> dict[str, str]:
+        """entry_id -> url for every entry."""
+        return dict(zip(self.entry_ids, self.urls))
 
     def attach_embeddings(self, matrix: EmbeddingMatrix) -> None:
         if matrix.count != int(self.manifest["count"]) or matrix.dim != int(self.manifest["dim"]):
@@ -137,6 +187,61 @@ class KnowledgeBase:
                 f"{self.manifest['count']}x{self.manifest['dim']}"
             )
         self.embeddings = matrix
+
+    def _entry(self, i: int) -> KnowledgeEntry:
+        entry = self._parsed[i]
+        if entry is None:
+            # Locked, so every lookup of an entry returns the one object.
+            with self._parse_lock:
+                entry = self._parsed[i]
+                if entry is None:
+                    entry = self._parsed[i] = self._parse_line(i)
+        return entry
+
+    def _parse_line(self, i: int) -> KnowledgeEntry:
+        """Entry i parsed from the line its catalog span names.
+
+        The line was validated by the `kbvqa ingest` that wrote the catalog,
+        so a line that does not parse to the catalog's id, url and row means
+        the catalog is wrong about it.
+        """
+        data, path, catalog = self._source
+        expected = (self.entry_ids[i], self.urls[i], self.embedding_rows[i])
+        try:
+            offset, length = self.line_spans[i]
+            line = data[offset:offset + length].decode("utf-8")
+            entry = _entry_from_dict(json.loads(line), path, i + 1)
+            found = (entry.entry_id, entry.url, entry.embedding_row)
+        except (IngestError, AttributeError, TypeError, ValueError):
+            found = None
+        if found != expected:
+            raise IngestError(
+                f"KB catalog {catalog} does not match {path}: its entry {i + 1} "
+                f"({expected[0]!r}) is not the line it points at; delete the catalog or "
+                f"run `kbvqa ingest` again"
+            )
+        return entry
+
+
+class _EntriesById(Mapping):
+    """entry_id -> entry of a KnowledgeBase; a lookup parses only that entry."""
+
+    __slots__ = ("_kb",)
+
+    def __init__(self, kb: KnowledgeBase) -> None:
+        self._kb = kb
+
+    def __getitem__(self, entry_id: str) -> KnowledgeEntry:
+        return self._kb._entry(self._kb._ordinal[entry_id])
+
+    def __contains__(self, entry_id: object) -> bool:
+        return entry_id in self._kb._ordinal
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._kb._ordinal)
+
+    def __len__(self) -> int:
+        return len(self._kb._ordinal)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -153,21 +258,37 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
-               error_class: type[KbvqaError]) -> list[T]:
+               error_class: type[KbvqaError], digest: hashlib._Hash | None = None,
+               spans: list | None = None) -> list[T]:
     """parse(record, lineno) for every non-blank line of a JSONL file, in order.
 
     A missing file, bad JSON, a missing field or a malformed value raises
     error_class naming ``path:line``; parse may raise its own errors too.
+    Lines end where text mode ends them: at LF, CRLF or a lone CR. With
+    digest, every byte of the file is fed to it as it is read; with spans,
+    each parsed line's (byte offset, byte length), its line end included,
+    is appended to it.
     """
     p = Path(path)
     try:
-        fh = p.open("r", encoding="utf-8")
+        raw = io.FileIO(p)
     except OSError as exc:
         raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
+    if digest is not None:
+        raw = _HashingReader(raw, digest)
+    # newline="": lines split as in text mode, but keep their line ends, so a
+    # line's length in bytes is the length of its span.
+    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="")
+    # Decode a MiB at a time, not 8 KiB: fewer calls through _HashingReader.
+    fh._CHUNK_SIZE = _READ_CHUNK
     out: list[T] = []
+    offset = 0
     with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
+                start = offset
+                if spans is not None:
+                    offset += len(line) if line.isascii() else len(line.encode("utf-8"))
                 if not line.strip():
                     continue
                 try:
@@ -178,9 +299,32 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
                     raise error_class(f"{p}:{lineno}: missing field {exc}") from None
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
+                if spans is not None:
+                    spans.append((start, offset - start))
         except UnicodeDecodeError as exc:
             raise error_class(_undecodable_line(p, exc)) from exc
     return out
+
+
+class _HashingReader(io.RawIOBase):
+    """A raw binary file that feeds each byte it reads to a hash."""
+
+    def __init__(self, raw: io.FileIO, digest: hashlib._Hash) -> None:
+        self._raw = raw
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        if n:
+            self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
 
 
 def _undecodable_line(p: Path, exc: UnicodeDecodeError) -> str:
@@ -210,12 +354,34 @@ def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
     return count
 
 
+@contextmanager
+def atomic_write(path: Path) -> Iterator[BinaryIO]:
+    """A binary file to write in place of path.
+
+    It is written beside path and renamed over it when the block ends, so an
+    interrupted write leaves the previous file and no temporary one.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_manifest(manifest_path: str | Path) -> dict:
+    return _read_manifest(manifest_path)[0]
+
+
+def _read_manifest(manifest_path: str | Path) -> tuple[dict, str]:
+    """The checked manifest and the sha256 of the bytes it was parsed from."""
     path = Path(manifest_path)
     if not path.exists():
         raise IngestError(f"embedding manifest not found: {path}")
+    raw = path.read_bytes()
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise IngestError(f"{path}: malformed manifest JSON: {exc}") from exc
     for key in ("dim", "count", "normalized"):
@@ -227,7 +393,7 @@ def load_manifest(manifest_path: str | Path) -> dict:
         raise IngestError(f"{path}: dim must be positive")
     if int(manifest["count"]) < 0:
         raise IngestError(f"{path}: count must be non-negative")
-    return manifest
+    return manifest, hashlib.sha256(raw).hexdigest()
 
 
 def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
@@ -285,15 +451,28 @@ def _not_a_string(path: Path, lineno: int, name: str, value: object, what: str) 
     return IngestError(f"{path}: line {lineno}: {name} must be a string, got {value!r} ({what})")
 
 
-def ingest_kb(entries_path: str | Path, manifest_path: str | Path) -> KnowledgeBase:
+def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
+              use_catalog: bool = True) -> KnowledgeBase:
     """Load and validate a KB: entries from JSONL, embedding bounds from the manifest.
 
     Duplicate entry_ids and out-of-range embedding rows are rejected with the
-    offending line identified.
+    offending line identified. When use_catalog is set and the catalog
+    beside entries_path holds the sha256 of the exact bytes of both files,
+    no line is parsed here: ids, URLs and rows come from the catalog, and
+    an entry's line is parsed when the entry is first looked up. Otherwise
+    every line is parsed and checked.
     """
-    manifest = load_manifest(manifest_path)
-    count = int(manifest["count"])
+    manifest, manifest_sha256 = _read_manifest(manifest_path)
     path = Path(entries_path)
+    kb = _kb_from_catalog(path, manifest, manifest_sha256) if use_catalog else None
+    if kb is None:
+        kb = _parse_kb(path, manifest)
+    kb.manifest_sha256 = manifest_sha256
+    return kb
+
+
+def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
+    count = int(manifest["count"])
     seen: dict[str, int] = {}
 
     def parse(obj: dict, lineno: int) -> KnowledgeEntry:
@@ -306,7 +485,76 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path) -> KnowledgeB
             )
         return entry
 
-    return KnowledgeBase(entries=read_jsonl(path, parse, IngestError), manifest=manifest)
+    digest = hashlib.sha256()
+    spans: list[tuple[int, int]] = []
+    kb = KnowledgeBase(read_jsonl(path, parse, IngestError, digest, spans), manifest)
+    kb.sha256 = digest.hexdigest()
+    kb.line_spans = spans
+    return kb
+
+
+def catalog_path(entries_path: str | Path) -> Path:
+    """Where `kbvqa ingest` writes the catalog of entries_path: beside it."""
+    path = Path(entries_path)
+    return path.with_name(path.name + CATALOG_SUFFIX)
+
+
+def _kb_from_catalog(path: Path, manifest: dict, manifest_sha256: str) -> KnowledgeBase | None:
+    """The KB over its catalog, or None when no catalog was written for these bytes.
+
+    A missing, unreadable or truncated catalog, one of another version, and
+    one whose digests differ from the files' are all None: the caller then
+    parses the whole file. The ids, URLs, rows and spans of a catalog whose
+    digests match are trusted as `kbvqa ingest` wrote them.
+    """
+    catalog = catalog_path(path)
+    try:
+        cat = json.loads(catalog.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not (isinstance(cat, dict) and cat.get("catalog_version") == CATALOG_VERSION
+            and cat.get("schema_version") == SCHEMA_VERSION
+            and cat.get("kb_manifest_sha256") == manifest_sha256):
+        return None
+    columns = [cat.get(name) for name in CATALOG_COLUMNS]
+    if not all(isinstance(column, list) and len(column) == len(columns[0]) for column in columns):
+        return None
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None  # the full parse names the error
+    sha256 = hashlib.sha256(data).hexdigest()
+    if cat.get("kb_sha256") != sha256:
+        return None
+    kb = KnowledgeBase((), manifest)
+    kb.entry_ids, kb.urls, kb.embedding_rows, kb.line_spans = columns
+    kb._parsed = [None] * len(kb.entry_ids)
+    kb._source = (data, path, catalog)
+    kb.sha256 = sha256
+    return kb
+
+
+def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
+    """Write the catalog of a KB that ingest_kb parsed in full; returns its path.
+
+    The catalog goes beside entries_path through atomic_write. It is plain
+    ASCII JSON: the catalog and schema versions, the sha256 of the entries
+    and manifest files, and the CATALOG_COLUMNS, each a list in file order.
+    """
+    payload = {
+        "catalog_version": CATALOG_VERSION,
+        "schema_version": SCHEMA_VERSION,
+        "kb_sha256": kb.sha256,
+        "kb_manifest_sha256": kb.manifest_sha256,
+        "entry_id": kb.entry_ids,
+        "url": kb.urls,
+        "embedding_row": kb.embedding_rows,
+        "line_span": kb.line_spans,
+    }
+    path = catalog_path(entries_path)
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, separators=(",", ":")).encode("ascii"))
+    return path
 
 
 def _check_unique(seen: dict[str, int], what: str, value: str, path: Path, lineno: int) -> None:
@@ -412,6 +660,8 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
             f"({count}x{dim} float32), found {actual_bytes}"
         )
     data = np.fromfile(path, dtype="<f4").reshape(count, dim)
+    # The file's bytes, hashed as read, before rows are normalized in place.
+    sha256 = hashlib.sha256(data).hexdigest()
     for start in range(0, count, NORM_BLOCK_ROWS):
         bad = ~np.isfinite(data[start:start + NORM_BLOCK_ROWS])
         if bad.any():
@@ -437,7 +687,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
                     f"{path}: manifest claims normalized but row {start + row} "
                     f"has norm {norms[row]:.6f}"
                 )
-    return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True)
+    return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True, sha256=sha256)
 
 
 def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:

@@ -87,19 +87,19 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
 
     if len(kb) == 0:
         return FlatIndex([], np.zeros((0, int(kb.manifest["dim"])), dtype=np.float32))
-    unbound = [e.entry_id for e in kb.entries if e.embedding_row is None]
+    unbound = [eid for eid, row in zip(kb.entry_ids, kb.embedding_rows) if row is None]
     if unbound:
         raise IngestError(f"entries without embedding_row: {', '.join(unbound)}")
     if kb.embeddings is None:
         raise IngestError("knowledge base has no embedding matrix attached")
     if not kb.embeddings.normalized:
         raise IngestError("embedding matrix must be normalized before indexing")
-    rows = np.array([e.embedding_row for e in kb.entries], dtype=np.int64)
+    rows = np.array(kb.embedding_rows, dtype=np.int64)
     if np.array_equal(rows, np.arange(len(rows))):
         matrix = kb.embeddings.data[:len(rows)]  # a view: no second copy of the matrix
     else:
         matrix = kb.embeddings.data[rows]
-    return FlatIndex([e.entry_id for e in kb.entries], matrix)
+    return FlatIndex(list(kb.entry_ids), matrix)
 
 
 def _unit_query(query_embedding: np.ndarray, dim: int) -> np.ndarray:

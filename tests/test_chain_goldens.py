@@ -4,7 +4,10 @@ fixture bundle, compared byte for byte with tests/goldens/chain/.
 The chain runs ingest, retrieve, run for every variant and core mode,
 probe-unimodal, mine-prki, mine-vtki, export-training for each objective,
 score, report, a two-value sweep and one core staged run over HTTP against
-http_stub.LocalServer. Two things are masked before comparing: the path
+http_stub.LocalServer. The chain's ingest writes the KB catalog beside the
+fixture's entries, so every later command reads the KB through it; the
+chain runs once more with the catalog deleted after ingest, and must write
+the same bytes. Two things are masked before comparing: the path
 values in run_config.json, which name the temporary input and output
 directories, and latency_ms on the HTTP run. Each transcript's
 prompt_sha256 is also checked against its prompt rendered again from the
@@ -31,7 +34,7 @@ import pytest
 import fixture_gen
 from http_stub import LocalServer
 from kbvqa.cli import main
-from kbvqa.kb import ingest_kb, ingest_queries
+from kbvqa.kb import catalog_path, ingest_kb, ingest_queries
 from kbvqa.prompts import STAGE_TABLE, PromptContext, Stage, render
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "goldens" / "chain"
@@ -46,8 +49,12 @@ TRACE_FILES = (
 )
 
 
-def run_chain(bundle: fixture_gen.FixtureBundle, out: Path) -> None:
-    """Every command of the chain, each writing into its own directory of out."""
+def run_chain(bundle: fixture_gen.FixtureBundle, out: Path, catalog: bool = True) -> None:
+    """Every command of the chain, each writing into its own directory of out.
+
+    Without catalog, the KB catalog that ingest writes is deleted before the
+    next command, so every command parses the whole KB.
+    """
     kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
     q = ["--queries", str(bundle.queries_path)]
     r = ["--retrievals", str(out / "retrieve" / "retrieval_results.jsonl")]
@@ -57,6 +64,8 @@ def run_chain(bundle: fixture_gen.FixtureBundle, out: Path) -> None:
         assert main([*argv, "--out-dir", str(out / step)]) == exit_code, step
 
     cli("ingest", "ingest", *kb, *q)
+    if not catalog:
+        catalog_path(bundle.entries_path).unlink()
     cli("retrieve", "retrieve", *kb, "--kb-embeddings", str(bundle.kb_embeddings), *q,
         "--query-manifest", str(bundle.query_manifest),
         "--query-embeddings", str(bundle.query_embeddings), "--k", "10")
@@ -91,9 +100,11 @@ def run_chain(bundle: fixture_gen.FixtureBundle, out: Path) -> None:
     endpoint.unlink()
 
 
-def chain_outputs(bundle: fixture_gen.FixtureBundle, out: Path) -> dict[str, bytes]:
+def chain_outputs(bundle: fixture_gen.FixtureBundle, out: Path,
+                  catalog: bool = True) -> dict[str, bytes]:
     """Run the chain into out; every file it wrote by relative path, masked."""
-    run_chain(bundle, out)
+    run_chain(bundle, out, catalog)
+    assert catalog_path(bundle.entries_path).exists() == catalog
     # Longest root first, so a root inside another is replaced whole.
     roots = sorted({(str(out), "OUT"), (str(bundle.root), "FIXTURE")},
                    key=lambda pair: -len(pair[0]))
@@ -147,6 +158,14 @@ def test_output_matches_golden(outputs, rel):
     golden = (GOLDEN_DIR / rel).read_bytes()
     if outputs[rel] != golden:
         pytest.fail(f"{rel}: {first_difference(golden, outputs[rel])}", pytrace=False)
+
+
+def test_chain_without_the_kb_catalog_writes_the_golden_files(bundle, tmp_path):
+    outputs = chain_outputs(bundle, tmp_path / "chain", catalog=False)
+    assert sorted(outputs) == _golden_files()
+    for rel, data in outputs.items():
+        golden = (GOLDEN_DIR / rel).read_bytes()
+        assert data == golden, f"{rel}: {first_difference(golden, data)}"
 
 
 def prompt_context(trace: dict, stages: tuple[Stage, ...], stage: Stage, kb, query,

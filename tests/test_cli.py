@@ -843,8 +843,8 @@ def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         names |= {row[1] for row in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
-    assert {"pipeline.run_query", "prompts.render", "answers.parse", "backend.generate",
-            "kb.entry_by_url"} <= names
+    assert {"kb.ingest_kb", "pipeline.run_query", "prompts.render", "answers.parse",
+            "backend.generate", "kb.entry_by_url"} <= names
 
 
 def test_traced_cli_counts_each_core_staged_call(ws, bundle, tmp_path):
