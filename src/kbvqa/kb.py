@@ -49,9 +49,9 @@ NORM_BLOCK_ROWS = 4096
 
 CATALOG_VERSION = 1
 CATALOG_SUFFIX = ".catalog.json"
-# The catalog's per-entry columns, each a list in file order; a line span is
-# [byte offset, byte length] of the entry's line, its line end included.
-CATALOG_COLUMNS = ("entry_id", "url", "embedding_row", "line_span")
+# The catalog's per-entry columns, each a list in file order. An entry's line
+# is the line_length bytes at line_offset, its line end included.
+CATALOG_COLUMNS = ("entry_id", "url", "embedding_row", "line_offset", "line_length")
 _READ_CHUNK = 1 << 20
 
 
@@ -139,10 +139,11 @@ class KnowledgeBase:
         self.urls = [e.url for e in self._parsed]
         self.embedding_rows = [e.embedding_row for e in self._parsed]
         # Set by ingest_kb: the sha256 of the entries and manifest bytes it
-        # read, and each entry's line as (byte offset, byte length).
+        # read, and the byte offset and length of each entry's line.
         self.sha256: str | None = None
         self.manifest_sha256: str | None = None
-        self.line_spans: list | None = None
+        self.line_offsets: list[int] | None = None
+        self.line_lengths: list[int] | None = None
         # (entries bytes, entries path, catalog path) of a catalog-backed KB.
         self._source: tuple[bytes, Path, Path] | None = None
         self._parse_lock = threading.Lock()
@@ -199,7 +200,7 @@ class KnowledgeBase:
         return entry
 
     def _parse_line(self, i: int) -> KnowledgeEntry:
-        """Entry i parsed from the line its catalog span names.
+        """Entry i parsed from the line its catalog names.
 
         The line was validated by the `kbvqa ingest` that wrote the catalog,
         so a line that does not parse to the catalog's id, url and row means
@@ -208,8 +209,8 @@ class KnowledgeBase:
         data, path, catalog = self._source
         expected = (self.entry_ids[i], self.urls[i], self.embedding_rows[i])
         try:
-            offset, length = self.line_spans[i]
-            line = data[offset:offset + length].decode("utf-8")
+            offset = self.line_offsets[i]
+            line = data[offset:offset + self.line_lengths[i]].decode("utf-8")
             entry = _entry_from_dict(json.loads(line), path, i + 1)
             found = (entry.entry_id, entry.url, entry.embedding_row)
         except (IngestError, AttributeError, TypeError, ValueError):
@@ -258,37 +259,21 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
-               error_class: type[KbvqaError], digest: hashlib._Hash | None = None,
-               spans: list | None = None) -> list[T]:
+               error_class: type[KbvqaError]) -> list[T]:
     """parse(record, lineno) for every non-blank line of a JSONL file, in order.
 
     A missing file, bad JSON, a missing field or a malformed value raises
     error_class naming ``path:line``; parse may raise its own errors too.
-    Lines end where text mode ends them: at LF, CRLF or a lone CR. With
-    digest, every byte of the file is fed to it as it is read; with spans,
-    each parsed line's (byte offset, byte length), its line end included,
-    is appended to it.
     """
     p = Path(path)
     try:
-        raw = io.FileIO(p)
+        fh = p.open("r", encoding="utf-8")
     except OSError as exc:
         raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
-    if digest is not None:
-        raw = _HashingReader(raw, digest)
-    # newline="": lines split as in text mode, but keep their line ends, so a
-    # line's length in bytes is the length of its span.
-    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", newline="")
-    # Decode a MiB at a time, not 8 KiB: fewer calls through _HashingReader.
-    fh._CHUNK_SIZE = _READ_CHUNK
     out: list[T] = []
-    offset = 0
     with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                start = offset
-                if spans is not None:
-                    offset += len(line) if line.isascii() else len(line.encode("utf-8"))
                 if not line.strip():
                     continue
                 try:
@@ -299,8 +284,6 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
                     raise error_class(f"{p}:{lineno}: missing field {exc}") from None
                 except (AttributeError, TypeError, ValueError) as exc:
                     raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
-                if spans is not None:
-                    spans.append((start, offset - start))
         except UnicodeDecodeError as exc:
             raise error_class(_undecodable_line(p, exc)) from exc
     return out
@@ -472,6 +455,13 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
 
 
 def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
+    """Parse and check every line, hashing the bytes and noting where each line is.
+
+    The file is read in binary, so a line's byte offset and length, line end
+    included, come with it. Lines split where text mode splits them, at LF, CRLF
+    and a lone CR, and a line that str.strip() empties is skipped, so the
+    entries equal read_jsonl's.
+    """
     count = int(manifest["count"])
     seen: dict[str, int] = {}
 
@@ -485,11 +475,36 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
             )
         return entry
 
+    try:
+        raw = io.FileIO(path)
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256()
-    spans: list[tuple[int, int]] = []
-    kb = KnowledgeBase(read_jsonl(path, parse, IngestError, digest, spans), manifest)
+    entries: list[KnowledgeEntry] = []
+    offsets: list[int] = []
+    lengths: list[int] = []
+    lineno = offset = 0
+    try:
+        with io.BufferedReader(_HashingReader(raw, digest), _READ_CHUNK) as fh:
+            for chunk in fh:
+                # A UTF-8 character holds no CR or LF byte, so no split cuts one.
+                for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+                    lineno += 1
+                    text = line.decode("utf-8")
+                    if not text.isspace():
+                        entries.append(parse(json.loads(text), lineno))
+                        offsets.append(offset)
+                        lengths.append(len(line))
+                    offset += len(line)
+    except (KbvqaError, AttributeError, KeyError, TypeError, ValueError):
+        # The text reader decodes ahead of the line it parses, so of two bad
+        # lines close together it may name the later one. Name what it names.
+        seen.clear()
+        read_jsonl(path, parse, IngestError)
+        raise
+    kb = KnowledgeBase(entries, manifest)
     kb.sha256 = digest.hexdigest()
-    kb.line_spans = spans
+    kb.line_offsets, kb.line_lengths = offsets, lengths
     return kb
 
 
@@ -504,7 +519,7 @@ def _kb_from_catalog(path: Path, manifest: dict, manifest_sha256: str) -> Knowle
 
     A missing, unreadable or truncated catalog, one of another version, and
     one whose digests differ from the files' are all None: the caller then
-    parses the whole file. The ids, URLs, rows and spans of a catalog whose
+    parses the whole file. The columns of a catalog whose
     digests match are trusted as `kbvqa ingest` wrote them.
     """
     catalog = catalog_path(path)
@@ -527,7 +542,7 @@ def _kb_from_catalog(path: Path, manifest: dict, manifest_sha256: str) -> Knowle
     if cat.get("kb_sha256") != sha256:
         return None
     kb = KnowledgeBase((), manifest)
-    kb.entry_ids, kb.urls, kb.embedding_rows, kb.line_spans = columns
+    kb.entry_ids, kb.urls, kb.embedding_rows, kb.line_offsets, kb.line_lengths = columns
     kb._parsed = [None] * len(kb.entry_ids)
     kb._source = (data, path, catalog)
     kb.sha256 = sha256
@@ -549,7 +564,8 @@ def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
         "entry_id": kb.entry_ids,
         "url": kb.urls,
         "embedding_row": kb.embedding_rows,
-        "line_span": kb.line_spans,
+        "line_offset": kb.line_offsets,
+        "line_length": kb.line_lengths,
     }
     path = catalog_path(entries_path)
     with atomic_write(path) as fh:
