@@ -378,7 +378,7 @@ def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
 
     _require(cfg, "kb", "kb_manifest")
     path = Path(cfg["index"])
-    dim = int(load_manifest(cfg["kb_manifest"])["dim"])
+    dim = load_manifest(cfg["kb_manifest"])["dim"]
 
     def stale(reason: str) -> IngestError:
         return IngestError(

@@ -20,6 +20,7 @@ Loaded handles are immutable after ingestion and safe for concurrent readers.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -29,6 +30,7 @@ from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, TypeVar
 
@@ -53,6 +55,7 @@ CATALOG_SUFFIX = ".catalog.json"
 # is the line_length bytes at line_offset, its line end included.
 CATALOG_COLUMNS = ("entry_id", "url", "embedding_row", "line_offset", "line_length")
 _READ_CHUNK = 1 << 20
+_scan_json = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -125,9 +128,10 @@ class KnowledgeBase:
 
     Entry ids, URLs and embedding rows are also kept as columns in file
     order, so len(), URL maps and index rows never need the entries. A KB
-    that ingest_kb loaded through its catalog holds the bytes of the entries
-    file and parses an entry's line the first time the entry is looked up,
-    through by_id, entry_by_url or entries.
+    that ingest_kb parsed in full holds each entry's export line; one that
+    it loaded through its catalog holds the bytes of the entries file. Either
+    parses an entry's line the first time the entry is looked up, through
+    by_id, entry_by_url or entries.
     """
 
     def __init__(self, entries: Iterable[KnowledgeEntry], manifest: dict,
@@ -144,6 +148,8 @@ class KnowledgeBase:
         self.manifest_sha256: str | None = None
         self.line_offsets: list[int] | None = None
         self.line_lengths: list[int] | None = None
+        # Set by a full parse: each entry's line as export_kb writes it.
+        self.export_lines: list[bytes] | None = None
         # (entries bytes, entries path, catalog path) of a catalog-backed KB.
         self._source: tuple[bytes, Path, Path] | None = None
         self._parse_lock = threading.Lock()
@@ -182,7 +188,7 @@ class KnowledgeBase:
         return dict(zip(self.entry_ids, self.urls))
 
     def attach_embeddings(self, matrix: EmbeddingMatrix) -> None:
-        if matrix.count != int(self.manifest["count"]) or matrix.dim != int(self.manifest["dim"]):
+        if matrix.count != self.manifest["count"] or matrix.dim != self.manifest["dim"]:
             raise IngestError(
                 f"embedding matrix {matrix.count}x{matrix.dim} does not match manifest "
                 f"{self.manifest['count']}x{self.manifest['dim']}"
@@ -200,12 +206,14 @@ class KnowledgeBase:
         return entry
 
     def _parse_line(self, i: int) -> KnowledgeEntry:
-        """Entry i parsed from the line its catalog names.
+        """Entry i parsed from its export line, or from the line its catalog names.
 
-        The line was validated by the `kbvqa ingest` that wrote the catalog,
+        A catalog's line was validated by the `kbvqa ingest` that wrote the catalog,
         so a line that does not parse to the catalog's id, url and row means
         the catalog is wrong about it.
         """
+        if self._source is None:
+            return _entry_from_export(self.export_lines[i])
         data, path, catalog = self._source
         expected = (self.entry_ids[i], self.urls[i], self.embedding_rows[i])
         try:
@@ -365,21 +373,37 @@ def _read_manifest(manifest_path: str | Path) -> tuple[dict, str]:
     raw = path.read_bytes()
     try:
         manifest = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise IngestError(f"{path}: malformed manifest JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IngestError(f"{path}: manifest must be a JSON object")
     for key in ("dim", "count", "normalized"):
         if key not in manifest:
             raise IngestError(f"{path}: manifest missing field {key!r}")
+    for key in ("dim", "count"):
+        # type(), not isinstance(): a bool is an int to isinstance.
+        if type(manifest[key]) is not int:
+            raise IngestError(
+                f"{path}: manifest field {key!r} must be a JSON integer, got {manifest[key]!r}")
+    if type(manifest["normalized"]) is not bool:
+        raise IngestError(f"{path}: manifest field 'normalized' must be true or false, "
+                          f"got {manifest['normalized']!r}")
     if manifest.get("dtype", "f32le") != "f32le":
         raise IngestError(f"{path}: unsupported dtype {manifest['dtype']!r} (expected 'f32le')")
-    if int(manifest["dim"]) <= 0:
+    if manifest["dim"] <= 0:
         raise IngestError(f"{path}: dim must be positive")
-    if int(manifest["count"]) < 0:
+    if manifest["count"] < 0:
         raise IngestError(f"{path}: count must be non-negative")
     return manifest, hashlib.sha256(raw).hexdigest()
 
 
 def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
+    entry_id, url, title, content, image_refs, embedding_row = _entry_fields(obj, path, lineno)
+    return KnowledgeEntry(entry_id, url, title, content, tuple(image_refs), embedding_row)
+
+
+def _entry_fields(obj: dict, path: Path, lineno: int) -> tuple:
+    """The checked (entry_id, url, title, content, image_refs, embedding_row) of a record."""
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise IngestError(f"{path}: line {lineno}: unsupported schema_version {version!r}")
@@ -410,14 +434,62 @@ def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
         raise IngestError(
             f"{path}: line {lineno}: image_refs must be a list of strings (entry {entry_id!r})"
         )
-    return KnowledgeEntry(
-        entry_id=entry_id,
-        url=url,
-        title=title,
-        content=content,
-        image_refs=tuple(image_refs),
-        embedding_row=embedding_row,
-    )
+    return entry_id, url, title, content, image_refs, embedding_row
+
+
+def _export_line(entry_id: str, url: str, title: str, content: str, image_refs,
+                 embedding_row: int | None) -> str:
+    """The entry's line in entries_normalized.jsonl, line end included.
+
+    It is json.dumps(entry.to_json_dict(), ensure_ascii=False) + "\n", built
+    from the string encoder that call uses, without the dict or the encoder.
+    """
+    return (f'{{"schema_version": {SCHEMA_VERSION}, "entry_id": {encode_basestring(entry_id)}, '
+            f'"url": {encode_basestring(url)}, "title": {encode_basestring(title)}, '
+            f'"content": {encode_basestring(content)}, '
+            f'"image_refs": [{", ".join(map(encode_basestring, image_refs))}], '
+            f'"embedding_row": {"null" if embedding_row is None else embedding_row}}}\n')
+
+
+def _entry_from_export(line: bytes) -> KnowledgeEntry:
+    """The entry of an _export_line that a full parse checked."""
+    obj = json.loads(line)
+    return KnowledgeEntry(obj["entry_id"], obj["url"], obj["title"], obj["content"],
+                          tuple(obj["image_refs"]), obj["embedding_row"])
+
+
+def _lone_surrogate(path: Path, lineno: int, fields: dict, what: str) -> IngestError:
+    """The error for the first string field holding a lone surrogate.
+
+    A JSON escape such as "\\ud800" decodes to one, and no UTF-8 file can
+    hold it. Called once encoding the record's strings has failed, so some
+    field holds one.
+    """
+    for name, value in fields.items():
+        for text in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(text, str):
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError:
+                    return IngestError(f"{path}: line {lineno}: {name} holds a lone surrogate, "
+                                       f"which UTF-8 cannot encode ({what})")
+    raise AssertionError(f"no field of {what} holds a lone surrogate")
+
+
+def _loads(text: str):
+    """json.loads(text), skipping its per-call set-up on the usual line.
+
+    The usual line is one JSON value from its first character, then at most
+    JSON whitespace; json.loads scans it with the same scanner. Any other
+    line goes to json.loads, which parses it or raises its own error.
+    """
+    try:
+        obj, end = _scan_json(text, 0)
+    except StopIteration:
+        return json.loads(text)
+    if end != len(text) and text[end:].strip(" \t\n\r"):
+        return json.loads(text)
+    return obj
 
 
 def _all_strings(values: list) -> bool:
@@ -455,35 +527,54 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
 
 
 def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
-    """Parse and check every line, hashing the bytes and noting where each line is.
+    """Parse, check and export every line in one pass.
 
-    The file is read in binary, so a line's byte offset and length, line end
-    included, come with it. Lines split where text mode splits them, at LF, CRLF
-    and a lone CR, and a line that str.strip() empties is skipped, so the
-    entries equal read_jsonl's.
+    The file is read in binary and hashed as it is read, so a line's byte
+    offset and length, line end included, come with it. Lines split where
+    text mode splits them, at LF, CRLF and a lone CR, and a line that
+    str.strip() empties is skipped, so the entries equal read_jsonl's. No
+    entry is built: the KB keeps each line's export, and parses it again
+    when the entry is looked up. The records hold no reference cycles, so
+    the cyclic GC, which would scan the growing lists again and again, is
+    paused for the loop.
     """
-    count = int(manifest["count"])
+    count = manifest["count"]
     seen: dict[str, int] = {}
+    entry_ids: list[str] = []
+    urls: list[str] = []
+    rows: list[int | None] = []
 
-    def parse(obj: dict, lineno: int) -> KnowledgeEntry:
-        entry = _entry_from_dict(obj, path, lineno)
-        _check_unique(seen, "entry_id", entry.entry_id, path, lineno)
-        if entry.embedding_row is not None and entry.embedding_row >= count:
+    def parse(obj: dict, lineno: int) -> bytes:
+        """Check a record as _entry_from_dict does, then against the others; its export."""
+        entry_id, url, title, content, image_refs, row = _entry_fields(obj, path, lineno)
+        try:
+            line = _export_line(entry_id, url, title, content, image_refs, row).encode("utf-8")
+        except UnicodeEncodeError:
+            raise _lone_surrogate(path, lineno, {
+                "entry_id": entry_id, "url": url, "title": title, "content": content,
+                "image_refs": image_refs}, f"entry {entry_id!r}") from None
+        _check_unique(seen, "entry_id", entry_id, path, lineno)
+        if row is not None and row >= count:
             raise IngestError(
-                f"{path}: line {lineno}: embedding_row {entry.embedding_row} out of range "
-                f"for manifest count {count} (entry {entry.entry_id!r})"
+                f"{path}: line {lineno}: embedding_row {row} out of range "
+                f"for manifest count {count} (entry {entry_id!r})"
             )
-        return entry
+        entry_ids.append(entry_id)
+        urls.append(url)
+        rows.append(row)
+        return line
 
     try:
         raw = io.FileIO(path)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256()
-    entries: list[KnowledgeEntry] = []
+    lines: list[bytes] = []
     offsets: list[int] = []
     lengths: list[int] = []
     lineno = offset = 0
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         with io.BufferedReader(_HashingReader(raw, digest), _READ_CHUNK) as fh:
             for chunk in fh:
@@ -492,7 +583,7 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
                     lineno += 1
                     text = line.decode("utf-8")
                     if not text.isspace():
-                        entries.append(parse(json.loads(text), lineno))
+                        lines.append(parse(_loads(text), lineno))
                         offsets.append(offset)
                         lengths.append(len(line))
                     offset += len(line)
@@ -502,7 +593,13 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
         seen.clear()
         read_jsonl(path, parse, IngestError)
         raise
-    kb = KnowledgeBase(entries, manifest)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    kb = KnowledgeBase((), manifest)
+    kb.entry_ids, kb.urls, kb.embedding_rows = entry_ids, urls, rows
+    kb._parsed = [None] * len(entry_ids)
+    kb.export_lines = lines
     kb.sha256 = digest.hexdigest()
     kb.line_offsets, kb.line_lengths = offsets, lengths
     return kb
@@ -639,6 +736,11 @@ def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
             query.gold_range()
         except IngestError as exc:
             raise IngestError(f"{path}: line {lineno}: {exc} (query {query_id!r})") from exc
+    try:
+        "".join((query_id, question, image_ref, gold_entry_url or "",
+                 *query.gold_answers)).encode("utf-8")
+    except UnicodeEncodeError:
+        raise _lone_surrogate(path, lineno, query.to_json_dict(), f"query {query_id!r}") from None
     return query
 
 
@@ -664,7 +766,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
     import numpy as np
 
     manifest = load_manifest(manifest_path)
-    dim, count = int(manifest["dim"]), int(manifest["count"])
+    dim, count = manifest["dim"], manifest["count"]
     path = Path(data_path)
     if not path.exists():
         raise IngestError(f"embedding data file not found: {path}")
@@ -707,9 +809,22 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
 
 
 def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:
-    """Write the KB back to entries JSONL; returns the number of lines written."""
-    return write_jsonl(entries_path, (entry.to_json_dict() for entry in kb.entries))
+    """Write the KB back to entries JSONL; returns the number of lines written.
+
+    A KB that ingest_kb parsed in full writes the lines that parse made.
+    """
+    lines = kb.export_lines
+    if lines is None:
+        lines = [_export_line(e.entry_id, e.url, e.title, e.content, e.image_refs,
+                              e.embedding_row).encode("utf-8") for e in kb.entries]
+    with atomic_write(Path(entries_path)) as fh:
+        fh.writelines(lines)
+    return len(lines)
 
 
 def export_queries(queries: list[Query], path: str | Path) -> int:
-    return write_jsonl(path, (query.to_json_dict() for query in queries))
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    with atomic_write(Path(path)) as fh:
+        fh.writelines((encode(query.to_json_dict()) + "\n").encode("utf-8")
+                      for query in queries)
+    return len(queries)

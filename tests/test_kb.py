@@ -10,6 +10,9 @@ import fixture_gen
 from kbvqa.errors import EvalError, IngestError
 from kbvqa.kb import (
     NORM_BLOCK_ROWS,
+    KnowledgeBase,
+    KnowledgeEntry,
+    Query,
     export_kb,
     export_queries,
     ingest_kb,
@@ -219,6 +222,112 @@ def test_manifest_validation(tmp_path):
     path.write_text(json.dumps({"dim": 8, "normalized": True, "dtype": "f32le"}))
     with pytest.raises(IngestError):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"dim": 4.7}, r"manifest field 'dim' must be a JSON integer, got 4\.7"),
+    ({"dim": "4"}, r"manifest field 'dim' must be a JSON integer, got '4'"),
+    ({"dim": True}, r"manifest field 'dim' must be a JSON integer, got True"),
+    ({"count": 2.0}, r"manifest field 'count' must be a JSON integer, got 2\.0"),
+    ({"count": None}, r"manifest field 'count' must be a JSON integer, got None"),
+    ({"normalized": "false"}, r"manifest field 'normalized' must be true or false, got 'false'"),
+    ({"normalized": 0}, r"manifest field 'normalized' must be true or false, got 0"),
+])
+def test_manifest_field_of_the_wrong_json_type_rejected(tmp_path, fields, match):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, **fields}))
+    with pytest.raises(IngestError, match=rf"manifest\.json: {match}$"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("text", ['[8, 2, true]', '"dim count normalized"'])
+def test_manifest_that_is_not_an_object_rejected(tmp_path, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(IngestError, match=r"manifest\.json: manifest must be a JSON object"):
+        load_manifest(path)
+
+
+def test_manifest_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"dim": 8, "count": 2, "normalized": true, "x": "\xff"}')
+    with pytest.raises(IngestError, match=r"manifest\.json: malformed manifest JSON: .*0xff"):
+        load_manifest(path)
+
+
+def test_float_dim_exits_two_naming_the_manifest(bundle, tmp_path, capsys):
+    from kbvqa.cli import main
+
+    manifest = tmp_path / "manifest.json"
+    fields = json.loads(bundle.kb_manifest.read_text())
+    manifest.write_text(json.dumps({**fields, "dim": fields["dim"] + 0.7}))
+    assert main(["index", "--kb", str(bundle.entries_path), "--kb-manifest", str(manifest),
+                 "--kb-embeddings", str(bundle.kb_embeddings),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{manifest}: manifest field 'dim' must be a JSON integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("entry_id", "e\ud800"), ("url", "\udfff"), ("title", "a\ud800b"), ("content", "\udc00"),
+    ("image_refs", ["ok.jpg", "\ud83d.jpg"]),
+])
+def test_entry_with_a_lone_surrogate_rejected_naming_the_line(tmp_path, bundle, field, value):
+    rows = fixture_gen.make_entries(3)
+    rows[1][field] = value
+    bad = tmp_path / "surrogate.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+    with pytest.raises(IngestError, match=rf"surrogate\.jsonl: line 2: {field} holds a lone "
+                                          rf"surrogate, which UTF-8 cannot encode \(entry "):
+        ingest_kb(bad, bundle.kb_manifest)
+
+
+def test_escaped_surrogate_pair_is_one_character(tmp_path, bundle):
+    rows = fixture_gen.make_entries(1)
+    rows[0]["title"] = "\U0001f600"
+    path = tmp_path / "pair.jsonl"
+    path.write_text(json.dumps(rows[0]) + "\n", encoding="ascii")  # "\ud83d\ude00"
+    assert ingest_kb(path, bundle.kb_manifest).by_id["e000"].title == "\U0001f600"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("query_id", "q\ud800"), ("question", "x\udfff"), ("image_ref", "\ud800"),
+    ("gold_answers", ["a", "\udc00"]), ("gold_entry_url", "\ud800"),
+])
+def test_query_with_a_lone_surrogate_rejected_naming_the_line(tmp_path, field, value):
+    path = tmp_path / "surrogate.jsonl"
+    rows = [_query_row(query_id="q0"), _query_row(**{field: value})]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+    with pytest.raises(IngestError, match=rf"surrogate\.jsonl: line 2: {field} holds a lone "
+                                          rf"surrogate, which UTF-8 cannot encode \(query "):
+        ingest_queries(path)
+
+
+@pytest.mark.parametrize("bad_file, field", [("kb", "title"), ("queries", "question")])
+def test_ingest_of_a_lone_surrogate_exits_two_and_writes_no_export(bundle, tmp_path, capsys,
+                                                                   bad_file, field):
+    from kbvqa.cli import main
+
+    files = {"kb": bundle.entries_path, "queries": bundle.queries_path}
+    rows = [json.loads(line) for line in files[bad_file].read_text(encoding="utf-8").splitlines()]
+    rows[2][field] = "\ud800"
+    files[bad_file] = tmp_path / f"{bad_file}.jsonl"
+    files[bad_file].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
+    out = tmp_path / "out"
+    assert main(["ingest", "--kb", str(files["kb"]), "--kb-manifest", str(bundle.kb_manifest),
+                 "--queries", str(files["queries"]), "--out-dir", str(out)]) == 2
+    assert f"{files[bad_file]}: line 3: {field} holds a lone surrogate" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_failed_exports_leave_no_file(tmp_path):
+    entry = KnowledgeEntry("e0", "u", "\ud800", "")
+    query = Query("q0", "\ud800", "q.jpg", ("a",))
+    for export, items in ((export_kb, KnowledgeBase([entry], {"dim": 4, "count": 1})),
+                          (export_queries, [query])):
+        path = tmp_path / "out.jsonl"
+        with pytest.raises(UnicodeEncodeError):
+            export(items, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_load_embeddings_shape_and_norm(bundle):

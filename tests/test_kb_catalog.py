@@ -8,6 +8,7 @@ with exit 2; and the commands that need few entries must really parse few.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -26,7 +27,8 @@ from kbvqa import kb as kb_module
 from kbvqa.cli import main
 from kbvqa.errors import IngestError
 from kbvqa.kb import (
-    CATALOG_VERSION, _entry_from_dict, catalog_path, ingest_kb, read_jsonl, write_catalog,
+    CATALOG_VERSION, KnowledgeBase, KnowledgeEntry, _entry_from_dict, _loads, catalog_path,
+    export_kb, ingest_kb, read_jsonl, write_catalog,
 )
 from kbvqa.retrieval import read_results
 
@@ -91,11 +93,19 @@ def test_catalog_backed_kb_equals_the_full_parse(tmp_path_factory, case, data):
 
 
 def _text_parse(path: Path, count: int) -> list:
-    """The KB as ingest_kb parsed it before it read in binary: through read_jsonl."""
+    """The KB as ingest_kb parsed it before it read in binary: through read_jsonl,
+    with the check for lone surrogates that came later."""
     seen: dict[str, int] = {}
 
     def parse(obj: dict, lineno: int):
         entry = _entry_from_dict(obj, path, lineno)
+        try:
+            json.dumps(entry.to_json_dict(), ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            field = next(name for name, value in entry.to_json_dict().items()
+                         if "\\ud" in json.dumps(value).lower())
+            raise IngestError(f"{path}: line {lineno}: {field} holds a lone surrogate, which "
+                              f"UTF-8 cannot encode (entry {entry.entry_id!r})") from None
         if entry.entry_id in seen:
             raise IngestError(f"{path}: line {lineno}: duplicate entry_id {entry.entry_id!r} "
                               f"(first seen on line {seen[entry.entry_id]})")
@@ -109,9 +119,17 @@ def _text_parse(path: Path, count: int) -> list:
     return read_jsonl(path, parse, IngestError)
 
 
-@settings(max_examples=80, deadline=None)
+# Whole lines to inject: a duplicate id (when e0 is there), a row past the
+# manifest's count of 10, and a lone surrogate.
+_FAULT_LINES = [b'\n{"entry_id": "e0", "url": "u"}\n',
+                b'\n{"entry_id": "r", "url": "u", "embedding_row": 10}\n',
+                b'\n{"entry_id": "s", "url": "u", "title": "a\\ud800"}\n']
+
+
+@settings(max_examples=120, deadline=None)
 @given(case=kb_texts(), faults=st.lists(st.tuples(
-    st.floats(0, 1), st.sampled_from([b"\xff", b"\xc3", b"\r", b"\n", b"{", b'"', b"\x00"])),
+    st.floats(0, 1), st.sampled_from([b"\xff", b"\xc3", b"\r", b"\n", b"{", b'"', b"\x00",
+                                      b"\r\n", b"\n \n\t\n", *_FAULT_LINES])),
     max_size=3))
 def test_full_parse_equals_the_text_reader_and_names_the_same_error(tmp_path_factory, case, faults):
     files = _files(tmp_path_factory.mktemp("kb"), *case)
@@ -128,6 +146,95 @@ def test_full_parse_equals_the_text_reader_and_names_the_same_error(tmp_path_fac
         assert str(got.value) == str(exc)
     else:
         assert ingest_kb(files.kb, files.manifest, use_catalog=False).entries == expected
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": 1}\n', '{"a": 1}', ' {"a": 1}\n', '\ufeff{"a": 1}', '{"a": 1} \t\r\n', '{"a": 1}\x0b',
+    '{"a": 1} x', '{"a": 1}{}', '[1, NaN, -Infinity]\n', '"s"\r', '', '\n', '{"a": }', '{"a": "\x00"}',
+    'nul', '-', '{"a": 1, "a": 2}\n', '{"a": "\\ud800"}'])
+def test_loads_equals_json_loads(text):
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as got:
+            _loads(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert json.dumps(_loads(text)) == json.dumps(expected)
+
+
+_GOOD = ['{"entry_id": "e0", "url": "u0", "embedding_row": 0}',
+         '{"entry_id": "e1", "url": "u1", "title": "t", "image_refs": ["i"]}',
+         '{"entry_id": "e2", "url": "u2", "embedding_row": 2}']
+
+
+@pytest.mark.parametrize("text, message", [
+    ("\n".join([*_GOOD, '{"entry_id": "e1", "url": "u9"}']) + "\n",
+     "line 4: duplicate entry_id 'e1' (first seen on line 2)"),
+    ("\n".join([*_GOOD, '{"entry_id": "e3", "url": "u3", "embedding_row": 3}']),
+     "line 4: embedding_row 3 out of range for manifest count 3 (entry 'e3')"),
+    ("\n".join([_GOOD[0], '{"entry_id": "e1", "url": "u1", "content": "\\ud800"}']),
+     "line 2: content holds a lone surrogate, which UTF-8 cannot encode (entry 'e1')"),
+    ("\r\n".join([*_GOOD, '{"entry_id": "e3", "url": ""}']) + "\r\n",
+     "line 4: url must be non-empty (entry 'e3')"),
+    ("\r".join([*_GOOD, '{"entry_id": "e0", "url": "u"}']),
+     "line 4: duplicate entry_id 'e0' (first seen on line 1)"),
+    ("\n\n \n".join([*_GOOD, '{"entry_id": 3, "url": "u"}']) + "\n\n",
+     "line 10: entry_id must be a non-empty string"),
+    ("\r\n\r\r\n\n".join(_GOOD) + '\r\n{"entry_id": "e3"}',
+     "line 10: entry missing field 'url'"),
+    (_GOOD[0] + '\n{"entry_id": "e1", "url": "u1", "title": "a\rb"}\n',
+     ":2: malformed JSON: Invalid control character at: line 1 column 44 (char 43)"),
+], ids=["duplicate-id", "row-out-of-range", "lone-surrogate", "crlf", "lone-cr", "blank-lines",
+        "mixed-line-ends", "cr-inside-a-string"])
+def test_injected_fault_names_its_line_and_message(tmp_path, text, message):
+    files = _files(tmp_path, text, 3)
+    with pytest.raises(IngestError) as got:
+        ingest_kb(files.kb, files.manifest, use_catalog=False)
+    sep = "" if message.startswith(":") else ": "
+    assert str(got.value) == f"{files.kb}{sep}{message}"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"entry_id": "a", "url": "u"}\n', '{"entry_id": "a"}\n'],
+                         ids=["parses", "raises"])
+def test_full_parse_leaves_the_gc_as_it_found_it(tmp_path, text, enabled):
+    files = _files(tmp_path, text, 1)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            ingest_kb(files.kb, files.manifest, use_catalog=False)
+        except IngestError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+_ANY_TEXT = st.text(max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries({
+    "entry_id": st.text(min_size=1, max_size=8), "url": st.text(min_size=1, max_size=8),
+    "title": _ANY_TEXT, "content": _ANY_TEXT, "image_refs": st.lists(_ANY_TEXT, max_size=3),
+    "embedding_row": st.none() | st.integers(0, 9)}), max_size=6, unique_by=lambda r: r["entry_id"]),
+    ascii_input=st.booleans())
+def test_export_line_is_json_dumps_of_the_entry(tmp_path_factory, rows, ascii_input):
+    text = "".join(json.dumps(row, ensure_ascii=ascii_input) + "\n" for row in rows)
+    files = _files(tmp_path_factory.mktemp("kb"), text, 10)
+    kb = ingest_kb(files.kb, files.manifest, use_catalog=False)
+    entries = [KnowledgeEntry(**{**row, "image_refs": tuple(row["image_refs"])}) for row in rows]
+    expected = [(json.dumps(e.to_json_dict(), ensure_ascii=False) + "\n").encode() for e in entries]
+    assert kb.export_lines == expected
+    assert kb.entries == entries
+    out = files.kb.with_name("normalized.jsonl")
+    assert export_kb(kb, out) == len(rows)
+    assert out.read_bytes() == b"".join(expected)
+    # A KB built from entries exports the same bytes.
+    assert export_kb(KnowledgeBase(entries, {"dim": 4, "count": 10}), out) == len(rows)
+    assert out.read_bytes() == b"".join(expected)
 
 
 def test_of_two_bad_lines_the_error_names_the_one_the_text_reader_names(tmp_path):
@@ -237,16 +344,24 @@ def kb_dir(bundle, tmp_path) -> SimpleNamespace:
 
 @pytest.fixture
 def parses(monkeypatch) -> list[str]:
-    """The entry_id of every line _entry_from_dict turns into an entry."""
+    """The entry_id of every line parsed: each line a full parse checks, and
+    each catalog line _entry_from_dict turns into an entry."""
     seen: list[str] = []
-    real = kb_module._entry_from_dict
+    real_entry = kb_module._entry_from_dict
+    real_parse_kb = kb_module._parse_kb
 
-    def counting(obj, path, lineno):
-        entry = real(obj, path, lineno)
+    def counting_entry(obj, path, lineno):
+        entry = real_entry(obj, path, lineno)
         seen.append(entry.entry_id)
         return entry
 
-    monkeypatch.setattr(kb_module, "_entry_from_dict", counting)
+    def counting_parse_kb(path, manifest):
+        kb = real_parse_kb(path, manifest)
+        seen.extend(kb.entry_ids)
+        return kb
+
+    monkeypatch.setattr(kb_module, "_entry_from_dict", counting_entry)
+    monkeypatch.setattr(kb_module, "_parse_kb", counting_parse_kb)
     return seen
 
 
