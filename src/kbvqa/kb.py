@@ -534,9 +534,8 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
     text mode splits them, at LF, CRLF and a lone CR, and a line that
     str.strip() empties is skipped, so the entries equal read_jsonl's. No
     entry is built: the KB keeps each line's export, and parses it again
-    when the entry is looked up. The records hold no reference cycles, so
-    the cyclic GC, which would scan the growing lists again and again, is
-    paused for the loop.
+    when the entry is looked up. The cyclic GC is paused for the loop, which
+    makes a dict per line and keeps no reference cycle.
     """
     count = manifest["count"]
     seen: dict[str, int] = {}
