@@ -110,6 +110,11 @@ class MockBackend(Backend):
                 raise IngestError(
                     f"{path}:{lineno}: duplicate script key query_id={key[0]!r} stage={key[1]!r}"
                 )
+            if not (isinstance(text, str) and _utf8(text)):
+                raise IngestError(
+                    f"{path}:{lineno}: text must be a string with no lone surrogate, which "
+                    f"UTF-8 cannot encode (query_id={key[0]!r} stage={key[1]!r})"
+                )
             script[key] = text
 
         read_jsonl(path, add, IngestError)
@@ -165,6 +170,16 @@ class EndpointConfig:
     @property
     def url(self) -> str:
         return self.base_url.rstrip("/") + "/" + self.path.lstrip("/")
+
+
+def _utf8(text: str) -> bool:
+    """Whether text holds no lone surrogate, which a JSON escape such as
+    "\\ud800" with no partner decodes to and UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _local_file_size(image_ref: str) -> int | None:
@@ -369,6 +384,11 @@ class HttpBackend(Backend):
             if not isinstance(text, str):
                 raise BackendError(
                     f"malformed response body for {tag}: content is {type(text).__name__}"
+                )
+            if not _utf8(text):
+                raise BackendError(
+                    f"malformed response body for {tag}: content holds a lone surrogate, "
+                    f"which UTF-8 cannot encode: {resp.text[:200]}"
                 )
             return BackendResponse(text=text, latency_ms=latency_ms, raw=resp.text)
         assert last_error is not None

@@ -20,9 +20,7 @@ Loaded handles are immutable after ingestion and safe for concurrent readers.
 
 from __future__ import annotations
 
-import gc
 import hashlib
-import io
 import json
 import os
 import threading
@@ -267,81 +265,62 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
-               error_class: type[KbvqaError]) -> list[T]:
+               error_class: type[KbvqaError], digest: hashlib._Hash | None = None,
+               spans: tuple[list[int], list[int]] | None = None) -> list[T]:
     """parse(record, lineno) for every non-blank line of a JSONL file, in order.
 
-    A missing file, bad JSON, a missing field or a malformed value raises
-    error_class naming ``path:line``; parse may raise its own errors too.
+    The file is read in binary, a line at a time. Lines split where text
+    mode splits them, at LF, CRLF and a lone CR, and a line that str.strip()
+    empties is skipped. Each line is decoded and parsed on its own, so a
+    line that is not UTF-8, bad JSON, a missing field or a malformed value
+    raises error_class naming ``path:line`` of the first bad line; parse may
+    raise its own errors too. So does a file that cannot be opened. When
+    given, digest is fed every byte read, and spans gets the byte offset and
+    the length, line end included, of each line parse was called on.
     """
     p = Path(path)
     try:
-        fh = p.open("r", encoding="utf-8")
+        fh = p.open("rb", buffering=_READ_CHUNK)
     except OSError as exc:
         raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
     out: list[T] = []
+    lineno = offset = 0
     with fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    out.append(parse(json.loads(line), lineno))
-                except json.JSONDecodeError as exc:
-                    raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
-                except KeyError as exc:
-                    raise error_class(f"{p}:{lineno}: missing field {exc}") from None
-                except (AttributeError, TypeError, ValueError) as exc:
-                    raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
+            for chunk in fh:
+                if digest is not None:
+                    digest.update(chunk)
+                # A UTF-8 character holds no CR or LF byte, so no split cuts one.
+                for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
+                    lineno += 1
+                    text = line.decode("utf-8")
+                    if not text.isspace():
+                        out.append(parse(_loads(text), lineno))
+                        if spans is not None:
+                            spans[0].append(offset)
+                            spans[1].append(len(line))
+                    offset += len(line)
         except UnicodeDecodeError as exc:
-            raise error_class(_undecodable_line(p, exc)) from exc
+            raise error_class(f"{p}:{lineno}: not UTF-8: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
+        except KeyError as exc:
+            raise error_class(f"{p}:{lineno}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
     return out
 
 
-class _HashingReader(io.RawIOBase):
-    """A raw binary file that feeds each byte it reads to a hash."""
-
-    def __init__(self, raw: io.FileIO, digest: hashlib._Hash) -> None:
-        self._raw = raw
-        self._digest = digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        if n:
-            self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._raw.close()
-        super().close()
-
-
-def _undecodable_line(p: Path, exc: UnicodeDecodeError) -> str:
-    """Name the first line of p that is not UTF-8.
-
-    Text is decoded a buffer at a time, ahead of the line being parsed, so
-    the file is read again as bytes to find the line; only on this error
-    path. Bytes split on the same line ends as text mode does.
-    """
-    for lineno, raw in enumerate(p.read_bytes().splitlines(), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as line_exc:
-            return f"{p}:{lineno}: not UTF-8: {line_exc}"
-    return f"{p}: not UTF-8: {exc}"
-
-
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
-    """One compact JSON object per line; returns the number of lines written."""
+    """One compact JSON object per line, through atomic_write; returns the
+    number of lines written."""
     # One encoder for the file: json.dumps with any non-default argument
     # builds a new one per call. The bytes are json.dumps(obj, ensure_ascii=False).
     encode = json.JSONEncoder(ensure_ascii=False).encode
     count = 0
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_write(Path(path)) as fh:
         for count, obj in enumerate(dicts, start=1):
-            fh.write(encode(obj) + "\n")
+            fh.write((encode(obj) + "\n").encode("utf-8"))
     return count
 
 
@@ -529,13 +508,10 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
 def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
     """Parse, check and export every line in one pass.
 
-    The file is read in binary and hashed as it is read, so a line's byte
-    offset and length, line end included, come with it. Lines split where
-    text mode splits them, at LF, CRLF and a lone CR, and a line that
-    str.strip() empties is skipped, so the entries equal read_jsonl's. No
-    entry is built: the KB keeps each line's export, and parses it again
-    when the entry is looked up. The cyclic GC is paused for the loop, which
-    makes a dict per line and keeps no reference cycle.
+    The lines are read_jsonl's, which hashes the file as it reads it and
+    hands over each line's byte offset and length. No entry is built: the
+    KB keeps each line's export, and parses it again when the entry is
+    looked up.
     """
     count = manifest["count"]
     seen: dict[str, int] = {}
@@ -563,38 +539,10 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
         rows.append(row)
         return line
 
-    try:
-        raw = io.FileIO(path)
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     digest = hashlib.sha256()
-    lines: list[bytes] = []
     offsets: list[int] = []
     lengths: list[int] = []
-    lineno = offset = 0
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with io.BufferedReader(_HashingReader(raw, digest), _READ_CHUNK) as fh:
-            for chunk in fh:
-                # A UTF-8 character holds no CR or LF byte, so no split cuts one.
-                for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
-                    lineno += 1
-                    text = line.decode("utf-8")
-                    if not text.isspace():
-                        lines.append(parse(_loads(text), lineno))
-                        offsets.append(offset)
-                        lengths.append(len(line))
-                    offset += len(line)
-    except (KbvqaError, AttributeError, KeyError, TypeError, ValueError):
-        # The text reader decodes ahead of the line it parses, so of two bad
-        # lines close together it may name the later one. Name what it names.
-        seen.clear()
-        read_jsonl(path, parse, IngestError)
-        raise
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    lines = read_jsonl(path, parse, IngestError, digest, (offsets, lengths))
     kb = KnowledgeBase((), manifest)
     kb.entry_ids, kb.urls, kb.embedding_rows = entry_ids, urls, rows
     kb._parsed = [None] * len(entry_ids)
@@ -822,8 +770,4 @@ def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:
 
 
 def export_queries(queries: list[Query], path: str | Path) -> int:
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    with atomic_write(Path(path)) as fh:
-        fh.writelines((encode(query.to_json_dict()) + "\n").encode("utf-8")
-                      for query in queries)
-    return len(queries)
+    return write_jsonl(path, (query.to_json_dict() for query in queries))

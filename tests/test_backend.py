@@ -95,6 +95,18 @@ class TestMock:
         with pytest.raises(IngestError, match="duplicate"):
             MockBackend.from_script_file(path)
 
+    def test_script_text_that_is_not_a_utf8_string_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"query_id": "q1", "stage": "s", "text": "a"}\n'
+                        '{"query_id": "q2", "stage": "s", "text": "[x\\ud800]"}\n',
+                        encoding="ascii")
+        with pytest.raises(IngestError, match=r"bad\.jsonl:2: text must be a string with no "
+                                              r"lone surrogate.*\(query_id='q2' "):
+            MockBackend.from_script_file(path)
+        path.write_text('{"query_id": "q1", "stage": "s", "text": 5}\n')
+        with pytest.raises(IngestError, match=r"bad\.jsonl:1: text must be a string"):
+            MockBackend.from_script_file(path)
+
     def test_batch_preserves_order_and_captures_errors(self):
         backend = MockBackend({(f"q{i}", "param_gen"): f"ans{i}" for i in range(6)
                                if i != 3})
@@ -274,6 +286,7 @@ class TestHttpRetry:
         ({"choices": []}, None),
         ({"choices": [{"message": {}}]}, None),
         ({"choices": [{"message": {"content": 42}}]}, None),
+        ({"choices": [{"message": {"content": "[x\ud800]"}}]}, None),
     ])
     def test_malformed_body_fails_immediately(self, no_sleep, payload, text):
         session = FakeSession([FakeResponse(payload=payload, text=text)])

@@ -709,6 +709,21 @@ class TestExitCodes:
         assert rc == 2
         assert f"{bad}:3: not UTF-8" in err and "0xff" in err
 
+    def test_mock_script_text_with_a_lone_surrogate(self, bundle, tmp_path, capsys):
+        lines = bundle.mock_script.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), "text": "[x\ud800]"}) + "\n"
+        bad = tmp_path / "mock_script.jsonl"
+        bad.write_text("".join(lines), encoding="ascii")
+        rc = main([
+            "run", "--variant", "param", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(bundle.queries_path),
+            "--mock-script", str(bad), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"{bad}:3: text must be a string with no lone surrogate" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "traces.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["score", "report", "sweep"])
     @pytest.mark.parametrize("ks", ["0,-1", "1,0", "-3"])
     def test_non_positive_recall_cutoffs_rejected(self, ws, bundle, tmp_path, capsys,
@@ -1082,6 +1097,34 @@ def test_http_run_needs_no_requests_package(ws, bundle, tmp_path):
     assert len(server.requests) == 4 * len(bundle.queries)
     traces = read_jsonl(tmp_path / "run" / "traces.jsonl")
     assert not any(t["failed"] for t in traces)
+
+
+def test_http_reply_with_a_lone_surrogate_fails_that_query(ws, bundle, tmp_path):
+    """Content that no UTF-8 file can hold fails its call as a malformed body;
+    the other queries' traces are written whole."""
+    answer = fixture_gen.core_staged_reply(bundle)
+
+    def reply(body: bytes) -> str:
+        text = answer(body)
+        return "[x\ud800]" if "What does query 7 ask about" in body.decode() else text
+
+    endpoint = tmp_path / "endpoint.json"
+    with LocalServer(reply=reply) as server:
+        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
+        rc = main([
+            "run", "--variant", "core", "--core-mode", "staged", "--workers", "1",
+            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+            "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--endpoint-config", str(endpoint), "--out-dir", str(tmp_path / "run"),
+        ])
+    assert rc == 1
+    traces = read_jsonl(tmp_path / "run" / "traces.jsonl")
+    assert [t["query_id"] for t in traces] == [q["query_id"] for q in bundle.queries]
+    failed = [t for t in traces if t["failed"]]
+    assert [t["query_id"] for t in failed] == ["q07"]
+    assert "malformed response body for query_id='q07' stage=" in failed[0]["error"]
+    assert "lone surrogate" in failed[0]["error"]
 
 
 class TestHelpGoldens:

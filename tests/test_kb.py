@@ -55,7 +55,8 @@ def test_ingest_queries_round_trip(bundle, tmp_path):
 
 
 def test_duplicate_entry_id_rejected(bundle, tmp_path):
-    rows = [json.loads(line) for line in bundle.entries_path.open(encoding="utf-8")]
+    text = bundle.entries_path.read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in text.splitlines()]
     rows.append(dict(rows[0]))
     bad = tmp_path / "dup.jsonl"
     fixture_gen.write_jsonl(bad, rows)
@@ -207,6 +208,15 @@ def test_write_jsonl_bytes_equal_json_dumps(tmp_path, obj):
     write_jsonl(path, [obj, obj])
     line = json.dumps(obj, ensure_ascii=False) + "\n"
     assert path.read_text(encoding="utf-8") == line + line
+
+
+def test_failed_write_jsonl_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "traces.jsonl"
+    write_jsonl(path, [{"a": 1}])
+    with pytest.raises(UnicodeEncodeError):
+        write_jsonl(path, [{"a": 2}, {"a": "\ud800"}])
+    assert path.read_bytes() == b'{"a": 1}\n'
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_manifest_validation(tmp_path):

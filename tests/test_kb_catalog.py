@@ -8,7 +8,6 @@ with exit 2; and the commands that need few entries must really parse few.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import random
@@ -24,12 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbvqa import kb as kb_module
+from kbvqa.backend import MockBackend
 from kbvqa.cli import main
-from kbvqa.errors import IngestError
+from kbvqa.errors import IngestError, KbvqaError
 from kbvqa.kb import (
     CATALOG_VERSION, KnowledgeBase, KnowledgeEntry, _entry_from_dict, _loads, catalog_path,
-    export_kb, ingest_kb, read_jsonl, write_catalog,
+    export_kb, ingest_kb, ingest_queries, read_jsonl, write_catalog,
 )
+from kbvqa.mining import read_records
+from kbvqa.pipeline import read_traces
 from kbvqa.retrieval import read_results
 
 
@@ -101,12 +103,25 @@ def _utf8(value) -> bool:
 
 
 def _text_parse(path: Path, count: int) -> list:
-    """The KB as ingest_kb parsed it before it read in binary: through read_jsonl,
-    with the check for lone surrogates that came later."""
+    """The KB parsed without read_jsonl: the file's bytes split at the line
+    ends text mode splits at, each line decoded and json.loads-ed on its own
+    and built by _entry_from_dict, then the lone-surrogate, uniqueness and
+    row checks."""
     seen: dict[str, int] = {}
-
-    def parse(obj: dict, lineno: int):
-        entry = _entry_from_dict(obj, path, lineno)
+    entries = []
+    for lineno, line in enumerate(path.read_bytes().splitlines(keepends=True), start=1):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}:{lineno}: not UTF-8: {exc}") from None
+        if not text.strip():
+            continue
+        try:
+            entry = _entry_from_dict(json.loads(text), path, lineno)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from None
+        except AttributeError as exc:  # a line that is JSON but not an object
+            raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from None
         if not _utf8(entry.to_json_dict()):
             field = next(name for name, value in entry.to_json_dict().items() if not _utf8(value))
             raise IngestError(f"{path}: line {lineno}: {field} holds a lone surrogate, which "
@@ -119,9 +134,8 @@ def _text_parse(path: Path, count: int) -> list:
             raise IngestError(
                 f"{path}: line {lineno}: embedding_row {entry.embedding_row} out of range "
                 f"for manifest count {count} (entry {entry.entry_id!r})")
-        return entry
-
-    return read_jsonl(path, parse, IngestError)
+        entries.append(entry)
+    return entries
 
 
 # Whole lines to inject: a duplicate id (when e0 is there), a row past the
@@ -199,23 +213,6 @@ def test_injected_fault_names_its_line_and_message(tmp_path, text, message):
     assert str(got.value) == f"{files.kb}{message}"
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("text", ['{"entry_id": "a", "url": "u"}\n', '{"entry_id": "a"}\n'],
-                         ids=["parses", "raises"])
-def test_full_parse_leaves_the_gc_as_it_found_it(tmp_path, text, enabled):
-    files = _files(tmp_path, text, 1)
-    was_enabled = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        try:
-            ingest_kb(files.kb, files.manifest, use_catalog=False)
-        except IngestError:
-            pass
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was_enabled else gc.disable)()
-
-
 _ANY_TEXT = st.text(max_size=12)
 
 
@@ -241,13 +238,35 @@ def test_export_line_is_json_dumps_of_the_entry(tmp_path_factory, rows, ascii_in
     assert out.read_bytes() == b"".join(expected)
 
 
-def test_of_two_bad_lines_the_error_names_the_one_the_text_reader_names(tmp_path):
-    # The text reader decodes the chunk holding both lines before it parses
-    # line 2, so it names line 3; a line-by-line reader would name line 2.
-    files = _files(tmp_path, "", 1)
-    files.kb.write_bytes(b'{"entry_id": "a", "url": "u"}\n{bad json\n{"entry_id": "\xff"}\n')
-    with pytest.raises(IngestError, match=r"entries\.jsonl:3: not UTF-8"):
-        ingest_kb(files.kb, files.manifest, use_catalog=False)
+def _read_kb(path: Path) -> KnowledgeBase:
+    manifest = path.with_name("manifest.json")
+    manifest.write_text(json.dumps({"dim": 4, "count": 1, "normalized": True}))
+    return ingest_kb(path, manifest, use_catalog=False)
+
+
+# reader -> (a good first line for it, the call that reads a file with it).
+_READERS = {
+    "kb": ('{"entry_id": "a", "url": "u"}', _read_kb),
+    "queries": ('{"query_id": "q", "question": "?", "gold_answers": ["a"]}', ingest_queries),
+    "results": ('{"query_id": "q", "hits": [], "k": 5}', read_results),
+    "traces": ('{"query_id": "q", "variant": "param"}', read_traces),
+    "records": ('{"query_id": "q", "bucket": "b", "objective": "prki", "target": "t", '
+                '"gold_answer": "a", "context_entry_ids": [], "provenance": {}}', read_records),
+    "mock_script": ('{"query_id": "q", "stage": "s", "text": "t"}',
+                    MockBackend.from_script_file),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_of_two_bad_lines_the_error_names_the_first(tmp_path, reader):
+    good, read = _READERS[reader]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(good.encode() + b'\n{bad json\n{"entry_id": "\xff"}\n')
+    with pytest.raises(KbvqaError, match=rf"input\.jsonl:2: malformed JSON"):
+        read(path)
+    path.write_bytes(good.encode() + b'\n{"a": "\xff"}\n{bad json\n')
+    with pytest.raises(KbvqaError, match=rf"input\.jsonl:2: not UTF-8: .*0xff"):
+        read(path)
 
 
 def test_threads_sharing_a_catalog_backed_kb_each_parse_a_line_once(bundle, tmp_path, parses):
