@@ -262,10 +262,10 @@ def test_of_two_bad_lines_the_error_names_the_first(tmp_path, reader):
     good, read = _READERS[reader]
     path = tmp_path / "input.jsonl"
     path.write_bytes(good.encode() + b'\n{bad json\n{"entry_id": "\xff"}\n')
-    with pytest.raises(KbvqaError, match=rf"input\.jsonl:2: malformed JSON"):
+    with pytest.raises(KbvqaError, match=r"input\.jsonl:2: malformed JSON"):
         read(path)
     path.write_bytes(good.encode() + b'\n{"a": "\xff"}\n{bad json\n')
-    with pytest.raises(KbvqaError, match=rf"input\.jsonl:2: not UTF-8: .*0xff"):
+    with pytest.raises(KbvqaError, match=r"input\.jsonl:2: not UTF-8: .*0xff"):
         read(path)
 
 
