@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import stat
 import threading
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
-from .kb import read_jsonl
+from .kb import FieldError, field_error, from_record, read_jsonl, record_fields
 from .prompts import MessageSequence, TextPart
 
 # A request's output budget when it names none; the pipeline sends each
@@ -87,6 +88,15 @@ class Backend:
             return exc
 
 
+@dataclass(frozen=True)
+class ScriptLine:
+    """One line of a mock script: the reply to the call of a query's stage."""
+
+    query_id: str
+    stage: str
+    text: str
+
+
 class MockBackend(Backend):
     """Deterministic backend scripted by (query_id, stage) -> text.
 
@@ -105,12 +115,13 @@ class MockBackend(Backend):
         script: dict[tuple[str, str], str] = {}
 
         def add(rec: dict, lineno: int) -> None:
-            key, text = (rec["query_id"], rec["stage"]), rec["text"]
+            query_id, stage, text = record_fields(ScriptLine, rec)
+            key = (query_id, stage)
             if key in script:
                 raise IngestError(
                     f"{path}:{lineno}: duplicate script key query_id={key[0]!r} stage={key[1]!r}"
                 )
-            if not (isinstance(text, str) and _utf8(text)):
+            if not _utf8(text):
                 raise IngestError(
                     f"{path}:{lineno}: text must be a string with no lone surrogate, which "
                     f"UTF-8 cannot encode (query_id={key[0]!r} stage={key[1]!r})"
@@ -157,15 +168,20 @@ class EndpointConfig:
         p = Path(path)
         try:
             raw = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise IngestError(f"cannot load endpoint config {p}: {exc}") from exc
-        if "base_url" not in raw:
-            raise IngestError(f"endpoint config {p} is missing base_url")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        try:
+            config = from_record(cls, raw)
+            if not config.base_url:
+                raise field_error("base_url", "a non-empty string", config.base_url)
+            if not 0 < config.timeout_s < math.inf:
+                raise field_error("timeout_s", "a finite positive number", config.timeout_s)
+        except FieldError as exc:
+            raise IngestError(f"endpoint config {p}: {exc}") from None
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise IngestError(f"endpoint config {p} has unknown keys: {sorted(unknown)}")
-        return cls(**raw)
+        return config
 
     @property
     def url(self) -> str:

@@ -27,7 +27,7 @@ from .backend import DEFAULT_MAX_IN_FLIGHT, EndpointConfig, HttpBackend, MockBac
 from .errors import IngestError, KbvqaError
 from .kb import (
     KnowledgeBase, atomic_write, catalog_path, export_kb, export_queries, ingest_kb,
-    ingest_queries, load_embeddings, load_manifest, write_catalog,
+    ingest_queries, load_embeddings, load_manifest, write_catalog, write_json,
 )
 from .metrics import (
     DEFAULT_RECALL_KS,
@@ -128,7 +128,7 @@ def _load_config_file(path: str) -> dict:
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise IngestError(f"cannot load config file {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise IngestError(f"config file {p} must hold a JSON object")
@@ -188,9 +188,7 @@ def _write_run_config(out: Path, command: str, cfg: dict) -> None:
     payload = {"command": command}
     for key in sorted(cfg):
         payload[key] = cfg[key]
-    (out / "run_config.json").write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_json(out / "run_config.json", payload)
 
 
 def _max_in_flight(cfg: dict) -> int:
@@ -275,9 +273,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "queries": len(queries),
         "splits": dict(sorted(splits.items())),
     }
-    (out / "ingest_summary.json").write_text(
-        json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_json(out / "ingest_summary.json", summary)
     _write_run_config(out, "ingest", cfg)
     try:
         write_catalog(kb, cfg["kb"])
@@ -515,9 +511,7 @@ def _write_mining(cfg: dict, command: str, mining, buckets: tuple[str, ...]) -> 
     out = _out_dir(cfg)
     for bucket in buckets:
         write_records(getattr(mining, bucket), out / f"{bucket}.jsonl")
-    (out / "mining_summary.json").write_text(
-        json.dumps(mining.counters, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out / "mining_summary.json", mining.counters)
     _write_run_config(out, command, cfg)
     print("mined " + ", ".join(f"{k}={v}" for k, v in mining.counters.items()))
     return EXIT_OK

@@ -21,13 +21,16 @@ Loaded handles are immutable after ingestion and safe for concurrent readers.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import os
 import threading
+import types
+import typing
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, TypeVar
@@ -62,21 +65,14 @@ class KnowledgeEntry:
 
     entry_id: str
     url: str
-    title: str
-    content: str
+    title: str = ""
+    content: str = ""
     image_refs: tuple[str, ...] = ()
     embedding_row: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "entry_id": self.entry_id,
-            "url": self.url,
-            "title": self.title,
-            "content": self.content,
-            "image_refs": list(self.image_refs),
-            "embedding_row": self.embedding_row,
-        }
+        # The format's key order is the field order, as vars() keeps it.
+        return {"schema_version": SCHEMA_VERSION, **vars(self), "image_refs": list(self.image_refs)}
 
 
 @dataclass(frozen=True)
@@ -85,8 +81,8 @@ class Query:
 
     query_id: str
     question: str
-    image_ref: str
-    gold_answers: tuple[str, ...]
+    image_ref: str = ""
+    gold_answers: tuple[str, ...] = ()
     gold_entry_url: str | None = None
     split_tag: str = "other"
     answer_type: str = "text"
@@ -98,16 +94,7 @@ class Query:
         return lo, hi
 
     def to_json_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "question": self.question,
-            "image_ref": self.image_ref,
-            "gold_answers": list(self.gold_answers),
-            "gold_entry_url": self.gold_entry_url,
-            "split_tag": self.split_tag,
-            "answer_type": self.answer_type,
-            "query_embedding_row": self.query_embedding_row,
-        }
+        return {**vars(self), "gold_answers": list(self.gold_answers)}
 
 
 @dataclass
@@ -217,9 +204,9 @@ class KnowledgeBase:
         try:
             offset = self.line_offsets[i]
             line = data[offset:offset + self.line_lengths[i]].decode("utf-8")
-            entry = _entry_from_dict(json.loads(line), path, i + 1)
+            entry = _entry_from_dict(json.loads(line))
             found = (entry.entry_id, entry.url, entry.embedding_row)
-        except (IngestError, AttributeError, TypeError, ValueError):
+        except ValueError:  # not UTF-8, not JSON or not a valid entry
             found = None
         if found != expected:
             raise IngestError(
@@ -306,9 +293,100 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
             raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
         except KeyError as exc:
             raise error_class(f"{p}:{lineno}: missing field {exc}") from None
+        except FieldError as exc:
+            raise error_class(f"{p}:{lineno}: {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
     return out
+
+
+class FieldError(ValueError):
+    """A JSON record that is not an object, or a field of it that is missing
+    or holds a value its record class does not allow."""
+
+
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+               dict: "an object", type(None): "null"}
+_JSON_ITEM_NAMES = {str: "strings"}
+_REQUIRED = inspect.Parameter.empty
+
+
+def field_error(name: str, want: str, value: object) -> FieldError:
+    # ASCII JSON, so that a lone surrogate prints as its escape.
+    return FieldError(f"field {name!r} must be {want}, got {json.dumps(value)}")
+
+
+@cache
+def _record_spec(cls: type) -> tuple[tuple[str, object, tuple[type, ...], object, str], ...]:
+    """(name, default, JSON types, items, their description) of each field
+    of a record class, in order; items is None, a record class, or the JSON
+    types of a tuple field's items."""
+    defaults = inspect.signature(cls).parameters
+    spec = []
+    for name, hint in typing.get_type_hints(cls).items():
+        items = None
+        if typing.get_origin(hint) is tuple:
+            hint, items = list, typing.get_args(hint)[0]
+        kinds = _json_types(hint)
+        if items is None:
+            want = " or ".join(_JSON_NAMES[k] for k in kinds if not (k is int and float in kinds))
+        elif hasattr(items, "__annotations__"):
+            want = "a list of objects"
+        else:
+            items = _json_types(items)
+            want = "a list of " + _JSON_ITEM_NAMES[items[0]]
+        spec.append((name, defaults[name].default, kinds, items, want))
+    return tuple(spec)
+
+
+def _json_types(hint) -> tuple[type, ...]:
+    """The exact types json.loads gives a value of hint; an integer counts as a float."""
+    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    return kinds + (int,) if float in kinds else kinds
+
+
+def record_fields(cls: type, obj: object, _prefix: str = "") -> tuple:
+    """The fields of the JSON record obj, checked against the record class cls, in order.
+
+    cls is a dataclass or a NamedTuple, and each field's JSON type is read
+    from its annotation: str, int, float, bool, dict, a union of these with
+    None for null, and tuple[X, ...] for a list of X. A record class X
+    stands for an object, and each one is built as X. Types are exact: a
+    bool is not an integer, and an integer counts as a float. A missing
+    field takes the class's default; a field with none is required. Keys
+    the class does not declare are ignored. A record that is not an object,
+    or a field that is missing or of another type, raises FieldError.
+    """
+    if type(obj) is not dict:
+        if _prefix:
+            raise field_error(_prefix[:-1], "an object", obj)
+        raise FieldError(f"record must be an object, got {json.dumps(obj)}")
+    values = []
+    for name, default, kinds, items, want in _record_spec(cls):
+        value = obj.get(name, _REQUIRED)
+        if type(value) not in kinds:
+            if value is not _REQUIRED:
+                raise field_error(_prefix + name, want, value)
+            if default is _REQUIRED:
+                raise FieldError(f"missing field {_prefix + name!r}")
+            value = default
+        elif items is None:
+            pass
+        elif type(items) is tuple:
+            for item in value:
+                if type(item) not in items:
+                    raise field_error(_prefix + name, want, value)
+            value = tuple(value)
+        else:
+            value = tuple(items(*record_fields(items, item, f"{_prefix}{name}[{i}]."))
+                          for i, item in enumerate(value))
+        values.append(value)
+    return tuple(values)
+
+
+def from_record(cls: type[T], obj: object) -> T:
+    """cls built from the fields of the JSON record obj, checked by record_fields."""
+    return cls(*record_fields(cls, obj))
 
 
 def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
@@ -322,6 +400,12 @@ def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
         for count, obj in enumerate(dicts, start=1):
             fh.write((encode(obj) + "\n").encode("utf-8"))
     return count
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    """obj as JSON indented by 2, non-ASCII kept, and a line end, through atomic_write."""
+    with atomic_write(Path(path)) as fh:
+        fh.write((json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
 
 
 @contextmanager
@@ -376,44 +460,23 @@ def _read_manifest(manifest_path: str | Path) -> tuple[dict, str]:
     return manifest, hashlib.sha256(raw).hexdigest()
 
 
-def _entry_from_dict(obj: dict, path: Path, lineno: int) -> KnowledgeEntry:
-    entry_id, url, title, content, image_refs, embedding_row = _entry_fields(obj, path, lineno)
-    return KnowledgeEntry(entry_id, url, title, content, tuple(image_refs), embedding_row)
+def _entry_from_dict(obj: object) -> KnowledgeEntry:
+    return KnowledgeEntry(*_entry_fields(obj))
 
 
-def _entry_fields(obj: dict, path: Path, lineno: int) -> tuple:
+def _entry_fields(obj: object) -> tuple:
     """The checked (entry_id, url, title, content, image_refs, embedding_row) of a record."""
+    fields = entry_id, url, _, _, _, embedding_row = record_fields(KnowledgeEntry, obj)
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise IngestError(f"{path}: line {lineno}: unsupported schema_version {version!r}")
-    try:
-        entry_id = obj["entry_id"]
-        url = obj["url"]
-    except KeyError as exc:
-        raise IngestError(f"{path}: line {lineno}: entry missing field {exc.args[0]!r}") from exc
-    if not isinstance(entry_id, str) or not entry_id:
-        raise IngestError(f"{path}: line {lineno}: entry_id must be a non-empty string")
-    if not isinstance(url, str) or not url:
-        raise IngestError(f"{path}: line {lineno}: url must be non-empty (entry {entry_id!r})")
-    embedding_row = obj.get("embedding_row")
-    if embedding_row is not None:
-        if type(embedding_row) is not int or embedding_row < 0:
-            raise IngestError(
-                f"{path}: line {lineno}: embedding_row must be a non-negative integer "
-                f"(entry {entry_id!r})"
-            )
-    title = obj.get("title", "")
-    if not isinstance(title, str):
-        raise _not_a_string(path, lineno, "title", title, f"entry {entry_id!r}")
-    content = obj.get("content", "")
-    if not isinstance(content, str):
-        raise _not_a_string(path, lineno, "content", content, f"entry {entry_id!r}")
-    image_refs = obj.get("image_refs", [])
-    if not isinstance(image_refs, list) or not _all_strings(image_refs):
-        raise IngestError(
-            f"{path}: line {lineno}: image_refs must be a list of strings (entry {entry_id!r})"
-        )
-    return entry_id, url, title, content, image_refs, embedding_row
+        raise field_error("schema_version", str(SCHEMA_VERSION), version)
+    if not entry_id:
+        raise field_error("entry_id", "a non-empty string", entry_id)
+    if not url:
+        raise field_error("url", "a non-empty string", url)
+    if embedding_row is not None and embedding_row < 0:
+        raise field_error("embedding_row", "a non-negative integer or null", embedding_row)
+    return fields
 
 
 def _export_line(entry_id: str, url: str, title: str, content: str, image_refs,
@@ -471,20 +534,6 @@ def _loads(text: str):
     return obj
 
 
-def _all_strings(values: list) -> bool:
-    # A plain loop: all() over a generator costs several times as much, on
-    # every line of a large KB.
-    for value in values:
-        if not isinstance(value, str):
-            return False
-    return True
-
-
-def _not_a_string(path: Path, lineno: int, name: str, value: object, what: str) -> IngestError:
-    # The message is built only on this error path, not for every line.
-    return IngestError(f"{path}: line {lineno}: {name} must be a string, got {value!r} ({what})")
-
-
 def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
               use_catalog: bool = True) -> KnowledgeBase:
     """Load and validate a KB: entries from JSONL, embedding bounds from the manifest.
@@ -521,7 +570,7 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
 
     def parse(obj: dict, lineno: int) -> bytes:
         """Check a record as _entry_from_dict does, then against the others; its export."""
-        entry_id, url, title, content, image_refs, row = _entry_fields(obj, path, lineno)
+        entry_id, url, title, content, image_refs, row = _entry_fields(obj)
         try:
             line = _export_line(entry_id, url, title, content, image_refs, row).encode("utf-8")
         except UnicodeEncodeError:
@@ -625,69 +674,34 @@ def _check_unique(seen: dict[str, int], what: str, value: str, path: Path, linen
     seen[value] = lineno
 
 
-def _query_from_dict(obj: dict, path: Path, lineno: int) -> Query:
-    try:
-        query_id = obj["query_id"]
-        question = obj["question"]
-    except KeyError as exc:
-        raise IngestError(f"{path}: line {lineno}: query missing field {exc.args[0]!r}") from exc
-    if not isinstance(query_id, str) or not query_id:
-        raise IngestError(
-            f"{path}: line {lineno}: query_id must be a non-empty string, got {query_id!r}"
-        )
-    if not isinstance(question, str):
-        raise _not_a_string(path, lineno, "question", question, f"query {query_id!r}")
-    image_ref = obj.get("image_ref", "")
-    if not isinstance(image_ref, str):
-        raise _not_a_string(path, lineno, "image_ref", image_ref, f"query {query_id!r}")
-    gold_answers = obj.get("gold_answers", [])
-    # A bool is an int to isinstance, but str(True) is no answer.
-    if not isinstance(gold_answers, list) or not all(
-            isinstance(a, (str, int, float)) and not isinstance(a, bool) for a in gold_answers):
-        raise IngestError(
-            f"{path}: line {lineno}: gold_answers must be a non-empty list of strings or "
-            f"numbers (query {query_id!r})"
-        )
-    if not gold_answers:
-        raise IngestError(f"{path}: line {lineno}: gold_answers is empty (query {query_id!r})")
-    split_tag = obj.get("split_tag", "other")
-    if split_tag not in SPLIT_TAGS:
-        raise IngestError(f"{path}: line {lineno}: unknown split_tag {split_tag!r}")
-    answer_type = obj.get("answer_type", "text")
-    if answer_type not in ANSWER_TYPES:
-        raise IngestError(f"{path}: line {lineno}: unknown answer_type {answer_type!r}")
-    gold_entry_url = obj.get("gold_entry_url")
-    if gold_entry_url is not None and not isinstance(gold_entry_url, str):
-        raise IngestError(
-            f"{path}: line {lineno}: gold_entry_url must be a string or null, "
-            f"got {gold_entry_url!r} (query {query_id!r})"
-        )
-    embedding_row = obj.get("query_embedding_row")
-    if embedding_row is not None and (type(embedding_row) is not int or embedding_row < 0):
-        raise IngestError(
-            f"{path}: line {lineno}: query_embedding_row must be a non-negative integer "
-            f"(query {query_id!r})"
-        )
-    query = Query(
-        query_id=query_id,
-        question=question,
-        image_ref=image_ref,
-        gold_answers=tuple(str(a) for a in gold_answers),
-        gold_entry_url=gold_entry_url,
-        split_tag=split_tag,
-        answer_type=answer_type,
-        query_embedding_row=embedding_row,
-    )
-    if answer_type == "numeric_range":
+def _query_from_dict(obj: object, path: Path, lineno: int) -> Query:
+    answers = obj.get("gold_answers") if type(obj) is dict else None
+    if type(answers) is list:
+        # A gold answer may be a number, kept in its str() form; a bool is no answer.
+        obj["gold_answers"] = [str(a) if type(a) in (int, float) else a for a in answers]
+    query = from_record(Query, obj)
+    if not query.query_id:
+        raise field_error("query_id", "a non-empty string", query.query_id)
+    if not query.gold_answers:
+        raise field_error("gold_answers", "a non-empty list of strings or numbers", [])
+    if query.split_tag not in SPLIT_TAGS:
+        raise field_error("split_tag", "one of " + ", ".join(SPLIT_TAGS), query.split_tag)
+    if query.answer_type not in ANSWER_TYPES:
+        raise field_error("answer_type", "one of " + ", ".join(ANSWER_TYPES), query.answer_type)
+    row = query.query_embedding_row
+    if row is not None and row < 0:
+        raise field_error("query_embedding_row", "a non-negative integer or null", row)
+    if query.answer_type == "numeric_range":
         try:
             query.gold_range()
         except IngestError as exc:
-            raise IngestError(f"{path}: line {lineno}: {exc} (query {query_id!r})") from exc
+            raise IngestError(f"{path}: line {lineno}: {exc} (query {query.query_id!r})") from exc
     try:
-        "".join((query_id, question, image_ref, gold_entry_url or "",
+        "".join((query.query_id, query.question, query.image_ref, query.gold_entry_url or "",
                  *query.gold_answers)).encode("utf-8")
     except UnicodeEncodeError:
-        raise _lone_surrogate(path, lineno, query.to_json_dict(), f"query {query_id!r}") from None
+        raise _lone_surrogate(path, lineno, query.to_json_dict(),
+                              f"query {query.query_id!r}") from None
     return query
 
 

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from .answers import normalize_answer
 from .errors import EvalError
-from .kb import Query, write_jsonl
+from .kb import Query, write_json, write_jsonl
 from .pipeline import PipelineTrace
 from .retrieval import RetrievalResult, gold_rank, recall_at_k
 
@@ -379,10 +379,7 @@ def compare_runs(report_a: MetricReport, report_b: MetricReport) -> list[DeltaRo
 
 
 def write_report_json(report: MetricReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, report.to_json_dict())
 
 
 def read_report_json(path: str | Path) -> MetricReport:

@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 
 from .answers import index_to_letter, normalize_answer
 from .errors import EvalError
-from .kb import KnowledgeBase, Query, read_jsonl, write_jsonl
+from .kb import KnowledgeBase, Query, from_record, read_jsonl, write_jsonl
 from .metrics import DEFAULT_TOLERANCE, match_answer
 from .pipeline import PipelineTrace
 from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
@@ -288,17 +288,5 @@ def write_records(records: Sequence[MiningRecord], path: str | Path) -> int:
     return write_jsonl(path, (record.to_json_dict() for record in records))
 
 
-def _record_from_dict(rec: dict, _lineno: int) -> MiningRecord:
-    return MiningRecord(
-        query_id=rec["query_id"],
-        bucket=rec["bucket"],
-        objective=rec["objective"],
-        target=rec["target"],
-        gold_answer=rec["gold_answer"],
-        context_entry_ids=tuple(rec["context_entry_ids"]),
-        provenance=dict(rec["provenance"]),
-    )
-
-
 def read_records(path: str | Path) -> list[MiningRecord]:
-    return read_jsonl(path, _record_from_dict, EvalError)
+    return read_jsonl(path, lambda rec, _lineno: from_record(MiningRecord, rec), EvalError)

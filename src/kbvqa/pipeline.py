@@ -21,7 +21,7 @@ from .answers import (
 )
 from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
-from .kb import KnowledgeBase, KnowledgeEntry, Query, read_jsonl, write_jsonl
+from .kb import KnowledgeBase, KnowledgeEntry, Query, from_record, read_jsonl, write_jsonl
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
@@ -299,33 +299,14 @@ def write_traces(
     write_jsonl(path, (trace.to_json_dict(include_transcripts) for trace in traces))
 
 
-def _prompt_sha256(transcript: dict) -> str:
-    # Traces written before transcripts named their prompts by digest carry
-    # the parts themselves.
-    if "prompt_sha256" not in transcript and "prompt_parts" in transcript:
-        return parts_sha256(transcript["prompt_parts"])
-    return transcript["prompt_sha256"]
-
-
 def _trace_from_dict(rec: dict, _lineno: int) -> PipelineTrace:
-    transcripts = tuple(
-        StageTranscript(
-            stage=t["stage"], prompt_sha256=_prompt_sha256(t),
-            text=t["text"], latency_ms=t["latency_ms"], raw=t["raw"],
-            temperature=t["temperature"], max_new_tokens=t["max_new_tokens"],
-        )
-        for t in rec.get("transcripts", [])
-    )
-    return PipelineTrace(
-        query_id=rec["query_id"], variant=rec["variant"], mode=rec.get("mode"),
-        y_int=rec.get("y_int"), i_v=rec.get("i_v"), i_t=rec.get("i_t"),
-        i_tv=rec.get("i_tv"), y_ext=rec.get("y_ext"),
-        y_final=rec.get("y_final", ""), prki_flag=rec.get("prki_flag"),
-        vtki_flag=rec.get("vtki_flag"),
-        context_entry_ids=tuple(rec.get("context_entry_ids", ())),
-        warnings=tuple(rec.get("warnings", ())), failed=rec.get("failed", False),
-        error=rec.get("error"), transcripts=transcripts,
-    )
+    transcripts = rec.get("transcripts") if type(rec) is dict else None
+    for t in transcripts if type(transcripts) is list else ():
+        # Traces written before transcripts named their prompts by digest
+        # carry the parts themselves.
+        if type(t) is dict and "prompt_sha256" not in t and "prompt_parts" in t:
+            t["prompt_sha256"] = parts_sha256(t["prompt_parts"])
+    return from_record(PipelineTrace, rec)
 
 
 def read_traces(path: str | Path) -> list[PipelineTrace]:

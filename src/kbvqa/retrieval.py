@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 from .errors import EvalError, IngestError
-from .kb import KnowledgeBase, Query, read_jsonl, write_jsonl
+from .kb import KnowledgeBase, Query, from_record, read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,12 +24,19 @@ if TYPE_CHECKING:
 DEFAULT_TOP_K = 5
 
 
+class Hit(NamedTuple):
+    """One ranked entry of a retrieval result."""
+
+    entry_id: str
+    score: float
+
+
 @dataclass(frozen=True)
 class RetrievalResult:
     """Ranked hits for one query: (entry_id, score) pairs, best first."""
 
     query_id: str
-    hits: tuple[tuple[str, float], ...]
+    hits: tuple[Hit, ...]
     k: int
 
     def entry_ids(self) -> list[str]:
@@ -172,7 +179,7 @@ def search_batch(
             # depend on its position, so identical rows tie exactly.
             exact = (index.matrix[cand] * q).sum(axis=1)
             order = np.lexsort((cand, -exact))[:top]
-            hits = tuple((index.entry_ids[cand[i]], float(exact[i])) for i in order)
+            hits = tuple(Hit(index.entry_ids[cand[i]], float(exact[i])) for i in order)
             results.append(RetrievalResult(query_id=qid, hits=hits, k=k))
     return results
 
@@ -233,10 +240,5 @@ def write_results(results: Sequence[RetrievalResult], path: str | Path) -> int:
     return write_jsonl(path, (result.to_json_dict() for result in results))
 
 
-def _result_from_dict(obj: dict, _lineno: int) -> RetrievalResult:
-    hits = tuple((h["entry_id"], float(h["score"])) for h in obj["hits"])
-    return RetrievalResult(query_id=obj["query_id"], hits=hits, k=int(obj["k"]))
-
-
 def read_results(path: str | Path) -> list[RetrievalResult]:
-    return read_jsonl(path, _result_from_dict, IngestError)
+    return read_jsonl(path, lambda obj, _lineno: from_record(RetrievalResult, obj), IngestError)

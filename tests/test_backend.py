@@ -104,7 +104,7 @@ class TestMock:
                                               r"lone surrogate.*\(query_id='q2' "):
             MockBackend.from_script_file(path)
         path.write_text('{"query_id": "q1", "stage": "s", "text": 5}\n')
-        with pytest.raises(IngestError, match=r"bad\.jsonl:1: text must be a string"):
+        with pytest.raises(IngestError, match=r"bad\.jsonl:1: field 'text' must be a string, got 5"):
             MockBackend.from_script_file(path)
 
     def test_batch_preserves_order_and_captures_errors(self):

@@ -22,8 +22,13 @@ from hypothesis import strategies as st
 import fixture_gen
 from kbvqa import cli as cli_module
 from kbvqa import kb as kb_module
+from kbvqa.backend import EndpointConfig, MockBackend
 from kbvqa.cli import INDEX_DIGESTS, _pack_strings, _unpack_strings, build_parser, main
+from kbvqa.errors import KbvqaError
+from kbvqa.kb import ingest_kb, ingest_queries
+from kbvqa.mining import read_records
 from kbvqa.pipeline import read_traces
+from kbvqa.retrieval import read_results
 
 from http_stub import LocalServer
 
@@ -690,7 +695,8 @@ class TestExitCodes:
         ])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"{bad}: line 2: query_embedding_row must be a non-negative integer" in err
+        want = "a non-negative integer or null" if row == -1 else "an integer or null"
+        assert f"{bad}:2: field 'query_embedding_row' must be {want}, got {json.dumps(row)}" in err
         assert not (tmp_path / "out" / "retrieval_results.jsonl").exists()
 
     def test_mock_script_that_is_not_utf8(self, bundle, tmp_path, capsys):
@@ -772,6 +778,25 @@ _READER_CASES = {
 }
 
 
+def _reader_flags(ws, bundle) -> SimpleNamespace:
+    """The workspace's paths, as the _READER_CASES argv builders take them."""
+    return SimpleNamespace(
+        kb=["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)],
+        manifest=str(bundle.kb_manifest), queries=["--queries", str(bundle.queries_path)],
+        mock=["--mock-script", str(bundle.mock_script)], traces=str(ws.run / "traces.jsonl"),
+    )
+
+
+def _reader_source(ws, bundle, role: str) -> Path:
+    """A good file of the role, to copy and break."""
+    return {
+        "entries": bundle.entries_path, "queries": bundle.queries_path,
+        "retrievals": ws.retrieve / "retrieval_results.jsonl",
+        "traces": ws.run / "traces.jsonl", "records": ws.mine_prki / "d_int.jsonl",
+        "mock": bundle.mock_script,
+    }[role]
+
+
 class TestReaderErrors:
     """A missing JSONL input or a line without a required field exits 2 with
     the file named, never with a traceback."""
@@ -780,23 +805,12 @@ class TestReaderErrors:
     @pytest.mark.parametrize("case", sorted(_READER_CASES))
     def test_exits_two_naming_the_file(self, ws, bundle, tmp_path, capsys, case, fault):
         role, field, argv = _READER_CASES[case]
-        c = SimpleNamespace(
-            kb=["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)],
-            manifest=str(bundle.kb_manifest), queries=["--queries", str(bundle.queries_path)],
-            mock=["--mock-script", str(bundle.mock_script)], traces=str(ws.run / "traces.jsonl"),
-        )
-        source = {
-            "entries": bundle.entries_path, "queries": bundle.queries_path,
-            "retrievals": ws.retrieve / "retrieval_results.jsonl",
-            "traces": ws.run / "traces.jsonl", "records": ws.mine_prki / "d_int.jsonl",
-            "mock": bundle.mock_script,
-        }[role]
         bad = tmp_path / f"bad_{role}.jsonl"
         if fault == "missing_field":
-            rows = read_jsonl(source)
+            rows = read_jsonl(_reader_source(ws, bundle, role))
             del rows[1][field]
             bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
-        rc = main([*argv(c, str(bad)), "--out-dir", str(tmp_path / "out")])
+        rc = main([*argv(_reader_flags(ws, bundle), str(bad)), "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
         assert str(bad) in err and "Traceback" not in err
@@ -804,12 +818,22 @@ class TestReaderErrors:
             assert f"{bad}:2: missing field '{field}'" in err or f"{bad}: line 2:" in err
 
 
+# The ids name each case as it was first written, before messages named the
+# field as `field 'x'` and gave the value as JSON.
 @pytest.mark.parametrize("role, field, value, match", [
-    ("queries", "gold_answers", "Paris", "gold_answers must be a non-empty list"),
-    ("entries", "image_refs", "img.jpg", "image_refs must be a list of strings"),
-    ("entries", "content", 12345, "content must be a string, got 12345"),
-    ("queries", "query_id", 5, "query_id must be a non-empty string, got 5"),
-    ("queries", "gold_entry_url", 7, "gold_entry_url must be a string or null, got 7"),
+    pytest.param("queries", "gold_answers", "Paris",
+                 "field 'gold_answers' must be a list of strings, got \"Paris\"",
+                 id="queries-gold_answers-Paris-gold_answers must be a non-empty list"),
+    pytest.param("entries", "image_refs", "img.jpg",
+                 "field 'image_refs' must be a list of strings, got \"img.jpg\"",
+                 id="entries-image_refs-img.jpg-image_refs must be a list of strings"),
+    pytest.param("entries", "content", 12345, "field 'content' must be a string, got 12345",
+                 id="entries-content-12345-content must be a string, got 12345"),
+    pytest.param("queries", "query_id", 5, "field 'query_id' must be a string, got 5",
+                 id="queries-query_id-5-query_id must be a non-empty string, got 5"),
+    pytest.param("queries", "gold_entry_url", 7,
+                 "field 'gold_entry_url' must be a string or null, got 7",
+                 id="queries-gold_entry_url-7-gold_entry_url must be a string or null, got 7"),
 ])
 @pytest.mark.parametrize("command", ["ingest", "run"])
 def test_field_of_the_wrong_type_exits_two(bundle, tmp_path, capsys, role, field, value, match,
@@ -831,10 +855,206 @@ def test_field_of_the_wrong_type_exits_two(bundle, tmp_path, capsys, role, field
         argv = ["ingest", *argv]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{bad}: line 2: {match}" in err
+    assert f"{bad}:2: {match}" in err
     assert "Traceback" not in err
 
 
+# Each record format as a written oracle, apart from the dataclasses the
+# readers check against: {field: the JSON types it takes}, and its required
+# fields. "int" is a JSON integer and "float" a JSON number with a fraction
+# or exponent; a bool is neither.
+_FORMATS = {
+    "entries": ({"entry_id": "str", "url": "str", "title": "str", "content": "str",
+                 "image_refs": "list", "embedding_row": "int null"}, ("entry_id", "url")),
+    "queries": ({"query_id": "str", "question": "str", "image_ref": "str",
+                 "gold_answers": "list", "gold_entry_url": "str null", "split_tag": "str",
+                 "answer_type": "str", "query_embedding_row": "int null"},
+                ("query_id", "question")),
+    "results": ({"query_id": "str", "hits": "list", "k": "int"}, ("query_id", "hits", "k")),
+    "hits": ({"entry_id": "str", "score": "int float"}, ("entry_id", "score")),
+    "traces": ({"query_id": "str", "variant": "str", "mode": "str null", "y_int": "str null",
+                "i_v": "int null", "i_t": "int null", "i_tv": "int null", "y_ext": "str null",
+                "y_final": "str", "prki_flag": "bool null", "vtki_flag": "bool null",
+                "context_entry_ids": "list", "warnings": "list", "failed": "bool",
+                "error": "str null", "transcripts": "list"}, ("query_id", "variant")),
+    "transcripts": ({"stage": "str", "prompt_sha256": "str", "text": "str",
+                     "latency_ms": "int float", "raw": "str", "temperature": "int float",
+                     "max_new_tokens": "int"},
+                    ("stage", "prompt_sha256", "text", "latency_ms", "raw", "temperature",
+                     "max_new_tokens")),
+    "records": ({"query_id": "str", "bucket": "str", "objective": "str", "target": "str int",
+                 "gold_answer": "str", "context_entry_ids": "list", "provenance": "dict"},
+                ("query_id", "bucket", "objective", "target", "gold_answer",
+                 "context_entry_ids", "provenance")),
+    "mock": ({"query_id": "str", "stage": "str", "text": "str"}, ("query_id", "stage", "text")),
+    "endpoint": ({"base_url": "str", "path": "str", "model": "str", "api_key_env": "str",
+                  "timeout_s": "int float"}, ("base_url",)),
+}
+_JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(-3, 3),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=4), "list": st.lists(st.integers(0, 3) | st.text(max_size=2), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+}
+# case -> (the role of the file that holds it, its format, the key of the
+# nested record under test on line 2, or None for line 2 itself).
+_RECORD_CASES = {
+    "entries": ("entries", "entries", None),
+    "queries": ("queries", "queries", None),
+    "results": ("retrievals", "results", None),
+    "hits": ("retrievals", "hits", "hits"),
+    "traces": ("traces", "traces", None),
+    "transcripts": ("traces", "transcripts", "transcripts"),
+    "records": ("records", "records", None),
+    "mock_script": ("mock", "mock", None),
+    "endpoint_config": ("endpoint", "endpoint", None),
+}
+_ENDPOINT = {"base_url": "http://127.0.0.1:9", "path": "/v1/chat/completions", "model": "m",
+             "api_key_env": "KBVQA_TEST_KEY", "timeout_s": 5}
+
+
+def _record_rows(ws, bundle, role: str) -> list:
+    return [dict(_ENDPOINT)] if role == "endpoint" else read_jsonl(_reader_source(ws, bundle, role))
+
+
+def _write_broken(root: Path, case: str, rows: list, fault: str, name,
+                  value) -> tuple[Path, str, str]:
+    """Break the record under test of case in rows and write them under root:
+    replace its field name by value, drop that field, or put value in place
+    of the whole record. The file, where its error must point, and how the
+    error's message must start."""
+    role, _, nested = _RECORD_CASES[case]
+    holder, key, prefix = rows, 0 if role == "endpoint" else 1, ""
+    if nested:
+        holder, key, prefix = rows[key][nested], 0, f"{nested}[0]."
+    if fault == "replace":
+        holder[key][name] = value
+        message = f"field '{prefix}{name}' must be "
+    elif fault == "drop":
+        del holder[key][name]
+        message = f"missing field '{prefix}{name}'"
+    else:
+        holder[key] = value
+        message = (f"field '{prefix[:-1]}' must be an object, got " if prefix
+                   else "record must be an object, got ")
+    if role == "endpoint":
+        bad = root / "endpoint.json"
+        bad.write_text(json.dumps(rows[0]), encoding="utf-8")
+        return bad, f"endpoint config {bad}", message
+    bad = root / f"bad_{role}.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return bad, f"{bad}:2", message
+
+
+def _main_on_broken(ws, bundle, root: Path, case: str, fault: str, name, value,
+                    message: str | None = None) -> None:
+    """Run the command that reads case's file, broken as _write_broken breaks
+    it: it must exit 2 with the error, given message or not, no traceback
+    and no output."""
+    role = _RECORD_CASES[case][0]
+    bad, where, start = _write_broken(root, case, _record_rows(ws, bundle, role), fault, name,
+                                      value)
+    if role == "endpoint":
+        argv = ["run", "--variant", "param", "--kb", str(bundle.entries_path),
+                "--kb-manifest", str(bundle.kb_manifest), "--queries", str(bundle.queries_path),
+                "--endpoint-config", str(bad)]
+    else:
+        reader = next(argv for r, _, argv in _READER_CASES.values() if r == role)
+        argv = reader(_reader_flags(ws, bundle), str(bad))
+    out = root / "out"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = main([*argv, "--out-dir", str(out)])
+    err = stderr.getvalue()
+    assert rc == 2, err
+    assert f"{where}: {message or start}" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("*.jsonl")), "a command that rejected its input wrote output"
+
+
+class TestRecordFormats:
+    """Every JSON record reader checks each field's JSON type against its
+    record class: a record of another shape exits 2 naming the file, the
+    line and the field, never with a traceback and never accepted."""
+
+    @pytest.mark.parametrize("case", sorted(_RECORD_CASES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_bad_record_is_rejected_naming_file_line_and_field(
+            self, ws, bundle, tmp_path_factory, case, data):
+        """Each field in turn replaced by a value of another JSON type, each
+        required field in turn dropped, or the record replaced by a value
+        that is not an object."""
+        role, fmt, _ = _RECORD_CASES[case]
+        fields, required = _FORMATS[fmt]
+        read = {"entries": lambda path: ingest_kb(path, bundle.kb_manifest, use_catalog=False),
+                "queries": ingest_queries, "retrievals": read_results, "traces": read_traces,
+                "records": read_records, "mock": MockBackend.from_script_file,
+                "endpoint": EndpointConfig.from_json_file}[role]
+        source = _record_rows(ws, bundle, role)
+        root = tmp_path_factory.mktemp("record")
+        fault = data.draw(st.sampled_from(["replace", "drop", "not_an_object"]), label="fault")
+        for name in {"replace": sorted(fields), "drop": required, "not_an_object": [None]}[fault]:
+            taken = fields[name].split() if fault == "replace" else ["dict"]
+            value = data.draw(st.one_of([values for kind, values in _JSON_VALUES.items()
+                                         if kind not in taken]), label=str(name))
+            bad, where, start = _write_broken(root, case, json.loads(json.dumps(source)), fault,
+                                              name, value)
+            with pytest.raises(KbvqaError) as got:  # main exits 2 on any KbvqaError
+                read(bad)
+            assert str(got.value).startswith(f"{where}: {start}")
+
+    @pytest.mark.parametrize("fault", ["replace", "drop", "not_an_object"])
+    @pytest.mark.parametrize("case", sorted(_RECORD_CASES))
+    def test_bad_record_exits_two_with_no_output(self, ws, bundle, tmp_path, case, fault):
+        fields, required = _FORMATS[_RECORD_CASES[case][1]]
+        name = sorted(fields)[0] if fault == "replace" else required[0]
+        value = [1] if fields.get(name) != "list" else "x"
+        _main_on_broken(ws, bundle, tmp_path, case, fault, name, value)
+
+    @pytest.mark.parametrize("case, name, value, message", [
+        ("entries", "embedding_row", -1, "field 'embedding_row' must be a non-negative integer "
+                                         "or null, got -1"),
+        ("entries", "schema_version", 2, "field 'schema_version' must be 1, got 2"),
+        ("queries", "split_tag", "train", "field 'split_tag' must be one of unseen_q, unseen_e, "
+                                          "other, got \"train\""),
+        ("queries", "answer_type", "bool", "field 'answer_type' must be one of text, numeric, "
+                                           "numeric_range, got \"bool\""),
+        ("results", "k", "3", "field 'k' must be an integer, got \"3\""),
+        ("hits", "score", "nan", "field 'hits[0].score' must be a number, got \"nan\""),
+        ("hits", "entry_id", 7, "field 'hits[0].entry_id' must be a string, got 7"),
+        ("traces", "failed", "no", "field 'failed' must be true or false, got \"no\""),
+        ("traces", "warnings", "ab", "field 'warnings' must be a list of strings, got \"ab\""),
+        ("traces", "query_id", 7, "field 'query_id' must be a string, got 7"),
+        ("transcripts", "latency_ms", "5", "field 'transcripts[0].latency_ms' must be a number, "
+                                           "got \"5\""),
+        ("records", "provenance", [], "field 'provenance' must be an object, got []"),
+        ("records", "target", 1.5, "field 'target' must be a string or an integer, got 1.5"),
+        ("endpoint_config", "timeout_s", "5", "field 'timeout_s' must be a number, got \"5\""),
+        ("endpoint_config", "timeout_s", 0, "field 'timeout_s' must be a finite positive "
+                                            "number, got 0"),
+        ("endpoint_config", "base_url", 5, "field 'base_url' must be a string, got 5"),
+        ("endpoint_config", "base_url", "", "field 'base_url' must be a non-empty string, "
+                                            "got \"\""),
+    ])
+    def test_value_rejected_with_its_message(self, ws, bundle, tmp_path, case, name, value,
+                                             message):
+        _main_on_broken(ws, bundle, tmp_path, case, "replace", name, value, message)
+
+    @pytest.mark.parametrize("flag", ["--config", "--endpoint-config"])
+    @pytest.mark.parametrize("raw", [b'{"k": "\xff"}', b'["base_url"]', b"{"])
+    def test_json_file_that_cannot_be_read_exits_two_naming_it(self, bundle, tmp_path, capsys,
+                                                               flag, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        rc = main(["run", "--variant", "param", "--kb", str(bundle.entries_path),
+                   "--kb-manifest", str(bundle.kb_manifest),
+                   "--queries", str(bundle.queries_path), flag, str(bad),
+                   *(["--mock-script", str(bundle.mock_script)] if flag == "--config" else []),
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(bad) in err and "Traceback" not in err
 def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
     """The per-layer benchmark wraps functions by name; a refactor that moves
     them out of its reach would leave these spans empty."""

@@ -20,6 +20,7 @@ from kbvqa.kb import (
     load_embeddings,
     load_manifest,
     read_jsonl,
+    write_json,
     write_jsonl,
 )
 
@@ -69,7 +70,7 @@ def test_missing_field_names_line(tmp_path, bundle):
     del rows[1]["url"]
     bad = tmp_path / "nofield.jsonl"
     fixture_gen.write_jsonl(bad, rows)
-    with pytest.raises(IngestError, match="line 2"):
+    with pytest.raises(IngestError, match=r"nofield\.jsonl:2: missing field 'url'$"):
         ingest_kb(bad, bundle.kb_manifest)
 
 
@@ -131,25 +132,37 @@ def test_bool_embedding_row_rejected(tmp_path, bundle, row):
     rows[1]["embedding_row"] = row
     bad = tmp_path / "row.jsonl"
     fixture_gen.write_jsonl(bad, rows)
-    with pytest.raises(IngestError, match=r"line 2: embedding_row must be a non-negative integer"):
+    with pytest.raises(IngestError, match=rf"row\.jsonl:2: field 'embedding_row' must be an "
+                                          rf"integer or null, got {json.dumps(row)}$"):
         ingest_kb(bad, bundle.kb_manifest)
 
 
+# The ids name each case as it was first written, before messages named the
+# field as `field 'x'` and gave the value as JSON.
 @pytest.mark.parametrize("field, value, match", [
-    ("title", 5, r"title must be a string, got 5 \(entry 'e001'\)"),
-    ("content", 12345, r"content must be a string, got 12345"),
-    ("content", None, r"content must be a string, got None"),
-    ("image_refs", "img.jpg", r"image_refs must be a list of strings"),
-    ("image_refs", ["a.jpg", 7], r"image_refs must be a list of strings"),
-    ("image_refs", None, r"image_refs must be a list of strings"),
+    pytest.param("title", 5, "field 'title' must be a string, got 5",
+                 id="title-5-title must be a string, got 5 \\(entry 'e001'\\)"),
+    pytest.param("content", 12345, "field 'content' must be a string, got 12345",
+                 id="content-12345-content must be a string, got 12345"),
+    pytest.param("content", None, "field 'content' must be a string, got null",
+                 id="content-None-content must be a string, got None"),
+    pytest.param("image_refs", "img.jpg",
+                 "field 'image_refs' must be a list of strings, got \"img.jpg\"",
+                 id="image_refs-img.jpg-image_refs must be a list of strings"),
+    pytest.param("image_refs", ["a.jpg", 7],
+                 "field 'image_refs' must be a list of strings, got [\"a.jpg\", 7]",
+                 id="image_refs-value4-image_refs must be a list of strings"),
+    pytest.param("image_refs", None, "field 'image_refs' must be a list of strings, got null",
+                 id="image_refs-None-image_refs must be a list of strings"),
 ])
 def test_entry_field_of_the_wrong_type_rejected(tmp_path, bundle, field, value, match):
     rows = fixture_gen.make_entries(3)
     rows[1][field] = value
     bad = tmp_path / "typed.jsonl"
     fixture_gen.write_jsonl(bad, rows)
-    with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: {match}"):
+    with pytest.raises(IngestError) as got:
         ingest_kb(bad, bundle.kb_manifest)
+    assert str(got.value) == f"{bad}:2: {match}"
 
 
 def _query_row(**fields) -> dict:
@@ -158,31 +171,50 @@ def _query_row(**fields) -> dict:
     return row
 
 
+_LIST = "a list of strings"
+_NON_EMPTY = "a non-empty list of strings or numbers"
+
+
+# The ids name each case as it was first written, before messages named the
+# field as `field 'x'` and gave the value as JSON.
 @pytest.mark.parametrize("fields, match", [
-    ({"gold_answers": "Paris"}, r"gold_answers must be a non-empty list of strings or numbers"),
-    ({"gold_answers": [True]}, r"gold_answers must be a non-empty list of strings or numbers"),
-    ({"gold_answers": [["x"]]}, r"gold_answers must be a non-empty list of strings or numbers"),
-    ({"gold_answers": None}, r"gold_answers must be a non-empty list of strings or numbers"),
-    ({"gold_answers": []}, r"gold_answers is empty"),
-    ({"question": 5}, r"question must be a string, got 5"),
-    ({"image_ref": ["q.jpg"]}, r"image_ref must be a string, got \['q.jpg'\]"),
-    ({"gold_entry_url": 7}, r"gold_entry_url must be a string or null, got 7"),
-    ({"gold_entry_url": ["https://kb.example/a"]},
-     r"gold_entry_url must be a string or null, got \['https://kb.example/a'\]"),
+    pytest.param({"gold_answers": "Paris"}, f"field 'gold_answers' must be {_LIST}, got \"Paris\"",
+                 id=f"fields0-gold_answers must be {_NON_EMPTY}"),
+    pytest.param({"gold_answers": [True]}, f"field 'gold_answers' must be {_LIST}, got [true]",
+                 id=f"fields1-gold_answers must be {_NON_EMPTY}"),
+    pytest.param({"gold_answers": [["x"]]},
+                 f"field 'gold_answers' must be {_LIST}, got [[\"x\"]]",
+                 id=f"fields2-gold_answers must be {_NON_EMPTY}"),
+    pytest.param({"gold_answers": None}, f"field 'gold_answers' must be {_LIST}, got null",
+                 id=f"fields3-gold_answers must be {_NON_EMPTY}"),
+    pytest.param({"gold_answers": []}, f"field 'gold_answers' must be {_NON_EMPTY}, got []",
+                 id="fields4-gold_answers is empty"),
+    pytest.param({"question": 5}, "field 'question' must be a string, got 5",
+                 id="fields5-question must be a string, got 5"),
+    pytest.param({"image_ref": ["q.jpg"]}, "field 'image_ref' must be a string, got [\"q.jpg\"]",
+                 id="fields6-image_ref must be a string, got \\['q.jpg'\\]"),
+    pytest.param({"gold_entry_url": 7}, "field 'gold_entry_url' must be a string or null, got 7",
+                 id="fields7-gold_entry_url must be a string or null, got 7"),
+    pytest.param({"gold_entry_url": ["https://kb.example/a"]},
+                 "field 'gold_entry_url' must be a string or null, got [\"https://kb.example/a\"]",
+                 id="fields8-gold_entry_url must be a string or null, "
+                    "got \\['https://kb.example/a'\\]"),
 ])
 def test_query_field_of_the_wrong_type_rejected(tmp_path, fields, match):
     path = tmp_path / "typed.jsonl"
     fixture_gen.write_jsonl(path, [_query_row(query_id="q0"), _query_row(**fields)])
-    with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: {match} \(query 'q1'\)"):
+    with pytest.raises(IngestError) as got:
         ingest_queries(path)
+    assert str(got.value) == f"{path}:2: {match}"
 
 
 @pytest.mark.parametrize("query_id", [5, "", None, ["q1"]])
 def test_query_id_must_be_a_non_empty_string(tmp_path, query_id):
     path = tmp_path / "typed.jsonl"
     fixture_gen.write_jsonl(path, [_query_row(query_id="q0"), _query_row(query_id=query_id)])
-    with pytest.raises(IngestError, match=rf"typed\.jsonl: line 2: query_id must be a "
-                                          rf"non-empty string, got {re.escape(repr(query_id))}$"):
+    want = "a non-empty string" if query_id == "" else "a string"
+    with pytest.raises(IngestError, match=rf"typed\.jsonl:2: field 'query_id' must be {want}, "
+                                          rf"got {re.escape(json.dumps(query_id))}$"):
         ingest_queries(path)
 
 
@@ -216,6 +248,17 @@ def test_failed_write_jsonl_keeps_the_previous_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         write_jsonl(path, [{"a": 2}, {"a": "\ud800"}])
     assert path.read_bytes() == b'{"a": 1}\n'
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_json_is_indented_utf8_and_keeps_the_previous_file_on_failure(tmp_path):
+    path = tmp_path / "report.json"
+    obj = {"é": [1, {"b": None}], "n": 2.5}
+    write_json(path, obj)
+    assert path.read_text(encoding="utf-8") == json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    with pytest.raises(UnicodeEncodeError):
+        write_json(path, {"a": "\ud800"})
+    assert json.loads(path.read_text(encoding="utf-8")) == obj
     assert list(tmp_path.iterdir()) == [path]
 
 

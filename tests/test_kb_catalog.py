@@ -27,8 +27,8 @@ from kbvqa.backend import MockBackend
 from kbvqa.cli import main
 from kbvqa.errors import IngestError, KbvqaError
 from kbvqa.kb import (
-    CATALOG_VERSION, KnowledgeBase, KnowledgeEntry, _entry_from_dict, _loads, catalog_path,
-    export_kb, ingest_kb, ingest_queries, read_jsonl, write_catalog,
+    CATALOG_VERSION, FieldError, KnowledgeBase, KnowledgeEntry, _entry_from_dict, _loads,
+    catalog_path, export_kb, ingest_kb, ingest_queries, read_jsonl, write_catalog,
 )
 from kbvqa.mining import read_records
 from kbvqa.pipeline import read_traces
@@ -117,11 +117,11 @@ def _text_parse(path: Path, count: int) -> list:
         if not text.strip():
             continue
         try:
-            entry = _entry_from_dict(json.loads(text), path, lineno)
+            entry = _entry_from_dict(json.loads(text))
         except json.JSONDecodeError as exc:
             raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from None
-        except AttributeError as exc:  # a line that is JSON but not an object
-            raise IngestError(f"{path}:{lineno}: malformed record: {exc}") from None
+        except FieldError as exc:  # also a line that is JSON but not an object
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
         if not _utf8(entry.to_json_dict()):
             field = next(name for name, value in entry.to_json_dict().items() if not _utf8(value))
             raise IngestError(f"{path}: line {lineno}: {field} holds a lone surrogate, which "
@@ -195,13 +195,13 @@ _GOOD = ['{"entry_id": "e0", "url": "u0", "embedding_row": 0}',
     ("\n".join([_GOOD[0], '{"entry_id": "e1", "url": "u1", "content": "\\ud800"}']),
      ": line 2: content holds a lone surrogate, which UTF-8 cannot encode (entry 'e1')"),
     ("\r\n".join([*_GOOD, '{"entry_id": "e3", "url": ""}']) + "\r\n",
-     ": line 4: url must be non-empty (entry 'e3')"),
+     ":4: field 'url' must be a non-empty string, got \"\""),
     ("\r".join([*_GOOD, '{"entry_id": "e0", "url": "u"}']),
      ": line 4: duplicate entry_id 'e0' (first seen on line 1)"),
     ("\n\n \n".join([*_GOOD, '{"entry_id": 3, "url": "u"}']) + "\n\n",
-     ": line 10: entry_id must be a non-empty string"),
+     ":10: field 'entry_id' must be a string, got 3"),
     ("\r\n\r\r\n\n".join(_GOOD) + '\r\n{"entry_id": "e3"}',
-     ": line 10: entry missing field 'url'"),
+     ":10: missing field 'url'"),
     (_GOOD[0] + '\n{"entry_id": "e1", "url": "u1", "title": "a\rb"}\n',
      ":2: malformed JSON: Invalid control character at: line 1 column 44 (char 43)"),
 ], ids=["duplicate-id", "row-out-of-range", "lone-surrogate", "crlf", "lone-cr", "blank-lines",
@@ -373,8 +373,8 @@ def parses(monkeypatch) -> list[str]:
     real_entry = kb_module._entry_from_dict
     real_parse_kb = kb_module._parse_kb
 
-    def counting_entry(obj, path, lineno):
-        entry = real_entry(obj, path, lineno)
+    def counting_entry(obj):
+        entry = real_entry(obj)
         seen.append(entry.entry_id)
         return entry
 
@@ -482,10 +482,10 @@ def test_line_made_invalid_after_ingest_exits_two_naming_it(bundle, kb_dir, retr
     commands = _commands(bundle, kb_dir, retrievals, tmp_path / "out")
     for name in ("core", "score"):
         assert main(commands[name]) == 2
-        assert f"{kb_dir.kb}: line 5: url must be non-empty" in capsys.readouterr().err
+        assert f"{kb_dir.kb}:5: field 'url' must be a string, got 7" in capsys.readouterr().err
     kb_dir.catalog.unlink()
     assert main(commands["core"]) == 2
-    assert f"{kb_dir.kb}: line 5: url must be non-empty" in capsys.readouterr().err
+    assert f"{kb_dir.kb}:5: field 'url' must be a string, got 7" in capsys.readouterr().err
 
 
 def _assert_ingest_warns_and_writes_no_catalog(files, capsys, before: bytes | None) -> None:

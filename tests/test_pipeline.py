@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
 
@@ -398,7 +399,8 @@ class TestTraceIO:
         del row["transcripts"][1]["prompt_sha256"]
         path = tmp_path / "traces.jsonl"
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
-        with pytest.raises(PipelineError, match=f"{path}:1: missing field 'prompt_sha256'"):
+        with pytest.raises(PipelineError, match=re.escape(
+                f"{path}:1: missing field 'transcripts[1].prompt_sha256'")):
             read_traces(path)
 
     def test_transcripts_can_be_omitted(self, tmp_path):
