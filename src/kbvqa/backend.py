@@ -1,10 +1,5 @@
 """Model backends: a scripted mock for deterministic tests and an HTTP
 chat-completion client for real inference servers.
-
-Both expose the same two calls, generate() and generate_batch(). Batch
-results always come back in input order with one slot per request; a slot
-holds either a BackendResponse or the BackendError that killed it, so one
-bad request never aborts a batch.
 """
 
 from __future__ import annotations
@@ -16,13 +11,12 @@ import os
 import stat
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
-from .kb import FieldError, field_error, from_record, read_jsonl, record_fields
+from .kb import FieldError, field_error, read_json_record, read_jsonl, record_fields
 from .prompts import MessageSequence, TextPart
 
 # A request's output budget when it names none; the pipeline sends each
@@ -68,24 +62,11 @@ class BackendResponse:
 
 
 class Backend:
-    """Shared batch plumbing; concrete backends implement generate()."""
+    """A model backend: generate() answers one request, and is safe to call
+    from many threads at once."""
 
     def generate(self, req: BackendRequest) -> BackendResponse:
         raise NotImplementedError
-
-    def generate_batch(
-        self, reqs: list[BackendRequest], max_in_flight: int = 4
-    ) -> list[BackendResponse | BackendError]:
-        if max_in_flight <= 0:
-            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            return list(pool.map(self._generate_or_error, reqs))
-
-    def _generate_or_error(self, req: BackendRequest) -> BackendResponse | BackendError:
-        try:
-            return self.generate(req)
-        except BackendError as exc:
-            return exc
 
 
 @dataclass(frozen=True)
@@ -114,17 +95,15 @@ class MockBackend(Backend):
     def from_script_file(cls, path: str | Path) -> "MockBackend":
         script: dict[tuple[str, str], str] = {}
 
-        def add(rec: dict, lineno: int) -> None:
+        def add(rec: dict, _lineno: int) -> None:
             query_id, stage, text = record_fields(ScriptLine, rec)
             key = (query_id, stage)
             if key in script:
-                raise IngestError(
-                    f"{path}:{lineno}: duplicate script key query_id={key[0]!r} stage={key[1]!r}"
-                )
+                raise FieldError(f"duplicate script key query_id={key[0]!r} stage={key[1]!r}")
             if not _utf8(text):
-                raise IngestError(
-                    f"{path}:{lineno}: text must be a string with no lone surrogate, which "
-                    f"UTF-8 cannot encode (query_id={key[0]!r} stage={key[1]!r})"
+                raise FieldError(
+                    f"text must be a string with no lone surrogate, which UTF-8 cannot encode "
+                    f"(query_id={key[0]!r} stage={key[1]!r})"
                 )
             script[key] = text
 
@@ -163,25 +142,15 @@ class EndpointConfig:
     api_key_env: str = ""
     timeout_s: float = 60.0
 
+    def __post_init__(self) -> None:
+        if not self.base_url:
+            raise field_error("base_url", "a non-empty string", self.base_url)
+        if not 0 < self.timeout_s < math.inf:
+            raise field_error("timeout_s", "a finite positive number", self.timeout_s)
+
     @classmethod
     def from_json_file(cls, path: str | Path) -> "EndpointConfig":
-        p = Path(path)
-        try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            raise IngestError(f"cannot load endpoint config {p}: {exc}") from exc
-        try:
-            config = from_record(cls, raw)
-            if not config.base_url:
-                raise field_error("base_url", "a non-empty string", config.base_url)
-            if not 0 < config.timeout_s < math.inf:
-                raise field_error("timeout_s", "a finite positive number", config.timeout_s)
-        except FieldError as exc:
-            raise IngestError(f"endpoint config {p}: {exc}") from None
-        unknown = set(raw) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise IngestError(f"endpoint config {p} has unknown keys: {sorted(unknown)}")
-        return config
+        return read_json_record(path, cls, "endpoint config", IngestError, strict=True)
 
     @property
     def url(self) -> str:

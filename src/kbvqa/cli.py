@@ -374,7 +374,7 @@ def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
 
     _require(cfg, "kb", "kb_manifest")
     path = Path(cfg["index"])
-    dim = load_manifest(cfg["kb_manifest"])["dim"]
+    dim = load_manifest(cfg["kb_manifest"]).dim
 
     def stale(reason: str) -> IngestError:
         return IngestError(
@@ -578,13 +578,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    # Read first, so that a bad baseline stops the command before it writes.
+    baseline = read_report_json(cfg["compare_to"]) if cfg.get("compare_to") else None
     scored, queries = _score(cfg)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
     write_report_csv(scored, queries, out / "report.csv")
     written = [str(out / "report.json"), str(out / "report.csv")]
-    if cfg.get("compare_to"):
-        baseline = read_report_json(cfg["compare_to"])
+    if baseline is not None:
         rows = compare_runs(baseline, scored.report)
         write_deltas_csv(rows, out / "deltas.csv")
         written.append(str(out / "deltas.csv"))

@@ -97,6 +97,25 @@ class Query:
         return {**vars(self), "gold_answers": list(self.gold_answers)}
 
 
+@dataclass(frozen=True)
+class EmbeddingManifest:
+    """The embedding manifest: the matrix's shape, whether its rows are
+    already unit length, and its element type, of which only f32le is read."""
+
+    dim: int
+    count: int
+    normalized: bool
+    dtype: str = "f32le"
+
+    def __post_init__(self) -> None:
+        if self.dim <= 0:
+            raise field_error("dim", "a positive integer", self.dim)
+        if self.count < 0:
+            raise field_error("count", "a non-negative integer", self.count)
+        if self.dtype != "f32le":
+            raise field_error("dtype", '"f32le"', self.dtype)
+
+
 @dataclass
 class EmbeddingMatrix:
     """Row-major float32 matrix of L2-normalized embedding vectors."""
@@ -119,7 +138,7 @@ class KnowledgeBase:
     by_id, entry_by_url or entries.
     """
 
-    def __init__(self, entries: Iterable[KnowledgeEntry], manifest: dict,
+    def __init__(self, entries: Iterable[KnowledgeEntry], manifest: EmbeddingManifest,
                  embeddings: EmbeddingMatrix | None = None) -> None:
         self.manifest = manifest
         self.embeddings = embeddings
@@ -173,10 +192,10 @@ class KnowledgeBase:
         return dict(zip(self.entry_ids, self.urls))
 
     def attach_embeddings(self, matrix: EmbeddingMatrix) -> None:
-        if matrix.count != self.manifest["count"] or matrix.dim != self.manifest["dim"]:
+        if matrix.count != self.manifest.count or matrix.dim != self.manifest.dim:
             raise IngestError(
                 f"embedding matrix {matrix.count}x{matrix.dim} does not match manifest "
-                f"{self.manifest['count']}x{self.manifest['dim']}"
+                f"{self.manifest.count}x{self.manifest.dim}"
             )
         self.embeddings = matrix
 
@@ -241,13 +260,13 @@ class _EntriesById(Mapping):
 def _parse_range(text: str) -> tuple[float, float]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise IngestError(f"numeric_range gold answer must look like 'lo..hi', got {text!r}")
+        raise FieldError(f"numeric_range gold answer must look like 'lo..hi', got {text!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise IngestError(f"numeric_range bounds do not parse as numbers: {text!r}") from exc
+    except ValueError:
+        raise FieldError(f"numeric_range bounds do not parse as numbers: {text!r}") from None
     if lo > hi:
-        raise IngestError(f"numeric_range has lo > hi: {text!r}")
+        raise FieldError(f"numeric_range has lo > hi: {text!r}")
     return lo, hi
 
 
@@ -289,7 +308,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
                     offset += len(line)
         except UnicodeDecodeError as exc:
             raise error_class(f"{p}:{lineno}: not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
         except KeyError as exc:
             raise error_class(f"{p}:{lineno}: missing field {exc}") from None
@@ -300,14 +319,41 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
     return out
 
 
+def read_json_record(path: str | Path, cls: type[T], what: str, error_class: type[KbvqaError],
+                     digest: hashlib._Hash | None = None, strict: bool = False) -> T:
+    """cls built by from_record from the JSON object in the file at path.
+
+    Every error names the file as ``what path``: one that cannot be read or
+    is not UTF-8 JSON, a FieldError, and, when strict, a key cls does not
+    declare. When given, digest is fed the file's bytes.
+    """
+    p = Path(path)
+    try:
+        raw = p.read_bytes()
+        obj = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON or too deep
+        raise error_class(f"cannot load {what} {p}: {exc}") from exc
+    try:
+        record = from_record(cls, obj)
+    except FieldError as exc:
+        raise error_class(f"{what} {p}: {exc}") from None
+    unknown = set(obj) - set(cls.__dataclass_fields__) if strict else None
+    if unknown:
+        raise error_class(f"{what} {p} has unknown keys: {sorted(unknown)}")
+    if digest is not None:
+        digest.update(raw)
+    return record
+
+
 class FieldError(ValueError):
-    """A JSON record that is not an object, or a field of it that is missing
-    or holds a value its record class does not allow."""
+    """A JSON record that is not an object, a field of it that is missing or
+    holds a value its record class does not allow, or a record that clashes
+    with an earlier one. The reader names the file, as read_jsonl does."""
 
 
 _JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-               dict: "an object", type(None): "null"}
-_JSON_ITEM_NAMES = {str: "strings"}
+               dict: "an object", list: "a list", type(None): "null"}
+_JSON_ITEM_NAMES = {str: "strings", float: "numbers"}
 _REQUIRED = inspect.Parameter.empty
 
 
@@ -317,25 +363,29 @@ def field_error(name: str, want: str, value: object) -> FieldError:
 
 
 @cache
-def _record_spec(cls: type) -> tuple[tuple[str, object, tuple[type, ...], object, str], ...]:
-    """(name, default, JSON types, items, their description) of each field
-    of a record class, in order; items is None, a record class, or the JSON
-    types of a tuple field's items."""
+def _record_spec(cls: type) -> tuple[tuple[str, object, tuple[type, ...], object, bool, str], ...]:
+    """(name, default, JSON types, items, int_keys, their description) of
+    each field of a record class, in order. items is None, or what a list or
+    object field holds: a record class, or the JSON types of its values.
+    int_keys is whether an object field's keys are integers."""
     defaults = inspect.signature(cls).parameters
     spec = []
     for name, hint in typing.get_type_hints(cls).items():
-        items = None
-        if typing.get_origin(hint) is tuple:
+        items = keys = None
+        if typing.get_origin(hint) is tuple:  # tuple[X, ...]: a list of X
             hint, items = list, typing.get_args(hint)[0]
+        elif typing.get_origin(hint) is dict:  # dict[str or int, X]: an object of X
+            hint, (keys, items) = dict, typing.get_args(hint)
         kinds = _json_types(hint)
-        if items is None:
-            want = " or ".join(_JSON_NAMES[k] for k in kinds if not (k is int and float in kinds))
-        elif hasattr(items, "__annotations__"):
-            want = "a list of objects"
-        else:
+        want = " or ".join(_JSON_NAMES[k] for k in kinds if not (k is int and float in kinds))
+        if items is not None and hasattr(items, "__annotations__"):
+            want += " of objects"
+        elif items is not None:
+            want += " of " + _JSON_ITEM_NAMES[items]
             items = _json_types(items)
-            want = "a list of " + _JSON_ITEM_NAMES[items[0]]
-        spec.append((name, defaults[name].default, kinds, items, want))
+        if keys is int:
+            want += " keyed by integers"
+        spec.append((name, defaults[name].default, kinds, items, keys is int, want))
     return tuple(spec)
 
 
@@ -350,19 +400,21 @@ def record_fields(cls: type, obj: object, _prefix: str = "") -> tuple:
 
     cls is a dataclass or a NamedTuple, and each field's JSON type is read
     from its annotation: str, int, float, bool, dict, a union of these with
-    None for null, and tuple[X, ...] for a list of X. A record class X
-    stands for an object, and each one is built as X. Types are exact: a
-    bool is not an integer, and an integer counts as a float. A missing
-    field takes the class's default; a field with none is required. Keys
-    the class does not declare are ignored. A record that is not an object,
-    or a field that is missing or of another type, raises FieldError.
+    None for null, tuple[X, ...] for a list of X, and dict[str, X] for an
+    object of X, or dict[int, X] for one whose keys are integers as
+    json.dumps writes them. A record class X stands for an object, and each
+    one is built as X. Types are exact: a bool is not an integer, and an
+    integer counts as a float. A missing field takes the class's default; a
+    field with none is required. Keys the class does not declare are
+    ignored. A record that is not an object, or a field that is missing or
+    of another type, raises FieldError.
     """
     if type(obj) is not dict:
         if _prefix:
             raise field_error(_prefix[:-1], "an object", obj)
         raise FieldError(f"record must be an object, got {json.dumps(obj)}")
     values = []
-    for name, default, kinds, items, want in _record_spec(cls):
+    for name, default, kinds, items, int_keys, want in _record_spec(cls):
         value = obj.get(name, _REQUIRED)
         if type(value) not in kinds:
             if value is not _REQUIRED:
@@ -370,18 +422,40 @@ def record_fields(cls: type, obj: object, _prefix: str = "") -> tuple:
             if default is _REQUIRED:
                 raise FieldError(f"missing field {_prefix + name!r}")
             value = default
-        elif items is None:
-            pass
-        elif type(items) is tuple:
-            for item in value:
-                if type(item) not in items:
-                    raise field_error(_prefix + name, want, value)
-            value = tuple(value)
-        else:
-            value = tuple(items(*record_fields(items, item, f"{_prefix}{name}[{i}]."))
-                          for i, item in enumerate(value))
+        elif items is not None:
+            value = _items(value, items, int_keys, _prefix + name, want)
         values.append(value)
     return tuple(values)
+
+
+def _items(value: list | dict, items, int_keys: bool, name: str, want: str) -> tuple | dict:
+    """A list field's values as a tuple, or an object field's as a dict,
+    each checked against items: a record class, built for each, or JSON types."""
+    values = value if type(value) is list else list(value.values())
+    if type(items) is tuple:
+        for item in values:
+            if type(item) not in items:
+                raise field_error(name, want, value)
+    else:
+        try:
+            values = [items(*record_fields(items, item)) for item in values]
+        except FieldError:
+            # Checked again to name the field by its path, such as
+            # hits[0].score, which is built only once a record has failed.
+            for key, item in zip(range(len(value)) if type(value) is list else value, values):
+                record_fields(items, item, f"{name}[{json.dumps(key)}].")
+            raise
+    if type(value) is list:
+        return tuple(values)
+    if not int_keys:
+        return dict(zip(value, values))
+    try:
+        keys = [int(key) for key in value]
+    except ValueError:
+        raise field_error(name, want, value) from None
+    if list(map(str, keys)) != list(value):  # such as "01" or " 1": not as json.dumps writes
+        raise field_error(name, want, value)
+    return dict(zip(keys, values))
 
 
 def from_record(cls: type[T], obj: object) -> T:
@@ -424,40 +498,11 @@ def atomic_write(path: Path) -> Iterator[BinaryIO]:
         tmp.unlink(missing_ok=True)
 
 
-def load_manifest(manifest_path: str | Path) -> dict:
-    return _read_manifest(manifest_path)[0]
-
-
-def _read_manifest(manifest_path: str | Path) -> tuple[dict, str]:
-    """The checked manifest and the sha256 of the bytes it was parsed from."""
-    path = Path(manifest_path)
-    if not path.exists():
-        raise IngestError(f"embedding manifest not found: {path}")
-    raw = path.read_bytes()
-    try:
-        manifest = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:
-        raise IngestError(f"{path}: malformed manifest JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise IngestError(f"{path}: manifest must be a JSON object")
-    for key in ("dim", "count", "normalized"):
-        if key not in manifest:
-            raise IngestError(f"{path}: manifest missing field {key!r}")
-    for key in ("dim", "count"):
-        # type(), not isinstance(): a bool is an int to isinstance.
-        if type(manifest[key]) is not int:
-            raise IngestError(
-                f"{path}: manifest field {key!r} must be a JSON integer, got {manifest[key]!r}")
-    if type(manifest["normalized"]) is not bool:
-        raise IngestError(f"{path}: manifest field 'normalized' must be true or false, "
-                          f"got {manifest['normalized']!r}")
-    if manifest.get("dtype", "f32le") != "f32le":
-        raise IngestError(f"{path}: unsupported dtype {manifest['dtype']!r} (expected 'f32le')")
-    if manifest["dim"] <= 0:
-        raise IngestError(f"{path}: dim must be positive")
-    if manifest["count"] < 0:
-        raise IngestError(f"{path}: count must be non-negative")
-    return manifest, hashlib.sha256(raw).hexdigest()
+def load_manifest(manifest_path: str | Path,
+                  digest: hashlib._Hash | None = None) -> EmbeddingManifest:
+    """The checked manifest; digest, when given, is fed the bytes it was parsed from."""
+    return read_json_record(manifest_path, EmbeddingManifest, "embedding manifest", IngestError,
+                            digest)
 
 
 def _entry_from_dict(obj: object) -> KnowledgeEntry:
@@ -500,7 +545,7 @@ def _entry_from_export(line: bytes) -> KnowledgeEntry:
                           tuple(obj["image_refs"]), obj["embedding_row"])
 
 
-def _lone_surrogate(path: Path, lineno: int, fields: dict, what: str) -> IngestError:
+def _lone_surrogate(fields: dict, what: str) -> FieldError:
     """The error for the first string field holding a lone surrogate.
 
     A JSON escape such as "\\ud800" decodes to one, and no UTF-8 file can
@@ -513,8 +558,8 @@ def _lone_surrogate(path: Path, lineno: int, fields: dict, what: str) -> IngestE
                 try:
                     text.encode("utf-8")
                 except UnicodeEncodeError:
-                    return IngestError(f"{path}: line {lineno}: {name} holds a lone surrogate, "
-                                       f"which UTF-8 cannot encode ({what})")
+                    return FieldError(f"{name} holds a lone surrogate, which UTF-8 cannot "
+                                      f"encode ({what})")
     raise AssertionError(f"no field of {what} holds a lone surrogate")
 
 
@@ -545,7 +590,9 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
     an entry's line is parsed when the entry is first looked up. Otherwise
     every line is parsed and checked.
     """
-    manifest, manifest_sha256 = _read_manifest(manifest_path)
+    digest = hashlib.sha256()
+    manifest = load_manifest(manifest_path, digest)
+    manifest_sha256 = digest.hexdigest()
     path = Path(entries_path)
     kb = _kb_from_catalog(path, manifest, manifest_sha256) if use_catalog else None
     if kb is None:
@@ -554,7 +601,7 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
     return kb
 
 
-def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
+def _parse_kb(path: Path, manifest: EmbeddingManifest) -> KnowledgeBase:
     """Parse, check and export every line in one pass.
 
     The lines are read_jsonl's, which hashes the file as it reads it and
@@ -562,7 +609,7 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
     KB keeps each line's export, and parses it again when the entry is
     looked up.
     """
-    count = manifest["count"]
+    count = manifest.count
     seen: dict[str, int] = {}
     entry_ids: list[str] = []
     urls: list[str] = []
@@ -574,15 +621,13 @@ def _parse_kb(path: Path, manifest: dict) -> KnowledgeBase:
         try:
             line = _export_line(entry_id, url, title, content, image_refs, row).encode("utf-8")
         except UnicodeEncodeError:
-            raise _lone_surrogate(path, lineno, {
+            raise _lone_surrogate({
                 "entry_id": entry_id, "url": url, "title": title, "content": content,
                 "image_refs": image_refs}, f"entry {entry_id!r}") from None
-        _check_unique(seen, "entry_id", entry_id, path, lineno)
+        _check_unique(seen, "entry_id", entry_id, lineno)
         if row is not None and row >= count:
-            raise IngestError(
-                f"{path}: line {lineno}: embedding_row {row} out of range "
-                f"for manifest count {count} (entry {entry_id!r})"
-            )
+            raise FieldError(f"embedding_row {row} out of range for manifest count {count} "
+                             f"(entry {entry_id!r})")
         entry_ids.append(entry_id)
         urls.append(url)
         rows.append(row)
@@ -607,7 +652,8 @@ def catalog_path(entries_path: str | Path) -> Path:
     return path.with_name(path.name + CATALOG_SUFFIX)
 
 
-def _kb_from_catalog(path: Path, manifest: dict, manifest_sha256: str) -> KnowledgeBase | None:
+def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
+                     manifest_sha256: str) -> KnowledgeBase | None:
     """The KB over its catalog, or None when no catalog was written for these bytes.
 
     A missing, unreadable or truncated catalog, one of another version, and
@@ -666,15 +712,13 @@ def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
     return path
 
 
-def _check_unique(seen: dict[str, int], what: str, value: str, path: Path, lineno: int) -> None:
+def _check_unique(seen: dict[str, int], what: str, value: str, lineno: int) -> None:
     if value in seen:
-        raise IngestError(
-            f"{path}: line {lineno}: duplicate {what} {value!r} (first seen on line {seen[value]})"
-        )
+        raise FieldError(f"duplicate {what} {value!r} (first seen on line {seen[value]})")
     seen[value] = lineno
 
 
-def _query_from_dict(obj: object, path: Path, lineno: int) -> Query:
+def _query_from_dict(obj: object) -> Query:
     answers = obj.get("gold_answers") if type(obj) is dict else None
     if type(answers) is list:
         # A gold answer may be a number, kept in its str() form; a bool is no answer.
@@ -692,30 +736,25 @@ def _query_from_dict(obj: object, path: Path, lineno: int) -> Query:
     if row is not None and row < 0:
         raise field_error("query_embedding_row", "a non-negative integer or null", row)
     if query.answer_type == "numeric_range":
-        try:
-            query.gold_range()
-        except IngestError as exc:
-            raise IngestError(f"{path}: line {lineno}: {exc} (query {query.query_id!r})") from exc
+        query.gold_range()
     try:
         "".join((query.query_id, query.question, query.image_ref, query.gold_entry_url or "",
                  *query.gold_answers)).encode("utf-8")
     except UnicodeEncodeError:
-        raise _lone_surrogate(path, lineno, query.to_json_dict(),
-                              f"query {query.query_id!r}") from None
+        raise _lone_surrogate(query.to_json_dict(), f"query {query.query_id!r}") from None
     return query
 
 
 def ingest_queries(path: str | Path) -> list[Query]:
     """Load and validate the query set, preserving file order."""
-    p = Path(path)
     seen: dict[str, int] = {}
 
     def parse(obj: dict, lineno: int) -> Query:
-        query = _query_from_dict(obj, p, lineno)
-        _check_unique(seen, "query_id", query.query_id, p, lineno)
+        query = _query_from_dict(obj)
+        _check_unique(seen, "query_id", query.query_id, lineno)
         return query
 
-    return read_jsonl(p, parse, IngestError)
+    return read_jsonl(path, parse, IngestError)
 
 
 def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> EmbeddingMatrix:
@@ -727,7 +766,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
     import numpy as np
 
     manifest = load_manifest(manifest_path)
-    dim, count = manifest["dim"], manifest["count"]
+    dim, count = manifest.dim, manifest.count
     path = Path(data_path)
     if not path.exists():
         raise IngestError(f"embedding data file not found: {path}")
@@ -752,7 +791,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
         block = data[start:start + NORM_BLOCK_ROWS]
         rows64 = block.astype(np.float64)
         norms = np.linalg.norm(rows64, axis=1)
-        if not manifest["normalized"]:
+        if not manifest.normalized:
             zero = norms == 0.0
             if zero.any():
                 row = start + int(np.argmax(zero))

@@ -17,11 +17,11 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .answers import normalize_answer
 from .errors import EvalError
-from .kb import Query, write_json, write_jsonl
+from .kb import Query, read_json_record, write_json, write_jsonl
 from .pipeline import PipelineTrace
 from .retrieval import RetrievalResult, gold_rank, recall_at_k
 
@@ -153,31 +153,30 @@ class PluginScorer:
         return verdicts
 
 
+class StratumCell(NamedTuple):
+    """Accuracy over the queries of one gold-rank stratum."""
+
+    fraction: float
+    count: int
+
+
 @dataclass(frozen=True)
 class MetricReport:
+    """A run's scores; also the record format of report.json."""
+
     recall: dict[int, float]
     accuracy_overall: float
     accuracy_by_split: dict[str, float]
-    accuracy_by_stratum: dict[str, tuple[float, int]]
+    accuracy_by_stratum: dict[str, StratumCell]
     stratum_mode: str
     total: int
     tolerance: float
     query_digest: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "recall": {str(k): v for k, v in self.recall.items()},
-            "accuracy_overall": self.accuracy_overall,
-            "accuracy_by_split": dict(self.accuracy_by_split),
-            "accuracy_by_stratum": {
-                s: {"fraction": f, "count": n}
-                for s, (f, n) in self.accuracy_by_stratum.items()
-            },
-            "stratum_mode": self.stratum_mode,
-            "total": self.total,
-            "tolerance": self.tolerance,
-            "query_digest": self.query_digest,
-        }
+        # The field order is the format's; json.dumps writes recall's integer keys as strings.
+        return {**vars(self), "accuracy_by_stratum": {
+            s: cell._asdict() for s, cell in self.accuracy_by_stratum.items()}}
 
 
 @dataclass(frozen=True)
@@ -218,7 +217,7 @@ def aggregate_accuracy(
     correct_by_qid: Mapping[str, bool],
     memberships: Mapping[str, Sequence[str]],
     stratum_order: Sequence[str],
-) -> tuple[float, dict[str, tuple[float, int]]]:
+) -> tuple[float, dict[str, StratumCell]]:
     """Overall fraction plus per-stratum (fraction, count).
 
     Overall is correct/total over all queries; per-stratum fractions are
@@ -236,11 +235,11 @@ def aggregate_accuracy(
             counts[bucket] += 1
             if ok:
                 hits[bucket] += 1
-    by_stratum: dict[str, tuple[float, int]] = {}
+    by_stratum: dict[str, StratumCell] = {}
     for bucket in stratum_order:
         n = counts.get(bucket, 0)
         if n:
-            by_stratum[bucket] = (hits[bucket] / n, n)
+            by_stratum[bucket] = StratumCell(hits[bucket] / n, n)
     return overall, by_stratum
 
 
@@ -368,8 +367,8 @@ def compare_runs(report_a: MetricReport, report_b: MetricReport) -> list[DeltaRo
         rows.append(
             DeltaRow(
                 f"accuracy_stratum:{s}",
-                a[0] if a else None,
-                b[0] if b else None,
+                a.fraction if a else None,
+                b.fraction if b else None,
             )
         )
     return rows
@@ -383,24 +382,7 @@ def write_report_json(report: MetricReport, path: str | Path) -> None:
 
 
 def read_report_json(path: str | Path) -> MetricReport:
-    p = Path(path)
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-        return MetricReport(
-            recall={int(k): v for k, v in raw["recall"].items()},
-            accuracy_overall=raw["accuracy_overall"],
-            accuracy_by_split=dict(raw["accuracy_by_split"]),
-            accuracy_by_stratum={
-                s: (cell["fraction"], cell["count"])
-                for s, cell in raw["accuracy_by_stratum"].items()
-            },
-            stratum_mode=raw["stratum_mode"],
-            total=raw["total"],
-            tolerance=raw["tolerance"],
-            query_digest=raw["query_digest"],
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise EvalError(f"cannot load report {p}: {exc}") from exc
+    return read_json_record(path, MetricReport, "report", EvalError)
 
 
 def _pct(fraction: float | None) -> str:

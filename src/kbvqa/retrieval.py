@@ -93,7 +93,7 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
     import numpy as np
 
     if len(kb) == 0:
-        return FlatIndex([], np.zeros((0, kb.manifest["dim"]), dtype=np.float32))
+        return FlatIndex([], np.zeros((0, kb.manifest.dim), dtype=np.float32))
     unbound = [eid for eid, row in zip(kb.entry_ids, kb.embedding_rows) if row is None]
     if unbound:
         raise IngestError(f"entries without embedding_row: {', '.join(unbound)}")

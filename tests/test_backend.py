@@ -11,6 +11,7 @@ import re
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,19 @@ def _req(query_id="q1", stage="param_gen", text="Question: ", image="img/a.jpg",
     ))
     return BackendRequest(messages=seq, query_id=query_id, stage=stage,
                           max_new_tokens=max_new_tokens)
+
+
+def _generate_each(backend, reqs, threads):
+    """Each request's response, or the BackendError that ended it, in input
+    order, with generate called from that many threads at once."""
+    def call(req):
+        try:
+            return backend.generate(req)
+        except BackendError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(call, reqs))
 
 
 class TestMock:
@@ -111,7 +125,7 @@ class TestMock:
         backend = MockBackend({(f"q{i}", "param_gen"): f"ans{i}" for i in range(6)
                                if i != 3})
         reqs = [_req(f"q{i}") for i in range(6)]
-        slots = backend.generate_batch(reqs, max_in_flight=4)
+        slots = _generate_each(backend, reqs, threads=4)
         for i, slot in enumerate(slots):
             if i == 3:
                 assert isinstance(slot, BackendError)
@@ -484,7 +498,7 @@ def test_pool_keeps_one_connection_per_call_in_flight():
     with LocalServer(delay_s=0.1) as server:
         backend = HttpBackend(EndpointConfig(base_url=server.url), max_in_flight=16)
         reqs = [_req(query_id=f"q{i}", image="https://img.example/a.jpg") for i in range(16)]
-        slots = [s for _ in range(3) for s in backend.generate_batch(reqs, max_in_flight=16)]
+        slots = [s for _ in range(3) for s in _generate_each(backend, reqs, threads=16)]
     assert [s.text for s in slots] == ["ok"] * 48
     assert server.in_flight_max > 10
     assert len({r["port"] for r in server.requests}) <= 16
@@ -650,7 +664,7 @@ def test_pool_under_thread_contention(clean_env):
             backend = HttpBackend(EndpointConfig(base_url=server.url), max_in_flight=3)
             reqs = [_req(query_id=f"q{i}", image=URI_IMAGE) for i in range(24)]
             for _ in range(4):
-                slots = backend.generate_batch(reqs, max_in_flight=12)
+                slots = _generate_each(backend, reqs, threads=12)
                 assert [getattr(s, "text", s) for s in slots] == ["ok"] * 24
                 assert len(backend._session._idle) <= 3
     finally:

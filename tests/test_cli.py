@@ -25,7 +25,8 @@ from kbvqa import kb as kb_module
 from kbvqa.backend import EndpointConfig, MockBackend
 from kbvqa.cli import INDEX_DIGESTS, _pack_strings, _unpack_strings, build_parser, main
 from kbvqa.errors import KbvqaError
-from kbvqa.kb import ingest_kb, ingest_queries
+from kbvqa.kb import ingest_kb, ingest_queries, load_manifest
+from kbvqa.metrics import read_report_json
 from kbvqa.mining import read_records
 from kbvqa.pipeline import read_traces
 from kbvqa.retrieval import read_results
@@ -779,11 +780,16 @@ _READER_CASES = {
 
 
 def _reader_flags(ws, bundle) -> SimpleNamespace:
-    """The workspace's paths, as the _READER_CASES argv builders take them."""
+    """The workspace's paths, as the _READER_CASES and _JSON_FILE_CASES
+    argv builders take them."""
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    queries = ["--queries", str(bundle.queries_path)]
     return SimpleNamespace(
-        kb=["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)],
-        manifest=str(bundle.kb_manifest), queries=["--queries", str(bundle.queries_path)],
-        mock=["--mock-script", str(bundle.mock_script)], traces=str(ws.run / "traces.jsonl"),
+        kb=kb, entries=str(bundle.entries_path), manifest=str(bundle.kb_manifest),
+        queries=queries, mock=["--mock-script", str(bundle.mock_script)],
+        traces=str(ws.run / "traces.jsonl"),
+        score=["--traces", str(ws.run / "traces.jsonl"), *queries, *kb,
+               "--retrievals", str(ws.retrieve / "retrieval_results.jsonl")],
     )
 
 
@@ -815,7 +821,7 @@ class TestReaderErrors:
         assert rc == 2
         assert str(bad) in err and "Traceback" not in err
         if fault == "missing_field":
-            assert f"{bad}:2: missing field '{field}'" in err or f"{bad}: line 2:" in err
+            assert f"{bad}:2: missing field '{field}'" in err
 
 
 # The ids name each case as it was first written, before messages named the
@@ -889,6 +895,14 @@ _FORMATS = {
     "mock": ({"query_id": "str", "stage": "str", "text": "str"}, ("query_id", "stage", "text")),
     "endpoint": ({"base_url": "str", "path": "str", "model": "str", "api_key_env": "str",
                   "timeout_s": "int float"}, ("base_url",)),
+    "manifest": ({"dim": "int", "count": "int", "normalized": "bool", "dtype": "str"},
+                 ("dim", "count", "normalized")),
+    "report": ({"recall": "dict", "accuracy_overall": "int float", "accuracy_by_split": "dict",
+                "accuracy_by_stratum": "dict", "stratum_mode": "str", "total": "int",
+                "tolerance": "int float", "query_digest": "str"},
+               ("recall", "accuracy_overall", "accuracy_by_split", "accuracy_by_stratum",
+                "stratum_mode", "total", "tolerance", "query_digest")),
+    "stratum_cells": ({"fraction": "int float", "count": "int"}, ("fraction", "count")),
 }
 _JSON_VALUES = {
     "null": st.none(), "bool": st.booleans(), "int": st.integers(-3, 3),
@@ -897,7 +911,9 @@ _JSON_VALUES = {
     "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
 }
 # case -> (the role of the file that holds it, its format, the key of the
-# nested record under test on line 2, or None for line 2 itself).
+# nested record under test on line 2 (in its first list item or first object
+# value), or None for line 2 itself). A JSON file's one record stands for
+# line 2.
 _RECORD_CASES = {
     "entries": ("entries", "entries", None),
     "queries": ("queries", "queries", None),
@@ -908,13 +924,30 @@ _RECORD_CASES = {
     "records": ("records", "records", None),
     "mock_script": ("mock", "mock", None),
     "endpoint_config": ("endpoint", "endpoint", None),
+    "manifest": ("manifest", "manifest", None),
+    "report": ("report", "report", None),
+    "stratum_cells": ("report", "stratum_cells", "accuracy_by_stratum"),
 }
 _ENDPOINT = {"base_url": "http://127.0.0.1:9", "path": "/v1/chat/completions", "model": "m",
              "api_key_env": "KBVQA_TEST_KEY", "timeout_s": 5}
+# role of a file holding one JSON object -> (how its errors name it, argv
+# given the workspace's paths and the bad file).
+_JSON_FILE_CASES = {
+    "endpoint": ("endpoint config", lambda c, bad: [
+        "run", "--variant", "param", *c.kb, *c.queries, "--endpoint-config", bad]),
+    "manifest": ("embedding manifest", lambda c, bad: [
+        "ingest", "--kb", c.entries, "--kb-manifest", bad, *c.queries]),
+    "report": ("report", lambda c, bad: ["report", *c.score, "--compare-to", bad]),
+}
 
 
 def _record_rows(ws, bundle, role: str) -> list:
-    return [dict(_ENDPOINT)] if role == "endpoint" else read_jsonl(_reader_source(ws, bundle, role))
+    if role == "endpoint":
+        return [dict(_ENDPOINT)]
+    if role in _JSON_FILE_CASES:
+        source = bundle.kb_manifest if role == "manifest" else ws.score / "report.json"
+        return [json.loads(source.read_text(encoding="utf-8"))]
+    return read_jsonl(_reader_source(ws, bundle, role))
 
 
 def _write_broken(root: Path, case: str, rows: list, fault: str, name,
@@ -924,9 +957,11 @@ def _write_broken(root: Path, case: str, rows: list, fault: str, name,
     of the whole record. The file, where its error must point, and how the
     error's message must start."""
     role, _, nested = _RECORD_CASES[case]
-    holder, key, prefix = rows, 0 if role == "endpoint" else 1, ""
+    holder, key, prefix = rows, 0 if role in _JSON_FILE_CASES else 1, ""
     if nested:
-        holder, key, prefix = rows[key][nested], 0, f"{nested}[0]."
+        holder = rows[key][nested]
+        key = 0 if type(holder) is list else next(iter(holder))
+        prefix = f"{nested}[{json.dumps(key)}]."
     if fault == "replace":
         holder[key][name] = value
         message = f"field '{prefix}{name}' must be "
@@ -937,10 +972,10 @@ def _write_broken(root: Path, case: str, rows: list, fault: str, name,
         holder[key] = value
         message = (f"field '{prefix[:-1]}' must be an object, got " if prefix
                    else "record must be an object, got ")
-    if role == "endpoint":
-        bad = root / "endpoint.json"
+    if role in _JSON_FILE_CASES:
+        bad = root / f"{role}.json"
         bad.write_text(json.dumps(rows[0]), encoding="utf-8")
-        return bad, f"endpoint config {bad}", message
+        return bad, f"{_JSON_FILE_CASES[role][0]} {bad}", message
     bad = root / f"bad_{role}.jsonl"
     bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
     return bad, f"{bad}:2", message
@@ -954,13 +989,11 @@ def _main_on_broken(ws, bundle, root: Path, case: str, fault: str, name, value,
     role = _RECORD_CASES[case][0]
     bad, where, start = _write_broken(root, case, _record_rows(ws, bundle, role), fault, name,
                                       value)
-    if role == "endpoint":
-        argv = ["run", "--variant", "param", "--kb", str(bundle.entries_path),
-                "--kb-manifest", str(bundle.kb_manifest), "--queries", str(bundle.queries_path),
-                "--endpoint-config", str(bad)]
+    if role in _JSON_FILE_CASES:
+        reader = _JSON_FILE_CASES[role][1]
     else:
         reader = next(argv for r, _, argv in _READER_CASES.values() if r == role)
-        argv = reader(_reader_flags(ws, bundle), str(bad))
+    argv = reader(_reader_flags(ws, bundle), str(bad))
     out = root / "out"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
@@ -969,7 +1002,7 @@ def _main_on_broken(ws, bundle, root: Path, case: str, fault: str, name, value,
     assert rc == 2, err
     assert f"{where}: {message or start}" in err
     assert "Traceback" not in err
-    assert not list(out.glob("*.jsonl")), "a command that rejected its input wrote output"
+    assert not list(out.glob("*.json*")), "a command that rejected its input wrote output"
 
 
 class TestRecordFormats:
@@ -990,7 +1023,8 @@ class TestRecordFormats:
         read = {"entries": lambda path: ingest_kb(path, bundle.kb_manifest, use_catalog=False),
                 "queries": ingest_queries, "retrievals": read_results, "traces": read_traces,
                 "records": read_records, "mock": MockBackend.from_script_file,
-                "endpoint": EndpointConfig.from_json_file}[role]
+                "endpoint": EndpointConfig.from_json_file, "manifest": load_manifest,
+                "report": read_report_json}[role]
         source = _record_rows(ws, bundle, role)
         root = tmp_path_factory.mktemp("record")
         fault = data.draw(st.sampled_from(["replace", "drop", "not_an_object"]), label="fault")
@@ -1036,10 +1070,113 @@ class TestRecordFormats:
         ("endpoint_config", "base_url", 5, "field 'base_url' must be a string, got 5"),
         ("endpoint_config", "base_url", "", "field 'base_url' must be a non-empty string, "
                                             "got \"\""),
+        ("manifest", "dim", 0, "field 'dim' must be a positive integer, got 0"),
+        ("manifest", "count", -1, "field 'count' must be a non-negative integer, got -1"),
+        ("manifest", "dtype", "f16le", "field 'dtype' must be \"f32le\", got \"f16le\""),
+        ("report", "recall", {"1": "0.5"}, "field 'recall' must be an object of numbers keyed "
+                                           "by integers, got {\"1\": \"0.5\"}"),
+        ("report", "recall", {"01": 0.5}, "field 'recall' must be an object of numbers keyed "
+                                          "by integers, got {\"01\": 0.5}"),
+        ("report", "accuracy_by_split", {"other": None}, "field 'accuracy_by_split' must be an "
+                                                         "object of numbers, got {\"other\": null}"),
+        ("report", "accuracy_by_stratum", {"1": [1.0, 4]}, "field 'accuracy_by_stratum[\"1\"]' "
+                                                           "must be an object, got [1.0, 4]"),
+        ("stratum_cells", "count", 4.5, "field 'accuracy_by_stratum[\"1\"].count' must be an "
+                                        "integer, got 4.5"),
     ])
     def test_value_rejected_with_its_message(self, ws, bundle, tmp_path, case, name, value,
                                              message):
         _main_on_broken(ws, bundle, tmp_path, case, "replace", name, value, message)
+
+    def test_mistyped_report_given_to_compare_to_exits_two(self, ws, bundle, tmp_path, capsys):
+        """A baseline report.json whose accuracy_overall is a string is
+        rejected when it is read, not by a TypeError while deltas are taken."""
+        report = json.loads((ws.score / "report.json").read_text(encoding="utf-8"))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**report, "accuracy_overall": "0.5"}), encoding="utf-8")
+        rc = main(["report", *_reader_flags(ws, bundle).score, "--compare-to", str(bad),
+                   "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"report {bad}: field 'accuracy_overall' must be a number, got \"0.5\"" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_report_map_value_of_another_type_is_rejected(self, ws, tmp_path_factory, data):
+        """Each value of each of report.json's maps in turn replaced by a
+        value of another JSON type; and recall given keys that int() may
+        read but that are not an integer as json.dumps writes one."""
+        report = json.loads((ws.score / "report.json").read_text(encoding="utf-8"))
+        bad = tmp_path_factory.mktemp("report") / "report.json"
+        for field, taken, want in (("recall", ("int", "float"), "an object of numbers keyed by "
+                                                                "integers"),
+                                   ("accuracy_by_split", ("int", "float"), "an object of numbers"),
+                                   ("accuracy_by_stratum", ("dict",), None)):
+            for key in report[field]:
+                value = data.draw(st.one_of([values for kind, values in _JSON_VALUES.items()
+                                             if kind not in taken]), label=f"{field}.{key}")
+                broken = json.loads(json.dumps(report))
+                broken[field][key] = value
+                bad.write_text(json.dumps(broken), encoding="utf-8")
+                with pytest.raises(KbvqaError) as got:
+                    read_report_json(bad)
+                if want is None:
+                    message = f"field '{field}[{json.dumps(key)}]' must be an object, got "
+                else:
+                    message = f"field '{field}' must be {want}, got {json.dumps(broken[field])}"
+                assert str(got.value).startswith(f"report {bad}: {message}")
+        for key in ("01", " 1", "1 ", "+1", "1_0", "-0", "1.0", "1e1", "\u0663", "", "a"):
+            broken = {**report, "recall": {**report["recall"], key: 0.5}}
+            bad.write_text(json.dumps(broken), encoding="utf-8")
+            with pytest.raises(KbvqaError) as got:
+                read_report_json(bad)
+            assert str(got.value).startswith(f"report {bad}: field 'recall' must be an object "
+                                             f"of numbers keyed by integers, got ")
+
+    # Checks across lines and the lone-surrogate check name the line as the
+    # field checks do.
+    @pytest.mark.parametrize("role, patch, message", [
+        ("entries", {"entry_id": "e000"}, "duplicate entry_id 'e000' (first seen on line 1)"),
+        ("queries", {"query_id": "q00"}, "duplicate query_id 'q00' (first seen on line 1)"),
+        ("entries", {"embedding_row": 100}, "embedding_row 100 out of range for manifest count "
+                                            "100 (entry 'e001')"),
+        ("queries", {"answer_type": "numeric_range", "gold_answers": ["20..10"]},
+         "numeric_range has lo > hi: '20..10'"),
+        ("entries", {"title": "\ud800"}, "title holds a lone surrogate, which UTF-8 cannot "
+                                         "encode (entry 'e001')"),
+    ], ids=["duplicate-entry-id", "duplicate-query-id", "row-past-the-count",
+            "bad-numeric-range-gold", "lone-surrogate"])
+    def test_line_error_names_path_and_line(self, ws, bundle, tmp_path, capsys, role, patch,
+                                            message):
+        rows = read_jsonl(_reader_source(ws, bundle, role))
+        rows[1].update(patch)
+        bad = tmp_path / f"bad_{role}.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="ascii")
+        argv = next(argv for r, _, argv in _READER_CASES.values() if r == role)
+        out = tmp_path / "out"
+        rc = main([*argv(_reader_flags(ws, bundle), str(bad)), "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {bad}:2: {message}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--kb-manifest", "--queries"])
+    def test_json_nested_too_deep_exits_two_naming_the_file(self, bundle, tmp_path, capsys,
+                                                           flag):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="ascii")
+        files = {"--kb-manifest": bundle.kb_manifest, "--queries": bundle.queries_path, flag: bad}
+        rc = main(["ingest", "--kb", str(bundle.entries_path), *(
+            arg for name, path in files.items() for arg in (name, str(path))),
+            "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        where = f"{bad}:1: malformed JSON" if flag == "--queries" else f"embedding manifest {bad}"
+        assert f"{where}: maximum recursion depth exceeded" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--config", "--endpoint-config"])
     @pytest.mark.parametrize("raw", [b'{"k": "\xff"}', b'["base_url"]', b"{"])

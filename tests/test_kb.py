@@ -10,6 +10,7 @@ import fixture_gen
 from kbvqa.errors import EvalError, IngestError
 from kbvqa.kb import (
     NORM_BLOCK_ROWS,
+    EmbeddingManifest,
     KnowledgeBase,
     KnowledgeEntry,
     Query,
@@ -265,46 +266,61 @@ def test_write_json_is_indented_utf8_and_keeps_the_previous_file_on_failure(tmp_
 def test_manifest_validation(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, "dtype": "f32le"}))
-    manifest = load_manifest(path)
-    assert manifest["dim"] == 8
+    assert load_manifest(path) == EmbeddingManifest(dim=8, count=2, normalized=True)
 
-    path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, "dtype": "f64be"}))
-    with pytest.raises(IngestError, match="dtype"):
-        load_manifest(path)
+    for fields, message in (({"dtype": "f64be"}, 'field \'dtype\' must be "f32le", got "f64be"'),
+                            ({"dim": 0}, "field 'dim' must be a positive integer, got 0"),
+                            ({"count": -1}, "field 'count' must be a non-negative integer, got -1")):
+        path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, **fields}))
+        with pytest.raises(IngestError) as got:
+            load_manifest(path)
+        assert str(got.value) == f"embedding manifest {path}: {message}"
 
     path.write_text(json.dumps({"dim": 8, "normalized": True, "dtype": "f32le"}))
-    with pytest.raises(IngestError):
+    with pytest.raises(IngestError, match=r"manifest\.json: missing field 'count'$"):
         load_manifest(path)
 
 
-@pytest.mark.parametrize("fields, match", [
-    ({"dim": 4.7}, r"manifest field 'dim' must be a JSON integer, got 4\.7"),
-    ({"dim": "4"}, r"manifest field 'dim' must be a JSON integer, got '4'"),
-    ({"dim": True}, r"manifest field 'dim' must be a JSON integer, got True"),
-    ({"count": 2.0}, r"manifest field 'count' must be a JSON integer, got 2\.0"),
-    ({"count": None}, r"manifest field 'count' must be a JSON integer, got None"),
-    ({"normalized": "false"}, r"manifest field 'normalized' must be true or false, got 'false'"),
-    ({"normalized": 0}, r"manifest field 'normalized' must be true or false, got 0"),
+# The ids name each case as it was first written, before the manifest was
+# read against EmbeddingManifest and its messages took the record form.
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"dim": 4.7}, "field 'dim' must be an integer, got 4.7",
+                 id=r"fields0-manifest field 'dim' must be a JSON integer, got 4\.7"),
+    pytest.param({"dim": "4"}, "field 'dim' must be an integer, got \"4\"",
+                 id="fields1-manifest field 'dim' must be a JSON integer, got '4'"),
+    pytest.param({"dim": True}, "field 'dim' must be an integer, got true",
+                 id="fields2-manifest field 'dim' must be a JSON integer, got True"),
+    pytest.param({"count": 2.0}, "field 'count' must be an integer, got 2.0",
+                 id=r"fields3-manifest field 'count' must be a JSON integer, got 2\.0"),
+    pytest.param({"count": None}, "field 'count' must be an integer, got null",
+                 id="fields4-manifest field 'count' must be a JSON integer, got None"),
+    pytest.param({"normalized": "false"}, "field 'normalized' must be true or false, got \"false\"",
+                 id="fields5-manifest field 'normalized' must be true or false, got 'false'"),
+    pytest.param({"normalized": 0}, "field 'normalized' must be true or false, got 0",
+                 id="fields6-manifest field 'normalized' must be true or false, got 0"),
 ])
-def test_manifest_field_of_the_wrong_json_type_rejected(tmp_path, fields, match):
+def test_manifest_field_of_the_wrong_json_type_rejected(tmp_path, fields, message):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"dim": 8, "count": 2, "normalized": True, **fields}))
-    with pytest.raises(IngestError, match=rf"manifest\.json: {match}$"):
+    with pytest.raises(IngestError) as got:
         load_manifest(path)
+    assert str(got.value) == f"embedding manifest {path}: {message}"
 
 
 @pytest.mark.parametrize("text", ['[8, 2, true]', '"dim count normalized"'])
 def test_manifest_that_is_not_an_object_rejected(tmp_path, text):
     path = tmp_path / "manifest.json"
     path.write_text(text)
-    with pytest.raises(IngestError, match=r"manifest\.json: manifest must be a JSON object"):
+    with pytest.raises(IngestError) as got:
         load_manifest(path)
+    assert str(got.value) == f"embedding manifest {path}: record must be an object, got {text}"
 
 
 def test_manifest_that_is_not_utf8_rejected(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_bytes(b'{"dim": 8, "count": 2, "normalized": true, "x": "\xff"}')
-    with pytest.raises(IngestError, match=r"manifest\.json: malformed manifest JSON: .*0xff"):
+    with pytest.raises(IngestError, match=r"^cannot load embedding manifest .*manifest\.json: "
+                                          r".*0xff"):
         load_manifest(path)
 
 
@@ -317,7 +333,9 @@ def test_float_dim_exits_two_naming_the_manifest(bundle, tmp_path, capsys):
     assert main(["index", "--kb", str(bundle.entries_path), "--kb-manifest", str(manifest),
                  "--kb-embeddings", str(bundle.kb_embeddings),
                  "--out-dir", str(tmp_path / "out")]) == 2
-    assert f"{manifest}: manifest field 'dim' must be a JSON integer" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert (f"embedding manifest {manifest}: field 'dim' must be an integer, "
+            f"got {json.dumps(fields['dim'] + 0.7)}") in err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -329,7 +347,7 @@ def test_entry_with_a_lone_surrogate_rejected_naming_the_line(tmp_path, bundle, 
     rows[1][field] = value
     bad = tmp_path / "surrogate.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
-    with pytest.raises(IngestError, match=rf"surrogate\.jsonl: line 2: {field} holds a lone "
+    with pytest.raises(IngestError, match=rf"surrogate\.jsonl:2: {field} holds a lone "
                                           rf"surrogate, which UTF-8 cannot encode \(entry "):
         ingest_kb(bad, bundle.kb_manifest)
 
@@ -350,7 +368,7 @@ def test_query_with_a_lone_surrogate_rejected_naming_the_line(tmp_path, field, v
     path = tmp_path / "surrogate.jsonl"
     rows = [_query_row(query_id="q0"), _query_row(**{field: value})]
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="ascii")
-    with pytest.raises(IngestError, match=rf"surrogate\.jsonl: line 2: {field} holds a lone "
+    with pytest.raises(IngestError, match=rf"surrogate\.jsonl:2: {field} holds a lone "
                                           rf"surrogate, which UTF-8 cannot encode \(query "):
         ingest_queries(path)
 
@@ -368,14 +386,14 @@ def test_ingest_of_a_lone_surrogate_exits_two_and_writes_no_export(bundle, tmp_p
     out = tmp_path / "out"
     assert main(["ingest", "--kb", str(files["kb"]), "--kb-manifest", str(bundle.kb_manifest),
                  "--queries", str(files["queries"]), "--out-dir", str(out)]) == 2
-    assert f"{files[bad_file]}: line 3: {field} holds a lone surrogate" in capsys.readouterr().err
+    assert f"{files[bad_file]}:3: {field} holds a lone surrogate" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_failed_exports_leave_no_file(tmp_path):
     entry = KnowledgeEntry("e0", "u", "\ud800", "")
     query = Query("q0", "\ud800", "q.jpg", ("a",))
-    for export, items in ((export_kb, KnowledgeBase([entry], {"dim": 4, "count": 1})),
+    for export, items in ((export_kb, KnowledgeBase([entry], EmbeddingManifest(4, 1, True))),
                           (export_queries, [query])):
         path = tmp_path / "out.jsonl"
         with pytest.raises(UnicodeEncodeError):

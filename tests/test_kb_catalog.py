@@ -27,8 +27,9 @@ from kbvqa.backend import MockBackend
 from kbvqa.cli import main
 from kbvqa.errors import IngestError, KbvqaError
 from kbvqa.kb import (
-    CATALOG_VERSION, FieldError, KnowledgeBase, KnowledgeEntry, _entry_from_dict, _loads,
-    catalog_path, export_kb, ingest_kb, ingest_queries, read_jsonl, write_catalog,
+    CATALOG_VERSION, EmbeddingManifest, FieldError, KnowledgeBase, KnowledgeEntry,
+    _entry_from_dict, _loads, catalog_path, export_kb, ingest_kb, ingest_queries, read_jsonl,
+    write_catalog,
 )
 from kbvqa.mining import read_records
 from kbvqa.pipeline import read_traces
@@ -124,15 +125,15 @@ def _text_parse(path: Path, count: int) -> list:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
         if not _utf8(entry.to_json_dict()):
             field = next(name for name, value in entry.to_json_dict().items() if not _utf8(value))
-            raise IngestError(f"{path}: line {lineno}: {field} holds a lone surrogate, which "
+            raise IngestError(f"{path}:{lineno}: {field} holds a lone surrogate, which "
                               f"UTF-8 cannot encode (entry {entry.entry_id!r})") from None
         if entry.entry_id in seen:
-            raise IngestError(f"{path}: line {lineno}: duplicate entry_id {entry.entry_id!r} "
+            raise IngestError(f"{path}:{lineno}: duplicate entry_id {entry.entry_id!r} "
                               f"(first seen on line {seen[entry.entry_id]})")
         seen[entry.entry_id] = lineno
         if entry.embedding_row is not None and entry.embedding_row >= count:
             raise IngestError(
-                f"{path}: line {lineno}: embedding_row {entry.embedding_row} out of range "
+                f"{path}:{lineno}: embedding_row {entry.embedding_row} out of range "
                 f"for manifest count {count} (entry {entry.entry_id!r})")
         entries.append(entry)
     return entries
@@ -189,15 +190,15 @@ _GOOD = ['{"entry_id": "e0", "url": "u0", "embedding_row": 0}',
 
 @pytest.mark.parametrize("text, message", [
     ("\n".join([*_GOOD, '{"entry_id": "e1", "url": "u9"}']) + "\n",
-     ": line 4: duplicate entry_id 'e1' (first seen on line 2)"),
+     ":4: duplicate entry_id 'e1' (first seen on line 2)"),
     ("\n".join([*_GOOD, '{"entry_id": "e3", "url": "u3", "embedding_row": 3}']),
-     ": line 4: embedding_row 3 out of range for manifest count 3 (entry 'e3')"),
+     ":4: embedding_row 3 out of range for manifest count 3 (entry 'e3')"),
     ("\n".join([_GOOD[0], '{"entry_id": "e1", "url": "u1", "content": "\\ud800"}']),
-     ": line 2: content holds a lone surrogate, which UTF-8 cannot encode (entry 'e1')"),
+     ":2: content holds a lone surrogate, which UTF-8 cannot encode (entry 'e1')"),
     ("\r\n".join([*_GOOD, '{"entry_id": "e3", "url": ""}']) + "\r\n",
      ":4: field 'url' must be a non-empty string, got \"\""),
     ("\r".join([*_GOOD, '{"entry_id": "e0", "url": "u"}']),
-     ": line 4: duplicate entry_id 'e0' (first seen on line 1)"),
+     ":4: duplicate entry_id 'e0' (first seen on line 1)"),
     ("\n\n \n".join([*_GOOD, '{"entry_id": 3, "url": "u"}']) + "\n\n",
      ":10: field 'entry_id' must be a string, got 3"),
     ("\r\n\r\r\n\n".join(_GOOD) + '\r\n{"entry_id": "e3"}',
@@ -234,7 +235,7 @@ def test_export_line_is_json_dumps_of_the_entry(tmp_path_factory, rows, ascii_in
     assert export_kb(kb, out) == len(rows)
     assert out.read_bytes() == b"".join(expected)
     # A KB built from entries exports the same bytes.
-    assert export_kb(KnowledgeBase(entries, {"dim": 4, "count": 10}), out) == len(rows)
+    assert export_kb(KnowledgeBase(entries, EmbeddingManifest(4, 10, True)), out) == len(rows)
     assert out.read_bytes() == b"".join(expected)
 
 

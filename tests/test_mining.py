@@ -5,7 +5,7 @@ import json
 import pytest
 
 from kbvqa.errors import EvalError
-from kbvqa.kb import KnowledgeBase, KnowledgeEntry, Query
+from kbvqa.kb import EmbeddingManifest, KnowledgeBase, KnowledgeEntry, Query
 from kbvqa.mining import (
     MiningRecord,
     export_training,
@@ -164,7 +164,7 @@ def small_kb() -> KnowledgeBase:
         )
         for i in range(5)
     ]
-    return KnowledgeBase(entries=entries, manifest={"dim": 4, "count": 5})
+    return KnowledgeBase(entries=entries, manifest=EmbeddingManifest(4, 5, True))
 
 
 class TestExport:

@@ -8,7 +8,7 @@ import pytest
 
 from kbvqa.backend import MockBackend
 from kbvqa.errors import PipelineError
-from kbvqa.kb import KnowledgeBase, KnowledgeEntry, Query
+from kbvqa.kb import EmbeddingManifest, KnowledgeBase, KnowledgeEntry, Query
 from kbvqa.pipeline import (
     PipelineRunner,
     has_failures,
@@ -33,7 +33,7 @@ def small_kb(n: int = 5) -> KnowledgeBase:
         )
         for i in range(n)
     ]
-    return KnowledgeBase(entries=entries, manifest={"dim": 4, "count": n})
+    return KnowledgeBase(entries=entries, manifest=EmbeddingManifest(4, n, True))
 
 
 def query(qid: str = "q1", gold_url: str | None = "https://kb.example/wiki/E2") -> Query:

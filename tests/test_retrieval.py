@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import fixture_gen
 from kbvqa import retrieval
 from kbvqa.kb import (
+    EmbeddingManifest,
     EmbeddingMatrix,
     KnowledgeBase,
     KnowledgeEntry,
@@ -228,7 +229,7 @@ def test_build_index_gathers_permuted_or_partial_rows(rows):
     _, matrix = _random_index(6, 8, 13)
     entries = [KnowledgeEntry(f"e{i}", f"u{i}", "", "", embedding_row=row)
                for i, row in enumerate(rows)]
-    kb = KnowledgeBase(entries=entries, manifest={"dim": 8, "count": 6})
+    kb = KnowledgeBase(entries=entries, manifest=EmbeddingManifest(8, 6, True))
     kb.attach_embeddings(EmbeddingMatrix(dim=8, count=6, data=matrix, normalized=True))
     index = build_index(kb)
     assert np.array_equal(index.matrix, matrix[rows])
