@@ -128,7 +128,7 @@ def _load_config_file(path: str) -> dict:
     p = Path(path)
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON or too deep
         raise IngestError(f"cannot load config file {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise IngestError(f"config file {p} must hold a JSON object")

@@ -1163,9 +1163,11 @@ class TestRecordFormats:
         assert "Traceback" not in err
         assert not out.exists() or not list(out.iterdir())
 
-    @pytest.mark.parametrize("flag", ["--kb-manifest", "--queries"])
+    @pytest.mark.parametrize("flag, where", [
+        ("--kb-manifest", "cannot load embedding manifest {bad}"),
+        ("--queries", "{bad}:1: malformed JSON"), ("--config", "cannot load config file {bad}")])
     def test_json_nested_too_deep_exits_two_naming_the_file(self, bundle, tmp_path, capsys,
-                                                           flag):
+                                                           flag, where):
         bad = tmp_path / "deep.json"
         bad.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="ascii")
         files = {"--kb-manifest": bundle.kb_manifest, "--queries": bundle.queries_path, flag: bad}
@@ -1174,8 +1176,7 @@ class TestRecordFormats:
             "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
-        where = f"{bad}:1: malformed JSON" if flag == "--queries" else f"embedding manifest {bad}"
-        assert f"{where}: maximum recursion depth exceeded" in err
+        assert f"{where.format(bad=bad)}: maximum recursion depth exceeded" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--config", "--endpoint-config"])
