@@ -578,15 +578,15 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    # Read first, so that a bad baseline stops the command before it writes.
+    # A bad baseline, or one over other queries, stops the command before it writes.
     baseline = read_report_json(cfg["compare_to"]) if cfg.get("compare_to") else None
     scored, queries = _score(cfg)
+    rows = None if baseline is None else compare_runs(baseline, scored.report)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
     write_report_csv(scored, queries, out / "report.csv")
     written = [str(out / "report.json"), str(out / "report.csv")]
-    if baseline is not None:
-        rows = compare_runs(baseline, scored.report)
+    if rows is not None:
         write_deltas_csv(rows, out / "deltas.csv")
         written.append(str(out / "deltas.csv"))
     _write_run_config(out, "report", cfg)

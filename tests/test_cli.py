@@ -1088,17 +1088,25 @@ class TestRecordFormats:
                                              message):
         _main_on_broken(ws, bundle, tmp_path, case, "replace", name, value, message)
 
-    def test_mistyped_report_given_to_compare_to_exits_two(self, ws, bundle, tmp_path, capsys):
+    @pytest.mark.parametrize("fields, message", [
+        ({"accuracy_overall": "0.5"},
+         "report {bad}: field 'accuracy_overall' must be a number, got \"0.5\""),
+        ({"query_digest": "0" * 64},
+         "cannot compare runs over different query universes (20 vs 20 queries)"),
+    ], ids=["mistyped", "other-queries"])
+    def test_bad_baseline_given_to_compare_to_exits_two(self, ws, bundle, tmp_path, capsys,
+                                                         fields, message):
         """A baseline report.json whose accuracy_overall is a string is
-        rejected when it is read, not by a TypeError while deltas are taken."""
+        rejected when it is read, not by a TypeError while deltas are taken;
+        neither it nor one over other queries leaves any output."""
         report = json.loads((ws.score / "report.json").read_text(encoding="utf-8"))
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**report, "accuracy_overall": "0.5"}), encoding="utf-8")
+        bad.write_text(json.dumps({**report, **fields}), encoding="utf-8")
         rc = main(["report", *_reader_flags(ws, bundle).score, "--compare-to", str(bad),
                    "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert f"report {bad}: field 'accuracy_overall' must be a number, got \"0.5\"" in err
+        assert f"error: {message.format(bad=bad)}\n" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
