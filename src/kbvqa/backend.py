@@ -28,7 +28,7 @@ RETRY_BACKOFFS_S = (0.5, 1.0, 2.0)
 # The backoff wait; tests replace this name, not the process-wide time.sleep.
 _sleep = time.sleep
 
-# Backend calls a run keeps in flight unless told otherwise (--max-in-flight).
+# Backend calls an HTTP run keeps in flight unless --workers says otherwise.
 DEFAULT_MAX_IN_FLIGHT = 8
 
 # Local images go on the wire base64-encoded this many file bytes at a time.
@@ -292,10 +292,11 @@ class HttpBackend(Backend):
 
     Each attempt streams a fresh StreamedBody. Without an injected session
     the backend posts through a transport.Transport that keeps up to
-    max_in_flight idle connections. A session is anything with the
-    Transport.post signature whose reply has status_code, headers.get, text
-    and json(); it is used as given, so it must send
-    ``Content-Type: application/json`` itself.
+    max_in_flight idle connections; the CLI passes --workers, its number of
+    calls in flight. A session is anything with the Transport.post
+    signature whose reply has status_code, headers.get, text and json(); it
+    is used as given, so it must send ``Content-Type: application/json``
+    itself.
     """
 
     def __init__(self, config: EndpointConfig, session=None,

@@ -91,11 +91,11 @@ FLAGS: dict[str, dict] = {
     "top_m": {"default": "1,2,5", "help": "comma-separated top-m values"},
     "mock_script": {"help": "scripted mock backend JSONL keyed by (query_id, stage)"},
     "endpoint_config": {"help": "HTTP backend endpoint config JSON"},
-    "max_in_flight": {"type": int, "default": DEFAULT_MAX_IN_FLIGHT,
-                      "help": "max concurrent backend calls"},
     "char_budget": {"type": int, "default": DEFAULT_CHAR_BUDGET,
                     "help": "per-entry content truncation budget in characters"},
-    "workers": {"type": int, "help": "worker threads (default and maximum: --max-in-flight)"},
+    "workers": {"type": int, "help": "query threads, each with at most one backend call in "
+                                     "flight (default: 1 with --mock-script, "
+                                     f"{DEFAULT_MAX_IN_FLIGHT} with --endpoint-config)"},
     "no_transcripts": {"action": "store_true", "default": False,
                        "help": "omit per-stage transcripts from trace output"},
     "traces": {"help": "trace JSONL from a run"},
@@ -191,25 +191,19 @@ def _write_run_config(out: Path, command: str, cfg: dict) -> None:
     write_json(out / "run_config.json", payload)
 
 
-def _max_in_flight(cfg: dict) -> int:
-    max_in_flight = cfg["max_in_flight"]
-    if max_in_flight <= 0:
-        raise IngestError(f"--max-in-flight must be positive, got {max_in_flight}")
-    return max_in_flight
-
-
 def _workers(cfg: dict) -> int:
-    """Query worker threads: --max-in-flight, or fewer if --workers asks.
+    """Query worker threads: --workers, else 1 on the mock backend and
+    DEFAULT_MAX_IN_FLIGHT over HTTP.
 
     A worker has at most one backend call in flight, so this is also the
-    number of concurrent calls.
+    number of concurrent calls and the bound on idle HTTP connections.
     """
     workers = cfg.get("workers")
     if workers is None:
-        return _max_in_flight(cfg)
+        return 1 if cfg.get("mock_script") else DEFAULT_MAX_IN_FLIGHT
     if workers <= 0:
         raise IngestError(f"--workers must be positive, got {workers}")
-    return min(workers, _max_in_flight(cfg))
+    return workers
 
 
 def _load_kb(cfg: dict, with_embeddings: bool, use_catalog: bool = True) -> KnowledgeBase:
@@ -228,7 +222,7 @@ def _backend(cfg: dict):
         raise IngestError("exactly one of --mock-script and --endpoint-config is required")
     if mock:
         return MockBackend.from_script_file(mock)
-    return HttpBackend(EndpointConfig.from_json_file(endpoint), max_in_flight=_max_in_flight(cfg))
+    return HttpBackend(EndpointConfig.from_json_file(endpoint), None, _workers(cfg))
 
 
 def _parse_int_list(text: str, flag: str, high: int | None = None) -> tuple[int, ...]:
@@ -643,8 +637,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # entry changes a flag's row for one subcommand.
 _KB = ("kb", "kb_manifest")
 _RUN_SHARED = (
-    *_KB, "queries", "retrievals", "mock_script", "endpoint_config", "max_in_flight",
-    "char_budget", "workers", "no_transcripts", "out_dir",
+    *_KB, "queries", "retrievals", "mock_script", "endpoint_config", "char_budget", "workers",
+    "no_transcripts", "out_dir",
 )
 _SCORE_SHARED = (
     "traces", "queries", ("retrievals", {"help": "retrieval results JSONL"}), *_KB,

@@ -195,7 +195,7 @@ def test_criterion_04_worker_determinism_and_staged_call_count(bundle, tmp_path)
                    "--queries", str(bundle.queries_path),
                    "--retrievals", str(ret / "retrieval_results.jsonl"),
                    "--mock-script", str(bundle.mock_script),
-                   "--workers", str(workers), "--max-in-flight", "16",
+                   "--workers", str(workers),
                    "--top-k", "5", "--out-dir", str(out)])
         assert rc == 0
         blobs.append((out / "traces.jsonl").read_bytes())

@@ -28,7 +28,7 @@ from kbvqa.errors import KbvqaError
 from kbvqa.kb import ingest_kb, ingest_queries, load_manifest
 from kbvqa.metrics import read_report_json
 from kbvqa.mining import read_records
-from kbvqa.pipeline import read_traces
+from kbvqa.pipeline import PipelineRunner, read_traces
 from kbvqa.retrieval import read_results
 
 from http_stub import LocalServer
@@ -670,15 +670,30 @@ class TestExitCodes:
         assert "--workers must be positive" in capsys.readouterr().err
 
     def test_bad_max_in_flight_value(self, bundle, tmp_path, capsys):
+        """--workers is the one concurrency setting; --max-in-flight is gone."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--variant", "param", "--kb", str(bundle.entries_path),
+                "--kb-manifest", str(bundle.kb_manifest),
+                "--queries", str(bundle.queries_path),
+                "--mock-script", str(bundle.mock_script),
+                "--max-in-flight", "0", "--out-dir", str(tmp_path),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-in-flight" in capsys.readouterr().err
+
+    def test_max_in_flight_config_key_rejected(self, bundle, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"max_in_flight": 8}), encoding="utf-8")
         rc = main([
-            "run", "--variant", "param", "--kb", str(bundle.entries_path),
-            "--kb-manifest", str(bundle.kb_manifest),
+            "run", "--config", str(config), "--variant", "param",
+            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
             "--queries", str(bundle.queries_path),
-            "--mock-script", str(bundle.mock_script),
-            "--max-in-flight", "0", "--out-dir", str(tmp_path),
+            "--mock-script", str(bundle.mock_script), "--out-dir", str(tmp_path / "out"),
         ])
         assert rc == 2
-        assert "--max-in-flight must be positive" in capsys.readouterr().err
+        assert "unknown keys: ['max_in_flight']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("row", ["1", True, -1, 1.0])
     def test_bad_query_embedding_row(self, bundle, tmp_path, capsys, row):
@@ -1411,32 +1426,65 @@ def _without_latency(value):
     return value
 
 
-def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
-    """With default flags a run holds --max-in-flight (8) calls at once, never
-    more, and writes the traces a one-worker run writes."""
-    reply = fixture_gen.core_staged_reply(bundle)
-
-    def run(endpoint, label, *extra):
-        assert main([
-            "run", "--variant", "core", "--core-mode", "staged",
-            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
-            "--queries", str(bundle.queries_path),
-            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
-            "--endpoint-config", str(endpoint), *extra, "--out-dir", str(tmp_path / label),
-        ]) == 0
-        return _without_latency(read_jsonl(tmp_path / label / "traces.jsonl"))
-
+def _http_core_run(ws, bundle, tmp_path, server, label, *extra):
+    """`kbvqa run` of staged core against server; the traces without latency."""
     endpoint = tmp_path / "endpoint.json"
-    with LocalServer(delay_s=0.05, reply=reply) as server:
-        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
-        concurrent = run(endpoint, "default")
+    endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
+    assert main([
+        "run", "--variant", "core", "--core-mode", "staged",
+        "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+        "--queries", str(bundle.queries_path),
+        "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+        "--endpoint-config", str(endpoint), *extra, "--out-dir", str(tmp_path / label),
+    ]) == 0
+    return _without_latency(read_jsonl(tmp_path / label / "traces.jsonl"))
+
+
+def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
+    """Without --workers an HTTP run holds DEFAULT_MAX_IN_FLIGHT (8) calls at
+    once, never more, and writes the traces a one-worker run writes."""
+    with LocalServer(delay_s=0.05, reply=fixture_gen.core_staged_reply(bundle)) as server:
+        concurrent = _http_core_run(ws, bundle, tmp_path, server, "default")
         in_flight_max = server.in_flight_max
         server.delay_s = 0.0
-        serial = run(endpoint, "serial", "--workers", "1")
+        serial = _http_core_run(ws, bundle, tmp_path, server, "serial", "--workers", "1")
     assert in_flight_max == 8
     assert len(server.requests) == 2 * 4 * len(bundle.queries)
     assert concurrent == serial
     assert [t["query_id"] for t in serial] == [q["query_id"] for q in bundle.queries]
+
+
+@pytest.mark.parametrize("workers", [4, 8, 16])
+def test_http_run_holds_workers_calls_on_the_wire(ws, bundle, tmp_path, workers):
+    """--workers alone sets the calls in flight, past the default of 8 too,
+    and the traces match those of a run that holds one call at a time."""
+    with LocalServer(delay_s=0.05, reply=fixture_gen.core_staged_reply(bundle)) as server:
+        concurrent = _http_core_run(ws, bundle, tmp_path, server, "concurrent",
+                                    "--workers", str(workers))
+        in_flight_max = server.in_flight_max
+        server.delay_s, server.in_flight_max = 0.0, 0
+        serial = _http_core_run(ws, bundle, tmp_path, server, "serial", "--workers", "1")
+    assert (in_flight_max, server.in_flight_max) == (workers, 1)
+    assert concurrent == serial
+
+
+def test_mock_run_defaults_to_one_worker(bundle, tmp_path, monkeypatch):
+    """The mock backend has no calls in flight, so its default is one thread."""
+    seen = []
+    run_many = PipelineRunner.run_many
+
+    def spy(self, *args, workers):
+        seen.append(workers)
+        return run_many(self, *args, workers=workers)
+
+    monkeypatch.setattr(PipelineRunner, "run_many", spy)
+    assert main([
+        "run", "--variant", "param", "--kb", str(bundle.entries_path),
+        "--kb-manifest", str(bundle.kb_manifest), "--queries", str(bundle.queries_path),
+        "--mock-script", str(bundle.mock_script), "--out-dir", str(tmp_path),
+    ]) == 0
+    assert seen == [1]
+    assert json.loads((tmp_path / "run_config.json").read_text())["workers"] is None
 
 
 def test_http_run_needs_no_requests_package(ws, bundle, tmp_path):
