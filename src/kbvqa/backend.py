@@ -28,8 +28,9 @@ RETRY_BACKOFFS_S = (0.5, 1.0, 2.0)
 # The backoff wait; tests replace this name, not the process-wide time.sleep.
 _sleep = time.sleep
 
-# Backend calls an HTTP run keeps in flight unless --workers says otherwise.
-DEFAULT_MAX_IN_FLIGHT = 8
+# --workers of an HTTP run that does not set it: its query threads, and so
+# its backend calls in flight.
+DEFAULT_HTTP_WORKERS = 8
 
 # Local images go on the wire base64-encoded this many file bytes at a time.
 # A multiple of 3 encodes without padding, so consecutive blocks concatenate
@@ -292,22 +293,22 @@ class HttpBackend(Backend):
 
     Each attempt streams a fresh StreamedBody. Without an injected session
     the backend posts through a transport.Transport that keeps up to
-    max_in_flight idle connections; the CLI passes --workers, its number of
-    calls in flight. A session is anything with the Transport.post
+    `workers` idle connections, one per query thread of the run (--workers),
+    each with at most one call in flight. A session is anything with the Transport.post
     signature whose reply has status_code, headers.get, text and json(); it
     is used as given, so it must send ``Content-Type: application/json``
     itself.
     """
 
     def __init__(self, config: EndpointConfig, session=None,
-                 max_in_flight: int = DEFAULT_MAX_IN_FLIGHT):
-        if max_in_flight <= 0:
-            raise ValueError(f"max_in_flight must be positive, got {max_in_flight}")
+                 workers: int = DEFAULT_HTTP_WORKERS):
+        if workers <= 0:
+            raise ValueError(f"workers must be positive, got {workers}")
         self.config = config
         if session is None:
             from .transport import Transport  # only HTTP runs load the stdlib HTTP stack
 
-            session = Transport(config.url, max_in_flight)
+            session = Transport(config.url, workers)
         self._session = session
 
     def _headers(self) -> dict[str, str]:

@@ -23,7 +23,7 @@ import zipfile
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from .backend import DEFAULT_MAX_IN_FLIGHT, EndpointConfig, HttpBackend, MockBackend
+from .backend import DEFAULT_HTTP_WORKERS, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
 from .kb import (
     KnowledgeBase, atomic_write, catalog_path, export_kb, export_queries, ingest_kb,
@@ -95,7 +95,7 @@ FLAGS: dict[str, dict] = {
                     "help": "per-entry content truncation budget in characters"},
     "workers": {"type": int, "help": "query threads, each with at most one backend call in "
                                      "flight (default: 1 with --mock-script, "
-                                     f"{DEFAULT_MAX_IN_FLIGHT} with --endpoint-config)"},
+                                     f"{DEFAULT_HTTP_WORKERS} with --endpoint-config)"},
     "no_transcripts": {"action": "store_true", "default": False,
                        "help": "omit per-stage transcripts from trace output"},
     "traces": {"help": "trace JSONL from a run"},
@@ -193,14 +193,14 @@ def _write_run_config(out: Path, command: str, cfg: dict) -> None:
 
 def _workers(cfg: dict) -> int:
     """Query worker threads: --workers, else 1 on the mock backend and
-    DEFAULT_MAX_IN_FLIGHT over HTTP.
+    DEFAULT_HTTP_WORKERS over HTTP.
 
     A worker has at most one backend call in flight, so this is also the
     number of concurrent calls and the bound on idle HTTP connections.
     """
     workers = cfg.get("workers")
     if workers is None:
-        return 1 if cfg.get("mock_script") else DEFAULT_MAX_IN_FLIGHT
+        return 1 if cfg.get("mock_script") else DEFAULT_HTTP_WORKERS
     if workers <= 0:
         raise IngestError(f"--workers must be positive, got {workers}")
     return workers

@@ -496,7 +496,7 @@ def test_pool_keeps_one_connection_per_call_in_flight():
     than the calls in flight (requests keeps 10) closes the rest, and the
     next batch opens new ones."""
     with LocalServer(delay_s=0.1) as server:
-        backend = HttpBackend(EndpointConfig(base_url=server.url), max_in_flight=16)
+        backend = HttpBackend(EndpointConfig(base_url=server.url), workers=16)
         reqs = [_req(query_id=f"q{i}", image="https://img.example/a.jpg") for i in range(16)]
         slots = [s for _ in range(3) for s in _generate_each(backend, reqs, threads=16)]
     assert [s.text for s in slots] == ["ok"] * 48
@@ -661,7 +661,7 @@ def test_pool_under_thread_contention(clean_env):
     sys.setswitchinterval(1e-6)
     try:
         with LocalServer() as server:
-            backend = HttpBackend(EndpointConfig(base_url=server.url), max_in_flight=3)
+            backend = HttpBackend(EndpointConfig(base_url=server.url), workers=3)
             reqs = [_req(query_id=f"q{i}", image=URI_IMAGE) for i in range(24)]
             for _ in range(4):
                 slots = _generate_each(backend, reqs, threads=12)

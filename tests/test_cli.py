@@ -1441,7 +1441,7 @@ def _http_core_run(ws, bundle, tmp_path, server, label, *extra):
 
 
 def test_http_run_keeps_max_in_flight_calls_on_the_wire(ws, bundle, tmp_path):
-    """Without --workers an HTTP run holds DEFAULT_MAX_IN_FLIGHT (8) calls at
+    """Without --workers an HTTP run holds DEFAULT_HTTP_WORKERS (8) calls at
     once, never more, and writes the traces a one-worker run writes."""
     with LocalServer(delay_s=0.05, reply=fixture_gen.core_staged_reply(bundle)) as server:
         concurrent = _http_core_run(ws, bundle, tmp_path, server, "default")
