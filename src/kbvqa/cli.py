@@ -16,18 +16,16 @@ configuration or input errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import zipfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
 
 from .backend import DEFAULT_HTTP_WORKERS, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
 from .kb import (
     KnowledgeBase, atomic_write, catalog_path, export_kb, export_queries, ingest_kb,
-    ingest_queries, load_embeddings, load_manifest, write_catalog, write_json,
+    ingest_queries, load_embeddings, write_catalog, write_json,
 )
 from .metrics import (
     DEFAULT_RECALL_KS,
@@ -52,9 +50,6 @@ from .retrieval import (
     DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
@@ -78,8 +73,8 @@ FLAGS: dict[str, dict] = {
     "kb": {"help": "knowledge entries JSONL"},
     "kb_manifest": {"help": "embedding manifest JSON for the entries"},
     "kb_embeddings": {"help": "entry embedding matrix (raw little-endian float32)"},
-    "index": {"help": "saved index.npz from `kbvqa index`; its sha256 digests must "
-                      "match --kb, --kb-manifest and --kb-embeddings if given"},
+    "index": {"help": "index.npz from `kbvqa index`; --kb, --kb-manifest and the embedding file "
+                      "(--kb-embeddings, else the one it records) must match its sha256 digests"},
     "queries": {"help": "queries JSONL"},
     "query_manifest": {"help": "embedding manifest JSON for the queries"},
     "query_embeddings": {"help": "query embedding matrix (raw little-endian float32)"},
@@ -206,13 +201,9 @@ def _workers(cfg: dict) -> int:
     return workers
 
 
-def _load_kb(cfg: dict, with_embeddings: bool, use_catalog: bool = True) -> KnowledgeBase:
+def _load_kb(cfg: dict, use_catalog: bool = True) -> KnowledgeBase:
     _require(cfg, "kb", "kb_manifest")
-    kb = ingest_kb(cfg["kb"], cfg["kb_manifest"], use_catalog=use_catalog)
-    if with_embeddings:
-        _require(cfg, "kb_embeddings")
-        kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
-    return kb
+    return ingest_kb(cfg["kb"], cfg["kb_manifest"], use_catalog=use_catalog)
 
 
 def _backend(cfg: dict):
@@ -254,7 +245,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     _require(cfg, "queries")
     # Every line is parsed and checked, catalog or not: this is what the
     # catalog written below vouches for.
-    kb = _load_kb(cfg, with_embeddings=False, use_catalog=False)
+    kb = _load_kb(cfg, use_catalog=False)
     queries = ingest_queries(cfg["queries"])
     out = _out_dir(cfg)
     export_kb(kb, out / "entries_normalized.jsonl")
@@ -278,51 +269,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# index.npz member holding the sha256 of each file the index was built from.
+# index.npz holds, as one string each, the sha256 of every file `kbvqa index`
+# checked, by the flag that named it, and the resolved path of the embedding
+# file in INDEX_PATH.
 INDEX_DIGESTS = {
     "kb": "kb_sha256", "kb_manifest": "kb_manifest_sha256", "kb_embeddings": "kb_embeddings_sha256",
 }
-_HASH_CHUNK = 1 << 20
+INDEX_PATH = "kb_embeddings"
 # What np.load and reading an .npz member raise for a file that is not an
-# intact pickle-free index: truncation, a CRC mismatch, a missing or pickled
-# member, or a member of the wrong shape.
+# intact pickle-free index: truncation, a CRC mismatch or a pickled member.
 _UNREADABLE = (KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError)
-
-
-def _sha256(path: str) -> str:
-    """Hex sha256 of a file, read a chunk at a time (hashlib.file_digest needs 3.11)."""
-    digest = hashlib.sha256()
-    buf = bytearray(_HASH_CHUNK)
-    view = memoryview(buf)
-    try:
-        with open(path, "rb") as fh:
-            while n := fh.readinto(buf):
-                digest.update(view[:n])
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return digest.hexdigest()
-
-
-def _pack_strings(strings: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Strings as one UTF-8 uint8 blob plus int64 offsets; string i is blob[off[i]:off[i+1]]."""
-    import numpy as np
-
-    encoded = [s.encode("utf-8") for s in strings]
-    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in encoded], out=offsets[1:])
-    return np.frombuffer(b"".join(encoded), dtype=np.uint8), offsets
-
-
-def _unpack_strings(blob: np.ndarray, offsets: np.ndarray) -> list[str]:
-    """Inverse of _pack_strings; ValueError when the offsets do not split the blob."""
-    import numpy as np
-
-    if (blob.dtype != np.uint8 or blob.ndim != 1 or offsets.ndim != 1 or offsets.size == 0
-            or offsets[0] != 0 or offsets[-1] != blob.size or np.any(np.diff(offsets) < 0)):
-        raise ValueError("url_offsets do not split url_blob")
-    data = blob.tobytes()
-    bounds = offsets.tolist()
-    return [data[start:end].decode("utf-8") for start, end in zip(bounds, bounds[1:])]
 
 
 def cmd_index(args: argparse.Namespace) -> int:
@@ -330,51 +286,33 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     cfg = _resolve(args)
     _require(cfg, "kb", "kb_manifest", "kb_embeddings")
-    kb = _load_kb(cfg, with_embeddings=True)
-    # The sha256 of the bytes ingest_kb and load_embeddings read: a file that
-    # changes while `index` runs then fails the check in `retrieve --index`.
-    digests = {INDEX_DIGESTS["kb"]: kb.sha256, INDEX_DIGESTS["kb_manifest"]: kb.manifest_sha256,
-               INDEX_DIGESTS["kb_embeddings"]: kb.embeddings.sha256}
-    index = build_index(kb)
-    url_blob, url_offsets = _pack_strings(kb.urls)
+    kb = _load_kb(cfg)
+    kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
+    index = build_index(kb)  # rejects an entry without an embedding row
+    # The sha256 of the bytes ingest_kb and load_embeddings read and checked:
+    # a file that changes while `index` runs then fails `retrieve --index`.
+    members = {INDEX_DIGESTS["kb"]: kb.sha256, INDEX_DIGESTS["kb_manifest"]: kb.manifest_sha256,
+               INDEX_DIGESTS["kb_embeddings"]: kb.embeddings.sha256,
+               INDEX_PATH: str(Path(cfg["kb_embeddings"]).resolve())}
     out = _out_dir(cfg)
     path = out / "index.npz"
     with atomic_write(path) as fh:
-        np.savez(
-            fh,
-            entry_ids=np.array(index.entry_ids, dtype=np.str_),
-            dim=np.int64(index.matrix.shape[1]),
-            matrix=index.matrix,
-            url_blob=url_blob,
-            url_offsets=url_offsets,
-            **{member: np.array(digest) for member, digest in digests.items()},
-        )
+        np.savez(fh, **{name: np.array(value) for name, value in members.items()})
     _write_run_config(out, "index", cfg)
     print(f"indexed {len(index)} entries (dim {index.dim}) -> {path}")
     return EXIT_OK
 
 
-def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
-    """The index at --index and its entry URLs, without parsing --kb.
+def _stale(cfg: dict, reason: str) -> IngestError:
+    return IngestError(f"index {cfg['index']} does not match --kb {cfg['kb']}: {reason}; "
+                       "rebuild it with `kbvqa index`")
 
-    `kbvqa index` stores the sha256 of --kb, --kb-manifest and
-    --kb-embeddings. They must equal the digests of the files given here
-    (--kb-embeddings only when it is given), so the index belongs to the
-    exact bytes of this KB. Its own ids, URLs and matrix are then trusted as
-    written by `kbvqa index`; the zip CRC-32 of each member, checked as it is
-    read, catches accidental corruption.
-    """
+
+def _load_index(cfg: dict) -> dict[str, str]:
+    """The members of the index at --index: one string each, read without pickle."""
     import numpy as np
 
-    _require(cfg, "kb", "kb_manifest")
     path = Path(cfg["index"])
-    dim = load_manifest(cfg["kb_manifest"]).dim
-
-    def stale(reason: str) -> IngestError:
-        return IngestError(
-            f"index {path} does not match --kb {cfg['kb']}: {reason}; rebuild it with `kbvqa index`"
-        )
-
     try:
         fh = path.open("rb")
     except OSError as exc:
@@ -384,38 +322,62 @@ def _load_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
         try:
             bundle = np.load(fh, allow_pickle=False)
         except _UNREADABLE as exc:
-            raise stale(f"it is not a readable index ({exc})") from exc
+            raise _stale(cfg, f"it is not a readable index ({exc})") from exc
         if not isinstance(bundle, np.lib.npyio.NpzFile):
-            raise stale("it is not an .npz index")
-        try:
-            with bundle:
-                for key, member in INDEX_DIGESTS.items():
-                    if not cfg.get(key):
-                        continue
-                    flag = "--" + key.replace("_", "-")
-                    if member not in bundle.files:
-                        raise stale(f"it holds no sha256 of {flag} (an index from an older kbvqa)")
-                    if bundle[member].item() != _sha256(cfg[key]):
-                        raise stale(f"{flag} {cfg[key]} is not the file it was built from")
-                entry_ids = bundle["entry_ids"].tolist()
-                index_dim = int(bundle["dim"])
-                matrix = bundle["matrix"]
-                urls = _unpack_strings(bundle["url_blob"], bundle["url_offsets"])
-        except _UNREADABLE as exc:
-            raise stale(f"it is not an intact pickle-free index ({exc})") from exc
-    if index_dim != dim or matrix.shape != (len(entry_ids), dim) or len(urls) != len(entry_ids):
-        raise stale("its entry count or dimension differ")
-    return FlatIndex(entry_ids, matrix), urls
+            raise _stale(cfg, "it is not an .npz index")
+        with bundle:
+            members = {}
+            for key, name in (*INDEX_DIGESTS.items(), ("kb_embeddings", INDEX_PATH)):
+                if name not in bundle.files:
+                    what = "path" if name == INDEX_PATH else "sha256"
+                    raise _stale(cfg, f"it holds no {what} of --{key.replace('_', '-')} "
+                                      "(an index from an older kbvqa)")
+                try:
+                    member = bundle[name]
+                except _UNREADABLE as exc:
+                    raise _stale(cfg, f"it is not an intact pickle-free index ({exc})") from exc
+                if member.shape != () or member.dtype.kind != "U":
+                    raise _stale(cfg, f"its {name} is not one string")
+                members[name] = member.item()
+    return members
+
+
+def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
+    """The index over --kb and its entry URLs, built the same way with or without --index.
+
+    With --index, the embedding file is --kb-embeddings, else the one the
+    index records, and the digests of --kb, --kb-manifest and that file must
+    equal the index's. Bytes with the recorded digest passed load_embeddings'
+    row checks in `kbvqa index`, so they are not checked again. The KB itself
+    is dropped on return: the search needs only the index and the URLs.
+    """
+    _require(cfg, "kb", "kb_manifest")
+    recorded = _load_index(cfg) if cfg.get("index") else {}
+    if not recorded:
+        _require(cfg, "kb_embeddings")
+    embeddings = cfg.get("kb_embeddings") or recorded[INDEX_PATH]
+    if not cfg.get("kb_embeddings") and not Path(embeddings).is_file():
+        raise IngestError(f"index {cfg['index']} was built from --kb-embeddings {embeddings}, "
+                          "which is not there; pass --kb-embeddings with where it is now")
+
+    def check(key: str, digest: str, path: str) -> None:
+        if recorded and recorded[INDEX_DIGESTS[key]] != digest:
+            raise _stale(cfg, f"--{key.replace('_', '-')} {path} is not the file it was built from")
+
+    kb = _load_kb(cfg)
+    check("kb", kb.sha256, cfg["kb"])
+    check("kb_manifest", kb.manifest_sha256, cfg["kb_manifest"])
+    matrix = load_embeddings(cfg["kb_manifest"], embeddings,
+                             recorded.get(INDEX_DIGESTS["kb_embeddings"]))
+    check("kb_embeddings", matrix.sha256, embeddings)
+    kb.attach_embeddings(matrix)
+    return build_index(kb), kb.urls
 
 
 def cmd_retrieve(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "queries", "query_manifest", "query_embeddings")
-    if cfg.get("index"):
-        index, urls = _load_index(cfg)
-    else:
-        kb = _load_kb(cfg, with_embeddings=True)
-        index, urls = build_index(kb), kb.urls
+    index, urls = _retrieval_index(cfg)
     queries = ingest_queries(cfg["queries"])
     qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"])
     vectors = []
@@ -462,7 +424,7 @@ def cmd_probe_unimodal(args: argparse.Namespace) -> int:
 
 
 def _run_variant(cfg: dict, variant: str, command: str, traces_name: str) -> int:
-    kb = _load_kb(cfg, with_embeddings=False)
+    kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     backend = _backend(cfg)
     runner = PipelineRunner(
@@ -495,7 +457,7 @@ def cmd_mine_prki(args: argparse.Namespace) -> int:
 def cmd_mine_vtki(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "probe_traces", "queries")
-    kb = _load_kb(cfg, with_embeddings=False)
+    kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, kb.url_map())
     return _write_mining(cfg, "mine-vtki", mining, ("d_v", "d_t"))
@@ -514,7 +476,7 @@ def _write_mining(cfg: dict, command: str, mining, buckets: tuple[str, ...]) -> 
 def cmd_export_training(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     _require(cfg, "records", "objective", "queries")
-    kb = _load_kb(cfg, with_embeddings=False)
+    kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     record_paths = cfg["records"]
     if isinstance(record_paths, str):
@@ -535,7 +497,7 @@ def cmd_export_training(args: argparse.Namespace) -> int:
 
 def _score(cfg: dict):
     _require(cfg, "traces", "queries", "retrievals")
-    kb = _load_kb(cfg, with_embeddings=False)
+    kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     traces = read_traces(cfg["traces"])
     results = read_results(cfg["retrievals"])
@@ -594,7 +556,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     top_ms = _parse_int_list(cfg["top_m"], "--top-m", high=MAX_TOP_K)
     options = _score_options(cfg)
     _require(cfg, "queries", "retrievals")
-    kb = _load_kb(cfg, with_embeddings=False)
+    kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     backend = _backend(cfg)
     results_list = read_results(cfg["retrievals"])

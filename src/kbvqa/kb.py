@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import mmap
 import os
 import threading
 import types
@@ -133,9 +134,9 @@ class KnowledgeBase:
     Entry ids, URLs and embedding rows are also kept as columns in file
     order, so len(), URL maps and index rows never need the entries. A KB
     that ingest_kb parsed in full holds each entry's export line; one that
-    it loaded through its catalog holds the bytes of the entries file. Either
-    parses an entry's line the first time the entry is looked up, through
-    by_id, entry_by_url or entries.
+    it loaded through its catalog holds a read-only map of the entries
+    file. Either parses an entry's line the first time the entry is looked
+    up, through by_id, entry_by_url or entries.
     """
 
     def __init__(self, entries: Iterable[KnowledgeEntry], manifest: EmbeddingManifest,
@@ -154,8 +155,8 @@ class KnowledgeBase:
         self.line_lengths: list[int] | None = None
         # Set by a full parse: each entry's line as export_kb writes it.
         self.export_lines: list[bytes] | None = None
-        # (entries bytes, entries path, catalog path) of a catalog-backed KB.
-        self._source: tuple[bytes, Path, Path] | None = None
+        # (entries file mapped, entries path, catalog path) of a catalog-backed KB.
+        self._source: tuple[bytes | mmap.mmap, Path, Path] | None = None
         self._parse_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -674,7 +675,12 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
     if not all(isinstance(column, list) and len(column) == len(columns[0]) for column in columns):
         return None
     try:
-        data = path.read_bytes()
+        # Mapped rather than read: hashing pages the file in once, with no
+        # second copy, and an entry's line is sliced out when it is looked
+        # up. An empty file cannot be mapped.
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) if size else b""
     except OSError:
         return None  # the full parse names the error
     sha256 = hashlib.sha256(data).hexdigest()
@@ -757,47 +763,52 @@ def ingest_queries(path: str | Path) -> list[Query]:
     return read_jsonl(path, parse, IngestError)
 
 
-def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> EmbeddingMatrix:
+def load_embeddings(manifest_path: str | Path, data_path: str | Path,
+                    checked_sha256: str | None = None) -> EmbeddingMatrix:
     """Load the raw float32 matrix described by the manifest.
 
     Rows are L2-normalized in place, block by block, when the manifest says
     they are not already; zero-norm and non-finite rows are hard errors.
+    checked_sha256 is the digest of bytes that already passed these checks
+    (`kbvqa index` records it): when the file hashes to it, the row checks
+    are skipped, and only rows the manifest calls unnormalized are touched.
     """
     import numpy as np
 
     manifest = load_manifest(manifest_path)
     dim, count = manifest.dim, manifest.count
     path = Path(data_path)
-    if not path.exists():
-        raise IngestError(f"embedding data file not found: {path}")
+    try:
+        actual_bytes = path.stat().st_size
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     expected_bytes = count * dim * 4
-    actual_bytes = path.stat().st_size
     if actual_bytes != expected_bytes:
         raise IngestError(
             f"{path}: size mismatch: expected {expected_bytes} bytes "
             f"({count}x{dim} float32), found {actual_bytes}"
         )
-    data = np.fromfile(path, dtype="<f4").reshape(count, dim)
+    # Mapped copy-on-write rather than read: hashing pages the file in once,
+    # with no second copy, and normalizing in place never writes to the file.
+    # An empty file cannot be mapped.
+    if expected_bytes:
+        data = np.memmap(path, dtype="<f4", mode="c", shape=(count, dim))
+    else:
+        data = np.zeros((count, dim), dtype="<f4")
     # The file's bytes, hashed as read, before rows are normalized in place.
     sha256 = hashlib.sha256(data).hexdigest()
-    for start in range(0, count, NORM_BLOCK_ROWS):
-        bad = ~np.isfinite(data[start:start + NORM_BLOCK_ROWS])
-        if bad.any():
-            row = start + int(np.argwhere(bad)[0][0])
-            raise IngestError(f"{path}: non-finite value in row {row}")
     # Row blocks bound the float64 temporaries; a row's norm and quotient do
     # not depend on the block it falls in.
-    for start in range(0, count, NORM_BLOCK_ROWS):
-        block = data[start:start + NORM_BLOCK_ROWS]
-        rows64 = block.astype(np.float64)
-        norms = np.linalg.norm(rows64, axis=1)
-        if not manifest.normalized:
-            zero = norms == 0.0
-            if zero.any():
-                row = start + int(np.argmax(zero))
-                raise IngestError(f"{path}: zero-norm row {row} cannot be normalized")
-            block[...] = rows64 / norms[:, None]
-        else:
+    blocks = range(0, count, NORM_BLOCK_ROWS)
+    if sha256 != checked_sha256:
+        for start in blocks:
+            bad = ~np.isfinite(data[start:start + NORM_BLOCK_ROWS])
+            if bad.any():
+                row = start + int(np.argwhere(bad)[0][0])
+                raise IngestError(f"{path}: non-finite value in row {row}")
+    if manifest.normalized and sha256 != checked_sha256:
+        for start in blocks:
+            norms = np.linalg.norm(data[start:start + NORM_BLOCK_ROWS].astype(np.float64), axis=1)
             off = np.abs(norms - 1.0) > NORM_TOLERANCE
             if off.any():
                 row = int(np.argmax(off))
@@ -805,6 +816,16 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path) -> Embeddi
                     f"{path}: manifest claims normalized but row {start + row} "
                     f"has norm {norms[row]:.6f}"
                 )
+    if not manifest.normalized:
+        for start in blocks:
+            block = data[start:start + NORM_BLOCK_ROWS]
+            rows64 = block.astype(np.float64)
+            norms = np.linalg.norm(rows64, axis=1)
+            zero = norms == 0.0
+            if zero.any():
+                row = start + int(np.argmax(zero))
+                raise IngestError(f"{path}: zero-norm row {row} cannot be normalized")
+            block[...] = rows64 / norms[:, None]
     return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True, sha256=sha256)
 
 

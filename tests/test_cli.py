@@ -6,11 +6,9 @@ import hashlib
 import io
 import json
 import os
-import struct
 import subprocess
 import sys
 import tempfile
-import zipfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +21,7 @@ import fixture_gen
 from kbvqa import cli as cli_module
 from kbvqa import kb as kb_module
 from kbvqa.backend import EndpointConfig, MockBackend
-from kbvqa.cli import INDEX_DIGESTS, _pack_strings, _unpack_strings, build_parser, main
+from kbvqa.cli import INDEX_DIGESTS, build_parser, main
 from kbvqa.errors import KbvqaError
 from kbvqa.kb import ingest_kb, ingest_queries, load_manifest
 from kbvqa.metrics import read_report_json
@@ -91,11 +89,14 @@ class TestWorkflowArtifacts:
         assert len(read_jsonl(ws.ingest / "entries_normalized.jsonl")) == 100
         assert len(read_jsonl(ws.ingest / "queries_normalized.jsonl")) == 20
 
-    def test_index_artifact(self, ws):
-        saved = np.load(ws.index / "index.npz", allow_pickle=False)
-        assert list(saved["entry_ids"])[:2] == ["e000", "e001"]
-        assert saved["matrix"].shape == (100, 16)
-        assert saved["matrix"].dtype == np.float32
+    def test_index_artifact(self, ws, bundle):
+        # Four strings and no matrix: the three digests and the embedding file's path.
+        with np.load(ws.index / "index.npz", allow_pickle=False) as saved:
+            assert sorted(saved.files) == sorted([*INDEX_DIGESTS.values(), "kb_embeddings"])
+            assert {(saved[name].shape, saved[name].dtype.kind) for name in saved.files} == {
+                ((), "U")}
+            assert saved["kb_embeddings"].item() == str(bundle.kb_embeddings.resolve())
+        assert (ws.index / "index.npz").stat().st_size < 4096
 
     def test_retrieval_results(self, ws):
         rows = read_jsonl(ws.retrieve / "retrieval_results.jsonl")
@@ -329,37 +330,37 @@ class TestIndexFile:
         assert "does not match --kb" in capsys.readouterr().err
         assert not (tmp_path / "retrieval_results.jsonl").exists()
 
-    def test_reordered_entry_ids_rejected(self, ws, bundle, tmp_path, capsys):
+    @staticmethod
+    def _members(ws) -> dict:
         with np.load(ws.index / "index.npz", allow_pickle=False) as saved:
-            ids, dim, matrix = saved["entry_ids"], saved["dim"], saved["matrix"]
-        swapped = tmp_path / "swapped.npz"
-        np.savez(swapped, entry_ids=ids[[1, 0, *range(2, len(ids))]], dim=dim, matrix=matrix)
-        assert self._retrieve(bundle, swapped, tmp_path) == 2
-        assert "does not match --kb" in capsys.readouterr().err
-        assert not (tmp_path / "retrieval_results.jsonl").exists()
+            return {name: saved[name] for name in saved.files}
 
     def test_pickled_index_rejected(self, ws, bundle, tmp_path, capsys):
-        with np.load(ws.index / "index.npz", allow_pickle=False) as saved:
-            ids, matrix = saved["entry_ids"], saved["matrix"]
+        members = self._members(ws)
+        members["kb_sha256"] = np.array([members["kb_sha256"].item()], dtype=object)
         pickled = tmp_path / "pickled.npz"
-        np.savez(pickled, entry_ids=np.array(ids.tolist(), dtype=object), matrix=matrix)
+        np.savez(pickled, **members)
         assert self._retrieve(bundle, pickled, tmp_path) == 2
-        assert "rebuild it with `kbvqa index`" in capsys.readouterr().err
+        assert "not an intact pickle-free index" in capsys.readouterr().err
         assert not (tmp_path / "retrieval_results.jsonl").exists()
 
+    # dim-not-scalar and no-dim are indexes of an older format, which holds no
+    # digests; digest-not-0-d holds the right digest twice instead of once.
     @pytest.mark.parametrize("arrays", [
-        {"entry_ids": np.array(["e000"]), "dim": np.array([16, 16]),
-         "matrix": np.zeros((1, 16), dtype=np.float32)},
-        {"entry_ids": np.array(["e000"]), "matrix": np.zeros((1, 16), dtype=np.float32)},
+        lambda members: {"entry_ids": np.array(["e000"]), "dim": np.array([16, 16]),
+                         "matrix": np.zeros((1, 16), dtype=np.float32)},
+        lambda members: {"entry_ids": np.array(["e000"]),
+                         "matrix": np.zeros((1, 16), dtype=np.float32)},
+        lambda members: {**members, "kb_sha256": np.array([members["kb_sha256"].item()] * 2)},
         None,
-    ], ids=["dim-not-scalar", "no-dim", "plain-npy"])
-    def test_malformed_index_rejected(self, bundle, tmp_path, capsys, arrays):
+    ], ids=["dim-not-scalar", "no-dim", "digest-not-0-d", "plain-npy"])
+    def test_malformed_index_rejected(self, ws, bundle, tmp_path, capsys, arrays):
         path = tmp_path / "index.npz"
         if arrays is None:
             with path.open("wb") as fh:
                 np.save(fh, np.zeros(3))
         else:
-            np.savez(path, **arrays)
+            np.savez(path, **arrays(self._members(ws)))
         assert self._retrieve(bundle, path, tmp_path) == 2
         assert "rebuild it with `kbvqa index`" in capsys.readouterr().err
         assert not (tmp_path / "retrieval_results.jsonl").exists()
@@ -415,19 +416,24 @@ class TestDigestBoundIndex:
         assert text in err and "rebuild it with `kbvqa index`" in err
         assert not (files.out / "retrieval_results.jsonl").exists()
 
-    def test_index_holds_digests_and_urls(self, kb_copy, bundle):
+    def test_index_holds_digests_and_urls(self, kb_copy):
+        """The sha256 of each file and where the embedding file is; the URLs
+        are no longer stored, `retrieve` takes them from the KB."""
         with np.load(kb_copy.index, allow_pickle=False) as saved:
             for key, member in INDEX_DIGESTS.items():
                 expected = hashlib.sha256(getattr(kb_copy, key).read_bytes()).hexdigest()
                 assert saved[member].item() == expected
-            urls = _unpack_strings(saved["url_blob"], saved["url_offsets"])
-        assert urls == [row["url"] for row in read_jsonl(bundle.entries_path)]
+            assert saved["kb_embeddings"].item() == str(kb_copy.kb_embeddings.resolve())
 
     def test_matching_index_never_parses_the_kb(self, ws, bundle, kb_copy, monkeypatch, capsys):
+        """With the KB catalog beside --kb, no entry line is parsed."""
+        assert main(["ingest", *self._kb_flags(kb_copy), "--queries", str(bundle.queries_path),
+                     "--out-dir", str(kb_copy.out.parent / "ingest")]) == 0
+
         def refuse(*_args, **_kwargs):
-            raise AssertionError("ingest_kb called")
-        monkeypatch.setattr(kb_module, "ingest_kb", refuse)
-        monkeypatch.setattr(cli_module, "ingest_kb", refuse)
+            raise AssertionError("an entry line was parsed")
+        monkeypatch.setattr(kb_module, "_parse_kb", refuse)
+        monkeypatch.setattr(kb_module, "_entry_from_dict", refuse)
         assert self._retrieve(bundle, kb_copy, "--k", "10") == 0
         assert "Recall@1 0.200  Recall@2 0.400  Recall@5 0.850  Recall@10 0.950" in (
             capsys.readouterr().out)
@@ -450,7 +456,40 @@ class TestDigestBoundIndex:
     def test_flipped_embedding_byte_rejected(self, bundle, kb_copy, capsys):
         _flip_byte(kb_copy.kb_embeddings, 4 * 16 * 7 + 1)
         assert self._retrieve(bundle, kb_copy, "--kb-embeddings", str(kb_copy.kb_embeddings)) == 2
+        self._assert_rejected(capsys, kb_copy, f"--kb-embeddings {kb_copy.kb_embeddings} is not")
+        assert self._retrieve(bundle, kb_copy) == 2  # the file the index records
+        self._assert_rejected(capsys, kb_copy, f"--kb-embeddings {kb_copy.kb_embeddings.resolve()}")
+
+    def test_remade_embedding_file_rejected_without_the_flag(self, bundle, kb_copy, capsys):
+        """kb.f32 made again after `index`, beside a byte-identical KB and manifest."""
+        matrix = np.fromfile(kb_copy.kb_embeddings, dtype="<f4").reshape(100, 16)
+        kb_copy.kb_embeddings.write_bytes(matrix[::-1].tobytes())
+        assert self._retrieve(bundle, kb_copy) == 2
         self._assert_rejected(capsys, kb_copy, "--kb-embeddings")
+
+    def test_moved_embedding_file_needs_the_flag(self, ws, bundle, kb_copy, tmp_path, capsys):
+        recorded = kb_copy.kb_embeddings.resolve()
+        moved = tmp_path / "moved.f32"
+        kb_copy.kb_embeddings.rename(moved)
+        assert self._retrieve(bundle, kb_copy) == 2
+        err = capsys.readouterr().err
+        assert f"--kb-embeddings {recorded}, which is not there" in err
+        assert "pass --kb-embeddings" in err
+        assert not (kb_copy.out / "retrieval_results.jsonl").exists()
+        assert self._retrieve(bundle, kb_copy, "--k", "10", "--kb-embeddings", str(moved)) == 0
+        assert (kb_copy.out / "retrieval_results.jsonl").read_bytes() == (
+            ws.retrieve / "retrieval_results.jsonl").read_bytes()
+
+    def test_index_of_the_matrix_format_rejected(self, bundle, kb_copy, capsys):
+        """An index as written before it held only digests: digests that match,
+        the matrix, ids and URLs, but no embedding path."""
+        with np.load(kb_copy.index, allow_pickle=False) as saved:
+            digests = {name: saved[name] for name in INDEX_DIGESTS.values()}
+        matrix = np.fromfile(kb_copy.kb_embeddings, dtype="<f4").reshape(100, 16)
+        np.savez(kb_copy.index, entry_ids=np.array([f"e{i:03d}" for i in range(100)]),
+                 dim=np.int64(16), matrix=matrix, **digests)
+        assert self._retrieve(bundle, kb_copy) == 2
+        self._assert_rejected(capsys, kb_copy, "holds no path of --kb-embeddings")
 
     def test_swapped_entry_lines_rejected(self, bundle, kb_copy, capsys):
         lines = kb_copy.kb.read_bytes().splitlines(keepends=True)
@@ -481,17 +520,11 @@ class TestDigestBoundIndex:
         self._assert_rejected(capsys, kb_copy, "holds no sha256 of --kb")
 
     @pytest.mark.parametrize("change, message", [
-        (lambda a: {"dim": np.array([16, 16])}, "not an intact"),
-        (lambda a: {"dim": np.int64(8)}, "entry count or dimension"),
-        (lambda a: {"matrix": a["matrix"][:-1]}, "entry count or dimension"),
-        (lambda a: {"matrix": a["matrix"][:, :8]}, "entry count or dimension"),
-        (lambda a: dict(zip(("url_blob", "url_offsets"), _pack_strings(
-            _unpack_strings(a["url_blob"], a["url_offsets"])[:-1]))), "entry count or dimension"),
-        (lambda a: {"url_offsets": a["url_offsets"][::-1]}, "not an intact"),
-        (lambda a: {"entry_ids": a["entry_ids"].astype(object)}, "not an intact"),
-        (lambda a: {"matrix": None}, "not an intact"),
-    ], ids=["dim-not-scalar", "other-dim", "row-missing", "narrow-matrix", "url-missing",
-            "offsets-reversed", "pickled-ids", "no-matrix"])
+        (lambda a: {"kb_embeddings": None}, "holds no path of --kb-embeddings"),
+        (lambda a: {"kb_embeddings": np.int64(7)}, "its kb_embeddings is not one string"),
+        (lambda a: {"kb_embeddings": np.array([a["kb_embeddings"].item()], dtype=object)},
+         "not an intact pickle-free index"),
+    ], ids=["no-path", "path-not-a-string", "pickled-path"])
     def test_malformed_index_with_matching_digests_rejected(
             self, bundle, kb_copy, capsys, change, message):
         with np.load(kb_copy.index, allow_pickle=False) as saved:
@@ -506,18 +539,6 @@ class TestDigestBoundIndex:
         kb_copy.index.write_bytes(raw[:len(raw) // 2])
         assert self._retrieve(bundle, kb_copy) == 2
         self._assert_rejected(capsys, kb_copy)
-
-    def test_flipped_matrix_byte_rejected(self, bundle, kb_copy, capsys):
-        with zipfile.ZipFile(kb_copy.index) as zf:
-            info = zf.getinfo("matrix.npy")
-        with kb_copy.index.open("rb") as fh:
-            fh.seek(info.header_offset)
-            header = fh.read(30)
-        name_len, extra_len = struct.unpack("<HH", header[26:30])
-        data_start = info.header_offset + 30 + name_len + extra_len
-        _flip_byte(kb_copy.index, data_start + info.file_size - 5)  # inside the last row
-        assert self._retrieve(bundle, kb_copy) == 2
-        self._assert_rejected(capsys, kb_copy, "CRC")
 
     def test_interrupted_index_keeps_the_previous_file(self, kb_copy, monkeypatch):
         before = kb_copy.index.read_bytes()
@@ -535,22 +556,6 @@ class TestDigestBoundIndex:
             "index.npz", "run_config.json"]
 
 
-@settings(max_examples=50, deadline=None)
-@given(strings=st.lists(
-    st.text(max_size=12) | st.sampled_from(["", " ", "\x00", "é漢\U0001f600"]), max_size=12))
-def test_url_blob_round_trips(strings):
-    blob, offsets = _pack_strings(strings)
-    assert blob.dtype == np.uint8 and offsets.dtype == np.int64
-    assert _unpack_strings(blob, offsets) == strings
-
-
-def test_url_blob_rejects_offsets_that_do_not_split_it():
-    blob, offsets = _pack_strings(["ab", "c"])
-    for bad in (offsets[:-1] - 0, np.array([0, 2, 1, 3]), np.array([1, 2, 3]), np.array([])):
-        with pytest.raises(ValueError, match="do not split"):
-            _unpack_strings(blob, bad.astype(np.int64))
-
-
 # Non-ASCII, blank-looking and JSON-looking URLs; duplicates come from sampling.
 _URL = st.text(min_size=1, max_size=10) | st.sampled_from(
     [" ", "\t", "\u200b", "null", '""', "https://kb.example/café", "漢字"])
@@ -563,7 +568,14 @@ def test_retrieve_with_index_matches_retrieve_from_embeddings(data):
     dim = data.draw(st.integers(1, 6), label="dim")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     raw = rng.normal(size=(n, dim))
-    matrix = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+    # Rows the manifest calls unnormalized are normalized on every load, also
+    # when the index's digest lets `retrieve` skip the row checks.
+    normalized = data.draw(st.booleans(), label="normalized")
+    if normalized:
+        matrix = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+    else:
+        matrix = (raw * data.draw(st.sampled_from([0.01, 3.0, 250.0]), label="scale")).astype(
+            np.float32)
     for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                                        max_size=6), label="copies"):
         matrix[dst] = matrix[src]
@@ -585,6 +597,9 @@ def test_retrieve_with_index_matches_retrieve_from_embeddings(data):
             for i, (url, row) in enumerate(zip(urls, rows))
         ])
         kb_manifest, kb_data = fixture_gen.write_matrix(root, "kb", matrix)
+        if not normalized:
+            kb_manifest.write_text(json.dumps({"dim": dim, "count": n, "normalized": False}),
+                                   encoding="utf-8")
         fixture_gen.write_jsonl(root / "queries.jsonl", queries)
         q_raw = rng.normal(size=(len(queries), dim))
         q_manifest, q_data = fixture_gen.write_matrix(

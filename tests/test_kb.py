@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -465,6 +466,38 @@ def test_bad_row_past_first_block_reported_by_row(tmp_path, fault, normalized, m
         _raw_manifest(manifest, mat)
     with pytest.raises(IngestError, match=f"{match} {bad_row}"):
         load_embeddings(manifest, data)
+
+
+def test_row_checks_are_skipped_only_for_the_checked_digest(tmp_path):
+    mat = np.ones((2, 4), dtype=np.float32)
+    mat[1, 2] = np.nan
+    manifest, data = fixture_gen.write_matrix(tmp_path, "bad", mat)
+    digest = hashlib.sha256(data.read_bytes()).hexdigest()
+    emb = load_embeddings(manifest, data, checked_sha256=digest)
+    assert emb.sha256 == digest and emb.data.tobytes() == mat.tobytes()
+    with pytest.raises(IngestError, match="finite"):
+        load_embeddings(manifest, data, checked_sha256="0" * 64)
+
+
+def test_checked_digest_still_normalizes_raw_rows(tmp_path):
+    raw = (np.random.default_rng(3).normal(size=(NORM_BLOCK_ROWS + 9, 5)) * 9.0).astype(np.float32)
+    manifest, data = fixture_gen.write_matrix(tmp_path, "raw", raw)
+    _raw_manifest(manifest, raw)
+    digest = hashlib.sha256(data.read_bytes()).hexdigest()
+    assert load_embeddings(manifest, data, checked_sha256=digest).data.tobytes() == (
+        load_embeddings(manifest, data).data.tobytes())
+    assert data.read_bytes() == raw.tobytes()  # normalized in memory, not in the file
+
+
+def test_load_embeddings_of_an_empty_matrix(tmp_path):
+    manifest, data = fixture_gen.write_matrix(tmp_path, "empty", np.zeros((0, 3), dtype=np.float32))
+    emb = load_embeddings(manifest, data)
+    assert emb.data.shape == (0, 3) and emb.sha256 == hashlib.sha256(b"").hexdigest()
+
+
+def test_missing_embedding_file_named(tmp_path, bundle):
+    with pytest.raises(IngestError, match=r"cannot read .*absent\.f32: No such file"):
+        load_embeddings(bundle.kb_manifest, tmp_path / "absent.f32")
 
 
 def test_blockwise_normalization_matches_whole_matrix_formula(tmp_path):

@@ -139,6 +139,15 @@ def _text_parse(path: Path, count: int) -> list:
     return entries
 
 
+def test_empty_kb_loads_through_its_catalog(tmp_path):
+    entries, manifest = tmp_path / "entries.jsonl", tmp_path / "manifest.json"
+    entries.write_bytes(b"")
+    manifest.write_text('{"dim": 4, "count": 0, "normalized": true}', encoding="utf-8")
+    write_catalog(ingest_kb(entries, manifest, use_catalog=False), entries)
+    kb = ingest_kb(entries, manifest)
+    assert kb._source is not None and len(kb) == 0 and kb.entries == []
+
+
 # Whole lines to inject: a duplicate id (when e0 is there), a row past the
 # manifest's count of 10, and a lone surrogate.
 _FAULT_LINES = [b'\n{"entry_id": "e0", "url": "u"}\n',
