@@ -16,7 +16,9 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
-from .kb import FieldError, field_error, read_json_record, read_jsonl, record_fields
+from .records import (
+    FieldError, field_error, read_json_record, read_jsonl, record_fields, utf8_encodable,
+)
 from .prompts import MessageSequence, TextPart
 
 # A request's output budget when it names none; the pipeline sends each
@@ -101,7 +103,7 @@ class MockBackend(Backend):
             key = (query_id, stage)
             if key in script:
                 raise FieldError(f"duplicate script key query_id={key[0]!r} stage={key[1]!r}")
-            if not _utf8(text):
+            if not utf8_encodable(text):
                 raise FieldError(
                     f"text must be a string with no lone surrogate, which UTF-8 cannot encode "
                     f"(query_id={key[0]!r} stage={key[1]!r})"
@@ -156,16 +158,6 @@ class EndpointConfig:
     @property
     def url(self) -> str:
         return self.base_url.rstrip("/") + "/" + self.path.lstrip("/")
-
-
-def _utf8(text: str) -> bool:
-    """Whether text holds no lone surrogate, which a JSON escape such as
-    "\\ud800" with no partner decodes to and UTF-8 cannot encode."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
 
 
 def _local_file_size(image_ref: str) -> int | None:
@@ -372,7 +364,7 @@ class HttpBackend(Backend):
                 raise BackendError(
                     f"malformed response body for {tag}: content is {type(text).__name__}"
                 )
-            if not _utf8(text):
+            if not utf8_encodable(text):
                 raise BackendError(
                     f"malformed response body for {tag}: content holds a lone surrogate, "
                     f"which UTF-8 cannot encode: {resp.text[:200]}"

@@ -24,8 +24,8 @@ from pathlib import Path
 from .backend import DEFAULT_HTTP_WORKERS, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
 from .kb import (
-    KnowledgeBase, atomic_write, catalog_path, export_kb, export_queries, ingest_kb,
-    ingest_queries, load_embeddings, write_catalog, write_json,
+    KnowledgeBase, catalog_path, export_kb, export_queries, ingest_kb, ingest_queries,
+    load_embeddings, write_catalog,
 )
 from .metrics import (
     DEFAULT_RECALL_KS,
@@ -46,6 +46,7 @@ from .pipeline import (
     write_traces,
 )
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE
+from .records import atomic_write, load_json, write_csv, write_json
 from .retrieval import (
     DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results,
 )
@@ -121,10 +122,7 @@ FLAGS: dict[str, dict] = {
 
 def _load_config_file(path: str) -> dict:
     p = Path(path)
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON or too deep
-        raise IngestError(f"cannot load config file {p}: {exc}") from exc
+    raw, _ = load_json(p, "config file", IngestError)
     if not isinstance(raw, dict):
         raise IngestError(f"config file {p} must hold a JSON object")
     return raw
@@ -566,7 +564,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     any_failed = False
-    baseline = None
     for m in top_ms:
         runner = PipelineRunner(
             kb, backend, top_k=m, char_budget=cfg["char_budget"], core_mode=cfg["core_mode"],
@@ -577,16 +574,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      include_transcripts=not cfg["no_transcripts"])
         scored = score_run(traces, queries, results_list, url_map, **options)
         write_report_json(scored.report, out / f"report_top{m}.json")
-        if baseline is None:
-            baseline = scored.report
         overall = scored.report.accuracy_overall
         failed = sum(1 for t in traces if t.failed)
-        rows.append((m, failed, overall, overall - baseline.accuracy_overall))
+        rows.append((m, failed, overall))
         print(f"top_m={m}: accuracy_overall {overall:.4f}, {failed} failed")
-    with (out / "sweep.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("top_m,failed,accuracy_overall_pct,delta_vs_first_pct\n")
-        for m, failed, overall, delta in rows:
-            fh.write(f"{m},{failed},{100.0 * overall:.1f},{100.0 * delta:+.1f}\n")
+    first = rows[0][2]
+    write_csv(out / "sweep.csv", ["top_m", "failed", "accuracy_overall_pct", "delta_vs_first_pct"],
+              ([m, failed, f"{100.0 * overall:.1f}", f"{100.0 * (overall - first):+.1f}"]
+               for m, failed, overall in rows), lineterminator="\n")
     _write_run_config(out, "sweep", cfg)
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_PARTIAL if any_failed else EXIT_OK

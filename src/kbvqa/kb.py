@@ -21,27 +21,25 @@ Loaded handles are immutable after ingestion and safe for concurrent readers.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import mmap
 import os
 import threading
-import types
-import typing
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING
 
-from .errors import IngestError, KbvqaError
+from .errors import IngestError
+from .records import (
+    FieldError, _check_unique, _lone_surrogate, atomic_write, field_error, from_record, load_json,
+    read_json_record, read_jsonl, record_fields, utf8_encodable, write_jsonl,
+)
 
 if TYPE_CHECKING:
     import numpy as np
-
-T = TypeVar("T")
 
 SCHEMA_VERSION = 1
 
@@ -56,8 +54,6 @@ CATALOG_SUFFIX = ".catalog.json"
 # The catalog's per-entry columns, each a list in file order. An entry's line
 # is the line_length bytes at line_offset, its line end included.
 CATALOG_COLUMNS = ("entry_id", "url", "embedding_row", "line_offset", "line_length")
-_READ_CHUNK = 1 << 20
-_scan_json = json.JSONDecoder().scan_once
 
 
 @dataclass(frozen=True)
@@ -91,8 +87,7 @@ class Query:
 
     def gold_range(self) -> tuple[float, float]:
         """Parsed (lo, hi) bounds of a numeric_range gold answer."""
-        lo, hi = _parse_range(self.gold_answers[0])
-        return lo, hi
+        return _parse_range(self.gold_answers[0])
 
     def to_json_dict(self) -> dict:
         return {**vars(self), "gold_answers": list(self.gold_answers)}
@@ -131,32 +126,30 @@ class EmbeddingMatrix:
 class KnowledgeBase:
     """Validated entry set plus the manifest of its embedding matrix.
 
-    Entry ids, URLs and embedding rows are also kept as columns in file
-    order, so len(), URL maps and index rows never need the entries. A KB
-    that ingest_kb parsed in full holds each entry's export line; one that
-    it loaded through its catalog holds a read-only map of the entries
-    file. Either parses an entry's line the first time the entry is looked
-    up, through by_id, entry_by_url or entries.
+    Entry ids, URLs and embedding rows are kept as columns in file order,
+    so len(), URL maps and index rows never need the entries; the
+    positional columns are the CATALOG_COLUMNS. sha256 and manifest_sha256
+    are those of the entries and manifest bytes ingest_kb read. A KB that
+    ingest_kb parsed in full holds each entry's line as export_kb writes
+    it, in export_lines; one that it loaded through its catalog holds, in
+    source, the entries file mapped read-only, its path and the catalog's.
+    Either parses an entry's line the first time the entry is looked up,
+    through by_id, entry_by_url or entries.
     """
 
-    def __init__(self, entries: Iterable[KnowledgeEntry], manifest: EmbeddingManifest,
-                 embeddings: EmbeddingMatrix | None = None) -> None:
+    def __init__(self, manifest: EmbeddingManifest, entry_ids: list[str], urls: list[str],
+                 embedding_rows: list[int | None], line_offsets: list[int] | None = None,
+                 line_lengths: list[int] | None = None, *, sha256: str | None = None,
+                 manifest_sha256: str | None = None, export_lines: list[bytes] | None = None,
+                 source: tuple[bytes | mmap.mmap, Path, Path] | None = None) -> None:
         self.manifest = manifest
-        self.embeddings = embeddings
-        self._parsed: list[KnowledgeEntry | None] = list(entries)
-        self.entry_ids = [e.entry_id for e in self._parsed]
-        self.urls = [e.url for e in self._parsed]
-        self.embedding_rows = [e.embedding_row for e in self._parsed]
-        # Set by ingest_kb: the sha256 of the entries and manifest bytes it
-        # read, and the byte offset and length of each entry's line.
-        self.sha256: str | None = None
-        self.manifest_sha256: str | None = None
-        self.line_offsets: list[int] | None = None
-        self.line_lengths: list[int] | None = None
-        # Set by a full parse: each entry's line as export_kb writes it.
-        self.export_lines: list[bytes] | None = None
-        # (entries file mapped, entries path, catalog path) of a catalog-backed KB.
-        self._source: tuple[bytes | mmap.mmap, Path, Path] | None = None
+        self.embeddings: EmbeddingMatrix | None = None
+        self.entry_ids, self.urls, self.embedding_rows = entry_ids, urls, embedding_rows
+        self.line_offsets, self.line_lengths = line_offsets, line_lengths
+        self.sha256, self.manifest_sha256 = sha256, manifest_sha256
+        self.export_lines = export_lines
+        self._source = source
+        self._parsed: list[KnowledgeEntry | None] = [None] * len(entry_ids)
         self._parse_lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -184,9 +177,6 @@ class KnowledgeBase:
     @cached_property
     def _ordinal(self) -> dict[str, int]:
         return {entry_id: i for i, entry_id in enumerate(self.entry_ids)}
-
-    def url_of(self, entry_id: str) -> str:
-        return self.urls[self._ordinal[entry_id]]
 
     def url_map(self) -> dict[str, str]:
         """entry_id -> url for every entry."""
@@ -271,234 +261,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
-               error_class: type[KbvqaError], digest: hashlib._Hash | None = None,
-               spans: tuple[list[int], list[int]] | None = None) -> list[T]:
-    """parse(record, lineno) for every non-blank line of a JSONL file, in order.
-
-    The file is read in binary, a line at a time. Lines split where text
-    mode splits them, at LF, CRLF and a lone CR, and a line that str.strip()
-    empties is skipped. Each line is decoded and parsed on its own, so a
-    line that is not UTF-8, bad JSON, a missing field or a malformed value
-    raises error_class naming ``path:line`` of the first bad line; parse may
-    raise its own errors too. So does a file that cannot be opened. When
-    given, digest is fed every byte read, and spans gets the byte offset and
-    the length, line end included, of each line parse was called on.
-    """
-    p = Path(path)
-    try:
-        fh = p.open("rb", buffering=_READ_CHUNK)
-    except OSError as exc:
-        raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
-    out: list[T] = []
-    lineno = offset = 0
-    with fh:
-        try:
-            for chunk in fh:
-                if digest is not None:
-                    digest.update(chunk)
-                # A UTF-8 character holds no CR or LF byte, so no split cuts one.
-                for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
-                    lineno += 1
-                    text = line.decode("utf-8")
-                    if not text.isspace():
-                        out.append(parse(_loads(text), lineno))
-                        if spans is not None:
-                            spans[0].append(offset)
-                            spans[1].append(len(line))
-                    offset += len(line)
-        except UnicodeDecodeError as exc:
-            raise error_class(f"{p}:{lineno}: not UTF-8: {exc}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise error_class(f"{p}:{lineno}: malformed JSON: {exc}") from exc
-        except KeyError as exc:
-            raise error_class(f"{p}:{lineno}: missing field {exc}") from None
-        except FieldError as exc:
-            raise error_class(f"{p}:{lineno}: {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
-    return out
-
-
-def read_json_record(path: str | Path, cls: type[T], what: str, error_class: type[KbvqaError],
-                     digest: hashlib._Hash | None = None, strict: bool = False) -> T:
-    """cls built by from_record from the JSON object in the file at path.
-
-    Every error names the file as ``what path``: one that cannot be read or
-    is not UTF-8 JSON, a FieldError, and, when strict, a key cls does not
-    declare. When given, digest is fed the file's bytes.
-    """
-    p = Path(path)
-    try:
-        raw = p.read_bytes()
-        obj = json.loads(raw.decode("utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON or too deep
-        raise error_class(f"cannot load {what} {p}: {exc}") from exc
-    try:
-        record = from_record(cls, obj)
-    except FieldError as exc:
-        raise error_class(f"{what} {p}: {exc}") from None
-    unknown = set(obj) - set(cls.__dataclass_fields__) if strict else None
-    if unknown:
-        raise error_class(f"{what} {p} has unknown keys: {sorted(unknown)}")
-    if digest is not None:
-        digest.update(raw)
-    return record
-
-
-class FieldError(ValueError):
-    """A JSON record that is not an object, a field of it that is missing or
-    holds a value its record class does not allow, or a record that clashes
-    with an earlier one. The reader names the file, as read_jsonl does."""
-
-
-_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-               dict: "an object", list: "a list", type(None): "null"}
-_JSON_ITEM_NAMES = {str: "strings", float: "numbers"}
-_REQUIRED = inspect.Parameter.empty
-
-
-def field_error(name: str, want: str, value: object) -> FieldError:
-    # ASCII JSON, so that a lone surrogate prints as its escape.
-    return FieldError(f"field {name!r} must be {want}, got {json.dumps(value)}")
-
-
-@cache
-def _record_spec(cls: type) -> tuple[tuple[str, object, tuple[type, ...], object, bool, str], ...]:
-    """(name, default, JSON types, items, int_keys, their description) of
-    each field of a record class, in order. items is None, or what a list or
-    object field holds: a record class, or the JSON types of its values.
-    int_keys is whether an object field's keys are integers."""
-    defaults = inspect.signature(cls).parameters
-    spec = []
-    for name, hint in typing.get_type_hints(cls).items():
-        items = keys = None
-        if typing.get_origin(hint) is tuple:  # tuple[X, ...]: a list of X
-            hint, items = list, typing.get_args(hint)[0]
-        elif typing.get_origin(hint) is dict:  # dict[str or int, X]: an object of X
-            hint, (keys, items) = dict, typing.get_args(hint)
-        kinds = _json_types(hint)
-        want = " or ".join(_JSON_NAMES[k] for k in kinds if not (k is int and float in kinds))
-        if items is not None and hasattr(items, "__annotations__"):
-            want += " of objects"
-        elif items is not None:
-            want += " of " + _JSON_ITEM_NAMES[items]
-            items = _json_types(items)
-        if keys is int:
-            want += " keyed by integers"
-        spec.append((name, defaults[name].default, kinds, items, keys is int, want))
-    return tuple(spec)
-
-
-def _json_types(hint) -> tuple[type, ...]:
-    """The exact types json.loads gives a value of hint; an integer counts as a float."""
-    kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-    return kinds + (int,) if float in kinds else kinds
-
-
-def record_fields(cls: type, obj: object, _prefix: str = "") -> tuple:
-    """The fields of the JSON record obj, checked against the record class cls, in order.
-
-    cls is a dataclass or a NamedTuple, and each field's JSON type is read
-    from its annotation: str, int, float, bool, dict, a union of these with
-    None for null, tuple[X, ...] for a list of X, and dict[str, X] for an
-    object of X, or dict[int, X] for one whose keys are integers as
-    json.dumps writes them. A record class X stands for an object, and each
-    one is built as X. Types are exact: a bool is not an integer, and an
-    integer counts as a float. A missing field takes the class's default; a
-    field with none is required. Keys the class does not declare are
-    ignored. A record that is not an object, or a field that is missing or
-    of another type, raises FieldError.
-    """
-    if type(obj) is not dict:
-        if _prefix:
-            raise field_error(_prefix[:-1], "an object", obj)
-        raise FieldError(f"record must be an object, got {json.dumps(obj)}")
-    values = []
-    for name, default, kinds, items, int_keys, want in _record_spec(cls):
-        value = obj.get(name, _REQUIRED)
-        if type(value) not in kinds:
-            if value is not _REQUIRED:
-                raise field_error(_prefix + name, want, value)
-            if default is _REQUIRED:
-                raise FieldError(f"missing field {_prefix + name!r}")
-            value = default
-        elif items is not None:
-            value = _items(value, items, int_keys, _prefix + name, want)
-        values.append(value)
-    return tuple(values)
-
-
-def _items(value: list | dict, items, int_keys: bool, name: str, want: str) -> tuple | dict:
-    """A list field's values as a tuple, or an object field's as a dict,
-    each checked against items: a record class, built for each, or JSON types."""
-    values = value if type(value) is list else list(value.values())
-    if type(items) is tuple:
-        for item in values:
-            if type(item) not in items:
-                raise field_error(name, want, value)
-    else:
-        try:
-            values = [items(*record_fields(items, item)) for item in values]
-        except FieldError:
-            # Checked again to name the field by its path, such as
-            # hits[0].score, which is built only once a record has failed.
-            for key, item in zip(range(len(value)) if type(value) is list else value, values):
-                record_fields(items, item, f"{name}[{json.dumps(key)}].")
-            raise
-    if type(value) is list:
-        return tuple(values)
-    if not int_keys:
-        return dict(zip(value, values))
-    try:
-        keys = [int(key) for key in value]
-    except ValueError:
-        raise field_error(name, want, value) from None
-    if list(map(str, keys)) != list(value):  # such as "01" or " 1": not as json.dumps writes
-        raise field_error(name, want, value)
-    return dict(zip(keys, values))
-
-
-def from_record(cls: type[T], obj: object) -> T:
-    """cls built from the fields of the JSON record obj, checked by record_fields."""
-    return cls(*record_fields(cls, obj))
-
-
-def write_jsonl(path: str | Path, dicts: Iterable[dict]) -> int:
-    """One compact JSON object per line, through atomic_write; returns the
-    number of lines written."""
-    # One encoder for the file: json.dumps with any non-default argument
-    # builds a new one per call. The bytes are json.dumps(obj, ensure_ascii=False).
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    count = 0
-    with atomic_write(Path(path)) as fh:
-        for count, obj in enumerate(dicts, start=1):
-            fh.write((encode(obj) + "\n").encode("utf-8"))
-    return count
-
-
-def write_json(path: str | Path, obj: object) -> None:
-    """obj as JSON indented by 2, non-ASCII kept, and a line end, through atomic_write."""
-    with atomic_write(Path(path)) as fh:
-        fh.write((json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
-
-
-@contextmanager
-def atomic_write(path: Path) -> Iterator[BinaryIO]:
-    """A binary file to write in place of path.
-
-    It is written beside path and renamed over it when the block ends, so an
-    interrupted write leaves the previous file and no temporary one.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("wb") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def load_manifest(manifest_path: str | Path,
                   digest: hashlib._Hash | None = None) -> EmbeddingManifest:
     """The checked manifest; digest, when given, is fed the bytes it was parsed from."""
@@ -546,40 +308,6 @@ def _entry_from_export(line: bytes) -> KnowledgeEntry:
                           tuple(obj["image_refs"]), obj["embedding_row"])
 
 
-def _lone_surrogate(fields: dict, what: str) -> FieldError:
-    """The error for the first string field holding a lone surrogate.
-
-    A JSON escape such as "\\ud800" decodes to one, and no UTF-8 file can
-    hold it. Called once encoding the record's strings has failed, so some
-    field holds one.
-    """
-    for name, value in fields.items():
-        for text in value if isinstance(value, (list, tuple)) else (value,):
-            if isinstance(text, str):
-                try:
-                    text.encode("utf-8")
-                except UnicodeEncodeError:
-                    return FieldError(f"{name} holds a lone surrogate, which UTF-8 cannot "
-                                      f"encode ({what})")
-    raise AssertionError(f"no field of {what} holds a lone surrogate")
-
-
-def _loads(text: str):
-    """json.loads(text), skipping its per-call set-up on the usual line.
-
-    The usual line is one JSON value from its first character, then at most
-    JSON whitespace; json.loads scans it with the same scanner. Any other
-    line goes to json.loads, which parses it or raises its own error.
-    """
-    try:
-        obj, end = _scan_json(text, 0)
-    except StopIteration:
-        return json.loads(text)
-    if end != len(text) and text[end:].strip(" \t\n\r"):
-        return json.loads(text)
-    return obj
-
-
 def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
               use_catalog: bool = True) -> KnowledgeBase:
     """Load and validate a KB: entries from JSONL, embedding bounds from the manifest.
@@ -596,13 +324,10 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
     manifest_sha256 = digest.hexdigest()
     path = Path(entries_path)
     kb = _kb_from_catalog(path, manifest, manifest_sha256) if use_catalog else None
-    if kb is None:
-        kb = _parse_kb(path, manifest)
-    kb.manifest_sha256 = manifest_sha256
-    return kb
+    return kb if kb is not None else _parse_kb(path, manifest, manifest_sha256)
 
 
-def _parse_kb(path: Path, manifest: EmbeddingManifest) -> KnowledgeBase:
+def _parse_kb(path: Path, manifest: EmbeddingManifest, manifest_sha256: str) -> KnowledgeBase:
     """Parse, check and export every line in one pass.
 
     The lines are read_jsonl's, which hashes the file as it reads it and
@@ -638,13 +363,9 @@ def _parse_kb(path: Path, manifest: EmbeddingManifest) -> KnowledgeBase:
     offsets: list[int] = []
     lengths: list[int] = []
     lines = read_jsonl(path, parse, IngestError, digest, (offsets, lengths))
-    kb = KnowledgeBase((), manifest)
-    kb.entry_ids, kb.urls, kb.embedding_rows = entry_ids, urls, rows
-    kb._parsed = [None] * len(entry_ids)
-    kb.export_lines = lines
-    kb.sha256 = digest.hexdigest()
-    kb.line_offsets, kb.line_lengths = offsets, lengths
-    return kb
+    return KnowledgeBase(manifest, entry_ids, urls, rows, offsets, lengths,
+                         sha256=digest.hexdigest(), manifest_sha256=manifest_sha256,
+                         export_lines=lines)
 
 
 def catalog_path(entries_path: str | Path) -> Path:
@@ -664,8 +385,8 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
     """
     catalog = catalog_path(path)
     try:
-        cat = json.loads(catalog.read_bytes())
-    except (OSError, ValueError, RecursionError):
+        cat, _ = load_json(catalog, "KB catalog", IngestError)
+    except IngestError:
         return None
     if not (isinstance(cat, dict) and cat.get("catalog_version") == CATALOG_VERSION
             and cat.get("schema_version") == SCHEMA_VERSION
@@ -686,12 +407,8 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
     sha256 = hashlib.sha256(data).hexdigest()
     if cat.get("kb_sha256") != sha256:
         return None
-    kb = KnowledgeBase((), manifest)
-    kb.entry_ids, kb.urls, kb.embedding_rows, kb.line_offsets, kb.line_lengths = columns
-    kb._parsed = [None] * len(kb.entry_ids)
-    kb._source = (data, path, catalog)
-    kb.sha256 = sha256
-    return kb
+    return KnowledgeBase(manifest, *columns, sha256=sha256, manifest_sha256=manifest_sha256,
+                         source=(data, path, catalog))
 
 
 def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
@@ -718,12 +435,6 @@ def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
     return path
 
 
-def _check_unique(seen: dict[str, int], what: str, value: str, lineno: int) -> None:
-    if value in seen:
-        raise FieldError(f"duplicate {what} {value!r} (first seen on line {seen[value]})")
-    seen[value] = lineno
-
-
 def _query_from_dict(obj: object) -> Query:
     answers = obj.get("gold_answers") if type(obj) is dict else None
     if type(answers) is list:
@@ -743,11 +454,9 @@ def _query_from_dict(obj: object) -> Query:
         raise field_error("query_embedding_row", "a non-negative integer or null", row)
     if query.answer_type == "numeric_range":
         query.gold_range()
-    try:
-        "".join((query.query_id, query.question, query.image_ref, query.gold_entry_url or "",
-                 *query.gold_answers)).encode("utf-8")
-    except UnicodeEncodeError:
-        raise _lone_surrogate(query.to_json_dict(), f"query {query.query_id!r}") from None
+    if not utf8_encodable("".join((query.query_id, query.question, query.image_ref,
+                                   query.gold_entry_url or "", *query.gold_answers))):
+        raise _lone_surrogate(query.to_json_dict(), f"query {query.query_id!r}")
     return query
 
 
@@ -830,17 +539,11 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
 
 
 def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:
-    """Write the KB back to entries JSONL; returns the number of lines written.
-
-    A KB that ingest_kb parsed in full writes the lines that parse made.
-    """
-    lines = kb.export_lines
-    if lines is None:
-        lines = [_export_line(e.entry_id, e.url, e.title, e.content, e.image_refs,
-                              e.embedding_row).encode("utf-8") for e in kb.entries]
+    """Write the export lines of a KB that ingest_kb parsed in full to
+    entries JSONL; returns the number of lines written."""
     with atomic_write(Path(entries_path)) as fh:
-        fh.writelines(lines)
-    return len(lines)
+        fh.writelines(kb.export_lines)
+    return len(kb.export_lines)
 
 
 def export_queries(queries: list[Query], path: str | Path) -> int:

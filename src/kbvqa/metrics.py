@@ -10,7 +10,6 @@ stratum in the retrieval results.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import re
@@ -21,8 +20,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .answers import normalize_answer
 from .errors import EvalError
-from .kb import Query, read_json_record, write_json, write_jsonl
+from .kb import Query
 from .pipeline import PipelineTrace
+from .records import read_json_record, write_csv, write_json, write_jsonl
 from .retrieval import RetrievalResult, gold_rank, recall_at_k
 
 DEFAULT_TOLERANCE = 0.05
@@ -252,7 +252,7 @@ def score_run(
     traces: Sequence[PipelineTrace],
     queries: Sequence[Query],
     results: Sequence[RetrievalResult],
-    url_of,
+    url_of: Mapping[str, str],
     ks: Sequence[int] = DEFAULT_RECALL_KS,
     tolerance: float = DEFAULT_TOLERANCE,
     dedup: bool = True,
@@ -397,11 +397,10 @@ def write_report_csv(
     split_by_qid = {q.query_id: q.split_tag for q in queries}
     splits = sorted({q.split_tag for q in queries})
     order = DISJOINT_STRATA if scored.report.stratum_mode == "disjoint" else CUMULATIVE_STRATA
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "stratum", "split", "count", "value_pct"])
+
+    def rows():
         for k, fraction in scored.report.recall.items():
-            writer.writerow([f"recall@{k}", "", "all", scored.report.total, _pct(fraction)])
+            yield [f"recall@{k}", "", "all", scored.report.total, _pct(fraction)]
         for stratum in list(order) + ["all"]:
             for split in splits + ["all"]:
                 hits = 0
@@ -415,7 +414,9 @@ def write_report_csv(
                     count += 1
                     hits += int(verdict.correct)
                 fraction = hits / count if count else None
-                writer.writerow(["accuracy", stratum, split, count, _pct(fraction)])
+                yield ["accuracy", stratum, split, count, _pct(fraction)]
+
+    write_csv(path, ["metric", "stratum", "split", "count", "value_pct"], rows())
 
 
 def write_verdicts(verdicts: Sequence[MatchVerdict], path: str | Path) -> int:
@@ -423,12 +424,6 @@ def write_verdicts(verdicts: Sequence[MatchVerdict], path: str | Path) -> int:
 
 
 def write_deltas_csv(rows: Sequence[DeltaRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "run_a_pct", "run_b_pct", "delta_pct"])
-        for row in rows:
-            delta = row.delta
-            writer.writerow(
-                [row.metric, _pct(row.value_a), _pct(row.value_b),
-                 "" if delta is None else f"{100.0 * delta:+.1f}"]
-            )
+    write_csv(path, ["metric", "run_a_pct", "run_b_pct", "delta_pct"], (
+        [row.metric, _pct(row.value_a), _pct(row.value_b),
+         "" if row.delta is None else f"{100.0 * row.delta:+.1f}"] for row in rows))

@@ -14,14 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .answers import index_to_letter, normalize_answer
 from .errors import EvalError
-from .kb import KnowledgeBase, Query, from_record, read_jsonl, write_jsonl
+from .kb import KnowledgeBase, Query
 from .metrics import DEFAULT_TOLERANCE, match_answer
 from .pipeline import PipelineTrace
 from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
+from .records import from_record, read_jsonl, write_jsonl
 
 OBJECTIVES = ("prki", "vtki", "sft")
 _OBJECTIVE_BUCKETS = {
@@ -145,7 +146,7 @@ def mine_prki(
 def mine_vtki(
     probe_traces: Sequence[PipelineTrace],
     queries: Sequence[Query],
-    url_of: Callable[[str], str] | Mapping[str, str],
+    url_of: Mapping[str, str],
 ) -> VtkiMining:
     """Build d_v/d_t from unimodal probe traces.
 
@@ -153,7 +154,6 @@ def mine_vtki(
     whose URL equals the query's gold entry URL; queries whose gold entry
     was not retrieved are excluded and counted.
     """
-    getter = url_of.__getitem__ if isinstance(url_of, Mapping) else url_of
     probe_by_qid = _traces_by_qid(probe_traces, "probe")
     query_by_qid = {q.query_id: q for q in queries}
     missing = sorted(set(probe_by_qid) - set(query_by_qid))
@@ -177,7 +177,7 @@ def mine_vtki(
         i_gt = None
         if query.gold_entry_url:
             for idx, entry_id in enumerate(trace.context_entry_ids):
-                if getter(entry_id) == query.gold_entry_url:
+                if url_of[entry_id] == query.gold_entry_url:
                     i_gt = idx
                     break
         if i_gt is None:

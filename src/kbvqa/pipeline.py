@@ -21,8 +21,9 @@ from .answers import (
 )
 from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
-from .kb import KnowledgeBase, KnowledgeEntry, Query, from_record, read_jsonl, write_jsonl
+from .kb import KnowledgeBase, KnowledgeEntry, Query
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
+from .records import from_record, read_jsonl, write_jsonl
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")

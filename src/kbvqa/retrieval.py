@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import EvalError, IngestError
-from .kb import KnowledgeBase, Query, from_record, read_jsonl, write_jsonl
+from .kb import KnowledgeBase, Query
+from .records import from_record, read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -184,14 +185,13 @@ def search_batch(
     return results
 
 
-def ranked_urls(result: RetrievalResult, url_of: Callable[[str], str] | Mapping[str, str],
+def ranked_urls(result: RetrievalResult, url_of: Mapping[str, str],
                 dedup: bool = True) -> list[str]:
     """Hit URLs in rank order, optionally collapsed to first occurrence per URL."""
-    getter = url_of.__getitem__ if isinstance(url_of, Mapping) else url_of
     urls: list[str] = []
     seen: set[str] = set()
     for entry_id in result.entry_ids():
-        url = getter(entry_id)
+        url = url_of[entry_id]
         if dedup:
             if url in seen:
                 continue
@@ -201,7 +201,7 @@ def ranked_urls(result: RetrievalResult, url_of: Callable[[str], str] | Mapping[
 
 
 def gold_rank(result: RetrievalResult, gold_url: str,
-              url_of: Callable[[str], str] | Mapping[str, str], dedup: bool = True) -> int | None:
+              url_of: Mapping[str, str], dedup: bool = True) -> int | None:
     """1-based rank of the gold URL among the hits; None when absent.
 
     URL comparison is byte-exact, no normalization.
@@ -216,7 +216,7 @@ def recall_at_k(
     results: Sequence[RetrievalResult],
     queries: Sequence[Query],
     k: int,
-    url_of: Callable[[str], str] | Mapping[str, str],
+    url_of: Mapping[str, str],
     dedup: bool = True,
 ) -> float:
     """Fraction of queries whose gold entry URL appears among the top-k hit URLs."""

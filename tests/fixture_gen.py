@@ -103,6 +103,19 @@ class FixtureBundle:
     probe_indices: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
+def kb_from_entries(entries, manifest):
+    """A KnowledgeBase over entry objects, as ingest_kb's full parse of
+    their lines builds it: each entry's export line is json.dumps of its
+    JSON dict, and an entry is parsed from its line when it is looked up."""
+    from kbvqa.kb import KnowledgeBase
+
+    entries = list(entries)
+    lines = [(json.dumps(e.to_json_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+             for e in entries]
+    return KnowledgeBase(manifest, [e.entry_id for e in entries], [e.url for e in entries],
+                         [e.embedding_row for e in entries], export_lines=lines)
+
+
 def build_fixture(root: Path, seed: int = 2024) -> FixtureBundle:
     """Write the standard 100-entry / 20-query fixture into root."""
     root.mkdir(parents=True, exist_ok=True)

@@ -25,7 +25,6 @@ from kbvqa.cli import main
 from kbvqa.kb import (
     EmbeddingManifest,
     EmbeddingMatrix,
-    KnowledgeBase,
     KnowledgeEntry,
     Query,
     ingest_kb,
@@ -91,7 +90,7 @@ def test_criterion_01_retrieval_matches_brute_force_oracle():
                        image_refs=(f"images/s{i}.jpg",), embedding_row=i)
         for i in range(1000)
     ]
-    kb = KnowledgeBase(entries=entries, manifest=EmbeddingManifest(32, 1000, True))
+    kb = fixture_gen.kb_from_entries(entries, EmbeddingManifest(32, 1000, True))
     kb.attach_embeddings(EmbeddingMatrix(dim=32, count=1000, data=mat, normalized=True))
     index = build_index(kb)
     qraw = rng.normal(size=(100, 32))

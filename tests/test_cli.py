@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -789,6 +790,40 @@ class TestExitCodes:
         assert rc == 2
         assert f"--top-m values must be within 1..5, got '{top_m}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_sweep_table_that_fails_keeps_the_previous_file(self, ws, bundle, tmp_path,
+                                                             monkeypatch):
+        class Unscalable(float):
+            """An accuracy whose percentage fails, so the table's second row does."""
+
+            def __rmul__(self, other):
+                raise ArithmeticError("cannot scale")
+
+        real_score_run = cli_module.score_run
+
+        def score_run(*args, **kwargs):
+            scored = real_score_run(*args, **kwargs)
+            if score_run.calls:
+                report = dataclasses.replace(
+                    scored.report, accuracy_overall=Unscalable(scored.report.accuracy_overall))
+                scored = dataclasses.replace(scored, report=report)
+            score_run.calls += 1
+            return scored
+
+        score_run.calls = 0
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sweep.csv").write_bytes(b"top_m,failed\n1,0\n")
+        monkeypatch.setattr(cli_module, "score_run", score_run)
+        with pytest.raises(ArithmeticError):
+            main(["sweep", "--top-m", "1,2", "--variant", "core",
+                  "--queries", str(bundle.queries_path),
+                  "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+                  "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+                  "--mock-script", str(bundle.mock_script), "--out-dir", str(out)])
+        assert score_run.calls == 2
+        assert (out / "sweep.csv").read_bytes() == b"top_m,failed\n1,0\n"
+        assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
 
 # id -> (role of the file under test, a field to drop, argv given the

@@ -22,17 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixture_gen
 from kbvqa import kb as kb_module
 from kbvqa.backend import MockBackend
 from kbvqa.cli import main
 from kbvqa.errors import IngestError, KbvqaError
 from kbvqa.kb import (
-    CATALOG_VERSION, EmbeddingManifest, FieldError, KnowledgeBase, KnowledgeEntry,
-    _entry_from_dict, _loads, catalog_path, export_kb, ingest_kb, ingest_queries, read_jsonl,
-    write_catalog,
+    CATALOG_VERSION, EmbeddingManifest, KnowledgeBase, KnowledgeEntry, _entry_from_dict,
+    catalog_path, export_kb, ingest_kb, ingest_queries, write_catalog,
 )
 from kbvqa.mining import read_records
 from kbvqa.pipeline import read_traces
+from kbvqa.records import FieldError, _loads, read_jsonl
 from kbvqa.retrieval import read_results
 
 
@@ -244,7 +245,8 @@ def test_export_line_is_json_dumps_of_the_entry(tmp_path_factory, rows, ascii_in
     assert export_kb(kb, out) == len(rows)
     assert out.read_bytes() == b"".join(expected)
     # A KB built from entries exports the same bytes.
-    assert export_kb(KnowledgeBase(entries, EmbeddingManifest(4, 10, True)), out) == len(rows)
+    assert export_kb(fixture_gen.kb_from_entries(entries, EmbeddingManifest(4, 10, True)),
+                     out) == len(rows)
     assert out.read_bytes() == b"".join(expected)
 
 
@@ -388,8 +390,8 @@ def parses(monkeypatch) -> list[str]:
         seen.append(entry.entry_id)
         return entry
 
-    def counting_parse_kb(path, manifest):
-        kb = real_parse_kb(path, manifest)
+    def counting_parse_kb(*args):
+        kb = real_parse_kb(*args)
         seen.extend(kb.entry_ids)
         return kb
 

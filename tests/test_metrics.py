@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 
@@ -10,6 +11,7 @@ from kbvqa.errors import EvalError
 from kbvqa.kb import Query
 from kbvqa.metrics import (
     DISJOINT_STRATA,
+    DeltaRow,
     PluginScorer,
     aggregate_accuracy,
     compare_runs,
@@ -296,6 +298,28 @@ class TestReportFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "metric,run_a_pct,run_b_pct,delta_pct"
         assert lines[1] == "accuracy_overall,30.0,30.0,+0.0"
+
+    @pytest.mark.parametrize("name", ["report.csv", "deltas.csv"])
+    def test_csv_writer_that_fails_keeps_the_previous_file(self, tmp_path, name):
+        queries, traces, results, url_map = fixture_gen.build_strata_fixture()
+        scored = score_run(traces, queries, results, url_map, ks=(1, 5))
+        rows = compare_runs(scored.report, scored.report)
+        path = tmp_path / name
+        # A value that is not a number fails a row after the first rows are written.
+        if name == "report.csv":
+            write_report_csv(scored, queries, path)
+            bad = dataclasses.replace(scored.report, recall={1: 0.5, 5: "0.5"})
+            write = lambda: write_report_csv(  # noqa: E731
+                dataclasses.replace(scored, report=bad), queries, path)
+        else:
+            write_deltas_csv(rows, path)
+            write = lambda: write_deltas_csv(  # noqa: E731
+                [rows[0], DeltaRow("recall@1", 0.5, "0.5")], path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write()
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 def test_query_digest_is_order_insensitive():

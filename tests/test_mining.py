@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fixture_gen
 from kbvqa.errors import EvalError
 from kbvqa.kb import EmbeddingManifest, KnowledgeBase, KnowledgeEntry, Query
 from kbvqa.mining import (
@@ -150,11 +151,6 @@ class TestMineVtki:
         with pytest.raises(EvalError, match="selection index"):
             mine_vtki([trace("v0", i_v=None, i_t=1)], self._queries(1), URLS)
 
-    def test_callable_url_map(self):
-        mining = mine_vtki([trace("v0", i_v=2, i_t=0)], self._queries(1),
-                           lambda eid: URLS[eid])
-        assert len(mining.d_v) == 1
-
 
 def small_kb() -> KnowledgeBase:
     entries = [
@@ -164,7 +160,7 @@ def small_kb() -> KnowledgeBase:
         )
         for i in range(5)
     ]
-    return KnowledgeBase(entries=entries, manifest=EmbeddingManifest(4, 5, True))
+    return fixture_gen.kb_from_entries(entries, EmbeddingManifest(4, 5, True))
 
 
 class TestExport:

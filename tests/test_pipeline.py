@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import fixture_gen
 from kbvqa.backend import MockBackend
 from kbvqa.errors import PipelineError
 from kbvqa.kb import EmbeddingManifest, KnowledgeBase, KnowledgeEntry, Query
@@ -33,7 +34,7 @@ def small_kb(n: int = 5) -> KnowledgeBase:
         )
         for i in range(n)
     ]
-    return KnowledgeBase(entries=entries, manifest=EmbeddingManifest(4, n, True))
+    return fixture_gen.kb_from_entries(entries, EmbeddingManifest(4, n, True))
 
 
 def query(qid: str = "q1", gold_url: str | None = "https://kb.example/wiki/E2") -> Query:

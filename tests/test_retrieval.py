@@ -13,7 +13,6 @@ from kbvqa import retrieval
 from kbvqa.kb import (
     EmbeddingManifest,
     EmbeddingMatrix,
-    KnowledgeBase,
     KnowledgeEntry,
     ingest_kb,
     ingest_queries,
@@ -229,7 +228,7 @@ def test_build_index_gathers_permuted_or_partial_rows(rows):
     _, matrix = _random_index(6, 8, 13)
     entries = [KnowledgeEntry(f"e{i}", f"u{i}", "", "", embedding_row=row)
                for i, row in enumerate(rows)]
-    kb = KnowledgeBase(entries=entries, manifest=EmbeddingManifest(8, 6, True))
+    kb = fixture_gen.kb_from_entries(entries, EmbeddingManifest(8, 6, True))
     kb.attach_embeddings(EmbeddingMatrix(dim=8, count=6, data=matrix, normalized=True))
     index = build_index(kb)
     assert np.array_equal(index.matrix, matrix[rows])
@@ -256,9 +255,6 @@ class TestUrlRanking:
         urls = {"a": "https://x/Foo", "b": "https://x/foo", "c": "u", "d": "u2"}
         assert gold_rank(self._result(), "https://x/foo", urls) == 2
         assert gold_rank(self._result(), "https://x/Foo/", urls) is None
-
-    def test_callable_url_map(self):
-        assert gold_rank(self._result(), "url:c", lambda eid: f"url:{eid}") == 3
 
 
 def test_recall_on_planted_ranks(recall_bundle):
