@@ -800,17 +800,17 @@ class TestExitCodes:
                 raise ArithmeticError("cannot scale")
 
         real_score_run = cli_module.score_run
+        calls = []
 
         def score_run(*args, **kwargs):
             scored = real_score_run(*args, **kwargs)
-            if score_run.calls:
-                report = dataclasses.replace(
-                    scored.report, accuracy_overall=Unscalable(scored.report.accuracy_overall))
-                scored = dataclasses.replace(scored, report=report)
-            score_run.calls += 1
-            return scored
+            calls.append(scored)
+            if len(calls) == 1:
+                return scored
+            report = dataclasses.replace(
+                scored.report, accuracy_overall=Unscalable(scored.report.accuracy_overall))
+            return dataclasses.replace(scored, report=report)
 
-        score_run.calls = 0
         out = tmp_path / "out"
         out.mkdir()
         (out / "sweep.csv").write_bytes(b"top_m,failed\n1,0\n")
@@ -821,7 +821,7 @@ class TestExitCodes:
                   "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
                   "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
                   "--mock-script", str(bundle.mock_script), "--out-dir", str(out)])
-        assert score_run.calls == 2
+        assert len(calls) == 2
         assert (out / "sweep.csv").read_bytes() == b"top_m,failed\n1,0\n"
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
