@@ -1,13 +1,8 @@
 """Knowledge-base and query-set ingestion.
 
-File formats:
-  entries.jsonl    one entry per line:
-                   {"schema_version", "entry_id", "url", "title", "content",
-                    "image_refs", "embedding_row"}
-  queries.jsonl    one query per line:
-                   {"query_id", "question", "image_ref", "gold_answers",
-                    "gold_entry_url", "split_tag", "answer_type",
-                    "query_embedding_row"}
+File formats (a record holds its class's fields in declaration order):
+  entries.jsonl    one KnowledgeEntry per line, after "schema_version"
+  queries.jsonl    one Query per line
   embeddings.manifest.json   {"dim", "count", "normalized", "dtype": "f32le"}
   embeddings.bin             raw little-endian float32, row-major, count*dim values
   entries.jsonl.catalog.json written by `kbvqa ingest` beside the entries
@@ -35,7 +30,7 @@ from typing import TYPE_CHECKING
 from .errors import IngestError
 from .records import (
     FieldError, _check_unique, _lone_surrogate, atomic_write, field_error, from_record, load_json,
-    read_json_record, read_jsonl, record_fields, utf8_encodable, write_jsonl,
+    read_json_record, read_jsonl, record_fields, to_record, utf8_encodable, write_jsonl,
 )
 
 if TYPE_CHECKING:
@@ -67,10 +62,6 @@ class KnowledgeEntry:
     image_refs: tuple[str, ...] = ()
     embedding_row: int | None = None
 
-    def to_json_dict(self) -> dict:
-        # The format's key order is the field order, as vars() keeps it.
-        return {"schema_version": SCHEMA_VERSION, **vars(self), "image_refs": list(self.image_refs)}
-
 
 @dataclass(frozen=True)
 class Query:
@@ -88,9 +79,6 @@ class Query:
     def gold_range(self) -> tuple[float, float]:
         """Parsed (lo, hi) bounds of a numeric_range gold answer."""
         return _parse_range(self.gold_answers[0])
-
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "gold_answers": list(self.gold_answers)}
 
 
 @dataclass(frozen=True)
@@ -291,8 +279,9 @@ def _export_line(entry_id: str, url: str, title: str, content: str, image_refs,
                  embedding_row: int | None) -> str:
     """The entry's line in entries_normalized.jsonl, line end included.
 
-    It is json.dumps(entry.to_json_dict(), ensure_ascii=False) + "\n", built
-    from the string encoder that call uses, without the dict or the encoder.
+    It is json.dumps({"schema_version": SCHEMA_VERSION, **to_record(entry)},
+    ensure_ascii=False) + "\n", built from the string encoder that call
+    uses, without the dict or the encoder.
     """
     return (f'{{"schema_version": {SCHEMA_VERSION}, "entry_id": {encode_basestring(entry_id)}, '
             f'"url": {encode_basestring(url)}, "title": {encode_basestring(title)}, '
@@ -456,7 +445,7 @@ def _query_from_dict(obj: object) -> Query:
         query.gold_range()
     if not utf8_encodable("".join((query.query_id, query.question, query.image_ref,
                                    query.gold_entry_url or "", *query.gold_answers))):
-        raise _lone_surrogate(query.to_json_dict(), f"query {query.query_id!r}")
+        raise _lone_surrogate(to_record(query), f"query {query.query_id!r}")
     return query
 
 
@@ -506,18 +495,20 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
         data = np.zeros((count, dim), dtype="<f4")
     # The file's bytes, hashed as read, before rows are normalized in place.
     sha256 = hashlib.sha256(data).hexdigest()
-    # Row blocks bound the float64 temporaries; a row's norm and quotient do
-    # not depend on the block it falls in.
-    blocks = range(0, count, NORM_BLOCK_ROWS)
-    if sha256 != checked_sha256:
-        for start in blocks:
-            bad = ~np.isfinite(data[start:start + NORM_BLOCK_ROWS])
+    # One pass: each row block is checked for non-finite values, then its norms
+    # are checked or it is normalized, so the first faulty block names the error.
+    # Blocks bound the float64 temporaries; a row's result does not depend on its block.
+    check = sha256 != checked_sha256
+    for start in range(0, count, NORM_BLOCK_ROWS) if check or not manifest.normalized else ():
+        block = data[start:start + NORM_BLOCK_ROWS]
+        if check:
+            bad = ~np.isfinite(block)
             if bad.any():
                 row = start + int(np.argwhere(bad)[0][0])
                 raise IngestError(f"{path}: non-finite value in row {row}")
-    if manifest.normalized and sha256 != checked_sha256:
-        for start in blocks:
-            norms = np.linalg.norm(data[start:start + NORM_BLOCK_ROWS].astype(np.float64), axis=1)
+        rows64 = block.astype(np.float64)
+        norms = np.linalg.norm(rows64, axis=1)
+        if manifest.normalized:
             off = np.abs(norms - 1.0) > NORM_TOLERANCE
             if off.any():
                 row = int(np.argmax(off))
@@ -525,11 +516,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
                     f"{path}: manifest claims normalized but row {start + row} "
                     f"has norm {norms[row]:.6f}"
                 )
-    if not manifest.normalized:
-        for start in blocks:
-            block = data[start:start + NORM_BLOCK_ROWS]
-            rows64 = block.astype(np.float64)
-            norms = np.linalg.norm(rows64, axis=1)
+        else:
             zero = norms == 0.0
             if zero.any():
                 row = start + int(np.argmax(zero))
@@ -547,4 +534,4 @@ def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:
 
 
 def export_queries(queries: list[Query], path: str | Path) -> int:
-    return write_jsonl(path, (query.to_json_dict() for query in queries))
+    return write_jsonl(path, map(to_record, queries))

@@ -22,8 +22,8 @@ from .answers import normalize_answer
 from .errors import EvalError
 from .kb import Query
 from .pipeline import PipelineTrace
-from .records import read_json_record, write_csv, write_json, write_jsonl
-from .retrieval import RetrievalResult, gold_rank, recall_at_k
+from .records import read_json_record, to_record, write_csv, write_json, write_jsonl
+from .retrieval import RetrievalResult, gold_rank
 
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_RECALL_KS = (1, 2, 5, 10)
@@ -54,12 +54,6 @@ class MatchVerdict:
     correct: bool
     rule: str
     detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "query_id": self.query_id, "correct": self.correct,
-            "rule": self.rule, "detail": self.detail,
-        }
 
 
 def match_answer(pred: str, query: Query, tolerance: float = DEFAULT_TOLERANCE) -> MatchVerdict:
@@ -173,11 +167,6 @@ class MetricReport:
     tolerance: float
     query_digest: str
 
-    def to_json_dict(self) -> dict:
-        # The field order is the format's; json.dumps writes recall's integer keys as strings.
-        return {**vars(self), "accuracy_by_stratum": {
-            s: cell._asdict() for s, cell in self.accuracy_by_stratum.items()}}
-
 
 @dataclass(frozen=True)
 class ScoredRun:
@@ -279,7 +268,15 @@ def score_run(
             f"missing retrieval result for {len(missing)} queries, first: {missing[0]!r}"
         )
 
-    recall = {int(k): recall_at_k(results, queries, int(k), url_of, dedup=dedup) for k in ks}
+    # One gold rank per query gives both recall at every k and the strata.
+    ranks = []
+    for query in queries:
+        if ks and not query.gold_entry_url:  # recall needs it; a stratum takes it as absent
+            raise EvalError(f"query {query.query_id!r} has no gold_entry_url")
+        ranks.append(gold_rank(result_by_qid[query.query_id], query.gold_entry_url or "",
+                               url_of, dedup=dedup))
+    recall = {int(k): sum(rank is not None and rank <= int(k) for rank in ranks) / len(queries)
+              for k in ks}
 
     plugin_queue: list[tuple[int, str, Query]] = []
     verdicts: list[MatchVerdict | None] = [None] * len(queries)
@@ -296,12 +293,8 @@ def score_run(
     final_verdicts = tuple(v for v in verdicts if v is not None)
 
     order = DISJOINT_STRATA if stratum_mode == "disjoint" else CUMULATIVE_STRATA
-    memberships: dict[str, tuple[str, ...]] = {}
-    for query in queries:
-        rank = gold_rank(
-            result_by_qid[query.query_id], query.gold_entry_url or "", url_of, dedup=dedup,
-        )
-        memberships[query.query_id] = strata_for_rank(rank, stratum_mode)
+    memberships = {query.query_id: strata_for_rank(rank, stratum_mode)
+                   for query, rank in zip(queries, ranks)}
 
     correct_by_qid = {v.query_id: v.correct for v in final_verdicts}
     overall, by_stratum = aggregate_accuracy(correct_by_qid, memberships, order)
@@ -378,7 +371,7 @@ def compare_runs(report_a: MetricReport, report_b: MetricReport) -> list[DeltaRo
 
 
 def write_report_json(report: MetricReport, path: str | Path) -> None:
-    write_json(path, report.to_json_dict())
+    write_json(path, to_record(report))
 
 
 def read_report_json(path: str | Path) -> MetricReport:
@@ -420,7 +413,7 @@ def write_report_csv(
 
 
 def write_verdicts(verdicts: Sequence[MatchVerdict], path: str | Path) -> int:
-    return write_jsonl(path, (verdict.to_json_dict() for verdict in verdicts))
+    return write_jsonl(path, map(to_record, verdicts))
 
 
 def write_deltas_csv(rows: Sequence[DeltaRow], path: str | Path) -> None:

@@ -22,7 +22,7 @@ from .kb import KnowledgeBase, Query
 from .metrics import DEFAULT_TOLERANCE, match_answer
 from .pipeline import PipelineTrace
 from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
-from .records import from_record, read_jsonl, write_jsonl
+from .records import from_record, read_jsonl, to_record, write_jsonl
 
 OBJECTIVES = ("prki", "vtki", "sft")
 _OBJECTIVE_BUCKETS = {
@@ -41,10 +41,6 @@ class MiningRecord:
     gold_answer: str
     context_entry_ids: tuple[str, ...]
     provenance: dict
-
-    def to_json_dict(self) -> dict:
-        return {**vars(self), "context_entry_ids": list(self.context_entry_ids),
-                "provenance": dict(self.provenance)}
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ def export_training(
 
 
 def write_records(records: Sequence[MiningRecord], path: str | Path) -> int:
-    return write_jsonl(path, (record.to_json_dict() for record in records))
+    return write_jsonl(path, map(to_record, records))
 
 
 def read_records(path: str | Path) -> list[MiningRecord]:

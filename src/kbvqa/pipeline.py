@@ -23,7 +23,7 @@ from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
-from .records import from_record, read_jsonl, write_jsonl
+from .records import from_record, read_jsonl, to_record, write_jsonl
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
@@ -46,9 +46,6 @@ class StageTranscript:
     temperature: float
     max_new_tokens: int
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
-
 
 @dataclass(frozen=True)
 class PipelineTrace:
@@ -68,16 +65,6 @@ class PipelineTrace:
     failed: bool = False
     error: str | None = None
     transcripts: tuple[StageTranscript, ...] = ()
-
-    def to_json_dict(self, include_transcripts: bool = True) -> dict:
-        # The trace format's key order is the field order: vars() keeps it and
-        # an overridden key keeps its place.
-        out = {**vars(self), "context_entry_ids": list(self.context_entry_ids),
-               "warnings": list(self.warnings)}
-        transcripts = out.pop("transcripts")
-        if include_transcripts:
-            out["transcripts"] = [t.to_json_dict() for t in transcripts]
-        return out
 
 
 def prki_value(y_int: str | None, y_ext: str | None) -> bool | None:
@@ -297,7 +284,10 @@ def has_failures(traces: Sequence[PipelineTrace]) -> bool:
 def write_traces(
     traces: Sequence[PipelineTrace], path: str | Path, include_transcripts: bool = True,
 ) -> None:
-    write_jsonl(path, (trace.to_json_dict(include_transcripts) for trace in traces))
+    records = map(to_record, traces)
+    write_jsonl(path, records if include_transcripts else (
+        {name: value for name, value in record.items() if name != "transcripts"}
+        for record in records))
 
 
 def _trace_from_dict(rec: dict, _lineno: int) -> PipelineTrace:

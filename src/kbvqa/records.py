@@ -144,6 +144,24 @@ def from_record(cls: type[T], obj: object) -> T:
     return cls(*record_fields(cls, obj))
 
 
+def to_record(obj: object) -> dict:
+    """The JSON record of obj, the inverse of from_record: a copy of its fields
+    in declaration order, vars() of a dataclass or _asdict() of a NamedTuple,
+    where only the fields that hold record classes are converted, item by item."""
+    record = obj._asdict() if isinstance(obj, tuple) else vars(obj).copy()
+    for name in _nested_records(type(obj)):
+        value = record[name]
+        record[name] = ({key: to_record(item) for key, item in value.items()}
+                        if type(value) is dict else [to_record(item) for item in value])
+    return record
+
+
+@cache
+def _nested_records(cls: type) -> tuple[str, ...]:
+    """The fields of a record class whose items are record classes."""
+    return tuple(spec[0] for spec in _record_spec(cls) if hasattr(spec[3], "__annotations__"))
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
                error_class: type[KbvqaError], digest: hashlib._Hash | None = None,
                spans: tuple[list[int], list[int]] | None = None) -> list[T]:

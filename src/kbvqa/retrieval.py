@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import EvalError, IngestError
 from .kb import KnowledgeBase, Query
-from .records import from_record, read_jsonl, write_jsonl
+from .records import from_record, read_jsonl, to_record, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,21 +37,11 @@ class RetrievalResult:
     """Ranked hits for one query: (entry_id, score) pairs, best first."""
 
     query_id: str
-    hits: tuple[Hit, ...]
     k: int
+    hits: tuple[Hit, ...]
 
     def entry_ids(self) -> list[str]:
         return [entry_id for entry_id, _ in self.hits]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "k": self.k,
-            "hits": [
-                {"entry_id": entry_id, "score": float(f"{score:.9g}")}
-                for entry_id, score in self.hits
-            ],
-        }
 
 
 # Score elements (queries x entries) one float32 GEMM may produce: 32 MiB.
@@ -180,7 +170,9 @@ def search_batch(
             # depend on its position, so identical rows tie exactly.
             exact = (index.matrix[cand] * q).sum(axis=1)
             order = np.lexsort((cand, -exact))[:top]
-            hits = tuple(Hit(index.entry_ids[cand[i]], float(exact[i])) for i in order)
+            # Each score as the results file holds it, to 9 significant digits.
+            hits = tuple(Hit(index.entry_ids[i], float(f"{score:.9g}"))
+                         for i, score in zip(cand[order].tolist(), exact[order].tolist()))
             results.append(RetrievalResult(query_id=qid, hits=hits, k=k))
     return results
 
@@ -237,7 +229,7 @@ def recall_at_k(
 
 
 def write_results(results: Sequence[RetrievalResult], path: str | Path) -> int:
-    return write_jsonl(path, (result.to_json_dict() for result in results))
+    return write_jsonl(path, map(to_record, results))
 
 
 def read_results(path: str | Path) -> list[RetrievalResult]:

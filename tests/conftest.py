@@ -5,15 +5,36 @@ import re
 import pytest
 
 import fixture_gen
+from kbvqa.kb import catalog_path, ingest_kb, write_catalog
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
 
 @pytest.fixture(scope="session")
 def bundle(tmp_path_factory) -> fixture_gen.FixtureBundle:
-    """Standard 100-entry / 20-query fixture with the planted mock script."""
+    """Standard 100-entry / 20-query fixture with the planted mock script,
+    and the KB catalog `kbvqa ingest` writes beside its entries. So
+    ingest_kb on the bundle loads through the catalog, whichever tests ran
+    before; a test that means the full parse passes use_catalog=False."""
     root = tmp_path_factory.mktemp("fixture")
-    return fixture_gen.build_fixture(root)
+    bundle = fixture_gen.build_fixture(root)
+    _write_bundle_catalog(bundle)
+    return bundle
+
+
+@pytest.fixture(autouse=True)
+def _bundle_keeps_its_catalog(request):
+    """Write the bundle's catalog again after a test that deleted it, as the
+    chain golden run without the catalog does."""
+    yield
+    if "bundle" in request.fixturenames:
+        _write_bundle_catalog(request.getfixturevalue("bundle"))
+
+
+def _write_bundle_catalog(bundle: fixture_gen.FixtureBundle) -> None:
+    if not catalog_path(bundle.entries_path).exists():
+        kb = ingest_kb(bundle.entries_path, bundle.kb_manifest, use_catalog=False)
+        write_catalog(kb, bundle.entries_path)
 
 
 @pytest.fixture(scope="session")

@@ -107,10 +107,12 @@ def kb_from_entries(entries, manifest):
     """A KnowledgeBase over entry objects, as ingest_kb's full parse of
     their lines builds it: each entry's export line is json.dumps of its
     JSON dict, and an entry is parsed from its line when it is looked up."""
-    from kbvqa.kb import KnowledgeBase
+    from kbvqa.kb import SCHEMA_VERSION, KnowledgeBase
+    from kbvqa.records import to_record
 
     entries = list(entries)
-    lines = [(json.dumps(e.to_json_dict(), ensure_ascii=False) + "\n").encode("utf-8")
+    lines = [(json.dumps({"schema_version": SCHEMA_VERSION, **to_record(e)},
+                         ensure_ascii=False) + "\n").encode("utf-8")
              for e in entries]
     return KnowledgeBase(manifest, [e.entry_id for e in entries], [e.url for e in entries],
                          [e.embedding_row for e in entries], export_lines=lines)

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
+import typing
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,14 +23,19 @@ from hypothesis import strategies as st
 import fixture_gen
 from kbvqa import cli as cli_module
 from kbvqa import kb as kb_module
+from kbvqa import records
 from kbvqa.backend import EndpointConfig, MockBackend
 from kbvqa.cli import INDEX_DIGESTS, build_parser, main
-from kbvqa.errors import KbvqaError
-from kbvqa.kb import ingest_kb, ingest_queries, load_manifest
-from kbvqa.metrics import read_report_json
-from kbvqa.mining import read_records
-from kbvqa.pipeline import PipelineRunner, read_traces
-from kbvqa.retrieval import read_results
+from kbvqa.errors import EvalError, KbvqaError
+from kbvqa.kb import SPLIT_TAGS, Query, export_queries, ingest_kb, ingest_queries, load_manifest
+from kbvqa.metrics import (
+    MatchVerdict, MetricReport, read_report_json, write_report_json, write_verdicts,
+)
+from kbvqa.mining import MiningRecord, read_records, write_records
+from kbvqa.pipeline import PipelineRunner, PipelineTrace, read_traces, write_traces
+from kbvqa.retrieval import (
+    FlatIndex, RetrievalResult, read_results, search_batch, write_results,
+)
 
 from http_stub import LocalServer
 
@@ -1266,6 +1273,103 @@ class TestRecordFormats:
         err = capsys.readouterr().err
         assert rc == 2
         assert str(bad) in err and "Traceback" not in err
+
+
+# Strings hold no lone surrogate, which UTF-8 cannot encode, and numbers are
+# finite, as in every record a run writes.
+_RECORD_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+_RECORD_SCALARS = {str: _RECORD_TEXT, int: st.integers(), bool: st.booleans(),
+                   float: st.floats(allow_nan=False, allow_infinity=False), type(None): st.none()}
+
+
+def _records_of(cls, **overrides):
+    """Instances of a record class, each field drawn from its annotation
+    unless overrides gives it; a bare dict field holds scalars."""
+    def of(hint):
+        if isinstance(hint, types.UnionType):
+            return st.one_of(*map(of, typing.get_args(hint)))
+        if typing.get_origin(hint) is tuple:
+            return st.lists(of(typing.get_args(hint)[0]), max_size=3).map(tuple)
+        if typing.get_origin(hint) is dict:
+            keys, values = typing.get_args(hint)
+            return st.dictionaries(of(keys), of(values), max_size=3)
+        if hint is dict:
+            return st.dictionaries(_RECORD_TEXT, st.one_of(*_RECORD_SCALARS.values()), max_size=3)
+        return _RECORD_SCALARS[hint] if hint in _RECORD_SCALARS else _records_of(hint)
+
+    hints = typing.get_type_hints(cls)
+    return st.builds(cls, **{name: overrides[name] if name in overrides else of(hint)
+                             for name, hint in hints.items()})
+
+
+def _read_verdicts(path):
+    return records.read_jsonl(path, lambda obj, _: records.from_record(MatchVerdict, obj),
+                              EvalError)
+
+
+# case -> (the writer, the reader, the records of one file)
+_ROUND_TRIPS = {
+    "queries": (export_queries, ingest_queries, st.lists(_records_of(
+        Query, query_id=st.text(st.characters(blacklist_categories=("Cs",)), min_size=1),
+        gold_answers=st.lists(_RECORD_TEXT, min_size=1, max_size=3).map(tuple),
+        split_tag=st.sampled_from(SPLIT_TAGS), answer_type=st.sampled_from(("text", "numeric")),
+        query_embedding_row=st.none() | st.integers(0)), max_size=3,
+        unique_by=lambda query: query.query_id)),
+    "traces": (write_traces, read_traces, st.lists(_records_of(PipelineTrace), max_size=3)),
+    "results": (write_results, read_results, st.lists(_records_of(RetrievalResult), max_size=3)),
+    "records": (write_records, read_records, st.lists(_records_of(MiningRecord), max_size=3)),
+    "verdicts": (write_verdicts, _read_verdicts, st.lists(_records_of(MatchVerdict), max_size=3)),
+    "report": (lambda reports, path: write_report_json(reports[0], path),
+               lambda path: [read_report_json(path)], st.tuples(_records_of(MetricReport))),
+}
+
+
+class TestRecordRoundTrip:
+    """Every record written through records.to_record reads back equal
+    through its reader, and the file holds its class's fields in declaration
+    order."""
+
+    @pytest.mark.parametrize("case", sorted(_ROUND_TRIPS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_written_records_read_back_equal(self, case, data):
+        write, read, strategy = _ROUND_TRIPS[case]
+        written = list(data.draw(strategy, label=case))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.json"
+            write(written, path)
+            assert list(read(path)) == written
+            raw = path.read_bytes()
+        # Split as bytes: str.splitlines also splits at U+0085 and U+2028.
+        objs = [json.loads(raw)] if case == "report" else list(map(json.loads, raw.splitlines()))
+        for obj, record in zip(objs, written):
+            assert list(obj) == list(typing.get_type_hints(type(record)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(traces=st.lists(_records_of(PipelineTrace), max_size=3))
+    def test_traces_written_without_transcripts_read_back_without_them(self, traces):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traces.jsonl"
+            write_traces(traces, path, include_transcripts=False)
+            assert read_traces(path) == [dataclasses.replace(t, transcripts=()) for t in traces]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), entries=st.integers(1, 40), dim=st.integers(1, 8),
+           queries=st.integers(1, 4), k=st.integers(1, 12))
+    def test_search_batch_results_read_back_equal(self, seed, entries, dim, queries, k):
+        """search_batch builds each hit with the score the results file holds."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(entries, dim))
+        index = FlatIndex([f"e{i}" for i in range(entries)],
+                          matrix / np.linalg.norm(matrix, axis=1, keepdims=True))
+        results = search_batch(index, list(rng.normal(size=(queries, dim))),
+                               [f"q{i}" for i in range(queries)], k)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "retrieval_results.jsonl"
+            write_results(results, path)
+            assert read_results(path) == results
+
+
 def test_traced_cli_sees_every_layer(ws, bundle, tmp_path):
     """The per-layer benchmark wraps functions by name; a refactor that moves
     them out of its reach would leave these spans empty."""

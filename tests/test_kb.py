@@ -41,6 +41,13 @@ def test_ingest_kb_round_trip(bundle, tmp_path):
     assert again.by_id["e007"].content == entry.content
 
 
+def test_session_bundle_loads_through_its_catalog(bundle):
+    # The bundle is built with its catalog, and gets it back after a test
+    # that deletes it, so this holds whichever tests ran first.
+    assert ingest_kb(bundle.entries_path, bundle.kb_manifest).export_lines is None
+    assert ingest_kb(bundle.entries_path, bundle.kb_manifest, use_catalog=False).export_lines
+
+
 def test_ingest_queries_round_trip(bundle, tmp_path):
     queries = ingest_queries(bundle.queries_path)
     assert len(queries) == 20
@@ -448,12 +455,18 @@ def _raw_manifest(manifest, matrix):
     ("nan", True, "non-finite value in row"),
     ("zero", False, "zero-norm row"),
     ("long", True, "manifest claims normalized but row"),
+    # Faults in two blocks: the earlier block's is reported.
+    ("long, nan in a later block", True, "manifest claims normalized but row"),
+    ("zero, nan in a later block", False, "zero-norm row"),
 ])
 def test_bad_row_past_first_block_reported_by_row(tmp_path, fault, normalized, match):
     bad_row = NORM_BLOCK_ROWS + 37
-    mat = np.zeros((NORM_BLOCK_ROWS + 50, 4), dtype=np.float32)
+    mat = np.zeros((2 * NORM_BLOCK_ROWS + 50, 4), dtype=np.float32)
     mat[:, 0] = 1.0
-    mat[bad_row] = {"nan": [1.0, np.nan, 0.0, 0.0], "zero": 0.0, "long": 2.0}[fault]
+    first, _, later = fault.partition(", ")
+    mat[bad_row] = {"nan": [1.0, np.nan, 0.0, 0.0], "zero": 0.0, "long": 2.0}[first]
+    if later:
+        mat[-1, 1] = np.nan
     manifest, data = fixture_gen.write_matrix(tmp_path, "blocks", mat)
     if not normalized:
         _raw_manifest(manifest, mat)

@@ -28,12 +28,12 @@ from kbvqa.backend import MockBackend
 from kbvqa.cli import main
 from kbvqa.errors import IngestError, KbvqaError
 from kbvqa.kb import (
-    CATALOG_VERSION, EmbeddingManifest, KnowledgeBase, KnowledgeEntry, _entry_from_dict,
-    catalog_path, export_kb, ingest_kb, ingest_queries, write_catalog,
+    CATALOG_VERSION, SCHEMA_VERSION, EmbeddingManifest, KnowledgeBase, KnowledgeEntry,
+    _entry_from_dict, catalog_path, export_kb, ingest_kb, ingest_queries, write_catalog,
 )
 from kbvqa.mining import read_records
 from kbvqa.pipeline import read_traces
-from kbvqa.records import FieldError, _loads, read_jsonl
+from kbvqa.records import FieldError, _loads, read_jsonl, to_record
 from kbvqa.retrieval import read_results
 
 
@@ -124,8 +124,8 @@ def _text_parse(path: Path, count: int) -> list:
             raise IngestError(f"{path}:{lineno}: malformed JSON: {exc}") from None
         except FieldError as exc:  # also a line that is JSON but not an object
             raise IngestError(f"{path}:{lineno}: {exc}") from None
-        if not _utf8(entry.to_json_dict()):
-            field = next(name for name, value in entry.to_json_dict().items() if not _utf8(value))
+        if not _utf8(to_record(entry)):
+            field = next(name for name, value in to_record(entry).items() if not _utf8(value))
             raise IngestError(f"{path}:{lineno}: {field} holds a lone surrogate, which "
                               f"UTF-8 cannot encode (entry {entry.entry_id!r})") from None
         if entry.entry_id in seen:
@@ -238,7 +238,8 @@ def test_export_line_is_json_dumps_of_the_entry(tmp_path_factory, rows, ascii_in
     files = _files(tmp_path_factory.mktemp("kb"), text, 10)
     kb = ingest_kb(files.kb, files.manifest, use_catalog=False)
     entries = [KnowledgeEntry(**{**row, "image_refs": tuple(row["image_refs"])}) for row in rows]
-    expected = [(json.dumps(e.to_json_dict(), ensure_ascii=False) + "\n").encode() for e in entries]
+    expected = [(json.dumps({"schema_version": SCHEMA_VERSION, **to_record(e)},
+                            ensure_ascii=False) + "\n").encode() for e in entries]
     assert kb.export_lines == expected
     assert kb.entries == entries
     out = files.kb.with_name("normalized.jsonl")

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import sys
 
 import pytest
 
 import fixture_gen
+from kbvqa import metrics, retrieval
 from kbvqa.errors import EvalError
 from kbvqa.kb import Query
 from kbvqa.metrics import (
@@ -26,6 +28,7 @@ from kbvqa.metrics import (
     write_report_json,
     write_verdicts,
 )
+from kbvqa.retrieval import gold_rank, recall_at_k
 
 
 def q(answer_type="text", golds=("gold",), qid="t1"):
@@ -162,6 +165,28 @@ class TestScoreRunValidation:
         queries, traces, results, url_map = fixture_gen.build_strata_fixture()
         with pytest.raises(EvalError, match="missing retrieval result"):
             score_run(traces, queries, results[:-1], url_map, ks=(1,))
+
+    def test_query_without_gold_url(self):
+        queries, traces, results, url_map = fixture_gen.build_strata_fixture()
+        queries[3] = dataclasses.replace(queries[3], gold_entry_url=None)
+        with pytest.raises(EvalError, match=re.escape(
+                f"query {queries[3].query_id!r} has no gold_entry_url")):
+            score_run(traces, queries, results, url_map, ks=(1,))
+
+    def test_each_query_is_ranked_once(self, monkeypatch):
+        queries, traces, results, url_map = fixture_gen.build_strata_fixture()
+        expected = [(k, recall_at_k(results, queries, k, url_map)) for k in (5, 1, 10, 2)]
+        ranked = []
+
+        def counting_gold_rank(result, *args, **kwargs):
+            ranked.append(result.query_id)
+            return gold_rank(result, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "gold_rank", counting_gold_rank)
+        monkeypatch.setattr(retrieval, "gold_rank", counting_gold_rank)
+        report = score_run(traces, queries, results, url_map, ks=(5, 1, 10, 5, 2)).report
+        assert sorted(ranked) == sorted(q.query_id for q in queries)
+        assert list(report.recall.items()) == expected
 
     def test_failed_traces_score_incorrect(self):
         queries, traces, results, url_map = fixture_gen.build_strata_fixture()

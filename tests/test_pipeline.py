@@ -20,6 +20,7 @@ from kbvqa.pipeline import (
     write_traces,
 )
 from kbvqa.prompts import STAGE_TABLE, parts_sha256
+from kbvqa.records import to_record
 from kbvqa.retrieval import RetrievalResult
 
 
@@ -331,7 +332,7 @@ class TestRunMany:
             assert [t.query_id for t in traces] == [q.query_id for q in queries]
             buf = io.StringIO()
             for t in traces:
-                buf.write(str(t.to_json_dict()))
+                buf.write(str(to_record(t)))
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
@@ -385,7 +386,7 @@ class TestTraceIO:
         traces = self._traces()
         parts = [{"type": "text", "text": "Question: \u2028\"x\"\\"},
                  {"type": "image", "marker": "<image>", "image_ref": "images/q1.jpg"}]
-        row = traces[0].to_json_dict()
+        row = to_record(traces[0])
         for t in row["transcripts"]:
             del t["prompt_sha256"]
             t["prompt_parts"] = parts
@@ -396,7 +397,7 @@ class TestTraceIO:
         assert again.transcripts[0].text == traces[0].transcripts[0].text
 
     def test_transcript_without_a_prompt_is_an_error(self, tmp_path):
-        row = self._traces()[0].to_json_dict()
+        row = to_record(self._traces()[0])
         del row["transcripts"][1]["prompt_sha256"]
         path = tmp_path / "traces.jsonl"
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")

@@ -239,7 +239,8 @@ def test_build_index_gathers_permuted_or_partial_rows(rows):
 
 class TestUrlRanking:
     def _result(self):
-        return RetrievalResult("q", (("a", 0.9), ("b", 0.8), ("c", 0.7), ("d", 0.6)), 4)
+        return RetrievalResult(query_id="q", hits=(("a", 0.9), ("b", 0.8), ("c", 0.7), ("d", 0.6)),
+                               k=4)
 
     def test_dedup_collapses_repeat_urls(self):
         urls = {"a": "u1", "b": "u2", "c": "u1", "d": "u3"}
