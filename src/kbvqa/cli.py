@@ -7,7 +7,7 @@ Precedence is CLI flag, then config file, then built-in default, and the
 resolved configuration is written to the output directory as
 run_config.json so a run can be reproduced from its artifacts alone. Each
 flag's default, help line and config key are declared once, in FLAGS;
-COMMANDS says which flags each subcommand takes.
+COMMANDS says which flags each subcommand takes and which it requires.
 
 Exit codes: 0 success, 1 a run finished but some queries failed, 2
 configuration or input errors.
@@ -171,17 +171,13 @@ def _require(cfg: dict, *keys: str) -> None:
 
 
 def _out_dir(cfg: dict) -> Path:
-    _require(cfg, "out_dir")
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _write_run_config(out: Path, command: str, cfg: dict) -> None:
-    payload = {"command": command}
-    for key in sorted(cfg):
-        payload[key] = cfg[key]
-    write_json(out / "run_config.json", payload)
+    write_json(out / "run_config.json", {"command": command, **dict(sorted(cfg.items()))})
 
 
 def _workers(cfg: dict) -> int:
@@ -200,7 +196,6 @@ def _workers(cfg: dict) -> int:
 
 
 def _load_kb(cfg: dict, use_catalog: bool = True) -> KnowledgeBase:
-    _require(cfg, "kb", "kb_manifest")
     return ingest_kb(cfg["kb"], cfg["kb_manifest"], use_catalog=use_catalog)
 
 
@@ -238,9 +233,7 @@ def _trace_summary(traces) -> str:
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "queries")
+def cmd_ingest(cfg: dict) -> int:
     # Every line is parsed and checked, catalog or not: this is what the
     # catalog written below vouches for.
     kb = _load_kb(cfg, use_catalog=False)
@@ -257,7 +250,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         "splits": dict(sorted(splits.items())),
     }
     write_json(out / "ingest_summary.json", summary)
-    _write_run_config(out, "ingest", cfg)
     try:
         write_catalog(kb, cfg["kb"])
     except OSError as exc:
@@ -279,11 +271,9 @@ INDEX_PATH = "kb_embeddings"
 _UNREADABLE = (KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError)
 
 
-def cmd_index(args: argparse.Namespace) -> int:
+def cmd_index(cfg: dict) -> int:
     import numpy as np
 
-    cfg = _resolve(args)
-    _require(cfg, "kb", "kb_manifest", "kb_embeddings")
     kb = _load_kb(cfg)
     kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
     index = build_index(kb)  # rejects an entry without an embedding row
@@ -296,7 +286,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     path = out / "index.npz"
     with atomic_write(path) as fh:
         np.savez(fh, **{name: np.array(value) for name, value in members.items()})
-    _write_run_config(out, "index", cfg)
     print(f"indexed {len(index)} entries (dim {index.dim}) -> {path}")
     return EXIT_OK
 
@@ -349,10 +338,7 @@ def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     row checks in `kbvqa index`, so they are not checked again. The KB itself
     is dropped on return: the search needs only the index and the URLs.
     """
-    _require(cfg, "kb", "kb_manifest")
     recorded = _load_index(cfg) if cfg.get("index") else {}
-    if not recorded:
-        _require(cfg, "kb_embeddings")
     embeddings = cfg.get("kb_embeddings") or recorded[INDEX_PATH]
     if not cfg.get("kb_embeddings") and not Path(embeddings).is_file():
         raise IngestError(f"index {cfg['index']} was built from --kb-embeddings {embeddings}, "
@@ -372,9 +358,9 @@ def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     return build_index(kb), kb.urls
 
 
-def cmd_retrieve(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "queries", "query_manifest", "query_embeddings")
+def cmd_retrieve(cfg: dict) -> int:
+    if not cfg["index"]:
+        _require(cfg, "kb_embeddings")
     index, urls = _retrieval_index(cfg)
     queries = ingest_queries(cfg["queries"])
     qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"])
@@ -392,7 +378,6 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     results = search_batch(index, vectors, [q.query_id for q in queries], k)
     out = _out_dir(cfg)
     write_results(results, out / "retrieval_results.jsonl")
-    _write_run_config(out, "retrieve", cfg)
 
     dedup = not cfg["no_url_dedup"]
     if all(q.gold_entry_url for q in queries):
@@ -409,19 +394,17 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "queries", "variant")
-    return _run_variant(cfg, cfg["variant"], "run", "traces.jsonl")
+def cmd_run(cfg: dict) -> int:
+    if needs_retrieval(cfg["variant"]):
+        _require(cfg, "retrievals")
+    return _run_variant(cfg, cfg["variant"], "traces.jsonl")
 
 
-def cmd_probe_unimodal(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "queries", "retrievals")
-    return _run_variant(cfg, "probe", "probe-unimodal", "probe_traces.jsonl")
+def cmd_probe_unimodal(cfg: dict) -> int:
+    return _run_variant(cfg, "probe", "probe_traces.jsonl")
 
 
-def _run_variant(cfg: dict, variant: str, command: str, traces_name: str) -> int:
+def _run_variant(cfg: dict, variant: str, traces_name: str) -> int:
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     backend = _backend(cfg)
@@ -431,49 +414,40 @@ def _run_variant(cfg: dict, variant: str, command: str, traces_name: str) -> int
     )
     results = None
     if needs_retrieval(variant):
-        _require(cfg, "retrievals")
         results = {r.query_id: r for r in read_results(cfg["retrievals"])}
     traces = runner.run_many(variant, queries, results, workers=_workers(cfg))
     out = _out_dir(cfg)
     write_traces(traces, out / traces_name, include_transcripts=not cfg["no_transcripts"])
-    _write_run_config(out, command, cfg)
     print(f"wrote {out / traces_name} ({_trace_summary(traces)})")
     return EXIT_PARTIAL if has_failures(traces) else EXIT_OK
 
 
-def cmd_mine_prki(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "traces_int", "traces_ext", "queries")
+def cmd_mine_prki(cfg: dict) -> int:
     queries = ingest_queries(cfg["queries"])
     mining = mine_prki(
         read_traces(cfg["traces_int"]), read_traces(cfg["traces_ext"]),
         queries, tolerance=float(cfg["tolerance"]),
     )
-    return _write_mining(cfg, "mine-prki", mining, ("d_int", "d_ext"))
+    return _write_mining(cfg, mining, ("d_int", "d_ext"))
 
 
-def cmd_mine_vtki(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "probe_traces", "queries")
+def cmd_mine_vtki(cfg: dict) -> int:
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, kb.url_map())
-    return _write_mining(cfg, "mine-vtki", mining, ("d_v", "d_t"))
+    return _write_mining(cfg, mining, ("d_v", "d_t"))
 
 
-def _write_mining(cfg: dict, command: str, mining, buckets: tuple[str, ...]) -> int:
+def _write_mining(cfg: dict, mining, buckets: tuple[str, ...]) -> int:
     out = _out_dir(cfg)
     for bucket in buckets:
         write_records(getattr(mining, bucket), out / f"{bucket}.jsonl")
     write_json(out / "mining_summary.json", mining.counters)
-    _write_run_config(out, command, cfg)
     print("mined " + ", ".join(f"{k}={v}" for k, v in mining.counters.items()))
     return EXIT_OK
 
 
-def cmd_export_training(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    _require(cfg, "records", "objective", "queries")
+def cmd_export_training(cfg: dict) -> int:
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     record_paths = cfg["records"]
@@ -488,13 +462,11 @@ def cmd_export_training(args: argparse.Namespace) -> int:
         records, cfg["objective"], out_path, kb, queries,
         char_budget=cfg["char_budget"], sample=cfg["sample"], seed=cfg["seed"],
     )
-    _write_run_config(out, "export-training", cfg)
     print(f"wrote {out_path} ({count} records)")
     return EXIT_OK
 
 
 def _score(cfg: dict):
-    _require(cfg, "traces", "queries", "retrievals")
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     traces = read_traces(cfg["traces"])
@@ -518,20 +490,17 @@ def _print_report(scored) -> None:
     print(f"accuracy_overall {report.accuracy_overall:.4f} (n={report.total})")
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_score(cfg: dict) -> int:
     scored, _queries = _score(cfg)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
     write_verdicts(scored.verdicts, out / "verdicts.jsonl")
-    _write_run_config(out, "score", cfg)
     _print_report(scored)
     print(f"wrote {out / 'report.json'}, {out / 'verdicts.jsonl'}")
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_report(cfg: dict) -> int:
     # A bad baseline, or one over other queries, stops the command before it writes.
     baseline = read_report_json(cfg["compare_to"]) if cfg.get("compare_to") else None
     scored, queries = _score(cfg)
@@ -543,31 +512,27 @@ def cmd_report(args: argparse.Namespace) -> int:
     if rows is not None:
         write_deltas_csv(rows, out / "deltas.csv")
         written.append(str(out / "deltas.csv"))
-    _write_run_config(out, "report", cfg)
     _print_report(scored)
     print("wrote " + ", ".join(written))
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+def cmd_sweep(cfg: dict) -> int:
     top_ms = _parse_int_list(cfg["top_m"], "--top-m", high=MAX_TOP_K)
     options = _score_options(cfg)
-    _require(cfg, "queries", "retrievals")
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     backend = _backend(cfg)
     results_list = read_results(cfg["retrievals"])
     results = {r.query_id: r for r in results_list}
+    runners = [PipelineRunner(kb, backend, top_k=m, char_budget=cfg["char_budget"],
+                              core_mode=cfg["core_mode"]) for m in top_ms]
     out = _out_dir(cfg)
     url_map = kb.url_map()
 
     rows = []
     any_failed = False
-    for m in top_ms:
-        runner = PipelineRunner(
-            kb, backend, top_k=m, char_budget=cfg["char_budget"], core_mode=cfg["core_mode"],
-        )
+    for m, runner in zip(top_ms, runners):
         traces = runner.run_many(cfg["variant"], queries, results, workers=_workers(cfg))
         any_failed = any_failed or has_failures(traces)
         write_traces(traces, out / f"traces_top{m}.jsonl",
@@ -582,7 +547,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     write_csv(out / "sweep.csv", ["top_m", "failed", "accuracy_overall_pct", "delta_vs_first_pct"],
               ([m, failed, f"{100.0 * overall:.1f}", f"{100.0 * (overall - first):+.1f}"]
                for m, failed, overall in rows), lineterminator="\n")
-    _write_run_config(out, "sweep", cfg)
     print(f"wrote {out / 'sweep.csv'}")
     return EXIT_PARTIAL if any_failed else EXIT_OK
 
@@ -601,39 +565,45 @@ _SCORE_SHARED = (
     "traces", "queries", ("retrievals", {"help": "retrieval results JSONL"}), *_KB,
     "ks", "tolerance", "stratum_mode", "no_url_dedup", "plugin", "out_dir",
 )
+_SCORE_REQUIRED = ("traces", "queries", "retrievals", *_KB, "out_dir")
 
-# Subcommand -> (handler, help line, flags in help order). Every subcommand
-# also takes --config, listed last.
+# Subcommand -> (handler, help line, flags in help order, the flags it
+# requires). Every subcommand also takes --config, listed last.
 COMMANDS = {
     "ingest": (cmd_ingest, "validate and normalize KB entries and queries",
-               (*_KB, "queries", "out_dir")),
+               (*_KB, "queries", "out_dir"), (*_KB, "queries", "out_dir")),
     "index": (cmd_index, "build and save the flat retrieval index",
-              (*_KB, "kb_embeddings", "out_dir")),
+              (*_KB, "kb_embeddings", "out_dir"), (*_KB, "kb_embeddings", "out_dir")),
     "retrieve": (cmd_retrieve, "run top-k retrieval for all queries", (
         *_KB, "kb_embeddings", "index", "queries", "query_manifest", "query_embeddings",
         "k", "no_url_dedup", "out_dir",
-    )),
+    ), (*_KB, "queries", "query_manifest", "query_embeddings", "out_dir")),
     "run": (cmd_run, "execute one pipeline variant over all queries",
-            ("variant", "core_mode", "top_k", *_RUN_SHARED)),
+            ("variant", "core_mode", "top_k", *_RUN_SHARED),
+            ("variant", *_KB, "queries", "out_dir")),
     "probe-unimodal": (cmd_probe_unimodal, "run image-only and text-only entry selection probes",
-                       ("top_k", *_RUN_SHARED)),
+                       ("top_k", *_RUN_SHARED), (*_KB, "queries", "retrievals", "out_dir")),
     "mine-prki": (cmd_mine_prki, "mine answer-inconsistency training buckets (d_int, d_ext)",
-                  ("traces_int", "traces_ext", "queries", "tolerance", "out_dir")),
+                  ("traces_int", "traces_ext", "queries", "tolerance", "out_dir"),
+                  ("traces_int", "traces_ext", "queries", "out_dir")),
     "mine-vtki": (cmd_mine_vtki, "mine selection-inconsistency training buckets (d_v, d_t)",
+                  ("probe_traces", *_KB, "queries", "out_dir"),
                   ("probe_traces", *_KB, "queries", "out_dir")),
     "export-training": (
         cmd_export_training, "render mined records into training JSONL for one objective",
         ("records", "objective", *_KB, "queries", "char_budget", "sample", "seed", "out_dir"),
+        ("records", "objective", *_KB, "queries", "out_dir"),
     ),
-    "score": (cmd_score, "score a run: verdicts plus metric report", _SCORE_SHARED),
+    "score": (cmd_score, "score a run: verdicts plus metric report", _SCORE_SHARED,
+              _SCORE_REQUIRED),
     "report": (cmd_report, "write report tables, optionally against a baseline",
-               ("compare_to", *_SCORE_SHARED)),
+               ("compare_to", *_SCORE_SHARED), _SCORE_REQUIRED),
     "sweep": (cmd_sweep, "run and score one variant at several top-m values", (
         "top_m",
         ("variant", {"choices": SWEEP_VARIANTS, "default": "core",
                      "help": "pipeline variant to sweep"}),
         "core_mode", "ks", "tolerance", "stratum_mode", "no_url_dedup", *_RUN_SHARED,
-    )),
+    ), (*_KB, "queries", "retrievals", "out_dir")),
 }
 
 
@@ -651,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "inconsistency mining, and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, (handler, help_line, entries) in COMMANDS.items():
+    for command, (_handler, help_line, entries, _required) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         rows = {}
         for entry in entries:
@@ -660,15 +630,21 @@ def build_parser() -> argparse.ArgumentParser:
             _add_flag(p, name, rows[name])
         _add_flag(p, "config", FLAGS["config"])
         # _resolve reads each flag's default and config check from these rows.
-        p.set_defaults(func=handler, flag_rows=rows)
+        p.set_defaults(flag_rows=rows)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: resolve its configuration, check every flag it
+    requires before it reads an input, run it, then record what it ran with."""
+    args = build_parser().parse_args(argv)
+    handler, _help_line, _entries, required = COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = _resolve(args)
+        _require(cfg, *required)
+        code = handler(cfg)
+        _write_run_config(Path(cfg["out_dir"]), args.command, cfg)
+        return code
     except (KbvqaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

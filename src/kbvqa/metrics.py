@@ -27,9 +27,16 @@ from .retrieval import RetrievalResult, gold_rank
 
 DEFAULT_TOLERANCE = 0.05
 DEFAULT_RECALL_KS = (1, 2, 5, 10)
-STRATUM_MODES = ("disjoint", "cumulative")
-DISJOINT_STRATA = ("1", "2", "3-5", ">5")
-CUMULATIVE_STRATA = ("<=1", "<=2", "<=5", ">5")
+# --stratum-mode -> {bucket: the 1-based gold ranks it holds}, in report
+# order. A query whose gold rank no other bucket holds, or that has none (not
+# retrieved), is in ">5".
+STRATA = {
+    "disjoint": {"1": range(1, 2), "2": range(2, 3), "3-5": range(3, 6), ">5": ()},
+    "cumulative": {"<=1": range(1, 2), "<=2": range(1, 3), "<=5": range(1, 6), ">5": ()},
+}
+STRATUM_MODES = tuple(STRATA)
+DISJOINT_STRATA = tuple(STRATA["disjoint"])
+CUMULATIVE_STRATA = tuple(STRATA["cumulative"])
 
 # Thousands-grouped form first so "1,234.5" is not read as "1".
 _NUMBER = re.compile(
@@ -181,25 +188,9 @@ def strata_for_rank(rank: int | None, mode: str = "disjoint") -> tuple[str, ...]
     Disjoint buckets are {1}, {2}, {3-5}, {>5 or absent}; cumulative buckets
     overlap (rank 1 is in <=1, <=2 and <=5).
     """
-    if mode == "disjoint":
-        if rank == 1:
-            return ("1",)
-        if rank == 2:
-            return ("2",)
-        if rank is not None and 3 <= rank <= 5:
-            return ("3-5",)
-        return (">5",)
-    if mode == "cumulative":
-        if rank is None or rank > 5:
-            return (">5",)
-        buckets = []
-        if rank <= 1:
-            buckets.append("<=1")
-        if rank <= 2:
-            buckets.append("<=2")
-        buckets.append("<=5")
-        return tuple(buckets)
-    raise ValueError(f"stratum_mode must be one of {STRATUM_MODES}, got {mode!r}")
+    if mode not in STRATA:
+        raise ValueError(f"stratum_mode must be one of {STRATUM_MODES}, got {mode!r}")
+    return tuple(bucket for bucket, ranks in STRATA[mode].items() if rank in ranks) or (">5",)
 
 
 def aggregate_accuracy(
@@ -292,12 +283,11 @@ def score_run(
             verdicts[i] = MatchVerdict(query.query_id, ok, "plugin", "")
     final_verdicts = tuple(v for v in verdicts if v is not None)
 
-    order = DISJOINT_STRATA if stratum_mode == "disjoint" else CUMULATIVE_STRATA
     memberships = {query.query_id: strata_for_rank(rank, stratum_mode)
                    for query, rank in zip(queries, ranks)}
 
     correct_by_qid = {v.query_id: v.correct for v in final_verdicts}
-    overall, by_stratum = aggregate_accuracy(correct_by_qid, memberships, order)
+    overall, by_stratum = aggregate_accuracy(correct_by_qid, memberships, STRATA[stratum_mode])
 
     split_counts: dict[str, int] = defaultdict(int)
     split_hits: dict[str, int] = defaultdict(int)
@@ -389,12 +379,11 @@ def write_report_csv(
     decimal) plus recall rows. Percent cells are blank for empty cells."""
     split_by_qid = {q.query_id: q.split_tag for q in queries}
     splits = sorted({q.split_tag for q in queries})
-    order = DISJOINT_STRATA if scored.report.stratum_mode == "disjoint" else CUMULATIVE_STRATA
 
     def rows():
         for k, fraction in scored.report.recall.items():
             yield [f"recall@{k}", "", "all", scored.report.total, _pct(fraction)]
-        for stratum in list(order) + ["all"]:
+        for stratum in [*STRATA[scored.report.stratum_mode], "all"]:
             for split in splits + ["all"]:
                 hits = 0
                 count = 0

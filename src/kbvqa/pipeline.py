@@ -125,6 +125,8 @@ class PipelineRunner:
             raise ValueError(f"core_mode must be one of {CORE_MODES}, got {core_mode!r}")
         if not 1 <= top_k <= MAX_TOP_K:
             raise ValueError(f"top_k must be within 1..{MAX_TOP_K} for prompting, got {top_k}")
+        if char_budget <= 0:
+            raise ValueError(f"char_budget must be positive, got {char_budget}")
         self.kb = kb
         self.backend = backend
         self.top_k = top_k

@@ -629,12 +629,100 @@ def test_retrieve_with_index_matches_retrieve_from_embeddings(data):
             "--kb-embeddings", str(kb_data))
 
 
+# Beside the flags it requires, what each subcommand needs to succeed on the
+# workspace: the flags its conditional checks require, and a backend.
+_COMPLETING = {"retrieve": ("kb_embeddings",), "run": ("retrievals", "endpoint_config"),
+               "probe-unimodal": ("endpoint_config",), "sweep": ("endpoint_config",)}
+# (subcommand, the flag left out): each flag of each required tuple, the two
+# conditional checks, and None for the complete command line.
+_MISSING_CASES = [
+    *((command, flag) for command, row in cli_module.COMMANDS.items() for flag in row[3]),
+    ("retrieve", "kb_embeddings"), ("run", "retrievals"),
+    *((command, None) for command in cli_module.COMMANDS),
+]
+
+
+@pytest.fixture(scope="module")
+def letter_server():
+    """A stub that answers every call with a reference letter."""
+    with LocalServer(reply=lambda body: "[Reference A]") as server:
+        yield server
+
+
+def _files_under(*roots: Path) -> dict[Path, tuple[int, int]]:
+    return {path: (path.stat().st_mtime_ns, path.stat().st_size)
+            for root in roots for path in root.rglob("*") if path.is_file()}
+
+
 class TestExitCodes:
-    def test_missing_required_flag(self, bundle, tmp_path, capsys):
-        rc = main(["mine-prki", "--traces-int", "x.jsonl", "--traces-ext", "x.jsonl",
-                   "--out-dir", str(tmp_path)])
+    @pytest.mark.parametrize("command, flag", _MISSING_CASES,
+                             ids=[f"{c}-{f or 'none'}" for c, f in _MISSING_CASES])
+    def test_missing_required_flag(self, ws, bundle, letter_server, tmp_path, capsys, command,
+                                   flag):
+        """A missing flag stops the subcommand before it reads an input, calls
+        the backend or writes a file; with every flag given, it runs."""
+        traces = str(ws.run / "traces.jsonl")
+        endpoint = tmp_path / "endpoint.json"
+        out = tmp_path / "out"
+        values = {
+            "kb": [str(bundle.entries_path)], "kb_manifest": [str(bundle.kb_manifest)],
+            "kb_embeddings": [str(bundle.kb_embeddings)], "queries": [str(bundle.queries_path)],
+            "query_manifest": [str(bundle.query_manifest)],
+            "query_embeddings": [str(bundle.query_embeddings)],
+            "retrievals": [str(ws.retrieve / "retrieval_results.jsonl")],
+            "variant": ["core"], "traces": [traces], "traces_int": [traces],
+            "traces_ext": [traces], "probe_traces": [str(ws.probe / "probe_traces.jsonl")],
+            "records": [str(ws.mine_prki / "d_int.jsonl")], "objective": ["prki"],
+            "endpoint_config": [str(endpoint)], "out_dir": [str(out)],
+        }
+        names = (*cli_module.COMMANDS[command][3], *_COMPLETING.get(command, ()))
+        argv = [command, "--top-k", "5"] if command in ("run", "probe-unimodal") else [command]
+        for name in names:
+            if name != flag:
+                argv += ["--" + name.replace("_", "-"), *values[name]]
+        server = letter_server
+        server.requests.clear()
+        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
+        before = _files_under(tmp_path, bundle.entries_path.parent)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if flag is None:
+            assert rc == 0, err
+            assert (out / "run_config.json").is_file()
+            assert bool(server.requests) == ("endpoint_config" in names)
+            return
         assert rc == 2
-        assert "missing required --queries" in capsys.readouterr().err
+        assert f"missing required --{flag.replace('_', '-')}" in err
+        assert _files_under(tmp_path, bundle.entries_path.parent) == before
+        assert not out.exists()
+        assert server.requests == []
+
+    def test_required_flags_are_flags_without_defaults(self):
+        parser = build_parser()
+        for command, (_handler, _help_line, _entries, required) in cli_module.COMMANDS.items():
+            rows = parser.parse_args([command]).flag_rows
+            assert len(set(required)) == len(required), command
+            for flag in required:
+                assert flag in rows, (command, flag)
+                assert rows[flag].get("default") is None, (command, flag)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_non_positive_char_budget_makes_no_call(self, ws, bundle, letter_server, tmp_path,
+                                                    capsys, command):
+        letter_server.requests.clear()
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": letter_server.url, "model": "m"}))
+        rc = main([
+            command, "--variant", "core", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest), "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--endpoint-config", str(endpoint), "--char-budget", "0",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "char_budget must be positive, got 0" in capsys.readouterr().err
+        assert letter_server.requests == []
+        assert not (tmp_path / "out").exists()
 
     def test_backend_flags_are_exclusive(self, bundle, tmp_path, capsys):
         rc = main([
@@ -1729,33 +1817,12 @@ class TestHelpGoldens:
 
 
 def resolved_defaults() -> str:
-    """Each subcommand's configuration with no flags and no config file, as JSON.
-
-    Stops each handler right after it has resolved its configuration, so
-    nothing is read or written.
-    """
+    """Each subcommand's configuration with no flags and no config file, as JSON."""
     import argparse
-
-    class Resolved(Exception):
-        pass
-
-    real_resolve = cli_module._resolve
-    captured = {}
-
-    def capture(*args, **kwargs):
-        captured["cfg"] = real_resolve(*args, **kwargs)
-        raise Resolved
 
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli_module, "_resolve", capture)
-        for command in sub.choices:
-            args = parser.parse_args([command])
-            with pytest.raises(Resolved):
-                args.func(args)
-            out[command] = captured.pop("cfg")
+    out = {command: cli_module._resolve(parser.parse_args([command])) for command in sub.choices}
     return json.dumps(out, indent=2, sort_keys=True) + "\n"
 
 

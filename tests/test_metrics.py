@@ -113,6 +113,7 @@ class TestStrata:
         assert strata_for_rank(4, "cumulative") == ("<=5",)
         assert strata_for_rank(9, "cumulative") == (">5",)
         assert strata_for_rank(None, "cumulative") == (">5",)
+        assert strata_for_rank(0, "cumulative") == (">5",)  # ranks start at 1
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

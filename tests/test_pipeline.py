@@ -248,6 +248,8 @@ class TestRunner:
             PipelineRunner(small_kb(), MockBackend({}), top_k=6)
         with pytest.raises(ValueError, match="top_k"):
             PipelineRunner(small_kb(), MockBackend({}), top_k=0)
+        with pytest.raises(ValueError, match="char_budget must be positive, got 0"):
+            PipelineRunner(small_kb(), MockBackend({}), char_budget=0)
 
     def test_resolve_entries_unknown_id(self):
         run, _ = runner({})
