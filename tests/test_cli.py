@@ -665,37 +665,36 @@ class TestExitCodes:
         endpoint = tmp_path / "endpoint.json"
         out = tmp_path / "out"
         values = {
-            "kb": [str(bundle.entries_path)], "kb_manifest": [str(bundle.kb_manifest)],
-            "kb_embeddings": [str(bundle.kb_embeddings)], "queries": [str(bundle.queries_path)],
-            "query_manifest": [str(bundle.query_manifest)],
-            "query_embeddings": [str(bundle.query_embeddings)],
-            "retrievals": [str(ws.retrieve / "retrieval_results.jsonl")],
-            "variant": ["core"], "traces": [traces], "traces_int": [traces],
-            "traces_ext": [traces], "probe_traces": [str(ws.probe / "probe_traces.jsonl")],
-            "records": [str(ws.mine_prki / "d_int.jsonl")], "objective": ["prki"],
-            "endpoint_config": [str(endpoint)], "out_dir": [str(out)],
+            "kb": str(bundle.entries_path), "kb_manifest": str(bundle.kb_manifest),
+            "kb_embeddings": str(bundle.kb_embeddings), "queries": str(bundle.queries_path),
+            "query_manifest": str(bundle.query_manifest),
+            "query_embeddings": str(bundle.query_embeddings),
+            "retrievals": str(ws.retrieve / "retrieval_results.jsonl"),
+            "variant": "core", "traces": traces, "traces_int": traces,
+            "traces_ext": traces, "probe_traces": str(ws.probe / "probe_traces.jsonl"),
+            "records": str(ws.mine_prki / "d_int.jsonl"), "objective": "prki",
+            "endpoint_config": str(endpoint), "out_dir": str(out),
         }
         names = (*cli_module.COMMANDS[command][3], *_COMPLETING.get(command, ()))
-        argv = [command, "--top-k", "5"] if command in ("run", "probe-unimodal") else [command]
+        argv = [command]
         for name in names:
             if name != flag:
-                argv += ["--" + name.replace("_", "-"), *values[name]]
-        server = letter_server
-        server.requests.clear()
-        endpoint.write_text(json.dumps({"base_url": server.url, "model": "m"}))
+                argv += ["--" + name.replace("_", "-"), values[name]]
+        letter_server.requests.clear()
+        endpoint.write_text(json.dumps({"base_url": letter_server.url, "model": "m"}))
         before = _files_under(tmp_path, bundle.entries_path.parent)
         rc = main(argv)
         err = capsys.readouterr().err
         if flag is None:
             assert rc == 0, err
             assert (out / "run_config.json").is_file()
-            assert bool(server.requests) == ("endpoint_config" in names)
+            assert bool(letter_server.requests) == ("endpoint_config" in names)
             return
         assert rc == 2
         assert f"missing required --{flag.replace('_', '-')}" in err
         assert _files_under(tmp_path, bundle.entries_path.parent) == before
         assert not out.exists()
-        assert server.requests == []
+        assert letter_server.requests == []
 
     def test_required_flags_are_flags_without_defaults(self):
         parser = build_parser()
