@@ -40,7 +40,7 @@ from .metrics import (
     write_report_json,
     write_verdicts,
 )
-from .mining import OBJECTIVES, export_training, mine_prki, mine_vtki, read_records, write_records
+from .mining import OBJECTIVE_TABLE, export_training, mine_prki, mine_vtki, read_records, write_records
 from .pipeline import (
     CORE_MODES, MAX_TOP_K, PipelineRunner, has_failures, needs_retrieval, read_traces,
     write_traces,
@@ -99,7 +99,7 @@ FLAGS: dict[str, dict] = {
     "traces_ext": {"help": "traces supplying the retrieval-grounded answer"},
     "probe_traces": {"help": "probe traces JSONL"},
     "records": {"nargs": "+", "help": "mined record JSONL file(s)"},
-    "objective": {"choices": OBJECTIVES, "help": "training objective to export"},
+    "objective": {"choices": tuple(OBJECTIVE_TABLE), "help": "training objective to export"},
     "sample": {"type": int, "help": "cap the export to a seeded random sample"},
     "seed": {"type": int, "default": 0, "help": "sampling seed"},
     "ks": {"default": ",".join(map(str, DEFAULT_RECALL_KS)),
@@ -405,9 +405,9 @@ def cmd_probe_unimodal(cfg: dict) -> int:
 
 
 def _run_variant(cfg: dict, variant: str, traces_name: str) -> int:
+    backend = _backend(cfg)
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
-    backend = _backend(cfg)
     runner = PipelineRunner(
         kb, backend, top_k=cfg["top_k"], char_budget=cfg["char_budget"],
         core_mode=cfg.get("core_mode", FLAGS["core_mode"]["default"]),
@@ -428,14 +428,14 @@ def cmd_mine_prki(cfg: dict) -> int:
         read_traces(cfg["traces_int"]), read_traces(cfg["traces_ext"]),
         queries, tolerance=float(cfg["tolerance"]),
     )
-    return _write_mining(cfg, mining, ("d_int", "d_ext"))
+    return _write_mining(cfg, mining, OBJECTIVE_TABLE["prki"].buckets)
 
 
 def cmd_mine_vtki(cfg: dict) -> int:
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, kb.url_map())
-    return _write_mining(cfg, mining, ("d_v", "d_t"))
+    return _write_mining(cfg, mining, OBJECTIVE_TABLE["vtki"].buckets)
 
 
 def _write_mining(cfg: dict, mining, buckets: tuple[str, ...]) -> int:
@@ -448,6 +448,8 @@ def _write_mining(cfg: dict, mining, buckets: tuple[str, ...]) -> int:
 
 
 def cmd_export_training(cfg: dict) -> int:
+    if cfg["char_budget"] <= 0:
+        raise IngestError(f"--char-budget must be positive, got {cfg['char_budget']}")
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     record_paths = cfg["records"]
@@ -520,9 +522,9 @@ def cmd_report(cfg: dict) -> int:
 def cmd_sweep(cfg: dict) -> int:
     top_ms = _parse_int_list(cfg["top_m"], "--top-m", high=MAX_TOP_K)
     options = _score_options(cfg)
+    backend = _backend(cfg)
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
-    backend = _backend(cfg)
     results_list = read_results(cfg["retrievals"])
     results = {r.query_id: r for r in results_list}
     runners = [PipelineRunner(kb, backend, top_k=m, char_budget=cfg["char_budget"],

@@ -30,7 +30,8 @@ from typing import TYPE_CHECKING
 from .errors import IngestError
 from .records import (
     FieldError, _check_unique, _lone_surrogate, atomic_write, field_error, from_record, load_json,
-    read_json_record, read_jsonl, record_fields, to_record, utf8_encodable, write_jsonl,
+    read_json_record, read_jsonl, record_fields, to_record, unique_query_ids, utf8_encodable,
+    write_jsonl,
 )
 
 if TYPE_CHECKING:
@@ -451,14 +452,8 @@ def _query_from_dict(obj: object) -> Query:
 
 def ingest_queries(path: str | Path) -> list[Query]:
     """Load and validate the query set, preserving file order."""
-    seen: dict[str, int] = {}
-
-    def parse(obj: dict, lineno: int) -> Query:
-        query = _query_from_dict(obj)
-        _check_unique(seen, "query_id", query.query_id, lineno)
-        return query
-
-    return read_jsonl(path, parse, IngestError)
+    return read_jsonl(path, unique_query_ids(lambda obj, _lineno: _query_from_dict(obj)),
+                      IngestError)
 
 
 def load_embeddings(manifest_path: str | Path, data_path: str | Path,

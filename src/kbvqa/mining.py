@@ -1,12 +1,12 @@
 """Mining fine-tuning data from answer and selection inconsistencies.
 
-Two miners over run traces. The answer miner compares the parametric answer
-with the retrieval-grounded answer and keeps queries where they differ and
-exactly one matches gold (d_int: the parametric one was right; d_ext: the
-grounded one was right). The selection miner compares image-only and
-text-only entry choices from probe traces and keeps queries where they
-differ and one equals the gold entry's index (d_v / d_t). Records export to
-per-objective training files with rendered prompts and supervision targets.
+Both miners run one loop over run traces: where a query's two sides differ,
+its record goes to the first bucket when the first side matches gold, else
+to the second when that one does. The answer miner compares the parametric
+and retrieval-grounded answers (d_int / d_ext; d_int when both match), the
+selection miner the image-only and text-only entry choices of probe traces
+with the gold entry's index (d_v / d_t). Records export to per-objective
+training files with rendered prompts and supervision targets.
 """
 
 from __future__ import annotations
@@ -14,22 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .answers import index_to_letter, normalize_answer
+from .answers import index_to_letter
 from .errors import EvalError
 from .kb import KnowledgeBase, Query
 from .metrics import DEFAULT_TOLERANCE, match_answer
-from .pipeline import PipelineTrace
-from .prompts import DEFAULT_CHAR_BUDGET, PromptContext, render
+from .pipeline import MAX_TOP_K, PipelineTrace, prki_value, vtki_value
+from .prompts import DEFAULT_CHAR_BUDGET, STAGES, PromptContext, render
 from .records import from_record, read_jsonl, to_record, write_jsonl
-
-OBJECTIVES = ("prki", "vtki", "sft")
-_OBJECTIVE_BUCKETS = {
-    "prki": ("d_int", "d_ext"),
-    "vtki": ("d_v", "d_t"),
-    "sft": ("d_v", "d_t"),
-}
 
 
 @dataclass(frozen=True)
@@ -41,6 +34,24 @@ class MiningRecord:
     gold_answer: str
     context_entry_ids: tuple[str, ...]
     provenance: dict
+
+
+class Objective(NamedTuple):
+    """A training objective: the buckets it takes, the (variant, stage)
+    whose prompt its lines render, and its target for a record."""
+
+    buckets: tuple[str, str]
+    variant: str
+    stage: str
+    target: Callable[[MiningRecord], str | int]
+
+
+OBJECTIVE_TABLE = {
+    "prki": Objective(("d_int", "d_ext"), "one_stage", "one_stage_gen", lambda r: r.target),
+    "vtki": Objective(("d_v", "d_t"), "core", "core_select",
+                      lambda r: index_to_letter(int(r.target))),
+    "sft": Objective(("d_v", "d_t"), "oracle", "oracle_gen", lambda r: r.gold_answer),
+}
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,48 @@ def _traces_by_qid(traces: Sequence[PipelineTrace], label: str) -> dict[str, Pip
             raise EvalError(f"duplicate query_id {trace.query_id!r} in {label} traces")
         out[trace.query_id] = trace
     return out
+
+
+def _mine(
+    objective: str, by_qid: Mapping[str, object], queries: Sequence[Query], what: str,
+    counted: tuple[str, ...], read: Callable[[Query], str | tuple],
+) -> tuple[tuple[MiningRecord, ...], tuple[MiningRecord, ...], dict[str, int]]:
+    """The records of objective's two buckets, and the miner's counters.
+
+    Query ids are walked in order. read(query) names the counter of the
+    pre-check that drops the query, or gives its two differing sides as
+    (first, second, first_ok, second_ok, context_entry_ids, provenance),
+    *_ok saying whether that side matches gold and so is the target.
+    counted names the counters before the buckets, in summary order.
+    """
+    query_by_qid = {q.query_id: q for q in queries}
+    missing = sorted(set(by_qid) - set(query_by_qid))
+    if missing:
+        raise EvalError(f"no query for {len(missing)} {what} ids, first: {missing[0]!r}")
+    buckets = OBJECTIVE_TABLE[objective].buckets
+    counters = {"total": len(by_qid), **dict.fromkeys((*counted, *buckets), 0)}
+    records: tuple[list[MiningRecord], list[MiningRecord]] = ([], [])
+    for qid in sorted(by_qid):
+        query = query_by_qid[qid]
+        sides = read(query)
+        if isinstance(sides, str):
+            counters[sides] += 1
+            continue
+        first, second, first_ok, second_ok, context_entry_ids, provenance = sides
+        counters["differing"] += 1
+        if not first_ok and not second_ok:
+            counters["neither_match"] += 1
+            continue
+        if first_ok and second_ok:
+            counters["both_match"] += 1
+        side = 0 if first_ok else 1
+        records[side].append(MiningRecord(
+            query_id=qid, bucket=buckets[side], objective=objective,
+            target=(first, second)[side], gold_answer=query.gold_answers[0],
+            context_entry_ids=context_entry_ids, provenance=provenance,
+        ))
+        counters[buckets[side]] += 1
+    return tuple(records[0]), tuple(records[1]), counters
 
 
 def mine_prki(
@@ -90,53 +143,24 @@ def mine_prki(
             "trace sets cover different query_ids "
             f"(only parametric: {only_int[:3]}, only grounded: {only_ext[:3]})"
         )
-    query_by_qid = {q.query_id: q for q in queries}
-    missing = sorted(set(int_by_qid) - set(query_by_qid))
-    if missing:
-        raise EvalError(f"no query for {len(missing)} trace ids, first: {missing[0]!r}")
 
-    counters = {
-        "total": len(int_by_qid), "failed_traces": 0, "equal_answers": 0,
-        "differing": 0, "both_match": 0, "neither_match": 0, "d_int": 0, "d_ext": 0,
-    }
-    d_int: list[MiningRecord] = []
-    d_ext: list[MiningRecord] = []
-    for qid in sorted(int_by_qid):
-        int_trace = int_by_qid[qid]
-        ext_trace = ext_by_qid[qid]
+    def read(query: Query) -> str | tuple:
+        int_trace, ext_trace = int_by_qid[query.query_id], ext_by_qid[query.query_id]
         if int_trace.failed or ext_trace.failed:
-            counters["failed_traces"] += 1
-            continue
+            return "failed_traces"
         y_int = int_trace.y_int if int_trace.y_int is not None else int_trace.y_final
         y_ext = ext_trace.y_ext if ext_trace.y_ext is not None else ext_trace.y_final
-        if normalize_answer(y_int) == normalize_answer(y_ext):
-            counters["equal_answers"] += 1
-            continue
-        counters["differing"] += 1
-        query = query_by_qid[qid]
-        int_ok = match_answer(y_int, query, tolerance=tolerance).correct
-        ext_ok = match_answer(y_ext, query, tolerance=tolerance).correct
-        if not int_ok and not ext_ok:
-            counters["neither_match"] += 1
-            continue
-        if int_ok and ext_ok:
-            counters["both_match"] += 1
-        bucket = "d_int" if int_ok else "d_ext"
-        record = MiningRecord(
-            query_id=qid,
-            bucket=bucket,
-            objective="prki",
-            target=y_int if int_ok else y_ext,
-            gold_answer=query.gold_answers[0],
-            context_entry_ids=ext_trace.context_entry_ids,
-            provenance={"y_int": y_int, "y_ext": y_ext},
-        )
-        if bucket == "d_int":
-            d_int.append(record)
-        else:
-            d_ext.append(record)
-        counters[bucket] += 1
-    return PrkiMining(d_int=tuple(d_int), d_ext=tuple(d_ext), counters=counters)
+        if not prki_value(y_int, y_ext):
+            return "equal_answers"
+        int_ok, ext_ok = (match_answer(y, query, tolerance=tolerance).correct
+                          for y in (y_int, y_ext))
+        return (y_int, y_ext, int_ok, ext_ok, ext_trace.context_entry_ids,
+                {"y_int": y_int, "y_ext": y_ext})
+
+    return PrkiMining(*_mine(
+        "prki", int_by_qid, queries, "trace",
+        ("failed_traces", "equal_answers", "differing", "both_match", "neither_match"), read,
+    ))
 
 
 def mine_vtki(
@@ -148,60 +172,32 @@ def mine_vtki(
 
     The gold index is the first position in the trace's candidate entries
     whose URL equals the query's gold entry URL; queries whose gold entry
-    was not retrieved are excluded and counted.
+    was not retrieved are excluded and counted. Differing indices cannot
+    both equal it, so there is no both_match counter.
     """
     probe_by_qid = _traces_by_qid(probe_traces, "probe")
-    query_by_qid = {q.query_id: q for q in queries}
-    missing = sorted(set(probe_by_qid) - set(query_by_qid))
-    if missing:
-        raise EvalError(f"no query for {len(missing)} probe trace ids, first: {missing[0]!r}")
 
-    counters = {
-        "total": len(probe_by_qid), "failed_traces": 0, "gold_absent": 0,
-        "equal_indices": 0, "differing": 0, "neither_match": 0, "d_v": 0, "d_t": 0,
-    }
-    d_v: list[MiningRecord] = []
-    d_t: list[MiningRecord] = []
-    for qid in sorted(probe_by_qid):
-        trace = probe_by_qid[qid]
+    def read(query: Query) -> str | tuple:
+        trace = probe_by_qid[query.query_id]
         if trace.failed:
-            counters["failed_traces"] += 1
-            continue
+            return "failed_traces"
         if trace.i_v is None or trace.i_t is None:
-            raise EvalError(f"probe trace {qid!r} is missing a unimodal selection index")
-        query = query_by_qid[qid]
-        i_gt = None
-        if query.gold_entry_url:
-            for idx, entry_id in enumerate(trace.context_entry_ids):
-                if url_of[entry_id] == query.gold_entry_url:
-                    i_gt = idx
-                    break
+            raise EvalError(f"probe trace {query.query_id!r} is missing a unimodal selection index")
+        # url_of is looked up only up to the first entry with the gold URL.
+        i_gt = next((idx for idx, entry_id in enumerate(trace.context_entry_ids)
+                     if url_of[entry_id] == query.gold_entry_url),
+                    None) if query.gold_entry_url else None
         if i_gt is None:
-            counters["gold_absent"] += 1
-            continue
-        if trace.i_v == trace.i_t:
-            counters["equal_indices"] += 1
-            continue
-        counters["differing"] += 1
-        if trace.i_v != i_gt and trace.i_t != i_gt:
-            counters["neither_match"] += 1
-            continue
-        bucket = "d_v" if trace.i_v == i_gt else "d_t"
-        record = MiningRecord(
-            query_id=qid,
-            bucket=bucket,
-            objective="vtki",
-            target=i_gt,
-            gold_answer=query.gold_answers[0],
-            context_entry_ids=trace.context_entry_ids,
-            provenance={"i_v": trace.i_v, "i_t": trace.i_t, "i_gt": i_gt},
-        )
-        if bucket == "d_v":
-            d_v.append(record)
-        else:
-            d_t.append(record)
-        counters[bucket] += 1
-    return VtkiMining(d_v=tuple(d_v), d_t=tuple(d_t), counters=counters)
+            return "gold_absent"
+        if not vtki_value(trace.i_v, trace.i_t):
+            return "equal_indices"
+        return (trace.i_v, trace.i_t, trace.i_v == i_gt, trace.i_t == i_gt,
+                trace.context_entry_ids, {"i_v": trace.i_v, "i_t": trace.i_t, "i_gt": i_gt})
+
+    return VtkiMining(*_mine(
+        "vtki", probe_by_qid, queries, "probe trace",
+        ("failed_traces", "gold_absent", "equal_indices", "differing", "neither_match"), read,
+    ))
 
 
 def export_training(
@@ -216,22 +212,22 @@ def export_training(
 ) -> int:
     """Write one training line per record for the requested objective.
 
-    Prompts: prki renders the all-references answering prompt over the
-    record's candidate entries; vtki renders the entry-selection prompt;
-    sft renders the single-gold-entry answering prompt. Targets: prki keeps
-    the model's own matching answer verbatim, vtki supervises the gold
-    entry's reference letter, sft supervises the gold answer. Output order
+    Each line renders the prompt of the objective's stage in OBJECTIVE_TABLE
+    and supervises its target. A stage over retrieved entries is rendered
+    over the record's candidate entries (at most MAX_TOP_K); one over the
+    gold entry, over the candidate at the record's gold index. Output order
     is sorted by (query_id, bucket); an optional seeded sample caps size.
     """
-    if objective not in OBJECTIVES:
-        raise EvalError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-    allowed = _OBJECTIVE_BUCKETS[objective]
+    row = OBJECTIVE_TABLE.get(objective)
+    if row is None:
+        raise EvalError(f"objective must be one of {tuple(OBJECTIVE_TABLE)}, got {objective!r}")
     for record in records:
-        if record.bucket not in allowed:
+        if record.bucket not in row.buckets:
             raise EvalError(
                 f"record {record.query_id!r} has bucket {record.bucket!r}, "
-                f"objective {objective!r} accepts {allowed}"
+                f"objective {objective!r} accepts {row.buckets}"
             )
+    context = STAGES[row.variant, row.stage].context
     query_by_qid = {q.query_id: q for q in queries}
 
     chosen = sorted(records, key=lambda r: (r.query_id, r.bucket))
@@ -255,25 +251,17 @@ def export_training(
                     f"mining record {record.query_id!r} references unknown entry {entry_id!r}"
                 )
             entries.append(entry)
-        if objective == "prki":
-            ctx = PromptContext(query=query, entries=tuple(entries[:5]), char_budget=char_budget)
-            seq = render("one_stage", "one_stage_gen", ctx)
-            target: str | int = record.target
-        elif objective == "vtki":
-            ctx = PromptContext(query=query, entries=tuple(entries[:5]), char_budget=char_budget)
-            seq = render("core", "core_select", ctx)
-            target = index_to_letter(int(record.target))
-        else:
-            ctx = PromptContext(
-                query=query, selected_entry=entries[int(record.target)], char_budget=char_budget,
-            )
-            seq = render("oracle", "oracle_gen", ctx)
-            target = record.gold_answer
+        ctx = PromptContext(
+            query=query,
+            entries=tuple(entries[:MAX_TOP_K]) if context == "entries" else (),
+            selected_entry=entries[int(record.target)] if context == "gold" else None,
+            char_budget=char_budget,
+        )
         return {
             "query_id": record.query_id,
             "bucket": record.bucket,
-            "prompt_parts": seq.to_json_parts(),
-            "target": target,
+            "prompt_parts": render(row.variant, row.stage, ctx).to_json_parts(),
+            "target": row.target(record),
             "provenance": dict(record.provenance),
         }
 

@@ -23,7 +23,7 @@ from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
-from .records import from_record, read_jsonl, to_record, write_jsonl
+from .records import from_record, read_jsonl, to_record, unique_query_ids, write_jsonl
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
@@ -303,4 +303,4 @@ def _trace_from_dict(rec: dict, _lineno: int) -> PipelineTrace:
 
 
 def read_traces(path: str | Path) -> list[PipelineTrace]:
-    return read_jsonl(path, _trace_from_dict, PipelineError)
+    return read_jsonl(path, unique_query_ids(_trace_from_dict), PipelineError)

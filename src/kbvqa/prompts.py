@@ -96,9 +96,9 @@ STAGE_TABLE: dict[tuple[str, str | None], tuple[Stage, ...]] = {
     ),
 }
 
-# render's lookup: (variant, stage token) -> Stage, over every core mode.
-_STAGES = {(variant, stage.token): stage
-           for (variant, _mode), stages in STAGE_TABLE.items() for stage in stages}
+# (variant, stage token) -> Stage, over every core mode: what render and mining look up.
+STAGES = {(variant, stage.token): stage
+          for (variant, _mode), stages in STAGE_TABLE.items() for stage in stages}
 
 _MARKER = re.compile(r"<image#([A-E])>|<image>")
 _PLACEHOLDER = re.compile(r"\{([A-Za-z0-9_]+)\}")
@@ -332,7 +332,7 @@ def render(variant: str, stage: str, ctx: PromptContext) -> MessageSequence:
     preceding template text ends with ``Reference Image:``, which attaches
     the selected entry's image instead.
     """
-    row = _STAGES.get((variant, stage))
+    row = STAGES.get((variant, stage))
     if row is None:
         if all(name != variant for name, _mode in STAGE_TABLE):
             raise PromptError(f"unknown variant: {variant!r}")

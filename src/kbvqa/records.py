@@ -329,3 +329,15 @@ def _check_unique(seen: dict[str, int], what: str, value: str, lineno: int) -> N
     if value in seen:
         raise FieldError(f"duplicate {what} {value!r} (first seen on line {seen[value]})")
     seen[value] = lineno
+
+
+def unique_query_ids(parse: Callable[[dict, int], T]) -> Callable[[dict, int], T]:
+    """parse for one read_jsonl call, rejecting a record whose query_id an earlier line has."""
+    seen: dict[str, int] = {}
+
+    def checked(obj: dict, lineno: int) -> T:
+        record = parse(obj, lineno)
+        _check_unique(seen, "query_id", record.query_id, lineno)
+        return record
+
+    return checked

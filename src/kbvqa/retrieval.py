@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import EvalError, IngestError
 from .kb import KnowledgeBase, Query
-from .records import from_record, read_jsonl, to_record, write_jsonl
+from .records import from_record, read_jsonl, to_record, unique_query_ids, write_jsonl
 
 if TYPE_CHECKING:
     import numpy as np
@@ -233,4 +233,5 @@ def write_results(results: Sequence[RetrievalResult], path: str | Path) -> int:
 
 
 def read_results(path: str | Path) -> list[RetrievalResult]:
-    return read_jsonl(path, lambda obj, _lineno: from_record(RetrievalResult, obj), IngestError)
+    parse = unique_query_ids(lambda obj, _lineno: from_record(RetrievalResult, obj))
+    return read_jsonl(path, parse, IngestError)

@@ -735,12 +735,31 @@ class TestExitCodes:
         assert "exactly one of --mock-script and --endpoint-config" in capsys.readouterr().err
 
     def test_no_backend_flag(self, bundle, tmp_path, capsys):
+        """Checked before any input is read: neither --queries nor --retrievals exists."""
+        for command in ("run", "probe-unimodal", "sweep"):
+            rc = main([
+                command, *(["--variant", "param"] if command == "run" else []),
+                "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+                "--queries", str(tmp_path / "nope.jsonl"),
+                "--retrievals", str(tmp_path / "nope_retrievals.jsonl"),
+                "--out-dir", str(tmp_path / "out"),
+            ])
+            assert rc == 2, command
+            assert ("exactly one of --mock-script and --endpoint-config is required"
+                    in capsys.readouterr().err), command
+            assert not (tmp_path / "out").exists()
+
+    def test_export_rejects_non_positive_char_budget_before_writing(self, ws, bundle, tmp_path,
+                                                                    capsys):
         rc = main([
-            "run", "--variant", "param", "--kb", str(bundle.entries_path),
-            "--kb-manifest", str(bundle.kb_manifest),
-            "--queries", str(bundle.queries_path), "--out-dir", str(tmp_path),
+            "export-training", "--records", str(ws.mine_prki / "d_int.jsonl"),
+            "--objective", "prki", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest), "--queries", str(bundle.queries_path),
+            "--char-budget", "0", "--out-dir", str(tmp_path / "out"),
         ])
         assert rc == 2
+        assert "--char-budget must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_partial_failure_exits_one(self, ws, bundle, tmp_path):
         # drop one scripted stage so exactly one trace fails
@@ -981,6 +1000,26 @@ class TestReaderErrors:
         assert str(bad) in err and "Traceback" not in err
         if fault == "missing_field":
             assert f"{bad}:2: missing field '{field}'" in err
+
+
+@pytest.mark.parametrize("role", ["traces", "retrievals"])
+def test_duplicate_query_id_exits_two_naming_both_lines(ws, bundle, tmp_path, capsys, role):
+    """score on traces, and run on retrieval results, with the first line
+    repeated at the end, stop before writing instead of keeping the last copy."""
+    source = _reader_source(ws, bundle, role)
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = tmp_path / f"dup_{role}.jsonl"
+    bad.write_text("".join(lines) + lines[0], encoding="utf-8")
+    c = _reader_flags(ws, bundle)
+    argv = {"traces": ["score", *c.score, "--traces", str(bad)],
+            "retrievals": ["run", "--variant", "one_stage", *c.kb, *c.queries, *c.mock,
+                           "--retrievals", str(bad)]}[role]
+    rc = main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    qid = json.loads(lines[0])["query_id"]
+    assert (f"{bad}:{len(lines) + 1}: duplicate query_id {qid!r} (first seen on line 1)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 # The ids name each case as it was first written, before messages named the
@@ -1402,8 +1441,10 @@ _ROUND_TRIPS = {
         split_tag=st.sampled_from(SPLIT_TAGS), answer_type=st.sampled_from(("text", "numeric")),
         query_embedding_row=st.none() | st.integers(0)), max_size=3,
         unique_by=lambda query: query.query_id)),
-    "traces": (write_traces, read_traces, st.lists(_records_of(PipelineTrace), max_size=3)),
-    "results": (write_results, read_results, st.lists(_records_of(RetrievalResult), max_size=3)),
+    "traces": (write_traces, read_traces, st.lists(_records_of(PipelineTrace), max_size=3,
+                                                    unique_by=lambda trace: trace.query_id)),
+    "results": (write_results, read_results, st.lists(_records_of(RetrievalResult), max_size=3,
+                                                       unique_by=lambda result: result.query_id)),
     "records": (write_records, read_records, st.lists(_records_of(MiningRecord), max_size=3)),
     "verdicts": (write_verdicts, _read_verdicts, st.lists(_records_of(MatchVerdict), max_size=3)),
     "report": (lambda reports, path: write_report_json(reports[0], path),
@@ -1433,7 +1474,8 @@ class TestRecordRoundTrip:
             assert list(obj) == list(typing.get_type_hints(type(record)))
 
     @settings(max_examples=40, deadline=None)
-    @given(traces=st.lists(_records_of(PipelineTrace), max_size=3))
+    @given(traces=st.lists(_records_of(PipelineTrace), max_size=3,
+                           unique_by=lambda trace: trace.query_id))
     def test_traces_written_without_transcripts_read_back_without_them(self, traces):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "traces.jsonl"

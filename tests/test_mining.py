@@ -3,10 +3,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_gen
 from kbvqa.errors import EvalError
 from kbvqa.kb import EmbeddingManifest, KnowledgeBase, KnowledgeEntry, Query
+from kbvqa.metrics import match_answer
 from kbvqa.mining import (
     MiningRecord,
     export_training,
@@ -150,6 +153,62 @@ class TestMineVtki:
     def test_missing_index_is_an_error(self):
         with pytest.raises(EvalError, match="selection index"):
             mine_vtki([trace("v0", i_v=None, i_t=1)], self._queries(1), URLS)
+
+
+_ANSWERS = st.sampled_from(["gold", "The gold.", "alpha", "beta", "wrong", ""])
+_INDEX = st.integers(0, 4)
+
+
+def _check_counts(mining, skips, buckets):
+    """total splits into the skips and differing, differing into
+    neither_match and the buckets, and each bucket holds its count."""
+    c = mining.counters
+    assert c["total"] == sum(c[key] for key in skips) + c["differing"]
+    assert c["differing"] == c["neither_match"] + sum(c[bucket] for bucket in buckets)
+    for bucket in buckets:
+        assert len(getattr(mining, bucket)) == c[bucket]
+        assert all(r.bucket == bucket for r in getattr(mining, bucket))
+
+
+class TestMinerProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.lists(_ANSWERS, min_size=1, max_size=2), _ANSWERS | st.none(), _ANSWERS,
+        _ANSWERS | st.none(), _ANSWERS, st.booleans(), st.booleans()), max_size=8))
+    def test_prki_counts_and_targets(self, rows):
+        queries, int_traces, ext_traces = [], [], []
+        for i, row in enumerate(rows):
+            golds, y_int, int_final, y_ext, ext_final, int_failed, ext_failed = row
+            queries.append(query(f"p{i}", golds=golds))
+            int_traces.append(trace(f"p{i}", y_int=y_int, y_final=int_final, failed=int_failed))
+            ext_traces.append(trace(f"p{i}", y_ext=y_ext, y_final=ext_final, failed=ext_failed))
+        mining = mine_prki(int_traces, ext_traces, queries)
+        _check_counts(mining, ("failed_traces", "equal_answers"), ("d_int", "d_ext"))
+        by_qid = {q.query_id: q for q in queries}
+        for record in mining.d_int + mining.d_ext:
+            side = "y_int" if record.bucket == "d_int" else "y_ext"
+            assert record.target == record.provenance[side]
+            assert match_answer(record.target, by_qid[record.query_id]).correct
+        for record in mining.d_ext:
+            assert not match_answer(record.provenance["y_int"], by_qid[record.query_id]).correct
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.permutations([f"e{i}" for i in range(5)]), st.sampled_from([*URLS.values(), None]),
+        _INDEX, _INDEX, st.booleans()), max_size=8))
+    def test_vtki_counts_and_targets(self, rows):
+        queries, traces = [], []
+        for i, (context, gold_url, i_v, i_t, failed) in enumerate(rows):
+            queries.append(query(f"v{i}", gold_url=gold_url))
+            traces.append(trace(f"v{i}", i_v=i_v, i_t=i_t, context=context, failed=failed))
+        mining = mine_vtki(traces, queries, URLS)
+        _check_counts(mining, ("failed_traces", "gold_absent", "equal_indices"), ("d_v", "d_t"))
+        by_qid = {q.query_id: q for q in queries}
+        for record in mining.d_v + mining.d_t:
+            side = "i_v" if record.bucket == "d_v" else "i_t"
+            gold_url = by_qid[record.query_id].gold_entry_url
+            assert record.target == record.provenance[side] == record.provenance["i_gt"]
+            assert URLS[record.context_entry_ids[record.target]] == gold_url
 
 
 def small_kb() -> KnowledgeBase:
