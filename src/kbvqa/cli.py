@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import zipfile
 from pathlib import Path
@@ -54,6 +55,14 @@ from .retrieval import (
 EXIT_OK = 0
 EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
+
+# The commands that load numpy, and the variables that size a BLAS
+# library's thread pool when numpy first loads it. main gives each variable
+# the environment does not set the value 1 for these commands: the one
+# GEMM of `retrieve` is too short to pay for starting threads, and other
+# threads only spin beside it. Results are the same for any thread count.
+NUMPY_COMMANDS = ("index", "retrieve")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # In table order: `run` takes the variants that answer (set y_final), and
 # `sweep` those of them whose prompts hold the retrieved entries.
@@ -434,7 +443,8 @@ def cmd_mine_prki(cfg: dict) -> int:
 def cmd_mine_vtki(cfg: dict) -> int:
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
-    mining = mine_vtki(read_traces(cfg["probe_traces"]), queries, kb.url_map())
+    traces = read_traces(cfg["probe_traces"], kb.by_id)
+    mining = mine_vtki(traces, queries, kb.url_map())
     return _write_mining(cfg, mining, OBJECTIVE_TABLE["vtki"].buckets)
 
 
@@ -641,6 +651,9 @@ def main(argv: list[str] | None = None) -> int:
     requires before it reads an input, run it, then record what it ran with."""
     args = build_parser().parse_args(argv)
     handler, _help_line, _entries, required = COMMANDS[args.command]
+    if args.command in NUMPY_COMMANDS:
+        for name in BLAS_THREAD_VARS:
+            os.environ.setdefault(name, "1")
     try:
         cfg = _resolve(args)
         _require(cfg, *required)

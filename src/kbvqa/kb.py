@@ -6,9 +6,10 @@ File formats (a record holds its class's fields in declaration order):
   embeddings.manifest.json   {"dim", "count", "normalized", "dtype": "f32le"}
   embeddings.bin             raw little-endian float32, row-major, count*dim values
   entries.jsonl.catalog.json written by `kbvqa ingest` beside the entries
-                   (write_catalog): the sha256 of the entries file and of
-                   the manifest, and per entry, in file order, its id, url,
-                   embedding row and the byte span of its line
+                   (write_catalog), two lines of JSON: the sha256 of the
+                   entries file and of the manifest, and per entry, in file
+                   order, its id, url and embedding row; then the byte span
+                   of each entry's line, read only when an entry is looked up
 
 Loaded handles are immutable after ingestion and safe for concurrent readers.
 """
@@ -29,8 +30,8 @@ from typing import TYPE_CHECKING
 
 from .errors import IngestError
 from .records import (
-    FieldError, _check_unique, _lone_surrogate, atomic_write, field_error, from_record, load_json,
-    read_json_record, read_jsonl, record_fields, to_record, unique_query_ids, utf8_encodable,
+    FieldError, _check_unique, _lone_surrogate, atomic_write, field_error, from_record,
+    read_json_record, read_jsonl, record_reader, to_record, unique_query_ids, utf8_encodable,
     write_jsonl,
 )
 
@@ -45,11 +46,16 @@ ANSWER_TYPES = ("text", "numeric", "numeric_range")
 NORM_TOLERANCE = 1e-4
 NORM_BLOCK_ROWS = 4096
 
-CATALOG_VERSION = 1
+# A byte value: `in` a bytes object, it is one memchr.
+_BACKSLASH = ord("\\")
+
+CATALOG_VERSION = 2
 CATALOG_SUFFIX = ".catalog.json"
-# The catalog's per-entry columns, each a list in file order. An entry's line
-# is the line_length bytes at line_offset, its line end included.
-CATALOG_COLUMNS = ("entry_id", "url", "embedding_row", "line_offset", "line_length")
+# The catalog's per-entry columns, each a list in file order: those of its
+# first line, and the spans of its second. An entry's line is the
+# line_length bytes at line_offset, its line end included.
+CATALOG_COLUMNS = ("entry_id", "url", "embedding_row")
+CATALOG_SPANS = ("line_offset", "line_length")
 
 
 @dataclass(frozen=True)
@@ -117,13 +123,15 @@ class KnowledgeBase:
 
     Entry ids, URLs and embedding rows are kept as columns in file order,
     so len(), URL maps and index rows never need the entries; the
-    positional columns are the CATALOG_COLUMNS. sha256 and manifest_sha256
-    are those of the entries and manifest bytes ingest_kb read. A KB that
-    ingest_kb parsed in full holds each entry's line as export_kb writes
-    it, in export_lines; one that it loaded through its catalog holds, in
-    source, the entries file mapped read-only, its path and the catalog's.
-    Either parses an entry's line the first time the entry is looked up,
-    through by_id, entry_by_url or entries.
+    positional columns are the CATALOG_COLUMNS, then the CATALOG_SPANS.
+    sha256 and manifest_sha256 are those of the entries and manifest bytes
+    ingest_kb read. A KB that ingest_kb parsed in full holds each entry's
+    line as export_kb writes it, in export_lines; one that it loaded
+    through its catalog holds, in source, the entries file mapped
+    read-only, its path and the catalog's, and reads the spans from the
+    catalog when it first needs them. Either parses an entry's line the
+    first time the entry is looked up, through by_id, entry_by_url or
+    entries.
     """
 
     def __init__(self, manifest: EmbeddingManifest, entry_ids: list[str], urls: list[str],
@@ -199,6 +207,8 @@ class KnowledgeBase:
         if self._source is None:
             return _entry_from_export(self.export_lines[i])
         data, path, catalog = self._source
+        if self.line_offsets is None:
+            self.line_offsets, self.line_lengths = _catalog_spans(catalog, path, self)
         expected = (self.entry_ids[i], self.urls[i], self.embedding_rows[i])
         try:
             offset = self.line_offsets[i]
@@ -261,9 +271,12 @@ def _entry_from_dict(obj: object) -> KnowledgeEntry:
     return KnowledgeEntry(*_entry_fields(obj))
 
 
+_read_entry = record_reader(KnowledgeEntry)
+
+
 def _entry_fields(obj: object) -> tuple:
     """The checked (entry_id, url, title, content, image_refs, embedding_row) of a record."""
-    fields = entry_id, url, _, _, _, embedding_row = record_fields(KnowledgeEntry, obj)
+    fields = entry_id, url, _, _, _, embedding_row = _read_entry(obj)
     version = obj.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise field_error("schema_version", str(SCHEMA_VERSION), version)
@@ -277,17 +290,24 @@ def _entry_fields(obj: object) -> tuple:
 
 
 def _export_line(entry_id: str, url: str, title: str, content: str, image_refs,
-                 embedding_row: int | None) -> str:
+                 embedding_row: int | None, escape: bool = True) -> str:
     """The entry's line in entries_normalized.jsonl, line end included.
 
     It is json.dumps({"schema_version": SCHEMA_VERSION, **to_record(entry)},
     ensure_ascii=False) + "\n", built from the string encoder that call
-    uses, without the dict or the encoder.
+    uses, without the dict or the encoder. That encoder changes only a
+    quote, a backslash and a control character, which strict JSON can
+    write only as escapes. So the strings of a line with no backslash can
+    be quoted as they are, with escape false, for the same line.
     """
-    return (f'{{"schema_version": {SCHEMA_VERSION}, "entry_id": {encode_basestring(entry_id)}, '
-            f'"url": {encode_basestring(url)}, "title": {encode_basestring(title)}, '
-            f'"content": {encode_basestring(content)}, '
-            f'"image_refs": [{", ".join(map(encode_basestring, image_refs))}], '
+    if escape:
+        entry_id, url, title, content = [
+            encode_basestring(text)[1:-1] for text in (entry_id, url, title, content)]
+        image_refs = [encode_basestring(text)[1:-1] for text in image_refs]
+    refs = '"' + '", "'.join(image_refs) + '"' if image_refs else ""
+    return (f'{{"schema_version": {SCHEMA_VERSION}, "entry_id": "{entry_id}", "url": "{url}", '
+            f'"title": "{title}", "content": "{content}", '
+            f'"image_refs": [{refs}], '
             f'"embedding_row": {"null" if embedding_row is None else embedding_row}}}\n')
 
 
@@ -321,21 +341,24 @@ def _parse_kb(path: Path, manifest: EmbeddingManifest, manifest_sha256: str) -> 
     """Parse, check and export every line in one pass.
 
     The lines are read_jsonl's, which hashes the file as it reads it and
-    hands over each line's byte offset and length. No entry is built: the
-    KB keeps each line's export, and parses it again when the entry is
-    looked up.
+    hands over each line's bytes and offset. No entry is built: the KB
+    keeps each line's export, and parses it again when the entry is looked
+    up.
     """
     count = manifest.count
     seen: dict[str, int] = {}
     entry_ids: list[str] = []
     urls: list[str] = []
     rows: list[int | None] = []
+    offsets: list[int] = []
+    lengths: list[int] = []
 
-    def parse(obj: dict, lineno: int) -> bytes:
+    def parse(obj: dict, lineno: int, raw: bytes, offset: int) -> bytes:
         """Check a record as _entry_from_dict does, then against the others; its export."""
         entry_id, url, title, content, image_refs, row = _entry_fields(obj)
         try:
-            line = _export_line(entry_id, url, title, content, image_refs, row).encode("utf-8")
+            line = _export_line(entry_id, url, title, content, image_refs, row,
+                                _BACKSLASH in raw).encode("utf-8")
         except UnicodeEncodeError:
             raise _lone_surrogate({
                 "entry_id": entry_id, "url": url, "title": title, "content": content,
@@ -347,12 +370,12 @@ def _parse_kb(path: Path, manifest: EmbeddingManifest, manifest_sha256: str) -> 
         entry_ids.append(entry_id)
         urls.append(url)
         rows.append(row)
+        offsets.append(offset)
+        lengths.append(len(raw))
         return line
 
     digest = hashlib.sha256()
-    offsets: list[int] = []
-    lengths: list[int] = []
-    lines = read_jsonl(path, parse, IngestError, digest, (offsets, lengths))
+    lines = read_jsonl(path, parse, IngestError, digest, with_line=True)
     return KnowledgeBase(manifest, entry_ids, urls, rows, offsets, lengths,
                          sha256=digest.hexdigest(), manifest_sha256=manifest_sha256,
                          export_lines=lines)
@@ -368,16 +391,14 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
                      manifest_sha256: str) -> KnowledgeBase | None:
     """The KB over its catalog, or None when no catalog was written for these bytes.
 
-    A missing, unreadable or truncated catalog, one of another version, and
-    one whose digests differ from the files' are all None: the caller then
-    parses the whole file. The columns of a catalog whose
-    digests match are trusted as `kbvqa ingest` wrote them.
+    Only the catalog's first line is read here. A missing or unreadable
+    catalog, one whose first line is truncated, one of another version,
+    and one whose digests differ from the files' are all None: the caller
+    then parses the whole file. The columns of a catalog whose digests
+    match are trusted as `kbvqa ingest` wrote them.
     """
     catalog = catalog_path(path)
-    try:
-        cat, _ = load_json(catalog, "KB catalog", IngestError)
-    except IngestError:
-        return None
+    cat = _catalog_line(catalog, 0)
     if not (isinstance(cat, dict) and cat.get("catalog_version") == CATALOG_VERSION
             and cat.get("schema_version") == SCHEMA_VERSION
             and cat.get("kb_manifest_sha256") == manifest_sha256):
@@ -401,14 +422,38 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
                          source=(data, path, catalog))
 
 
+def _catalog_line(catalog: Path, index: int) -> object:
+    """The JSON value of the catalog's line index, 0 or 1; None when it cannot be read."""
+    try:
+        with catalog.open("rb") as fh:
+            for _ in range(index):
+                fh.readline()
+            return json.loads(fh.readline())
+    except (OSError, ValueError, RecursionError):  # not UTF-8, not JSON or too deep
+        return None
+
+
+def _catalog_spans(catalog: Path, path: Path, kb: KnowledgeBase) -> list[list[int]]:
+    """The CATALOG_SPANS of a KB loaded through its catalog, from the catalog's second line."""
+    spans = _catalog_line(catalog, 1)
+    if isinstance(spans, dict) and spans.get("kb_sha256") == kb.sha256:
+        columns = [spans.get(name) for name in CATALOG_SPANS]
+        if all(isinstance(column, list) and len(column) == len(kb) for column in columns):
+            return columns
+    raise IngestError(f"KB catalog {catalog} does not match {path}: its line spans are damaged "
+                      f"or of other entries; delete the catalog or run `kbvqa ingest` again")
+
+
 def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
     """Write the catalog of a KB that ingest_kb parsed in full; returns its path.
 
-    The catalog goes beside entries_path through atomic_write. It is plain
-    ASCII JSON: the catalog and schema versions, the sha256 of the entries
-    and manifest files, and the CATALOG_COLUMNS, each a list in file order.
+    The catalog goes beside entries_path through atomic_write. It is two
+    lines of plain ASCII JSON. The first holds the catalog and schema
+    versions, the sha256 of the entries and manifest files, and the
+    CATALOG_COLUMNS; the second the sha256 of the entries file again and
+    the CATALOG_SPANS. Each column is a list in file order.
     """
-    payload = {
+    head = {
         "catalog_version": CATALOG_VERSION,
         "schema_version": SCHEMA_VERSION,
         "kb_sha256": kb.sha256,
@@ -416,12 +461,13 @@ def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
         "entry_id": kb.entry_ids,
         "url": kb.urls,
         "embedding_row": kb.embedding_rows,
-        "line_offset": kb.line_offsets,
-        "line_length": kb.line_lengths,
     }
+    spans = {"kb_sha256": kb.sha256, "line_offset": kb.line_offsets,
+             "line_length": kb.line_lengths}
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     path = catalog_path(entries_path)
     with atomic_write(path) as fh:
-        fh.write(json.dumps(payload, separators=(",", ":")).encode("ascii"))
+        fh.write(f"{encode(head)}\n{encode(spans)}\n".encode("ascii"))
     return path
 
 
@@ -493,9 +539,23 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
     # One pass: each row block is checked for non-finite values, then its norms
     # are checked or it is normalized, so the first faulty block names the error.
     # Blocks bound the float64 temporaries; a row's result does not depend on its block.
+    # A block of a normalized matrix first gets one float32 einsum pass of
+    # squared norms, and only a block that it flags goes on to the float64
+    # checks. A float32 sum of dim products is within dim*u/(1 - dim*u),
+    # u = 2**-24, of the exact squared norm s, relative to s. slack covers
+    # that, and the rounding of lo and hi to float32 and of the float64 norm,
+    # so a row whose float32 square lies in [lo, hi] passes the float64
+    # checks. A non-finite value, or a square past the float32 range, makes
+    # an inf or NaN square, which lies in no band.
     check = sha256 != checked_sha256
+    slack = 2 * (dim + 2) * 2.0 ** -24
+    lo, hi = (1 - NORM_TOLERANCE) ** 2 + slack, (1 + NORM_TOLERANCE) ** 2 - slack
     for start in range(0, count, NORM_BLOCK_ROWS) if check or not manifest.normalized else ():
         block = data[start:start + NORM_BLOCK_ROWS]
+        if check and manifest.normalized:
+            squares = np.einsum("ij,ij->i", block, block)
+            if ((squares >= lo) & (squares <= hi)).all():
+                continue
         if check:
             bad = ~np.isfinite(block)
             if bad.any():

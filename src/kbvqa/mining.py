@@ -20,7 +20,7 @@ from .answers import index_to_letter
 from .errors import EvalError
 from .kb import KnowledgeBase, Query
 from .metrics import DEFAULT_TOLERANCE, match_answer
-from .pipeline import MAX_TOP_K, PipelineTrace, prki_value, vtki_value
+from .pipeline import MAX_TOP_K, PipelineTrace, check_context_index, prki_value, vtki_value
 from .prompts import DEFAULT_CHAR_BUDGET, STAGES, PromptContext, render
 from .records import from_record, read_jsonl, to_record, write_jsonl
 
@@ -173,7 +173,9 @@ def mine_vtki(
     The gold index is the first position in the trace's candidate entries
     whose URL equals the query's gold entry URL; queries whose gold entry
     was not retrieved are excluded and counted. Differing indices cannot
-    both equal it, so there is no both_match counter.
+    both equal it, so there is no both_match counter. Every context entry
+    id must be a key of url_of: read_traces checks that, and the indices,
+    when it is given the KB's ids.
     """
     probe_by_qid = _traces_by_qid(probe_traces, "probe")
 
@@ -273,4 +275,15 @@ def write_records(records: Sequence[MiningRecord], path: str | Path) -> int:
 
 
 def read_records(path: str | Path) -> list[MiningRecord]:
-    return read_jsonl(path, lambda rec, _lineno: from_record(MiningRecord, rec), EvalError)
+    """The mined records of a JSONL file, in order. The target of a record
+    in a bucket of selection indices (d_v, d_t) is checked, as its line is
+    read, to be an index into its context_entry_ids."""
+    index_buckets = OBJECTIVE_TABLE["vtki"].buckets
+
+    def parse(rec: dict, _lineno: int) -> MiningRecord:
+        record = from_record(MiningRecord, rec)
+        if record.bucket in index_buckets:
+            check_context_index("target", record.target, record.context_entry_ids)
+        return record
+
+    return read_jsonl(path, parse, EvalError)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .answers import (
     REFERENCE_LETTERS, bracket_spans, extract_answer, normalize_answer, parse_reference_letter,
@@ -23,7 +23,9 @@ from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
-from .records import from_record, read_jsonl, to_record, unique_query_ids, write_jsonl
+from .records import (
+    FieldError, field_error, from_record, read_jsonl, to_record, unique_query_ids, write_jsonl,
+)
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
 
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
@@ -302,5 +304,33 @@ def _trace_from_dict(rec: dict, _lineno: int) -> PipelineTrace:
     return from_record(PipelineTrace, rec)
 
 
-def read_traces(path: str | Path) -> list[PipelineTrace]:
-    return read_jsonl(path, unique_query_ids(_trace_from_dict), PipelineError)
+def read_traces(path: str | Path, entry_ids: Container[str] | None = None) -> list[PipelineTrace]:
+    """The traces of a JSONL file, in order.
+
+    With entry_ids, the ids of the KB the traces were run over, each line's
+    references are checked as it is read: every id of context_entry_ids
+    must be one of entry_ids, and i_v, i_t and i_tv each an index into
+    context_entry_ids.
+    """
+    parse = _trace_from_dict
+    if entry_ids is not None:
+        def parse(rec: dict, lineno: int) -> PipelineTrace:
+            trace = _trace_from_dict(rec, lineno)
+            for entry_id in trace.context_entry_ids:
+                if entry_id not in entry_ids:
+                    raise FieldError(f"field 'context_entry_ids' names entry {entry_id!r}, "
+                                     "which is not in the KB")
+            for name in ("i_v", "i_t", "i_tv"):
+                check_context_index(name, getattr(trace, name), trace.context_entry_ids, True)
+            return trace
+    return read_jsonl(path, unique_query_ids(parse), PipelineError)
+
+
+def check_context_index(name: str, value: object, context_entry_ids: Sequence[str],
+                        nullable: bool = False) -> None:
+    """Raise FieldError unless the field's value is an index into
+    context_entry_ids, or, when nullable, null."""
+    if not ((type(value) is int and 0 <= value < len(context_entry_ids))
+            or (nullable and value is None)):
+        raise field_error(name, f"an index into the {len(context_entry_ids)} entries of "
+                                "context_entry_ids", value)

@@ -31,7 +31,10 @@ from .errors import KbvqaError
 
 T = TypeVar("T")
 
-_READ_CHUNK = 1 << 20
+# Bytes read at a time, and buffered before a write: a file of many short
+# lines is then written in few system calls.
+_BLOCK = 1 << 20
+_LF, _CR = ord("\n"), ord("\r")  # byte values: `in` a bytes object, each is one memchr
 _scan_json = json.JSONDecoder().scan_once
 
 
@@ -109,6 +112,54 @@ def record_fields(cls: type, obj: object, _prefix: str = "") -> tuple:
     return tuple(values)
 
 
+@cache
+def record_reader(cls: type) -> Callable[[object], tuple]:
+    """record_fields(cls, obj) as one function compiled for cls, built from
+    its _record_spec: the same fields, or the same FieldError.
+
+    The function checks every field's type inline, with no loop over the
+    spec. A record that some check does not pass outright, one that is not
+    an object included, goes to record_fields, which raises its error.
+    """
+    scope = {"record_fields": record_fields, "_items": _items, "cls": cls, "_R": _REQUIRED}
+    gets, checks, loops, values = [], [], [], []
+    for i, (name, default, kinds, items, int_keys, want) in enumerate(_record_spec(cls)):
+        v = f"v{i}"
+        scope[f"d{i}"], scope[f"k{i}"], scope[f"i{i}"] = default, kinds, items
+        check = f"type({v}) is k{i}[0]" if len(kinds) == 1 else f"type({v}) in k{i}"
+        value = v
+        if type(items) is tuple and kinds == (list,):  # a list of JSON values
+            loops.append(f"  if ok and type({v}) is list:\n"
+                         f"   for x in {v}:\n"
+                         f"    if type(x) not in i{i}:\n"
+                         f"     ok = False\n"
+                         f"     break\n")
+            value = f"tuple({v})"
+        elif items is not None:
+            value = f"_items({v}, i{i}, {int_keys}, {name!r}, {want!r})"
+        if default is not _REQUIRED and value == v and type(default) in kinds:
+            gets.append(f"  {v} = get({name!r}, d{i})\n")  # a default that passes the check
+        else:
+            # Missing reads as _R, which no check passes and no JSON value
+            # is, and which stands for the default when there is one.
+            gets.append(f"  {v} = get({name!r}, _R)\n")
+            if default is not _REQUIRED:
+                check, value = f"({v} is _R or {check})", f"(d{i} if {v} is _R else {value})"
+        checks.append(check)
+        values.append(value)
+    source = ("def read(obj):\n"
+              " if type(obj) is dict:\n"
+              "  get = obj.get\n"
+              + "".join(gets)
+              + f"  ok = {' and '.join(checks) or 'True'}\n"
+              + "".join(loops)
+              + "  if ok:\n"
+              f"   return ({''.join(value + ', ' for value in values)})\n"
+              " return record_fields(cls, obj)\n")
+    exec(source, scope)
+    return scope["read"]
+
+
 def _items(value: list | dict, items, int_keys: bool, name: str, want: str) -> tuple | dict:
     """A list field's values as a tuple, or an object field's as a dict,
     each checked against items: a record class, built for each, or JSON types."""
@@ -119,7 +170,8 @@ def _items(value: list | dict, items, int_keys: bool, name: str, want: str) -> t
                 raise field_error(name, want, value)
     else:
         try:
-            values = [items(*record_fields(items, item)) for item in values]
+            read = record_reader(items)
+            values = [items(*read(item)) for item in values]
         except FieldError:
             # Checked again to name the field by its path, such as
             # hits[0].score, which is built only once a record has failed.
@@ -140,8 +192,9 @@ def _items(value: list | dict, items, int_keys: bool, name: str, want: str) -> t
 
 
 def from_record(cls: type[T], obj: object) -> T:
-    """cls built from the fields of the JSON record obj, checked by record_fields."""
-    return cls(*record_fields(cls, obj))
+    """cls built from the fields of the JSON record obj, checked by cls's
+    record_reader as record_fields checks them."""
+    return cls(*record_reader(cls)(obj))
 
 
 def to_record(obj: object) -> dict:
@@ -162,42 +215,36 @@ def _nested_records(cls: type) -> tuple[str, ...]:
     return tuple(spec[0] for spec in _record_spec(cls) if hasattr(spec[3], "__annotations__"))
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
-               error_class: type[KbvqaError], digest: hashlib._Hash | None = None,
-               spans: tuple[list[int], list[int]] | None = None) -> list[T]:
+def read_jsonl(path: str | Path, parse: Callable[..., T], error_class: type[KbvqaError],
+               digest: hashlib._Hash | None = None, with_line: bool = False) -> list[T]:
     """parse(record, lineno) for every non-blank line of a JSONL file, in order.
 
-    The file is read in binary, a line at a time. Lines split where text
-    mode splits them, at LF, CRLF and a lone CR, and a line that str.strip()
+    The file is read in binary, a block at a time (_lines). Lines split where
+    text mode splits them, at LF, CRLF and a lone CR, and a line that str.strip()
     empties is skipped. Each line is decoded and parsed on its own, so a
     line that is not UTF-8, bad JSON, a missing field or a malformed value
     raises error_class naming ``path:line`` of the first bad line; parse may
     raise its own errors too. So does a file that cannot be opened. When
-    given, digest is fed every byte read, and spans gets the byte offset and
-    the length, line end included, of each line parse was called on.
+    given, digest is fed every byte read. With with_line, parse is called as
+    parse(record, lineno, line, offset): line is the line's bytes, its end
+    included, and offset their position in the file.
     """
     p = Path(path)
     try:
-        fh = p.open("rb", buffering=_READ_CHUNK)
+        fh = p.open("rb")
     except OSError as exc:
         raise error_class(f"cannot read {p}: {exc.strerror or exc}") from exc
     out: list[T] = []
     lineno = offset = 0
     with fh:
         try:
-            for chunk in fh:
-                if digest is not None:
-                    digest.update(chunk)
-                # A UTF-8 character holds no CR or LF byte, so no split cuts one.
-                for line in chunk.splitlines(keepends=True) if b"\r" in chunk else (chunk,):
-                    lineno += 1
-                    text = line.decode("utf-8")
-                    if not text.isspace():
-                        out.append(parse(_loads(text), lineno))
-                        if spans is not None:
-                            spans[0].append(offset)
-                            spans[1].append(len(line))
-                    offset += len(line)
+            for line in _lines(fh, digest):
+                lineno += 1
+                text = line.decode("utf-8")
+                if not text.isspace():
+                    out.append(parse(_loads(text), lineno, line, offset) if with_line
+                               else parse(_loads(text), lineno))
+                offset += len(line)
         except UnicodeDecodeError as exc:
             raise error_class(f"{p}:{lineno}: not UTF-8: {exc}") from exc
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -209,6 +256,27 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T],
         except (AttributeError, TypeError, ValueError) as exc:
             raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
     return out
+
+
+def _lines(fh: BinaryIO, digest: hashlib._Hash | None) -> Iterator[bytes]:
+    """The lines of the binary file fh, each with its line end, split at LF,
+    CRLF and a lone CR; digest, when given, is fed each block as it is read.
+
+    A UTF-8 character holds no CR or LF byte, so no split cuts one. The last
+    line of a block may go on in the next, or be a CR that an LF follows, so
+    it is split again with the next block that holds a line end.
+    """
+    pieces: list[bytes] = []
+    while block := fh.read(_BLOCK):
+        if digest is not None:
+            digest.update(block)
+        pieces.append(block)
+        if _LF in block or _CR in block:
+            lines = b"".join(pieces).splitlines(keepends=True)
+            pieces = [lines.pop()]
+            yield from lines
+    if pieces:
+        yield b"".join(pieces)
 
 
 def _loads(text: str):
@@ -297,7 +365,7 @@ def atomic_write(path: Path) -> Iterator[BinaryIO]:
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("wb") as fh:
+        with tmp.open("wb", buffering=_BLOCK) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -59,9 +60,6 @@ class FlatIndex:
 
         self.entry_ids = entry_ids
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        # Largest row norm, for the candidate bound in search_batch.
-        squares = np.einsum("ij,ij->i", self._matrix, self._matrix)
-        self._max_norm = math.sqrt(float(squares.max())) if squares.size else 0.0
 
     def __len__(self) -> int:
         return len(self.entry_ids)
@@ -74,6 +72,15 @@ class FlatIndex:
     def matrix(self) -> np.ndarray:
         return self._matrix
 
+    @cached_property
+    def _max_norm(self) -> float:
+        """Largest row norm, for the candidate bound in search_batch; taken
+        at the first search, so an index that is never searched skips it."""
+        import numpy as np
+
+        squares = np.einsum("ij,ij->i", self._matrix, self._matrix)
+        return math.sqrt(float(squares.max())) if squares.size else 0.0
+
 
 def build_index(kb: KnowledgeBase) -> FlatIndex:
     """Index every entry's embedding row, in ingestion order.
@@ -85,8 +92,8 @@ def build_index(kb: KnowledgeBase) -> FlatIndex:
 
     if len(kb) == 0:
         return FlatIndex([], np.zeros((0, kb.manifest.dim), dtype=np.float32))
-    unbound = [eid for eid, row in zip(kb.entry_ids, kb.embedding_rows) if row is None]
-    if unbound:
+    if None in kb.embedding_rows:
+        unbound = [eid for eid, row in zip(kb.entry_ids, kb.embedding_rows) if row is None]
         raise IngestError(f"entries without embedding_row: {', '.join(unbound)}")
     if kb.embeddings is None:
         raise IngestError("knowledge base has no embedding matrix attached")
@@ -179,11 +186,17 @@ def search_batch(
 
 def ranked_urls(result: RetrievalResult, url_of: Mapping[str, str],
                 dedup: bool = True) -> list[str]:
-    """Hit URLs in rank order, optionally collapsed to first occurrence per URL."""
+    """Hit URLs in rank order, optionally collapsed to first occurrence per URL.
+
+    A hit whose entry_id url_of does not map raises EvalError.
+    """
     urls: list[str] = []
     seen: set[str] = set()
     for entry_id in result.entry_ids():
-        url = url_of[entry_id]
+        url = url_of.get(entry_id)
+        if url is None:
+            raise EvalError(f"retrieval hit {entry_id!r} for query {result.query_id!r} "
+                            "is not in the KB")
         if dedup:
             if url in seen:
                 continue

@@ -1701,6 +1701,151 @@ def test_index_and_retrieve_load_numpy_when_they_run(ws, bundle, tmp_path):
     assert (tmp_path / "retrieve" / name).read_bytes() == (ws.retrieve / name).read_bytes()
 
 
+def _blas_kb(root: Path) -> list[str]:
+    """The flags of a retrieve over 20,000 entries of dimension 64, large
+    enough for a threaded GEMM, with duplicate rows planted so ties decide
+    the order."""
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(20_000, 64))
+    rows[1::97] = rows[0]
+    queries = rows[rng.choice(20_000, 64)] + rng.normal(scale=0.05, size=(64, 64))
+    kb_manifest, kb_data = fixture_gen.write_matrix(
+        root, "kb", rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    q_manifest, q_data = fixture_gen.write_matrix(
+        root, "q", queries / np.linalg.norm(queries, axis=1, keepdims=True))
+    (root / "entries.jsonl").write_text("".join(
+        json.dumps({"entry_id": f"e{i}", "url": f"u{i}", "embedding_row": i}) + "\n"
+        for i in range(20_000)), encoding="utf-8")
+    (root / "queries.jsonl").write_text("".join(
+        json.dumps({"query_id": f"q{j}", "question": "?", "gold_answers": ["a"],
+                    "query_embedding_row": j}) + "\n" for j in range(64)), encoding="utf-8")
+    return ["--kb", str(root / "entries.jsonl"), "--kb-manifest", str(kb_manifest),
+            "--kb-embeddings", str(kb_data), "--queries", str(root / "queries.jsonl"),
+            "--query-manifest", str(q_manifest), "--query-embeddings", str(q_data), "--k", "10"]
+
+
+def test_retrieve_writes_the_same_results_with_one_or_two_blas_threads(tmp_path):
+    flags = _blas_kb(tmp_path)
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(_src_env(), **dict.fromkeys(cli_module.BLAS_THREAD_VARS, threads))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "kbvqa.cli", "retrieve", *flags,
+                               "--out-dir", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results[threads] = (out / "retrieval_results.jsonl").read_bytes()
+    assert results["1"] == results["2"]
+    assert len(results["1"].splitlines()) == 64
+
+
+@pytest.mark.parametrize("command", ["index", "retrieve", "ingest"])
+def test_main_defaults_one_blas_thread_for_the_numpy_commands_only(ws, bundle, tmp_path,
+                                                                   monkeypatch, command):
+    """A variable the user set keeps its value; only index and retrieve set the others."""
+    for name in cli_module.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    q = ["--queries", str(bundle.queries_path)]
+    argv = {
+        "index": ["index", *kb, "--kb-embeddings", str(bundle.kb_embeddings)],
+        "retrieve": ["retrieve", *kb, "--index", str(ws.index / "index.npz"), *q,
+                     "--query-manifest", str(bundle.query_manifest),
+                     "--query-embeddings", str(bundle.query_embeddings)],
+        "ingest": ["ingest", *kb, *q],
+    }[command]
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+    expected = "1" if command in ("index", "retrieve") else None
+    assert [os.environ.get(name) for name in cli_module.BLAS_THREAD_VARS] == [
+        "3", expected, expected]
+
+
+def test_cli_import_sets_no_blas_thread_count():
+    env = {k: v for k, v in _src_env().items() if k not in cli_module.BLAS_THREAD_VARS}
+    code = ("import os, kbvqa.cli; "
+            f"print([n for n in {cli_module.BLAS_THREAD_VARS!r} if n in os.environ])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestCrossFileReferences:
+    """An id or index in one file that names nothing in another stops the
+    command with exit 2 and one error line, before it writes anything."""
+
+    @staticmethod
+    def _broken(source: Path, path: Path, change) -> Path:
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[0])
+        change(record)
+        lines[0] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _assert_exit_two(argv: list[str], out: Path, capsys, message: str) -> None:
+        assert main([*argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("context_entry_ids", "ghost",
+         "field 'context_entry_ids' names entry 'ghost', which is not in the KB"),
+        ("i_v", 9, "field 'i_v' must be an index into the 5 entries of context_entry_ids, got 9"),
+        ("i_v", -1, "field 'i_v' must be an index into the 5 entries of context_entry_ids, "
+                    "got -1"),
+        ("i_t", 5, "field 'i_t' must be an index into the 5 entries of context_entry_ids, got 5"),
+    ])
+    def test_mine_vtki_rejects_a_probe_trace_naming_nothing(self, ws, bundle, tmp_path, capsys,
+                                                           field, value, message):
+        def change(trace):
+            if field == "context_entry_ids":
+                trace[field][2] = value
+            else:
+                trace[field] = value
+        bad = self._broken(ws.probe / "probe_traces.jsonl", tmp_path / "probe.jsonl", change)
+        argv = ["mine-vtki", "--probe-traces", str(bad), "--kb", str(bundle.entries_path),
+                "--kb-manifest", str(bundle.kb_manifest), "--queries", str(bundle.queries_path)]
+        self._assert_exit_two(argv, tmp_path / "out", capsys, f"{bad}:1: {message}")
+
+    @pytest.mark.parametrize("objective", ["sft", "vtki"])
+    @pytest.mark.parametrize("change, got", [
+        ({"target": 7}, "5 entries of context_entry_ids, got 7"),
+        ({"target": -1}, "5 entries of context_entry_ids, got -1"),
+        ({"target": "x"}, "5 entries of context_entry_ids, got \"x\""),
+        ({"context_entry_ids": []}, "0 entries of context_entry_ids, got 0"),
+    ], ids=["past-the-end", "negative", "a-string", "empty-context"])
+    def test_export_rejects_a_selection_target_outside_its_context(
+            self, ws, bundle, tmp_path, capsys, objective, change, got):
+        bad = self._broken(ws.mine_vtki / "d_v.jsonl", tmp_path / "d_v.jsonl",
+                           lambda record: record.update(change))
+        argv = ["export-training", "--records", str(bad), "--objective", objective,
+                "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+                "--queries", str(bundle.queries_path)]
+        self._assert_exit_two(argv, tmp_path / "out", capsys,
+                              f"{bad}:1: field 'target' must be an index into the {got}")
+
+    @pytest.mark.parametrize("hit", [0, -1], ids=["first-hit", "last-hit"])
+    def test_score_rejects_a_hit_not_in_the_kb_as_run_does(self, ws, bundle, tmp_path, capsys,
+                                                            hit):
+        def change(result):
+            result["hits"][hit]["entry_id"] = "ghost"
+        bad = self._broken(ws.retrieve / "retrieval_results.jsonl", tmp_path / "results.jsonl",
+                           change)
+        kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+        q = ["--queries", str(bundle.queries_path)]
+        message = "retrieval hit 'ghost' for query 'q00' is not in the KB"
+        commands = [["score", "--traces", str(ws.run / "traces.jsonl"), *q, *kb,
+                     "--retrievals", str(bad)]]
+        if hit == 0:  # run resolves only the hits it prompts with
+            commands.append(["run", "--variant", "core", *kb, *q, "--retrievals", str(bad),
+                             "--mock-script", str(bundle.mock_script)])
+        for i, argv in enumerate(commands):
+            self._assert_exit_two(argv, tmp_path / f"out{i}", capsys, message)
+
+
 def _without_latency(value):
     if isinstance(value, dict):
         return {k: _without_latency(v) for k, v in value.items() if k != "latency_ms"}

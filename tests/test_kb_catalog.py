@@ -337,13 +337,14 @@ def test_catalog_holds_versions_digests_and_columns(bundle, tmp_path):
     shutil.copyfile(bundle.entries_path, kb_file)
     assert main(["ingest", "--kb", str(kb_file), "--kb-manifest", str(bundle.kb_manifest),
                  "--queries", str(bundle.queries_path), "--out-dir", str(tmp_path / "out")]) == 0
-    catalog = json.loads(catalog_path(kb_file).read_bytes())
+    catalog, spans = _catalog_lines(catalog_path(kb_file).read_bytes())
     full = ingest_kb(kb_file, bundle.kb_manifest, use_catalog=False)
     assert catalog["catalog_version"] == CATALOG_VERSION
-    assert catalog["kb_sha256"] == full.sha256
+    assert catalog["kb_sha256"] == spans["kb_sha256"] == full.sha256
     assert catalog["kb_manifest_sha256"] == full.manifest_sha256
     assert catalog["entry_id"] == [row["entry_id"] for row in read_jsonl(kb_file, lambda o, n: o, IngestError)]
-    assert (catalog["line_offset"], catalog["line_length"]) == (full.line_offsets, full.line_lengths)
+    assert "line_offset" not in catalog
+    assert (spans["line_offset"], spans["line_length"]) == (full.line_offsets, full.line_lengths)
     assert sorted(p.name for p in d.iterdir()) == ["entries.jsonl", "entries.jsonl.catalog.json"]
 
 
@@ -440,10 +441,28 @@ def _edit_catalog(change):
     return edit
 
 
+def _catalog_lines(raw: bytes) -> list[dict]:
+    """The catalog's two lines: versions, digests and columns, then the line spans."""
+    assert raw.count(b"\n") == 2 and raw.endswith(b"\n")
+    return [json.loads(line) for line in raw.splitlines()]
+
+
+def _catalog_bytes(lines: list[dict]) -> bytes:
+    return b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+
+
 def _other_version(raw: bytes) -> bytes:
-    catalog = json.loads(raw)
+    catalog, spans = _catalog_lines(raw)
     catalog["catalog_version"] = CATALOG_VERSION + 1
-    return json.dumps(catalog).encode()
+    return _catalog_bytes([catalog, spans])
+
+
+def _version_one_layout(raw: bytes) -> bytes:
+    """The same catalog as version 1 wrote it: one line that holds the spans too."""
+    catalog, spans = _catalog_lines(raw)
+    del spans["kb_sha256"]
+    return json.dumps({**catalog, "catalog_version": 1, **spans},
+                      separators=(",", ":")).encode()
 
 
 @pytest.mark.parametrize("damage", [
@@ -451,10 +470,11 @@ def _other_version(raw: bytes) -> bytes:
     _bump_manifest_count,
     _edit_catalog(lambda raw: raw[:len(raw) // 2]),
     _edit_catalog(_other_version),
+    _edit_catalog(_version_one_layout),
     _edit_catalog(lambda raw: b"\x00not json"),
     _edit_catalog(lambda raw: json.dumps([1, 2]).encode()),
 ], ids=["kb-byte-flipped", "manifest-count-changed", "catalog-truncated", "catalog-version",
-        "catalog-not-json", "catalog-not-an-object"])
+        "catalog-version-1", "catalog-not-json", "catalog-not-an-object"])
 def test_stale_or_damaged_catalog_takes_the_full_path(bundle, kb_dir, retrievals, tmp_path,
                                                       parses, damage):
     damage(kb_dir)
@@ -466,10 +486,10 @@ def test_stale_or_damaged_catalog_takes_the_full_path(bundle, kb_dir, retrievals
 
 def _swap(column: str, i: int, j: int):
     def change(raw: bytes) -> bytes:
-        catalog = json.loads(raw)
-        values = catalog[column]
+        lines = _catalog_lines(raw)
+        values = next(line[column] for line in lines if column in line)
         values[i], values[j] = values[j], values[i]
-        return json.dumps(catalog).encode()
+        return _catalog_bytes(lines)
     return change
 
 
@@ -485,6 +505,37 @@ def test_catalog_pointing_at_other_lines_exits_two(bundle, kb_dir, retrievals, t
     err = capsys.readouterr().err
     assert f"KB catalog {kb_dir.catalog} does not match {kb_dir.kb}" in err
     assert "run `kbvqa ingest` again" in err
+
+
+def _spans_of_another_kb(raw: bytes) -> bytes:
+    catalog, spans = _catalog_lines(raw)
+    spans["kb_sha256"] = "0" * 64
+    return _catalog_bytes([catalog, spans])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:raw.index(b"\n") + 1],
+    lambda raw: raw[:raw.index(b"\n") + 1] + b"\x00not json\n",
+    _spans_of_another_kb,
+], ids=["spans-line-missing", "spans-line-not-json", "spans-of-another-kb"])
+def test_spans_are_read_only_when_an_entry_is_looked_up(bundle, kb_dir, retrievals, tmp_path,
+                                                         capsys, damage):
+    kb = ["--kb", str(kb_dir.kb), "--kb-manifest", str(kb_dir.manifest)]
+    retrieve = ["retrieve", *kb, "--kb-embeddings", str(bundle.kb_embeddings),
+                "--queries", str(bundle.queries_path), "--query-manifest",
+                str(bundle.query_manifest), "--query-embeddings", str(bundle.query_embeddings),
+                "--k", "10"]
+    _edit_catalog(damage)(kb_dir)
+    loaded = ingest_kb(kb_dir.kb, kb_dir.manifest)
+    assert loaded._source is not None and loaded.line_offsets is None
+    assert main([*retrieve, "--out-dir", str(tmp_path / "retrieve")]) == 0
+    assert (tmp_path / "retrieve" / "retrieval_results.jsonl").read_bytes() == (
+        retrievals.read_bytes())
+    capsys.readouterr()
+    assert main(_commands(bundle, kb_dir, retrievals, tmp_path / "out")["core"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: KB catalog {kb_dir.catalog} does not match {kb_dir.kb}: its line spans are "
+        "damaged or of other entries; delete the catalog or run `kbvqa ingest` again\n")
 
 
 def test_line_made_invalid_after_ingest_exits_two_naming_it(bundle, kb_dir, retrievals,

@@ -400,7 +400,7 @@ class TestBundleIntegration:
 class TestRecordIO:
     def test_round_trip(self, tmp_path):
         records = [
-            MiningRecord("a", "d_v", "vtki", 3, "gold", ("e0", "e1"),
+            MiningRecord("a", "d_v", "vtki", 3, "gold", ("e0", "e1", "e2", "e3"),
                          {"i_v": 3, "i_t": 0, "i_gt": 3}),
             MiningRecord("b", "d_int", "prki", "ans", "gold", ("e2",),
                          {"y_int": "ans", "y_ext": "w"}),
