@@ -264,7 +264,8 @@ def _lines(fh: BinaryIO, digest: hashlib._Hash | None) -> Iterator[bytes]:
 
     A UTF-8 character holds no CR or LF byte, so no split cuts one. The last
     line of a block may go on in the next, or be a CR that an LF follows, so
-    it is split again with the next block that holds a line end.
+    it is split again with the next block that holds a line end, or at the
+    end of the file.
     """
     pieces: list[bytes] = []
     while block := fh.read(_BLOCK):
@@ -275,8 +276,7 @@ def _lines(fh: BinaryIO, digest: hashlib._Hash | None) -> Iterator[bytes]:
             lines = b"".join(pieces).splitlines(keepends=True)
             pieces = [lines.pop()]
             yield from lines
-    if pieces:
-        yield b"".join(pieces)
+    yield from b"".join(pieces).splitlines(keepends=True)
 
 
 def _loads(text: str):

@@ -7,6 +7,8 @@ float32 row check against the float64 one.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from json.encoder import encode_basestring
 
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import fixture_gen
 from kbvqa import kb as kb_module
+from kbvqa import records
 from kbvqa.backend import BackendResponse, EndpointConfig, ScriptLine
 from kbvqa.errors import IngestError
 from kbvqa.kb import (
@@ -127,6 +130,22 @@ def test_record_reader_builds_nested_records_and_defaults():
     with pytest.raises(FieldError, match="field 'hits\\[1\\].score' must be a number"):
         read({"query_id": "q", "k": 2, "hits": [{"entry_id": "e", "score": 1},
                                                  {"entry_id": "e", "score": None}]})
+
+
+# -- reading a file a block at a time ---------------------------------------------
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.lists(st.sampled_from([b"a", b"{}", b"\xc3\xa9", b" ", b"\n", b"\r", b"\r\n"]),
+                     max_size=24).map(b"".join),
+       block=st.integers(1, 9))
+def test_lines_read_a_block_at_a_time_are_the_lines_of_the_whole_file(monkeypatch, data,
+                                                                        block):
+    monkeypatch.setattr(records, "_BLOCK", block)
+    digest = hashlib.sha256()
+    assert list(records._lines(io.BytesIO(data), digest)) == data.splitlines(keepends=True)
+    assert digest.digest() == hashlib.sha256(data).digest()
 
 
 # -- the export line of a line with no backslash ------------------------------
