@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
 from .records import (
-    FieldError, field_error, read_json_record, read_jsonl, record_fields, utf8_encodable,
+    FieldError, field_error, read_json_record, read_jsonl, record_reader, utf8_encodable,
 )
 from .prompts import MessageSequence, TextPart
 
@@ -37,7 +37,11 @@ DEFAULT_HTTP_WORKERS = 8
 # Local images go on the wire base64-encoded this many file bytes at a time.
 # A multiple of 3 encodes without padding, so consecutive blocks concatenate
 # into the base64 of the whole file.
-IMAGE_BLOCK_BYTES = 12 * 1024
+IMAGE_BLOCK_BYTES = 48 * 1024
+
+# A local image of at most this many bytes is encoded once per query on each
+# thread: the query's later calls send the blocks its first read made.
+QUERY_IMAGE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -97,9 +101,10 @@ class MockBackend(Backend):
     @classmethod
     def from_script_file(cls, path: str | Path) -> "MockBackend":
         script: dict[tuple[str, str], str] = {}
+        read_line = record_reader(ScriptLine)
 
         def add(rec: dict, _lineno: int) -> None:
-            query_id, stage, text = record_fields(ScriptLine, rec)
+            query_id, stage, text = read_line(rec)
             key = (query_id, stage)
             if key in script:
                 raise FieldError(f"duplicate script key query_id={key[0]!r} stage={key[1]!r}")
@@ -160,18 +165,18 @@ class EndpointConfig:
         return self.base_url.rstrip("/") + "/" + self.path.lstrip("/")
 
 
-def _local_file_size(image_ref: str) -> int | None:
-    """The size of the regular file image_ref names, or None for a URI."""
+def _local_file(image_ref: str) -> os.stat_result | None:
+    """The stat of the regular file image_ref names, or None for a URI."""
     try:
         st = os.stat(image_ref)
     except (OSError, ValueError):
         return None
-    return st.st_size if stat.S_ISREG(st.st_mode) else None
+    return st if stat.S_ISREG(st.st_mode) else None
 
 
 def _image_payload(image_ref: str) -> str:
     """Local files ship as base64 bytes; anything else passes through as a URI."""
-    if _local_file_size(image_ref) is None:
+    if _local_file(image_ref) is None:
         return image_ref
     return base64.b64encode(Path(image_ref).read_bytes()).decode("ascii")
 
@@ -197,6 +202,26 @@ def request_body(config: EndpointConfig, req: BackendRequest) -> dict:
     }
 
 
+class _QueryImages(threading.local):
+    """The base64 blocks of the local images that one query's bodies have
+    read on this thread, by path, with the size and mtime_ns they were read
+    under. A body of another query empties it first, so a thread holds one
+    query's images at most. Blocks depend only on the file they were read
+    from, so every backend on the thread shares them."""
+
+    def __init__(self):
+        self.query_id: str | None = None
+        self.blocks: dict[str, tuple[int, int, tuple[bytes, ...]]] = {}
+
+    def of(self, query_id: str) -> dict[str, tuple[int, int, tuple[bytes, ...]]]:
+        if query_id != self.query_id:
+            self.query_id, self.blocks = query_id, {}
+        return self.blocks
+
+
+_query_images = _QueryImages()
+
+
 class StreamedBody:
     """The bytes of ``json.dumps(request_body(config, req)).encode()``, made
     one piece at a time, so a call holds one image block, never the body.
@@ -205,12 +230,15 @@ class StreamedBody:
     base64-encoded IMAGE_BLOCK_BYTES at a time. Image files are sized when
     the body is made, so len() is known and the body goes out with a
     Content-Length rather than chunked encoding; a file whose size has
-    changed by the time it is sent raises BackendError. Iterating again
-    reads the files again.
+    changed by the time it is read raises BackendError. An image of at most
+    QUERY_IMAGE_BYTES is read once per query on a thread: a later body of
+    the same query whose stat gives the same size and mtime_ns sends the
+    blocks that read made.
     """
 
     def __init__(self, config: EndpointConfig, req: BackendRequest):
-        self._pieces: list[bytes | tuple[str, int]] = []
+        self._pieces: list[bytes | tuple[str, os.stat_result]] = []
+        self._images = _query_images.of(req.query_id)
         literal = ['{"model": ', json.dumps(config.model),
                    ', "messages": [{"role": "user", "content": [']
         for i, part in enumerate(req.messages.parts):
@@ -219,17 +247,17 @@ class StreamedBody:
             if isinstance(part, TextPart):
                 literal += ['{"type": "text", "text": ', json.dumps(part.text), "}"]
                 continue
-            size = _local_file_size(part.image_ref)
-            if size is None:
+            st = _local_file(part.image_ref)
+            if st is None:
                 literal += ['{"type": "image", "data": ', json.dumps(part.image_ref), "}"]
             else:
                 literal.append('{"type": "image", "data": "')
-                self._pieces += ["".join(literal).encode("ascii"), (part.image_ref, size)]
+                self._pieces += ["".join(literal).encode("ascii"), (part.image_ref, st)]
                 literal = ['"}']
         literal += [']}], "temperature": ', json.dumps(_temperature(req)),
                     ', "max_tokens": ', json.dumps(req.max_new_tokens), "}"]
         self._pieces.append("".join(literal).encode("ascii"))
-        self._len = sum(len(p) if isinstance(p, bytes) else 4 * ((p[1] + 2) // 3)
+        self._len = sum(len(p) if isinstance(p, bytes) else 4 * ((p[1].st_size + 2) // 3)
                         for p in self._pieces)
 
     def __len__(self) -> int:
@@ -239,8 +267,19 @@ class StreamedBody:
         for piece in self._pieces:
             if isinstance(piece, bytes):
                 yield piece
+                continue
+            path, st = piece
+            held = self._images.get(path)
+            if held is not None and held[:2] == (st.st_size, st.st_mtime_ns):
+                yield from held[2]
+            elif st.st_size > QUERY_IMAGE_BYTES:
+                yield from _base64_blocks(path, st.st_size)
             else:
-                yield from _base64_blocks(*piece)
+                blocks = []
+                for block in _base64_blocks(path, st.st_size):
+                    blocks.append(block)
+                    yield block
+                self._images[path] = (st.st_size, st.st_mtime_ns, tuple(blocks))
 
 
 def _base64_blocks(path: str, size: int) -> Iterator[bytes]:

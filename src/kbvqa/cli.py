@@ -16,40 +16,22 @@ configuration or input errors.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
-import zipfile
 from pathlib import Path
+from types import FunctionType
 
-from .backend import DEFAULT_HTTP_WORKERS, EndpointConfig, HttpBackend, MockBackend
 from .errors import IngestError, KbvqaError
 from .kb import (
     KnowledgeBase, catalog_path, export_kb, export_queries, ingest_kb, ingest_queries,
     load_embeddings, write_catalog,
 )
-from .metrics import (
-    DEFAULT_RECALL_KS,
-    DEFAULT_TOLERANCE,
-    STRATUM_MODES,
-    PluginScorer,
-    compare_runs,
-    read_report_json,
-    score_run,
-    write_deltas_csv,
-    write_report_csv,
-    write_report_json,
-    write_verdicts,
-)
-from .mining import OBJECTIVE_TABLE, export_training, mine_prki, mine_vtki, read_records, write_records
-from .pipeline import (
-    CORE_MODES, MAX_TOP_K, PipelineRunner, has_failures, needs_retrieval, read_traces,
-    write_traces,
-)
-from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE
 from .records import atomic_write, load_json, write_csv, write_json
 from .retrieval import (
-    DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k, search_batch, write_results,
+    DEFAULT_RECALL_KS, DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k,
+    search_batch, write_results,
 )
 
 EXIT_OK = 0
@@ -64,13 +46,58 @@ EXIT_CONFIG = 2
 NUMPY_COMMANDS = ("index", "retrieve")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# In table order: `run` takes the variants that answer (set y_final), and
-# `sweep` those of them whose prompts hold the retrieved entries.
-RUN_VARIANTS = tuple(dict.fromkeys(
-    variant for (variant, _mode), stages in STAGE_TABLE.items()
-    if any("y_final" in stage.fields for stage in stages)
-))
-SWEEP_VARIANTS = tuple(variant for variant in RUN_VARIANTS if needs_retrieval(variant))
+# The names this module takes from the modules that only some commands run,
+# by module. `ingest`, `index` and `retrieve` load none of these modules. A
+# handler binds its modules' names with _bind before it runs, and reading a
+# name as an attribute of kbvqa.cli binds it too (PEP 562). A bound name is
+# never bound again, so one replaced on this module is the one its handler
+# calls.
+_LAZY = {
+    "backend": ("DEFAULT_HTTP_WORKERS", "EndpointConfig", "HttpBackend", "MockBackend"),
+    "metrics": (
+        "DEFAULT_TOLERANCE", "STRATUM_MODES", "PluginScorer", "compare_runs", "read_report_json",
+        "score_run", "write_deltas_csv", "write_report_csv", "write_report_json",
+        "write_verdicts",
+    ),
+    "mining": ("OBJECTIVE_TABLE", "export_training", "mine_prki", "mine_vtki", "read_records",
+               "write_records"),
+    "pipeline": ("CORE_MODES", "MAX_TOP_K", "PipelineRunner", "has_failures", "needs_retrieval",
+                 "read_traces", "write_traces"),
+    "prompts": ("DEFAULT_CHAR_BUDGET", "STAGE_TABLE"),
+}
+
+
+def _bind(*modules: str) -> None:
+    for module in modules:
+        imported = importlib.import_module(f".{module}", __package__)
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def _bound(name: str):
+    """A name of _LAZY, its module bound on first use."""
+    if name not in globals():
+        module = next((m for m, names in _LAZY.items() if name in names), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        _bind(module)
+    return globals()[name]
+
+
+__getattr__ = _bound
+
+
+def _run_variants() -> tuple[str, ...]:
+    """In table order, the variants that answer (set y_final): `run` takes these."""
+    return tuple(dict.fromkeys(
+        variant for (variant, _mode), stages in _bound("STAGE_TABLE").items()
+        if any("y_final" in stage.fields for stage in stages)
+    ))
+
+
+def _sweep_variants() -> tuple[str, ...]:
+    """Those of _run_variants whose prompts hold the retrieved entries: `sweep` takes these."""
+    return tuple(variant for variant in _run_variants() if _bound("needs_retrieval")(variant))
 
 
 # -- flags ----------------------------------------------------------------
@@ -78,7 +105,9 @@ SWEEP_VARIANTS = tuple(variant for variant in RUN_VARIANTS if needs_retrieval(va
 # One row per flag: its argparse keywords and its built-in `default`. The
 # parser hands argparse default=None, so _resolve can tell a flag that was
 # given from one that was not, and ends the help line with " (default: X)"
-# unless the default is None or the flag is a switch.
+# unless the default is None or the flag is a switch. A value that is a
+# function is one read from a module of _LAZY: it is called when a parser
+# with the flag is built, so a command loads only its own flags' modules.
 FLAGS: dict[str, dict] = {
     "kb": {"help": "knowledge entries JSONL"},
     "kb_manifest": {"help": "embedding manifest JSON for the entries"},
@@ -90,17 +119,18 @@ FLAGS: dict[str, dict] = {
     "query_embeddings": {"help": "query embedding matrix (raw little-endian float32)"},
     "k": {"type": int, "default": 10, "help": "hits to keep per query"},
     "retrievals": {"help": "retrieval results JSONL from the retrieve step"},
-    "variant": {"choices": RUN_VARIANTS, "help": "pipeline variant to run"},
-    "core_mode": {"choices": CORE_MODES, "default": "staged", "help": "core execution mode"},
+    "variant": {"choices": _run_variants, "help": "pipeline variant to run"},
+    "core_mode": {"choices": lambda: _bound("CORE_MODES"), "default": "staged",
+                  "help": "core execution mode"},
     "top_k": {"type": int, "default": DEFAULT_TOP_K, "help": "retrieved entries per prompt, 1..5"},
     "top_m": {"default": "1,2,5", "help": "comma-separated top-m values"},
     "mock_script": {"help": "scripted mock backend JSONL keyed by (query_id, stage)"},
     "endpoint_config": {"help": "HTTP backend endpoint config JSON"},
-    "char_budget": {"type": int, "default": DEFAULT_CHAR_BUDGET,
+    "char_budget": {"type": int, "default": lambda: _bound("DEFAULT_CHAR_BUDGET"),
                     "help": "per-entry content truncation budget in characters"},
-    "workers": {"type": int, "help": "query threads, each with at most one backend call in "
-                                     "flight (default: 1 with --mock-script, "
-                                     f"{DEFAULT_HTTP_WORKERS} with --endpoint-config)"},
+    "workers": {"type": int, "help": lambda: "query threads, each with at most one backend "
+                "call in flight (default: 1 with --mock-script, "
+                f"{_bound('DEFAULT_HTTP_WORKERS')} with --endpoint-config)"},
     "no_transcripts": {"action": "store_true", "default": False,
                        "help": "omit per-stage transcripts from trace output"},
     "traces": {"help": "trace JSONL from a run"},
@@ -108,14 +138,15 @@ FLAGS: dict[str, dict] = {
     "traces_ext": {"help": "traces supplying the retrieval-grounded answer"},
     "probe_traces": {"help": "probe traces JSONL"},
     "records": {"nargs": "+", "help": "mined record JSONL file(s)"},
-    "objective": {"choices": tuple(OBJECTIVE_TABLE), "help": "training objective to export"},
+    "objective": {"choices": lambda: tuple(_bound("OBJECTIVE_TABLE")),
+                  "help": "training objective to export"},
     "sample": {"type": int, "help": "cap the export to a seeded random sample"},
     "seed": {"type": int, "default": 0, "help": "sampling seed"},
     "ks": {"default": ",".join(map(str, DEFAULT_RECALL_KS)),
            "help": "comma-separated recall cutoffs"},
-    "tolerance": {"type": float, "default": DEFAULT_TOLERANCE,
+    "tolerance": {"type": float, "default": lambda: _bound("DEFAULT_TOLERANCE"),
                   "help": "relative tolerance for numeric answers"},
-    "stratum_mode": {"choices": STRATUM_MODES, "default": "disjoint",
+    "stratum_mode": {"choices": lambda: _bound("STRATUM_MODES"), "default": "disjoint",
                      "help": "gold-rank stratum buckets"},
     "no_url_dedup": {"action": "store_true", "default": False,
                      "help": "rank duplicate entry URLs separately instead of collapsing them"},
@@ -275,9 +306,6 @@ INDEX_DIGESTS = {
     "kb": "kb_sha256", "kb_manifest": "kb_manifest_sha256", "kb_embeddings": "kb_embeddings_sha256",
 }
 INDEX_PATH = "kb_embeddings"
-# What np.load and reading an .npz member raise for a file that is not an
-# intact pickle-free index: truncation, a CRC mismatch or a pickled member.
-_UNREADABLE = (KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError)
 
 
 def cmd_index(cfg: dict) -> int:
@@ -306,8 +334,13 @@ def _stale(cfg: dict, reason: str) -> IngestError:
 
 def _load_index(cfg: dict) -> dict[str, str]:
     """The members of the index at --index: one string each, read without pickle."""
+    import zipfile
+
     import numpy as np
 
+    # What np.load and reading an .npz member raise for a file that is not an
+    # intact pickle-free index: truncation, a CRC mismatch or a pickled member.
+    unreadable = (KeyError, TypeError, ValueError, zipfile.BadZipFile, EOFError)
     path = Path(cfg["index"])
     try:
         fh = path.open("rb")
@@ -317,7 +350,7 @@ def _load_index(cfg: dict) -> dict[str, str]:
     with fh:
         try:
             bundle = np.load(fh, allow_pickle=False)
-        except _UNREADABLE as exc:
+        except unreadable as exc:
             raise _stale(cfg, f"it is not a readable index ({exc})") from exc
         if not isinstance(bundle, np.lib.npyio.NpzFile):
             raise _stale(cfg, "it is not an .npz index")
@@ -330,7 +363,7 @@ def _load_index(cfg: dict) -> dict[str, str]:
                                       "(an index from an older kbvqa)")
                 try:
                     member = bundle[name]
-                except _UNREADABLE as exc:
+                except unreadable as exc:
                     raise _stale(cfg, f"it is not an intact pickle-free index ({exc})") from exc
                 if member.shape != () or member.dtype.kind != "U":
                     raise _stale(cfg, f"its {name} is not one string")
@@ -404,12 +437,14 @@ def cmd_retrieve(cfg: dict) -> int:
 
 
 def cmd_run(cfg: dict) -> int:
+    _bind("backend", "pipeline")
     if needs_retrieval(cfg["variant"]):
         _require(cfg, "retrievals")
     return _run_variant(cfg, cfg["variant"], "traces.jsonl")
 
 
 def cmd_probe_unimodal(cfg: dict) -> int:
+    _bind("backend", "pipeline")
     return _run_variant(cfg, "probe", "probe_traces.jsonl")
 
 
@@ -432,6 +467,7 @@ def _run_variant(cfg: dict, variant: str, traces_name: str) -> int:
 
 
 def cmd_mine_prki(cfg: dict) -> int:
+    _bind("pipeline", "mining")
     queries = ingest_queries(cfg["queries"])
     mining = mine_prki(
         read_traces(cfg["traces_int"]), read_traces(cfg["traces_ext"]),
@@ -441,6 +477,7 @@ def cmd_mine_prki(cfg: dict) -> int:
 
 
 def cmd_mine_vtki(cfg: dict) -> int:
+    _bind("pipeline", "mining")
     kb = _load_kb(cfg)
     queries = ingest_queries(cfg["queries"])
     traces = read_traces(cfg["probe_traces"], kb.by_id)
@@ -458,6 +495,7 @@ def _write_mining(cfg: dict, mining, buckets: tuple[str, ...]) -> int:
 
 
 def cmd_export_training(cfg: dict) -> int:
+    _bind("mining")
     if cfg["char_budget"] <= 0:
         raise IngestError(f"--char-budget must be positive, got {cfg['char_budget']}")
     kb = _load_kb(cfg)
@@ -503,6 +541,7 @@ def _print_report(scored) -> None:
 
 
 def cmd_score(cfg: dict) -> int:
+    _bind("pipeline", "metrics")
     scored, _queries = _score(cfg)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
@@ -513,6 +552,7 @@ def cmd_score(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
+    _bind("pipeline", "metrics")
     # A bad baseline, or one over other queries, stops the command before it writes.
     baseline = read_report_json(cfg["compare_to"]) if cfg.get("compare_to") else None
     scored, queries = _score(cfg)
@@ -530,6 +570,7 @@ def cmd_report(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    _bind("backend", "pipeline", "metrics")
     top_ms = _parse_int_list(cfg["top_m"], "--top-m", high=MAX_TOP_K)
     options = _score_options(cfg)
     backend = _backend(cfg)
@@ -612,7 +653,7 @@ COMMANDS = {
                ("compare_to", *_SCORE_SHARED), _SCORE_REQUIRED),
     "sweep": (cmd_sweep, "run and score one variant at several top-m values", (
         "top_m",
-        ("variant", {"choices": SWEEP_VARIANTS, "default": "core",
+        ("variant", {"choices": _sweep_variants, "default": "core",
                      "help": "pipeline variant to sweep"}),
         "core_mode", "ks", "tolerance", "stratum_mode", "no_url_dedup", *_RUN_SHARED,
     ), (*_KB, "queries", "retrievals", "out_dir")),
@@ -626,20 +667,24 @@ def _add_flag(p: argparse.ArgumentParser, name: str, row: dict) -> None:
     p.add_argument("--" + name.replace("_", "-"), **kwargs, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone."""
     parser = argparse.ArgumentParser(
         prog="kbvqa",
         description="Knowledge-based VQA: retrieval, prompting pipelines, "
                     "inconsistency mining, and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for command, (_handler, help_line, entries, _required) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+    for name, (_handler, help_line, entries, _required) in COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_line)
         rows = {}
         for entry in entries:
-            name, overrides = entry if isinstance(entry, tuple) else (entry, {})
-            rows[name] = {**FLAGS[name], **overrides}
-            _add_flag(p, name, rows[name])
+            flag, overrides = entry if isinstance(entry, tuple) else (entry, {})
+            rows[flag] = {key: value() if isinstance(value, FunctionType) else value
+                          for key, value in {**FLAGS[flag], **overrides}.items()}
+            _add_flag(p, flag, rows[flag])
         _add_flag(p, "config", FLAGS["config"])
         # _resolve reads each flag's default and config check from these rows.
         p.set_defaults(flag_rows=rows)
@@ -649,7 +694,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: resolve its configuration, check every flag it
     requires before it reads an input, run it, then record what it ran with."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # Only the named subcommand's flags are built, so only their modules load.
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(named).parse_args(argv)
     handler, _help_line, _entries, required = COMMANDS[args.command]
     if args.command in NUMPY_COMMANDS:
         for name in BLAS_THREAD_VARS:

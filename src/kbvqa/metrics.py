@@ -23,10 +23,9 @@ from .errors import EvalError
 from .kb import Query
 from .pipeline import PipelineTrace
 from .records import read_json_record, to_record, write_csv, write_json, write_jsonl
-from .retrieval import RetrievalResult, gold_rank
+from .retrieval import DEFAULT_RECALL_KS, RetrievalResult, gold_rank
 
 DEFAULT_TOLERANCE = 0.05
-DEFAULT_RECALL_KS = (1, 2, 5, 10)
 # --stratum-mode -> {bucket: the 1-based gold ranks it holds}, in report
 # order. A query whose gold rank no other bucket holds, or that has none (not
 # retrieved), is in ">5".

@@ -11,7 +11,6 @@ prompts.STAGE_TABLE, and PipelineRunner runs those rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Mapping, Sequence
@@ -277,6 +276,9 @@ class PipelineRunner:
 
         if workers == 1 or len(queries) <= 1:
             return [one(q) for q in queries]
+        # Here, not at the top: one-worker runs do not load concurrent.futures.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(one, queries))
 

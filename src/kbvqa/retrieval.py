@@ -24,6 +24,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_TOP_K = 5
+# The cutoffs Recall@k is reported at: by `retrieve`, and by `score` unless --ks.
+DEFAULT_RECALL_KS = (1, 2, 5, 10)
 
 
 class Hit(NamedTuple):

@@ -19,8 +19,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kbvqa
+from kbvqa import backend as backend_module
 from kbvqa.backend import (
     IMAGE_BLOCK_BYTES,
+    QUERY_IMAGE_BYTES,
     BackendRequest,
     EndpointConfig,
     HttpBackend,
@@ -465,6 +467,91 @@ def test_changed_file_fails_the_call_naming_the_request(tmp_path, monkeypatch, n
         HttpBackend(CONFIG, session=session).generate(req)
 
 
+# -- images encoded once per query -------------------------------------------
+
+_STAGES = ("param_gen", "rerank", "ext_gen", "reconcile")
+
+
+@pytest.fixture(scope="module")
+def query_images(tmp_path_factory):
+    """Files of random bytes: three within QUERY_IMAGE_BYTES, one just above it."""
+    root = tmp_path_factory.mktemp("query_images")
+    paths = []
+    for i, size in enumerate((1, IMAGE_BLOCK_BYTES + 1, 96 * 1024, QUERY_IMAGE_BYTES + 1)):
+        path = root / f"img_{i}.bin"
+        path.write_bytes(random.Random(100 + i).randbytes(size))
+        paths.append(str(path))
+    return paths
+
+
+def _call_parts(images):
+    """Image parts, many repeated, with text between them."""
+    return st.lists(
+        st.one_of(st.sampled_from(images).map(lambda p: ImagePart(p, "<image>")),
+                  _TEXT.map(TextPart)),
+        max_size=6,
+    ).map(lambda parts: MessageSequence(parts=tuple(parts)))
+
+
+def _body_is_request_body(req):
+    body = StreamedBody(CONFIG, req)
+    expected = json.dumps(request_body(CONFIG, req)).encode()
+    return b"".join(body) == expected and len(body) == len(expected)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bodies_of_a_query_and_of_interleaved_queries_are_their_json_bodies(
+        query_images, tmp_path_factory, data):
+    # One query's four calls on this thread, with a file rewritten to a new
+    # size between calls now and then.
+    root = tmp_path_factory.mktemp("rewritten")
+    images = [str(root / f"img_{i}.bin") for i in range(2)]
+    for i, path in enumerate(images):
+        Path(path).write_bytes(random.Random(i).randbytes(data.draw(st.integers(0, 9), "size")))
+    for stage in _STAGES:
+        if data.draw(st.booleans(), "rewrite"):
+            path = Path(data.draw(st.sampled_from(images), "rewritten"))
+            path.write_bytes(path.read_bytes() + b"x")
+        messages = data.draw(_call_parts([*images, *query_images]), "parts")
+        assert _body_is_request_body(BackendRequest(messages, query_id="q", stage=stage))
+
+    # Queries of four calls on three threads, each thread's calls in a drawn
+    # order, so one thread's queries interleave.
+    queries = data.draw(st.lists(st.lists(_call_parts(query_images), min_size=4, max_size=4),
+                                 min_size=1, max_size=6), "queries")
+    calls = [BackendRequest(messages, query_id=f"q{i}", stage=stage)
+             for i, query in enumerate(queries) for stage, messages in zip(_STAGES, query)]
+    by_thread = [[c for c in calls if int(c.query_id[1:]) % 3 == t] for t in range(3)]
+    orders = [data.draw(st.permutations(thread_calls), "order") for thread_calls in by_thread]
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        results = list(pool.map(lambda order: [_body_is_request_body(r) for r in order], orders))
+    assert all(all(result) for result in results)
+
+
+def test_an_image_within_the_limit_is_opened_once_per_query(query_images, monkeypatch):
+    opened = []
+    real_open = open
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(backend_module, "open", counting_open, raising=False)
+    small, large = query_images[2], query_images[3]
+    for query_id in ("opened-1", "opened-2"):
+        for stage in _STAGES:
+            req = BackendRequest(MessageSequence(parts=(
+                ImagePart(small, "<image>"), TextPart("and"), ImagePart(small, "<image>"),
+                ImagePart(large, "<image>"),
+            )), query_id=query_id, stage=stage)
+            assert _body_is_request_body(req)
+    # request_body opens each image through Path.read_bytes, not through open.
+    assert opened.count(small) == 2  # once per query
+    assert opened.count(large) == 8  # once per call
+
+
 # -- against a local HTTP server ---------------------------------------------
 
 
@@ -489,6 +576,21 @@ def test_one_call_holds_one_block_not_the_image(tmp_path):
     assert "Transfer-Encoding" not in seen["headers"]
     assert seen["headers"]["Content-Type"] == "application/json"
     assert peak < 256 * 1024, f"traced peak {peak} bytes"
+
+
+def test_a_file_resized_between_calls_of_a_query_is_read_again(tmp_path):
+    img = tmp_path / "img.bin"
+    with LocalServer() as server:
+        config = EndpointConfig(base_url=server.url, model="m")
+        backend = HttpBackend(config)
+        for i, size in enumerate((3 * IMAGE_BLOCK_BYTES, IMAGE_BLOCK_BYTES + 7, 5)):
+            img.write_bytes(random.Random(i).randbytes(size))
+            req = _req(query_id="q", stage=_STAGES[i], image=str(img))
+            assert backend.generate(req).text == "ok"
+            expected = json.dumps(request_body(config, req)).encode()
+            seen = server.requests[-1]
+            assert seen["sha256"] == hashlib.sha256(expected).hexdigest()
+            assert int(seen["headers"]["Content-Length"]) == len(expected)
 
 
 def test_pool_keeps_one_connection_per_call_in_flight():

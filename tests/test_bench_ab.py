@@ -100,3 +100,35 @@ def test_used_seeds_reads_committed_bench_files(tmp_path):
     (tmp_path / "BENCH_a.json").write_text(json.dumps(
         {"workloads": {"x": {"seeds": [1000, 1001]}, "y": {"seeds": [1005]}}}))
     assert bench_ab.used_seeds(tmp_path) == {1000, 1001, 1005}
+
+
+def _self_baseline(root, metrics):
+    (root / bench_ab.SELF_BASELINE).write_text(json.dumps({"workloads": {"core_http": {
+        "metrics": metrics}}}))
+
+
+def test_self_spread_is_the_wider_of_the_iqr_and_the_side_gap(tmp_path):
+    assert bench_ab.self_spread(tmp_path) == {}
+    _self_baseline(tmp_path, {
+        "qps": {"parent_median": 50.0, "parent_iqr": 2.0, "gain_fraction": 0.01},
+        "peak_rss_mb": {"parent_median": 100.0, "parent_iqr": 0.1, "gain_fraction": -0.03},
+        "output_kb_per_query": {"parent_median": 0.0, "parent_iqr": 0.0, "gain_fraction": 0.0},
+    })
+    spread = bench_ab.self_spread(tmp_path)
+    assert spread["core_http"] == pytest.approx({"qps": 0.04, "peak_rss_mb": 0.03})
+
+
+def test_report_flags_a_gain_within_the_self_baseline_spread():
+    # qps gains 10% and peak_rss_mb 20% (lower is better).
+    rows = [(50, 300, 55, 240), (50, 300, 55, 240), (50, 300, 55, 240)]
+    workloads = bench_ab.summarize(_runs(rows, "core_http"), SPEC)
+    bench_ab.add_self_spread(workloads, {"core_http": {"qps": 0.12, "peak_rss_mb": 0.05}})
+    assert workloads["core_http"]["metrics"]["qps"]["self_baseline_spread"] == 0.12
+    qps, rss = bench_ab.report_lines(workloads)
+    assert qps == ("core_http qps: 50 -> 55 queries/s (+10.0%, 3/3 pairs won), "
+                   "self-baseline spread 12.0%: GAIN WITHIN THE SELF-BASELINE SPREAD")
+    assert rss == ("core_http peak_rss_mb: 300 -> 240 MB (+20.0%, 3/3 pairs won), "
+                   "self-baseline spread 5.0%")
+    bench_ab.add_self_spread(workloads, {})
+    workloads["core_http"]["metrics"]["qps"].pop("self_baseline_spread")
+    assert bench_ab.report_lines(workloads)[0].endswith("pairs won), no self-baseline")

@@ -1601,6 +1601,75 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# The modules that only the commands which prompt, call a backend, mine or
+# score load.
+_LATE_MODULES = ("kbvqa.prompts", "kbvqa.pipeline", "kbvqa.backend", "kbvqa.mining",
+                 "kbvqa.metrics", "kbvqa.transport")
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """The modules in sys.modules after cli.main(argv) in a fresh interpreter."""
+    code = ("import json, sys; from kbvqa.cli import main; rc = main(sys.argv[1:]); "
+            "print(json.dumps([rc, sorted(sys.modules)]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0, proc.stdout
+    return set(modules)
+
+
+def test_cli_import_loads_no_late_module():
+    code = "import json, sys, kbvqa.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert loaded.isdisjoint({*_LATE_MODULES, "concurrent.futures", "numpy"})
+
+
+def test_each_command_loads_only_the_modules_it_runs(ws, bundle, tmp_path):
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    q = ["--queries", str(bundle.queries_path)]
+    light = {
+        "ingest": ["ingest", *kb, *q],
+        "index": ["index", *kb, "--kb-embeddings", str(bundle.kb_embeddings)],
+        "retrieve": ["retrieve", *kb, "--index", str(ws.index / "index.npz"), *q,
+                     "--query-manifest", str(bundle.query_manifest),
+                     "--query-embeddings", str(bundle.query_embeddings)],
+    }
+    for command, argv in light.items():
+        loaded = _modules_after([*argv, "--out-dir", str(tmp_path / command)])
+        assert loaded.isdisjoint(_LATE_MODULES), (command, sorted(loaded & set(_LATE_MODULES)))
+        assert ("numpy" in loaded) == (command != "ingest")
+    loaded = _modules_after([
+        "run", "--variant", "core", *kb, *q,
+        "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+        "--mock-script", str(bundle.mock_script), "--out-dir", str(tmp_path / "run")])
+    assert {"kbvqa.pipeline", "kbvqa.backend"} <= loaded
+    assert loaded.isdisjoint({"kbvqa.mining", "kbvqa.metrics", "concurrent.futures"})
+
+
+def test_every_exported_name_imports_from_the_package():
+    code = ("import sys, kbvqa; assert list(sys.modules).count('kbvqa.prompts') == 0; "
+            "ns = {}; exec('from kbvqa import *', ns); "
+            "missing = [n for n in kbvqa.__all__ if n not in ns]; "
+            "import importlib; "
+            "wrong = [n for n in kbvqa.__all__ if getattr(kbvqa, n) is not "
+            "getattr(importlib.import_module('kbvqa.' + kbvqa._EXPORTS[n]), n)]; "
+            "print(missing, wrong, sorted(set(kbvqa.__all__) - set(dir(kbvqa))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] [] []"
+    import kbvqa
+
+    for name in kbvqa.__all__:
+        exec(f"from kbvqa import {name}", {})
+    with pytest.raises(ImportError):
+        exec("from kbvqa import no_such_name", {})
+
+
 def _chain(bundle, retrievals: Path, out: Path) -> list[list[str]]:
     """The commands of the offline chain that read no embedding."""
     kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]

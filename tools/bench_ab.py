@@ -22,6 +22,13 @@ also holds the seeds,
 each run's ``correct``, ``attempted`` and ``failed``, and the machine
 (nproc, Python, numpy and its BLAS).
 
+``BENCH_self_baseline.json``, when this checkout has it, is a run of one
+commit against itself. Each metric's self-baseline spread is the wider of
+that run's parent IQR and the gap between its two sides' medians, as a share
+of its parent median: what identical code can read. It is stored beside each
+metric as ``self_baseline_spread``, and printed beside each reading; a gain
+no larger than it is flagged, since it does not tell the change from none.
+
 Exit status: 0 when every run was correct with no failed query, 1 when some
 run was not (the file is still written), 2 when a run could not finish.
 """
@@ -41,6 +48,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 FIRST_SEED_FLOOR = 1000  # seeds below this were used by hand before the script existed
+SELF_BASELINE = "BENCH_self_baseline.json"
 
 
 class RunError(Exception):
@@ -161,6 +169,46 @@ def summarize(runs: list[dict], spec: dict) -> dict:
     return out
 
 
+def self_spread(root: Path) -> dict[str, dict[str, float]]:
+    """Per workload and metric, the self-baseline spread of SELF_BASELINE
+    under root, as a share of its parent median; empty without the file."""
+    path = root / SELF_BASELINE
+    if not path.is_file():
+        return {}
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    return {name: {metric: max(m["parent_iqr"] / abs(m["parent_median"]), abs(m["gain_fraction"]))
+                   for metric, m in workload["metrics"].items() if m["parent_median"]}
+            for name, workload in bench["workloads"].items()}
+
+
+def add_self_spread(workloads: dict, spread: dict[str, dict[str, float]]) -> None:
+    """Set self_baseline_spread on each metric of workloads that spread has."""
+    for name, workload in workloads.items():
+        for metric, m in workload["metrics"].items():
+            if metric in spread.get(name, {}):
+                m["self_baseline_spread"] = spread[name][metric]
+
+
+def report_lines(workloads: dict) -> list[str]:
+    """Each metric's reading beside its self-baseline spread; a gain no
+    larger than that spread is flagged."""
+    lines = []
+    for name, workload in workloads.items():
+        for metric, m in workload["metrics"].items():
+            line = (f"{name} {metric}: {m['parent_median']:.4g} -> {m['change_median']:.4g} "
+                    f"{m['unit']} ({100 * m['gain_fraction']:+.1f}%, "
+                    f"{m['change_wins']}/{m['pairs']} pairs won)")
+            spread = m.get("self_baseline_spread")
+            if spread is None:
+                line += ", no self-baseline"
+            else:
+                line += f", self-baseline spread {100 * spread:.1f}%"
+                if 0 < m["gain_fraction"] <= spread:
+                    line += ": GAIN WITHIN THE SELF-BASELINE SPREAD"
+            lines.append(line)
+    return lines
+
+
 def all_correct(runs: list[dict]) -> bool:
     return all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in runs)
 
@@ -247,8 +295,10 @@ def main(argv: list[str] | None = None) -> int:
         "all_correct": all_correct(runs),
         "workloads": summarize(runs, spec),
     }
+    add_self_spread(bench["workloads"], self_spread(root))
     path = root / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
+    print("\n".join(report_lines(bench["workloads"])))
     print(f"wrote {path}")
     return 0 if bench["all_correct"] else 1
 
