@@ -151,7 +151,7 @@ FLAGS: dict[str, dict] = {
     "no_url_dedup": {"action": "store_true", "default": False,
                      "help": "rank duplicate entry URLs separately instead of collapsing them"},
     "plugin": {"help": "external answer-equivalence scorer command"},
-    "compare_to": {"help": "baseline report.json to diff against"},
+    "compare_to": {"help": "baseline report.json to diff against in deltas.csv"},
     "out_dir": {"help": "directory for all outputs (created if missing)"},
     "config": {"help": "JSON config file; keys are flag names (CLI flags win)"},
 }
@@ -469,10 +469,11 @@ def _run_variant(cfg: dict, variant: str, traces_name: str) -> int:
 def cmd_mine_prki(cfg: dict) -> int:
     _bind("pipeline", "mining")
     queries = ingest_queries(cfg["queries"])
-    mining = mine_prki(
-        read_traces(cfg["traces_int"]), read_traces(cfg["traces_ext"]),
-        queries, tolerance=float(cfg["tolerance"]),
-    )
+    traces_int = read_traces(cfg["traces_int"])
+    # Core staged traces hold both answers, so one file may be named by both flags: read it once.
+    same = Path(cfg["traces_int"]).resolve() == Path(cfg["traces_ext"]).resolve()
+    traces_ext = traces_int if same else read_traces(cfg["traces_ext"])
+    mining = mine_prki(traces_int, traces_ext, queries, tolerance=float(cfg["tolerance"]))
     return _write_mining(cfg, mining, OBJECTIVE_TABLE["prki"].buckets)
 
 
@@ -516,16 +517,6 @@ def cmd_export_training(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _score(cfg: dict):
-    kb = _load_kb(cfg)
-    queries = ingest_queries(cfg["queries"])
-    traces = read_traces(cfg["traces"])
-    results = read_results(cfg["retrievals"])
-    plugin = PluginScorer(cfg["plugin"]) if cfg.get("plugin") else None
-    scored = score_run(traces, queries, results, kb.url_map(), plugin=plugin, **_score_options(cfg))
-    return scored, queries
-
-
 def _score_options(cfg: dict) -> dict:
     """score_run's keyword arguments from --ks, --tolerance, --no-url-dedup and --stratum-mode."""
     return {
@@ -534,44 +525,36 @@ def _score_options(cfg: dict) -> dict:
     }
 
 
-def _print_report(scored) -> None:
-    report = scored.report
-    print("  ".join(f"Recall@{k} {v:.3f}" for k, v in report.recall.items()))
-    print(f"accuracy_overall {report.accuracy_overall:.4f} (n={report.total})")
-
-
 def cmd_score(cfg: dict) -> int:
     _bind("pipeline", "metrics")
-    scored, _queries = _score(cfg)
-    out = _out_dir(cfg)
-    write_report_json(scored.report, out / "report.json")
-    write_verdicts(scored.verdicts, out / "verdicts.jsonl")
-    _print_report(scored)
-    print(f"wrote {out / 'report.json'}, {out / 'verdicts.jsonl'}")
-    return EXIT_OK
-
-
-def cmd_report(cfg: dict) -> int:
-    _bind("pipeline", "metrics")
     # A bad baseline, or one over other queries, stops the command before it writes.
-    baseline = read_report_json(cfg["compare_to"]) if cfg.get("compare_to") else None
-    scored, queries = _score(cfg)
+    baseline = read_report_json(cfg["compare_to"]) if cfg["compare_to"] else None
+    kb = _load_kb(cfg)
+    queries = ingest_queries(cfg["queries"])
+    traces = read_traces(cfg["traces"])
+    results = read_results(cfg["retrievals"])
+    plugin = PluginScorer(cfg["plugin"]) if cfg["plugin"] else None
+    scored = score_run(traces, queries, results, kb.url_map(), plugin=plugin, **_score_options(cfg))
     rows = None if baseline is None else compare_runs(baseline, scored.report)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")
+    write_verdicts(scored.verdicts, out / "verdicts.jsonl")
     write_report_csv(scored, queries, out / "report.csv")
-    written = [str(out / "report.json"), str(out / "report.csv")]
     if rows is not None:
         write_deltas_csv(rows, out / "deltas.csv")
-        written.append(str(out / "deltas.csv"))
-    _print_report(scored)
-    print("wrote " + ", ".join(written))
+    report = scored.report
+    print("  ".join(f"Recall@{k} {v:.3f}" for k, v in report.recall.items()))
+    print(f"accuracy_overall {report.accuracy_overall:.4f} (n={report.total})")
+    print(f"wrote report.json, verdicts.jsonl, report.csv{'' if rows is None else ', deltas.csv'} "
+          f"in {out}")
     return EXIT_OK
 
 
 def cmd_sweep(cfg: dict) -> int:
     _bind("backend", "pipeline", "metrics")
     top_ms = _parse_int_list(cfg["top_m"], "--top-m", high=MAX_TOP_K)
+    if len(set(top_ms)) < len(top_ms):
+        raise IngestError(f"--top-m values must be distinct, got {cfg['top_m']!r}")
     options = _score_options(cfg)
     backend = _backend(cfg)
     kb = _load_kb(cfg)
@@ -614,11 +597,6 @@ _RUN_SHARED = (
     *_KB, "queries", "retrievals", "mock_script", "endpoint_config", "char_budget", "workers",
     "no_transcripts", "out_dir",
 )
-_SCORE_SHARED = (
-    "traces", "queries", ("retrievals", {"help": "retrieval results JSONL"}), *_KB,
-    "ks", "tolerance", "stratum_mode", "no_url_dedup", "plugin", "out_dir",
-)
-_SCORE_REQUIRED = ("traces", "queries", "retrievals", *_KB, "out_dir")
 
 # Subcommand -> (handler, help line, flags in help order, the flags it
 # requires). Every subcommand also takes --config, listed last.
@@ -647,10 +625,11 @@ COMMANDS = {
         ("records", "objective", *_KB, "queries", "char_budget", "sample", "seed", "out_dir"),
         ("records", "objective", *_KB, "queries", "out_dir"),
     ),
-    "score": (cmd_score, "score a run: verdicts plus metric report", _SCORE_SHARED,
-              _SCORE_REQUIRED),
-    "report": (cmd_report, "write report tables, optionally against a baseline",
-               ("compare_to", *_SCORE_SHARED), _SCORE_REQUIRED),
+    "score": (cmd_score, "score a run: verdicts, metric report and tables, optionally "
+                         "against a baseline", (
+        "traces", "queries", ("retrievals", {"help": "retrieval results JSONL"}), *_KB,
+        "ks", "tolerance", "stratum_mode", "no_url_dedup", "plugin", "compare_to", "out_dir",
+    ), ("traces", "queries", "retrievals", *_KB, "out_dir")),
     "sweep": (cmd_sweep, "run and score one variant at several top-m values", (
         "top_m",
         ("variant", {"choices": _sweep_variants, "default": "core",

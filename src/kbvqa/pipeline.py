@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Container, Mapping, Sequence
+from typing import TYPE_CHECKING, Container, Mapping, Sequence
 
 from .answers import (
     REFERENCE_LETTERS, bracket_spans, extract_answer, normalize_answer, parse_reference_letter,
 )
-from .backend import Backend, BackendRequest
 from .errors import BackendError, ParseError, PipelineError, PromptError
 from .kb import KnowledgeBase, KnowledgeEntry, Query
 from .prompts import DEFAULT_CHAR_BUDGET, STAGE_TABLE, PromptContext, Stage, parts_sha256, render
@@ -26,6 +25,9 @@ from .records import (
     FieldError, field_error, from_record, read_jsonl, to_record, unique_query_ids, write_jsonl,
 )
 from .retrieval import DEFAULT_TOP_K, RetrievalResult
+
+if TYPE_CHECKING:  # scoring and mining import this module and make no backend call
+    from .backend import Backend
 
 CORE_MODES = tuple(mode for variant, mode in STAGE_TABLE if variant == "core")
 
@@ -152,6 +154,8 @@ class PipelineRunner:
         self, variant: str, stage: Stage, ctx: PromptContext, query_id: str,
         warnings: list[str],
     ) -> tuple[str, StageTranscript]:
+        from .backend import BackendRequest
+
         seq = render(variant, stage.token, ctx)
         req = BackendRequest(
             messages=seq, query_id=query_id, stage=stage.token,

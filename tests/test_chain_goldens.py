@@ -3,7 +3,8 @@ fixture bundle, compared byte for byte with tests/goldens/chain/.
 
 The chain runs ingest, retrieve, run for every variant and core mode,
 probe-unimodal, mine-prki, mine-vtki, export-training for each objective,
-score, report, a two-value sweep and one core staged run over HTTP against
+score, score again against the first score's report.json (the report step),
+a two-value sweep and one core staged run over HTTP against
 http_stub.LocalServer. The chain's ingest writes the KB catalog beside the
 fixture's entries, so every later command reads the KB through it; the
 chain runs once more with the catalog deleted after ingest, and must write
@@ -85,7 +86,7 @@ def run_chain(bundle: fixture_gen.FixtureBundle, out: Path, catalog: bool = True
             "--records", *(str(out / step / f"{b}.jsonl") for b in buckets), *kb, *q)
     traces = ["--traces", str(out / "run_core_staged" / "traces.jsonl")]
     cli("score", "score", *traces, *q, *r, *kb)
-    cli("report", "report", *traces, *q, *r, *kb,
+    cli("report", "score", *traces, *q, *r, *kb,
         "--compare-to", str(out / "score" / "report.json"))
     # At top-m 2, core_select fails for the queries whose planted letter is
     # C..E, so the sweep exits 1 and its traces hold failed queries.

@@ -80,7 +80,7 @@ def ws(bundle, tmp_path_factory):
                  "--out-dir", str(d.export)]) == 0
     score_flags = ["--traces", traces, *q_flag, *retrievals, *kb_flags]
     assert main(["score", *score_flags, "--out-dir", str(d.score)]) == 0
-    assert main(["report", *score_flags, "--compare-to", str(d.score / "report.json"),
+    assert main(["score", *score_flags, "--compare-to", str(d.score / "report.json"),
                  "--out-dir", str(d.report)]) == 0
     assert main(["sweep", "--top-m", "5", "--variant", "core", *kb_flags, *q_flag,
                  *retrievals, *backend, "--out-dir", str(d.sweep)]) == 0
@@ -145,12 +145,40 @@ class TestWorkflowArtifacts:
         strata = {k: v["count"] for k, v in report["accuracy_by_stratum"].items()}
         assert strata == {"1": 4, "2": 4, "3-5": 9, ">5": 3}
         assert len(read_jsonl(ws.score / "verdicts.jsonl")) == 20
+        assert (ws.score / "report.csv").read_text().startswith(
+            "metric,stratum,split,count,value_pct\n")
+        assert not (ws.score / "deltas.csv").exists()
 
     def test_report_with_baseline(self, ws):
-        assert (ws.report / "report.csv").exists()
+        """`score --compare-to` writes what `score` does, and deltas.csv."""
+        for name in ("report.json", "verdicts.jsonl", "report.csv"):
+            assert (ws.report / name).read_bytes() == (ws.score / name).read_bytes(), name
         deltas = (ws.report / "deltas.csv").read_text().splitlines()
         assert deltas[0] == "metric,run_a_pct,run_b_pct,delta_pct"
         assert all(line.endswith("+0.0") for line in deltas[1:])
+
+    @pytest.mark.parametrize("ext", ["same", "same_file", "copy"])
+    def test_mine_prki_reads_a_file_named_by_both_flags_once(self, ws, bundle, tmp_path,
+                                                             monkeypatch, ext):
+        traces = ws.run / "traces.jsonl"
+        other = {"same": traces, "same_file": ws.run / ".." / "run" / "traces.jsonl",
+                 "copy": tmp_path / "traces.jsonl"}[ext]
+        if ext == "copy":
+            other.write_bytes(traces.read_bytes())
+        real_read_traces = cli_module.read_traces
+        calls = []
+
+        def read_traces(path, *args):
+            calls.append(path)
+            return real_read_traces(path, *args)
+
+        monkeypatch.setattr(cli_module, "read_traces", read_traces)
+        out = tmp_path / "out"
+        assert main(["mine-prki", "--traces-int", str(traces), "--traces-ext", str(other),
+                     "--queries", str(bundle.queries_path), "--out-dir", str(out)]) == 0
+        assert len(calls) == (2 if ext == "copy" else 1)
+        for name in ("d_int.jsonl", "d_ext.jsonl", "mining_summary.json"):
+            assert (out / name).read_bytes() == (ws.mine_prki / name).read_bytes(), name
 
     def test_sweep_table(self, ws):
         assert (ws.sweep / "sweep.csv").read_text() == (
@@ -629,16 +657,22 @@ def test_retrieve_with_index_matches_retrieve_from_embeddings(data):
             "--kb-embeddings", str(kb_data))
 
 
-# Beside the flags it requires, what each subcommand needs to succeed on the
-# workspace: the flags its conditional checks require, and a backend.
+# Each case's subcommand: every subcommand, and `report`, which is `score`
+# against a baseline.
+_CASES = {**{command: command for command in cli_module.COMMANDS}, "report": "score"}
+# Beside the flags its subcommand requires, what each case needs to succeed
+# on the workspace: the flags its conditional checks require, a backend, and
+# the baseline of `report`.
 _COMPLETING = {"retrieve": ("kb_embeddings",), "run": ("retrievals", "endpoint_config"),
-               "probe-unimodal": ("endpoint_config",), "sweep": ("endpoint_config",)}
-# (subcommand, the flag left out): each flag of each required tuple, the two
+               "probe-unimodal": ("endpoint_config",), "sweep": ("endpoint_config",),
+               "report": ("compare_to",)}
+# (case, the flag left out): each flag of each required tuple, the two
 # conditional checks, and None for the complete command line.
 _MISSING_CASES = [
-    *((command, flag) for command, row in cli_module.COMMANDS.items() for flag in row[3]),
+    *((case, flag) for case, command in _CASES.items()
+      for flag in cli_module.COMMANDS[command][3]),
     ("retrieve", "kb_embeddings"), ("run", "retrievals"),
-    *((command, None) for command in cli_module.COMMANDS),
+    *((case, None) for case in _CASES),
 ]
 
 
@@ -655,9 +689,9 @@ def _files_under(*roots: Path) -> dict[Path, tuple[int, int]]:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("command, flag", _MISSING_CASES,
+    @pytest.mark.parametrize("case, flag", _MISSING_CASES,
                              ids=[f"{c}-{f or 'none'}" for c, f in _MISSING_CASES])
-    def test_missing_required_flag(self, ws, bundle, letter_server, tmp_path, capsys, command,
+    def test_missing_required_flag(self, ws, bundle, letter_server, tmp_path, capsys, case,
                                    flag):
         """A missing flag stops the subcommand before it reads an input, calls
         the backend or writes a file; with every flag given, it runs."""
@@ -673,9 +707,11 @@ class TestExitCodes:
             "variant": "core", "traces": traces, "traces_int": traces,
             "traces_ext": traces, "probe_traces": str(ws.probe / "probe_traces.jsonl"),
             "records": str(ws.mine_prki / "d_int.jsonl"), "objective": "prki",
-            "endpoint_config": str(endpoint), "out_dir": str(out),
+            "endpoint_config": str(endpoint), "compare_to": str(ws.score / "report.json"),
+            "out_dir": str(out),
         }
-        names = (*cli_module.COMMANDS[command][3], *_COMPLETING.get(command, ()))
+        command = _CASES[case]
+        names = (*cli_module.COMMANDS[command][3], *_COMPLETING.get(case, ()))
         argv = [command]
         for name in names:
             if name != flag:
@@ -689,6 +725,7 @@ class TestExitCodes:
             assert rc == 0, err
             assert (out / "run_config.json").is_file()
             assert bool(letter_server.requests) == ("endpoint_config" in names)
+            assert (out / "deltas.csv").is_file() == ("compare_to" in names)
             return
         assert rc == 2
         assert f"missing required --{flag.replace('_', '-')}" in err
@@ -875,14 +912,18 @@ class TestExitCodes:
         assert f"{bad}:3: text must be a string with no lone surrogate" in capsys.readouterr().err
         assert not (tmp_path / "out" / "traces.jsonl").exists()
 
-    @pytest.mark.parametrize("command", ["score", "report", "sweep"])
+    @pytest.mark.parametrize("case", ["score", "report", "sweep"])
     @pytest.mark.parametrize("ks", ["0,-1", "1,0", "-3"])
     def test_non_positive_recall_cutoffs_rejected(self, ws, bundle, tmp_path, capsys,
-                                                  command, ks):
-        flags = ["--traces", str(ws.run / "traces.jsonl")] if command != "sweep" else [
-            "--variant", "core", "--mock-script", str(bundle.mock_script)]
+                                                  case, ks):
+        flags = {
+            "score": ["--traces", str(ws.run / "traces.jsonl")],
+            "report": ["--traces", str(ws.run / "traces.jsonl"),
+                       "--compare-to", str(ws.score / "report.json")],
+            "sweep": ["--variant", "core", "--mock-script", str(bundle.mock_script)],
+        }[case]
         rc = main([
-            command, *flags, "--queries", str(bundle.queries_path),
+            _CASES[case], *flags, "--queries", str(bundle.queries_path),
             "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
             "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
             "--ks", ks, "--out-dir", str(tmp_path / "out"),
@@ -902,6 +943,32 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert f"--top-m values must be within 1..5, got '{top_m}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("top_m", ["1,1", "2,5,2"])
+    def test_sweep_repeated_top_m_makes_no_call(self, ws, bundle, letter_server, tmp_path,
+                                                capsys, top_m):
+        """A value given twice would run, write and tabulate its pass twice."""
+        letter_server.requests.clear()
+        endpoint = tmp_path / "endpoint.json"
+        endpoint.write_text(json.dumps({"base_url": letter_server.url, "model": "m"}))
+        rc = main([
+            "sweep", "--top-m", top_m, "--variant", "core", "--queries", str(bundle.queries_path),
+            "--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+            "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest),
+            "--endpoint-config", str(endpoint), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"--top-m values must be distinct, got '{top_m}'" in capsys.readouterr().err
+        assert letter_server.requests == []
+        assert not (tmp_path / "out").exists()
+
+    def test_report_is_not_a_command(self, ws, bundle, tmp_path, capsys):
+        """`score` writes every report file; `report` is an unknown command."""
+        with pytest.raises(SystemExit) as exc:
+            main(["report", *_reader_flags(ws, bundle).score, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_sweep_table_that_fails_keeps_the_previous_file(self, ws, bundle, tmp_path,
@@ -1135,7 +1202,7 @@ _JSON_FILE_CASES = {
         "run", "--variant", "param", *c.kb, *c.queries, "--endpoint-config", bad]),
     "manifest": ("embedding manifest", lambda c, bad: [
         "ingest", "--kb", c.entries, "--kb-manifest", bad, *c.queries]),
-    "report": ("report", lambda c, bad: ["report", *c.score, "--compare-to", bad]),
+    "report": ("report", lambda c, bad: ["score", *c.score, "--compare-to", bad]),
 }
 
 
@@ -1300,7 +1367,7 @@ class TestRecordFormats:
         report = json.loads((ws.score / "report.json").read_text(encoding="utf-8"))
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({**report, **fields}), encoding="utf-8")
-        rc = main(["report", *_reader_flags(ws, bundle).score, "--compare-to", str(bad),
+        rc = main(["score", *_reader_flags(ws, bundle).score, "--compare-to", str(bad),
                    "--out-dir", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -1648,6 +1715,30 @@ def test_each_command_loads_only_the_modules_it_runs(ws, bundle, tmp_path):
         "--mock-script", str(bundle.mock_script), "--out-dir", str(tmp_path / "run")])
     assert {"kbvqa.pipeline", "kbvqa.backend"} <= loaded
     assert loaded.isdisjoint({"kbvqa.mining", "kbvqa.metrics", "concurrent.futures"})
+
+
+def test_scoring_and_mining_load_no_backend(ws, bundle, tmp_path):
+    """The modules that score and mine, and the commands that run them, make
+    no backend call and load neither backend nor transport."""
+    code = "import json, sys, kbvqa.metrics, kbvqa.mining; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)).isdisjoint({"kbvqa.backend", "kbvqa.transport"})
+    kb = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+    q = ["--queries", str(bundle.queries_path)]
+    traces = str(ws.run / "traces.jsonl")
+    for argv in (
+        ["score", "--traces", traces, *q, *kb,
+         "--retrievals", str(ws.retrieve / "retrieval_results.jsonl")],
+        ["mine-prki", "--traces-int", traces, "--traces-ext", traces, *q],
+        ["mine-vtki", "--probe-traces", str(ws.probe / "probe_traces.jsonl"), *kb, *q],
+        ["export-training", "--records", str(ws.mine_prki / "d_int.jsonl"),
+         "--objective", "prki", *kb, *q],
+    ):
+        loaded = _modules_after([*argv, "--out-dir", str(tmp_path / argv[0])])
+        assert "kbvqa.pipeline" in loaded or argv[0] == "export-training", argv[0]
+        assert loaded.isdisjoint({"kbvqa.backend", "kbvqa.transport"}), argv[0]
 
 
 def test_every_exported_name_imports_from_the_package():
@@ -2059,7 +2150,7 @@ class TestHelpGoldens:
 
     @pytest.mark.parametrize("command", [
         "ingest", "index", "retrieve", "probe-unimodal", "mine-prki", "mine-vtki",
-        "export-training", "score", "report", "sweep",
+        "export-training", "score", "sweep",
     ])
     def test_subcommand_help(self, command, goldens_dir, monkeypatch):
         import argparse
