@@ -17,7 +17,8 @@ from typing import Iterator, Mapping
 
 from .errors import BackendError, IngestError, ScriptKeyError
 from .records import (
-    FieldError, field_error, read_json_record, read_jsonl, record_reader, utf8_encodable,
+    FieldError, field_error, read_json_record, read_jsonl, record_reader, stat_identity,
+    utf8_encodable,
 )
 from .prompts import MessageSequence, TextPart
 
@@ -204,16 +205,17 @@ def request_body(config: EndpointConfig, req: BackendRequest) -> dict:
 
 class _QueryImages(threading.local):
     """The base64 blocks of the local images that one query's bodies have
-    read on this thread, by path, with the size and mtime_ns they were read
-    under. A body of another query empties it first, so a thread holds one
-    query's images at most. Blocks depend only on the file they were read
-    from, so every backend on the thread shares them."""
+    read on this thread, by path, with the stat identity they were read
+    under (records.stat_identity). A body of another query empties it
+    first, so a thread holds one query's images at most. Blocks depend only
+    on the file they were read from, so every backend on the thread shares
+    them."""
 
     def __init__(self):
         self.query_id: str | None = None
-        self.blocks: dict[str, tuple[int, int, tuple[bytes, ...]]] = {}
+        self.blocks: dict[str, tuple[str, tuple[bytes, ...]]] = {}
 
-    def of(self, query_id: str) -> dict[str, tuple[int, int, tuple[bytes, ...]]]:
+    def of(self, query_id: str) -> dict[str, tuple[str, tuple[bytes, ...]]]:
         if query_id != self.query_id:
             self.query_id, self.blocks = query_id, {}
         return self.blocks
@@ -232,8 +234,8 @@ class StreamedBody:
     Content-Length rather than chunked encoding; a file whose size has
     changed by the time it is read raises BackendError. An image of at most
     QUERY_IMAGE_BYTES is read once per query on a thread: a later body of
-    the same query whose stat gives the same size and mtime_ns sends the
-    blocks that read made.
+    the same query whose stat gives the same stat identity sends the blocks
+    that read made.
     """
 
     def __init__(self, config: EndpointConfig, req: BackendRequest):
@@ -269,9 +271,10 @@ class StreamedBody:
                 yield piece
                 continue
             path, st = piece
+            identity = stat_identity(st)
             held = self._images.get(path)
-            if held is not None and held[:2] == (st.st_size, st.st_mtime_ns):
-                yield from held[2]
+            if held is not None and held[0] == identity:
+                yield from held[1]
             elif st.st_size > QUERY_IMAGE_BYTES:
                 yield from _base64_blocks(path, st.st_size)
             else:
@@ -279,7 +282,7 @@ class StreamedBody:
                 for block in _base64_blocks(path, st.st_size):
                     blocks.append(block)
                     yield block
-                self._images[path] = (st.st_size, st.st_mtime_ns, tuple(blocks))
+                self._images[path] = (identity, tuple(blocks))
 
 
 def _base64_blocks(path: str, size: int) -> Iterator[bytes]:

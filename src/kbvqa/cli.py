@@ -300,12 +300,15 @@ def cmd_ingest(cfg: dict) -> int:
 
 
 # index.npz holds, as one string each, the sha256 of every file `kbvqa index`
-# checked, by the flag that named it, and the resolved path of the embedding
-# file in INDEX_PATH.
+# checked, by the flag that named it, the resolved path of the embedding
+# file in INDEX_PATH, and in INDEX_IDENTITY the stat identity its bytes were
+# hashed under, or "" when the file was not settled (records.FileDigest).
+# An index without INDEX_IDENTITY is read as one with "".
 INDEX_DIGESTS = {
     "kb": "kb_sha256", "kb_manifest": "kb_manifest_sha256", "kb_embeddings": "kb_embeddings_sha256",
 }
 INDEX_PATH = "kb_embeddings"
+INDEX_IDENTITY = "kb_embeddings_identity"
 
 
 def cmd_index(cfg: dict) -> int:
@@ -318,7 +321,8 @@ def cmd_index(cfg: dict) -> int:
     # a file that changes while `index` runs then fails `retrieve --index`.
     members = {INDEX_DIGESTS["kb"]: kb.sha256, INDEX_DIGESTS["kb_manifest"]: kb.manifest_sha256,
                INDEX_DIGESTS["kb_embeddings"]: kb.embeddings.sha256,
-               INDEX_PATH: str(Path(cfg["kb_embeddings"]).resolve())}
+               INDEX_PATH: str(Path(cfg["kb_embeddings"]).resolve()),
+               INDEX_IDENTITY: kb.embeddings.identity or ""}
     out = _out_dir(cfg)
     path = out / "index.npz"
     with atomic_write(path) as fh:
@@ -355,9 +359,12 @@ def _load_index(cfg: dict) -> dict[str, str]:
         if not isinstance(bundle, np.lib.npyio.NpzFile):
             raise _stale(cfg, "it is not an .npz index")
         with bundle:
-            members = {}
-            for key, name in (*INDEX_DIGESTS.items(), ("kb_embeddings", INDEX_PATH)):
+            members = {INDEX_IDENTITY: ""}
+            for key, name in (*INDEX_DIGESTS.items(), ("kb_embeddings", INDEX_PATH),
+                              (None, INDEX_IDENTITY)):
                 if name not in bundle.files:
+                    if key is None:  # optional: without it the embedding file is hashed
+                        continue
                     what = "path" if name == INDEX_PATH else "sha256"
                     raise _stale(cfg, f"it holds no {what} of --{key.replace('_', '-')} "
                                       "(an index from an older kbvqa)")
@@ -377,8 +384,10 @@ def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     With --index, the embedding file is --kb-embeddings, else the one the
     index records, and the digests of --kb, --kb-manifest and that file must
     equal the index's. Bytes with the recorded digest passed load_embeddings'
-    row checks in `kbvqa index`, so they are not checked again. The KB itself
-    is dropped on return: the search needs only the index and the URLs.
+    row checks in `kbvqa index`, so they are not checked again, nor hashed
+    while the file's identity is the one the index records. Without --index
+    the embedding file is not hashed. The KB itself is dropped on return:
+    the search needs only the index and the URLs.
     """
     recorded = _load_index(cfg) if cfg.get("index") else {}
     embeddings = cfg.get("kb_embeddings") or recorded[INDEX_PATH]
@@ -394,7 +403,8 @@ def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     check("kb", kb.sha256, cfg["kb"])
     check("kb_manifest", kb.manifest_sha256, cfg["kb_manifest"])
     matrix = load_embeddings(cfg["kb_manifest"], embeddings,
-                             recorded.get(INDEX_DIGESTS["kb_embeddings"]))
+                             recorded.get(INDEX_DIGESTS["kb_embeddings"]),
+                             recorded.get(INDEX_IDENTITY), digest=False)
     check("kb_embeddings", matrix.sha256, embeddings)
     kb.attach_embeddings(matrix)
     return build_index(kb), kb.urls
@@ -405,7 +415,7 @@ def cmd_retrieve(cfg: dict) -> int:
         _require(cfg, "kb_embeddings")
     index, urls = _retrieval_index(cfg)
     queries = ingest_queries(cfg["queries"])
-    qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"])
+    qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"], digest=False)
     vectors = []
     for q in queries:
         row = q.query_embedding_row

@@ -7,9 +7,10 @@ File formats (a record holds its class's fields in declaration order):
   embeddings.bin             raw little-endian float32, row-major, count*dim values
   entries.jsonl.catalog.json written by `kbvqa ingest` beside the entries
                    (write_catalog), two lines of JSON: the sha256 of the
-                   entries file and of the manifest, and per entry, in file
-                   order, its id, url and embedding row; then the byte span
-                   of each entry's line, read only when an entry is looked up
+                   entries file and of the manifest, the entries file's stat
+                   identity, and per entry, in file order, its id, url and
+                   embedding row; then the byte span of each entry's line,
+                   read only when an entry is looked up
 
 Loaded handles are immutable after ingestion and safe for concurrent readers.
 """
@@ -30,9 +31,9 @@ from typing import TYPE_CHECKING
 
 from .errors import IngestError
 from .records import (
-    FieldError, _check_unique, _lone_surrogate, atomic_write, field_error, from_record,
-    read_json_record, read_jsonl, record_reader, to_record, unique_query_ids, utf8_encodable,
-    write_jsonl,
+    FieldError, FileDigest, _check_unique, _lone_surrogate, atomic_write, digest_file,
+    field_error, from_record, identity_holds, read_json_record, read_jsonl, record_reader,
+    to_record, unique_query_ids, utf8_encodable, write_jsonl,
 )
 
 if TYPE_CHECKING:
@@ -116,6 +117,7 @@ class EmbeddingMatrix:
     data: np.ndarray
     normalized: bool
     sha256: str | None = None  # of the file's bytes, as read
+    identity: str | None = None  # the file's stat identity, when settled (records.FileDigest)
 
 
 class KnowledgeBase:
@@ -125,11 +127,12 @@ class KnowledgeBase:
     so len(), URL maps and index rows never need the entries; the
     positional columns are the CATALOG_COLUMNS, then the CATALOG_SPANS.
     sha256 and manifest_sha256 are those of the entries and manifest bytes
-    ingest_kb read. A KB that ingest_kb parsed in full holds each entry's
-    line as export_kb writes it, in export_lines; one that it loaded
-    through its catalog holds, in source, the entries file mapped
-    read-only, its path and the catalog's, and reads the spans from the
-    catalog when it first needs them. Either parses an entry's line the
+    ingest_kb read, and identity the entries file's stat identity when a
+    full parse found it settled (records.FileDigest). A KB that ingest_kb
+    parsed in full holds each entry's line as export_kb writes it, in
+    export_lines; one that it loaded through its catalog holds, in source,
+    the entries file mapped read-only, its path and the catalog's, and
+    reads the spans from the catalog when it first needs them. Either parses an entry's line the
     first time the entry is looked up, through by_id, entry_by_url or
     entries.
     """
@@ -137,13 +140,14 @@ class KnowledgeBase:
     def __init__(self, manifest: EmbeddingManifest, entry_ids: list[str], urls: list[str],
                  embedding_rows: list[int | None], line_offsets: list[int] | None = None,
                  line_lengths: list[int] | None = None, *, sha256: str | None = None,
-                 manifest_sha256: str | None = None, export_lines: list[bytes] | None = None,
+                 manifest_sha256: str | None = None, identity: str | None = None,
+                 export_lines: list[bytes] | None = None,
                  source: tuple[bytes | mmap.mmap, Path, Path] | None = None) -> None:
         self.manifest = manifest
         self.embeddings: EmbeddingMatrix | None = None
         self.entry_ids, self.urls, self.embedding_rows = entry_ids, urls, embedding_rows
         self.line_offsets, self.line_lengths = line_offsets, line_lengths
-        self.sha256, self.manifest_sha256 = sha256, manifest_sha256
+        self.sha256, self.manifest_sha256, self.identity = sha256, manifest_sha256, identity
         self.export_lines = export_lines
         self._source = source
         self._parsed: list[KnowledgeEntry | None] = [None] * len(entry_ids)
@@ -327,7 +331,8 @@ def ingest_kb(entries_path: str | Path, manifest_path: str | Path,
     beside entries_path holds the sha256 of the exact bytes of both files,
     no line is parsed here: ids, URLs and rows come from the catalog, and
     an entry's line is parsed when the entry is first looked up. Otherwise
-    every line is parsed and checked.
+    every line is parsed and checked. While the entries file's stat
+    identity is the one the catalog records, the file is not hashed.
     """
     digest = hashlib.sha256()
     manifest = load_manifest(manifest_path, digest)
@@ -374,11 +379,11 @@ def _parse_kb(path: Path, manifest: EmbeddingManifest, manifest_sha256: str) -> 
         lengths.append(len(raw))
         return line
 
-    digest = hashlib.sha256()
+    digest = FileDigest()
     lines = read_jsonl(path, parse, IngestError, digest, with_line=True)
     return KnowledgeBase(manifest, entry_ids, urls, rows, offsets, lengths,
                          sha256=digest.hexdigest(), manifest_sha256=manifest_sha256,
-                         export_lines=lines)
+                         identity=digest.identity, export_lines=lines)
 
 
 def catalog_path(entries_path: str | Path) -> Path:
@@ -395,7 +400,9 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
     catalog, one whose first line is truncated, one of another version,
     and one whose digests differ from the files' are all None: the caller
     then parses the whole file. The columns of a catalog whose digests
-    match are trusted as `kbvqa ingest` wrote them.
+    match are trusted as `kbvqa ingest` wrote them. While an fstat of the
+    mapped file gives the catalog's kb_identity, the file holds the bytes
+    ingest hashed, and its digest is the catalog's without hashing it again.
     """
     catalog = catalog_path(path)
     cat = _catalog_line(catalog, 0)
@@ -411,13 +418,15 @@ def _kb_from_catalog(path: Path, manifest: EmbeddingManifest,
         # second copy, and an entry's line is sliced out when it is looked
         # up. An empty file cannot be mapped.
         with path.open("rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
+            st = os.fstat(fh.fileno())
+            size = st.st_size
             data = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_READ) if size else b""
     except OSError:
         return None  # the full parse names the error
-    sha256 = hashlib.sha256(data).hexdigest()
-    if cat.get("kb_sha256") != sha256:
-        return None
+    sha256 = cat.get("kb_sha256")
+    if not (type(sha256) is str and identity_holds(st, cat.get("kb_identity"))):
+        if hashlib.sha256(data).hexdigest() != sha256:
+            return None
     return KnowledgeBase(manifest, *columns, sha256=sha256, manifest_sha256=manifest_sha256,
                          source=(data, path, catalog))
 
@@ -449,7 +458,8 @@ def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
 
     The catalog goes beside entries_path through atomic_write. It is two
     lines of plain ASCII JSON. The first holds the catalog and schema
-    versions, the sha256 of the entries and manifest files, and the
+    versions, the sha256 of the entries and manifest files, the entries
+    file's stat identity (null when it was not settled), and the
     CATALOG_COLUMNS; the second the sha256 of the entries file again and
     the CATALOG_SPANS. Each column is a list in file order.
     """
@@ -458,6 +468,7 @@ def write_catalog(kb: KnowledgeBase, entries_path: str | Path) -> Path:
         "schema_version": SCHEMA_VERSION,
         "kb_sha256": kb.sha256,
         "kb_manifest_sha256": kb.manifest_sha256,
+        "kb_identity": kb.identity,
         "entry_id": kb.entry_ids,
         "url": kb.urls,
         "embedding_row": kb.embedding_rows,
@@ -503,7 +514,8 @@ def ingest_queries(path: str | Path) -> list[Query]:
 
 
 def load_embeddings(manifest_path: str | Path, data_path: str | Path,
-                    checked_sha256: str | None = None) -> EmbeddingMatrix:
+                    checked_sha256: str | None = None, checked_identity: str | None = None,
+                    digest: bool = True) -> EmbeddingMatrix:
     """Load the raw float32 matrix described by the manifest.
 
     Rows are L2-normalized in place, block by block, when the manifest says
@@ -511,31 +523,52 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
     checked_sha256 is the digest of bytes that already passed these checks
     (`kbvqa index` records it): when the file hashes to it, the row checks
     are skipped, and only rows the manifest calls unnormalized are touched.
+    checked_identity is the stat identity those bytes were hashed under:
+    while the file's identity is still that, it is not hashed at all.
+    Otherwise the file is hashed when checked_sha256 is given or digest is
+    set, for the matrix's sha256 and identity (records.FileDigest); with
+    neither, sha256 is None and every row is checked.
     """
     import numpy as np
 
     manifest = load_manifest(manifest_path)
     dim, count = manifest.dim, manifest.count
     path = Path(data_path)
+    expected_bytes = count * dim * 4
+    # One descriptor is sized, identified, mapped and hashed, so a file
+    # renamed over the path meanwhile is never mixed in. os.open, unlike
+    # open, also opens a directory, which the size check then names.
     try:
-        actual_bytes = path.stat().st_size
+        fd = os.open(path, os.O_RDONLY)
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    expected_bytes = count * dim * 4
-    if actual_bytes != expected_bytes:
-        raise IngestError(
-            f"{path}: size mismatch: expected {expected_bytes} bytes "
-            f"({count}x{dim} float32), found {actual_bytes}"
-        )
-    # Mapped copy-on-write rather than read: hashing pages the file in once,
-    # with no second copy, and normalizing in place never writes to the file.
-    # An empty file cannot be mapped.
-    if expected_bytes:
-        data = np.memmap(path, dtype="<f4", mode="c", shape=(count, dim))
-    else:
-        data = np.zeros((count, dim), dtype="<f4")
-    # The file's bytes, hashed as read, before rows are normalized in place.
-    sha256 = hashlib.sha256(data).hexdigest()
+    try:
+        st = os.fstat(fd)
+        if st.st_size != expected_bytes:
+            raise IngestError(
+                f"{path}: size mismatch: expected {expected_bytes} bytes "
+                f"({count}x{dim} float32), found {st.st_size}"
+            )
+        # Mapped copy-on-write rather than read: hashing pages the file in
+        # once, with no second copy, and normalizing in place never writes
+        # to the file. An empty file cannot be mapped.
+        if expected_bytes:
+            data = np.frombuffer(mmap.mmap(fd, expected_bytes, access=mmap.ACCESS_COPY),
+                                 dtype="<f4").reshape(count, dim)
+        else:
+            data = np.zeros((count, dim), dtype="<f4")
+        if checked_sha256 is not None and identity_holds(st, checked_identity):
+            sha256, identity = checked_sha256, checked_identity
+        elif digest or checked_sha256 is not None:
+            # The file's bytes, hashed as read, before rows are normalized in place.
+            hashed = digest_file(fd, data)
+            sha256, identity = hashed.hexdigest(), hashed.identity
+        else:
+            sha256 = identity = None
+    except OSError as exc:
+        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    finally:
+        os.close(fd)
     # One pass: each row block is checked for non-finite values, then its norms
     # are checked or it is normalized, so the first faulty block names the error.
     # Blocks bound the float64 temporaries; a row's result does not depend on its block.
@@ -547,7 +580,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
     # so a row whose float32 square lies in [lo, hi] passes the float64
     # checks. A non-finite value, or a square past the float32 range, makes
     # an inf or NaN square, which lies in no band.
-    check = sha256 != checked_sha256
+    check = checked_sha256 is None or sha256 != checked_sha256
     slack = 2 * (dim + 2) * 2.0 ** -24
     lo, hi = (1 - NORM_TOLERANCE) ** 2 + slack, (1 + NORM_TOLERANCE) ** 2 - slack
     for start in range(0, count, NORM_BLOCK_ROWS) if check or not manifest.normalized else ():
@@ -577,7 +610,8 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
                 row = start + int(np.argmax(zero))
                 raise IngestError(f"{path}: zero-norm row {row} cannot be normalized")
             block[...] = rows64 / norms[:, None]
-    return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True, sha256=sha256)
+    return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True, sha256=sha256,
+                           identity=identity)
 
 
 def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:

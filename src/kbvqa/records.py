@@ -8,7 +8,10 @@ writes them. A record class X stands for an object, and each one is built
 as X. Types are exact: a bool is not an integer, and an integer counts as a
 float. A missing field takes the class's default; a field with none is
 required. Keys the class does not declare are ignored. Every writer goes
-through atomic_write. This module imports only the stdlib and .errors.
+through atomic_write. A large input is hashed through FileDigest, which
+also takes the file's stat identity; the rule that says when a recorded
+digest still holds lives here alone. This module imports only the stdlib
+and .errors.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import inspect
 import io
 import json
 import os
+import time
 import types
 import typing
 from collections.abc import Iterator
@@ -36,6 +40,20 @@ T = TypeVar("T")
 _BLOCK = 1 << 20
 _LF, _CR = ord("\n"), ord("\r")  # byte values: `in` a bytes object, each is one memchr
 _scan_json = json.JSONDecoder().scan_once
+
+# A file's stat identity, st_dev:st_ino:st_size:st_mtime_ns:st_ctime_ns,
+# changes with any write, truncate, utime or rename over the file. A command
+# that hashes a large input records the identity beside the digest, and a
+# later one whose fstat of the file still gives it takes the recorded digest
+# instead of hashing the file again. The identity is recorded only when the
+# file last changed SETTLED_NS or more before it was hashed: a write within
+# one timestamp tick of the last change could leave every field as it was,
+# while a write after the hash began stamps a later time. 2 s is FAT's mtime
+# granularity, the coarsest of Linux's file systems, as in git's "racily
+# clean" rule.
+SETTLED_NS = 2_000_000_000
+# The clock that dates a hash; tests replace this name, not time.time_ns.
+_clock_ns = time.time_ns
 
 
 class FieldError(ValueError):
@@ -215,8 +233,60 @@ def _nested_records(cls: type) -> tuple[str, ...]:
     return tuple(spec[0] for spec in _record_spec(cls) if hasattr(spec[3], "__annotations__"))
 
 
+def stat_identity(st: os.stat_result) -> str:
+    """The stat identity of the file st describes."""
+    return f"{st.st_dev}:{st.st_ino}:{st.st_size}:{st.st_mtime_ns}:{st.st_ctime_ns}"
+
+
+def identity_holds(st: os.stat_result, recorded: object) -> bool:
+    """Whether st, an fstat of an open file, gives recorded, an identity that
+    a FileDigest settled; a recorded value that is absent (None), empty or
+    not a string never holds."""
+    return type(recorded) is str and recorded != "" and stat_identity(st) == recorded
+
+
+class FileDigest:
+    """The sha256 of the bytes hashed from one open file, and the file's stat
+    identity when it held still.
+
+    watch(fd) takes an fstat of the file before its first byte is hashed, and
+    settle() another after its last. identity is then that identity when the
+    two agree and the file last changed, by the newer of its mtime and ctime,
+    SETTLED_NS or more before watch; otherwise None, and nothing is recorded.
+    """
+
+    def __init__(self) -> None:
+        self._sha256 = hashlib.sha256()
+        self.identity: str | None = None
+
+    def watch(self, fd: int) -> None:
+        self._fd, self._started, self._before = fd, _clock_ns(), os.fstat(fd)
+
+    def update(self, data) -> None:
+        self._sha256.update(data)
+
+    def hexdigest(self) -> str:
+        return self._sha256.hexdigest()
+
+    def settle(self) -> None:
+        before = self._before
+        identity = stat_identity(before)
+        if (stat_identity(os.fstat(self._fd)) == identity
+                and self._started - max(before.st_mtime_ns, before.st_ctime_ns) >= SETTLED_NS):
+            self.identity = identity
+
+
+def digest_file(fd: int, data) -> FileDigest:
+    """The FileDigest of the open file fd, whose bytes, such as its map, are data."""
+    digest = FileDigest()
+    digest.watch(fd)
+    digest.update(data)
+    digest.settle()
+    return digest
+
+
 def read_jsonl(path: str | Path, parse: Callable[..., T], error_class: type[KbvqaError],
-               digest: hashlib._Hash | None = None, with_line: bool = False) -> list[T]:
+               digest: FileDigest | None = None, with_line: bool = False) -> list[T]:
     """parse(record, lineno) for every non-blank line of a JSONL file, in order.
 
     The file is read in binary, a block at a time (_lines). Lines split where
@@ -237,6 +307,8 @@ def read_jsonl(path: str | Path, parse: Callable[..., T], error_class: type[Kbvq
     out: list[T] = []
     lineno = offset = 0
     with fh:
+        if digest is not None:
+            digest.watch(fh.fileno())
         try:
             for line in _lines(fh, digest):
                 lineno += 1
@@ -255,10 +327,12 @@ def read_jsonl(path: str | Path, parse: Callable[..., T], error_class: type[Kbvq
             raise error_class(f"{p}:{lineno}: {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise error_class(f"{p}:{lineno}: malformed record: {exc}") from exc
+        if digest is not None:
+            digest.settle()
     return out
 
 
-def _lines(fh: BinaryIO, digest: hashlib._Hash | None) -> Iterator[bytes]:
+def _lines(fh: BinaryIO, digest: FileDigest | None) -> Iterator[bytes]:
     """The lines of the binary file fh, each with its line end, split at LF,
     CRLF and a lone CR; digest, when given, is fed each block as it is read.
 

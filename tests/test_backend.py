@@ -6,6 +6,7 @@ import hashlib
 import http.client
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -550,6 +551,25 @@ def test_an_image_within_the_limit_is_opened_once_per_query(query_images, monkey
     # request_body opens each image through Path.read_bytes, not through open.
     assert opened.count(small) == 2  # once per query
     assert opened.count(large) == 8  # once per call
+
+
+def test_an_image_rewritten_with_its_size_and_mtime_kept_is_read_again(tmp_path):
+    """The cache key is the file's stat identity: a rewrite that keeps the size
+    and has os.utime put the mtime back still moves the ctime."""
+    path = tmp_path / "img.bin"
+    path.write_bytes(random.Random(7).randbytes(1000))
+
+    def call(stage):
+        return BackendRequest(MessageSequence(parts=(ImagePart(str(path), "<image>"),)),
+                              query_id="rewritten-in-place", stage=stage)
+
+    assert _body_is_request_body(call(_STAGES[0]))
+    st = path.stat()
+    time.sleep(0.05)  # past the file system's timestamp granularity
+    path.write_bytes(random.Random(8).randbytes(1000))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    assert _body_is_request_body(call(_STAGES[1]))
 
 
 # -- against a local HTTP server ---------------------------------------------

@@ -98,12 +98,16 @@ class TestWorkflowArtifacts:
         assert len(read_jsonl(ws.ingest / "queries_normalized.jsonl")) == 20
 
     def test_index_artifact(self, ws, bundle):
-        # Four strings and no matrix: the three digests and the embedding file's path.
+        # Five strings and no matrix: the three digests, the embedding file's
+        # path and its stat identity, "" when it was not settled.
         with np.load(ws.index / "index.npz", allow_pickle=False) as saved:
-            assert sorted(saved.files) == sorted([*INDEX_DIGESTS.values(), "kb_embeddings"])
+            assert sorted(saved.files) == sorted(
+                [*INDEX_DIGESTS.values(), "kb_embeddings", "kb_embeddings_identity"])
             assert {(saved[name].shape, saved[name].dtype.kind) for name in saved.files} == {
                 ((), "U")}
             assert saved["kb_embeddings"].item() == str(bundle.kb_embeddings.resolve())
+            assert saved["kb_embeddings_identity"].item() in (
+                "", records.stat_identity(bundle.kb_embeddings.stat()))
         assert (ws.index / "index.npz").stat().st_size < 4096
 
     def test_retrieval_results(self, ws):
