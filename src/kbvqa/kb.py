@@ -31,9 +31,9 @@ from typing import TYPE_CHECKING
 
 from .errors import IngestError
 from .records import (
-    FieldError, FileDigest, _check_unique, _lone_surrogate, atomic_write, digest_file,
-    field_error, from_record, identity_holds, read_json_record, read_jsonl, record_reader,
-    to_record, unique_query_ids, utf8_encodable, write_jsonl,
+    FieldError, FileDigest, _check_unique, _lone_surrogate, atomic_write, field_error,
+    from_record, identity_holds, read_json_record, read_jsonl, record_reader, to_record,
+    unique_query_ids, utf8_encodable, write_jsonl,
 )
 
 if TYPE_CHECKING:
@@ -561,12 +561,13 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
             sha256, identity = checked_sha256, checked_identity
         elif digest or checked_sha256 is not None:
             # The file's bytes, hashed as read, before rows are normalized in place.
-            hashed = digest_file(fd, data)
+            hashed = FileDigest()
+            hashed.watch(fd)
+            hashed.update(data)
+            hashed.settle()
             sha256, identity = hashed.hexdigest(), hashed.identity
         else:
             sha256 = identity = None
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror or exc}") from exc
     finally:
         os.close(fd)
     # One pass: each row block is checked for non-finite values, then its norms

@@ -276,15 +276,6 @@ class FileDigest:
             self.identity = identity
 
 
-def digest_file(fd: int, data) -> FileDigest:
-    """The FileDigest of the open file fd, whose bytes, such as its map, are data."""
-    digest = FileDigest()
-    digest.watch(fd)
-    digest.update(data)
-    digest.settle()
-    return digest
-
-
 def read_jsonl(path: str | Path, parse: Callable[..., T], error_class: type[KbvqaError],
                digest: FileDigest | None = None, with_line: bool = False) -> list[T]:
     """parse(record, lineno) for every non-blank line of a JSONL file, in order.

@@ -22,7 +22,7 @@ import pytest
 from kbvqa import records
 from kbvqa.cli import main
 from kbvqa.kb import catalog_path, load_embeddings
-from kbvqa.records import SETTLED_NS, FileDigest, digest_file, identity_holds, stat_identity
+from kbvqa.records import SETTLED_NS, FileDigest, identity_holds, stat_identity
 
 # Long enough for any file system with sub-second timestamps to stamp a
 # later change with a later time than the one before it.
@@ -127,7 +127,11 @@ def test_identity_is_recorded_only_past_the_margin(tmp_path, monkeypatch):
         for now, settled in ((changed + SETTLED_NS - 1, False), (changed + SETTLED_NS, True),
                              (changed - SETTLED_NS, False)):
             monkeypatch.setattr(records, "_clock_ns", lambda now=now: now)
-            digest = digest_file(fh.fileno(), b"abc")
+            digest = FileDigest()
+            digest.watch(fh.fileno())
+            digest.update(fh.read())
+            digest.settle()
+            fh.seek(0)
             assert digest.hexdigest() == hashlib.sha256(b"abc").hexdigest()
             assert digest.identity == (stat_identity(st) if settled else None)
 
