@@ -432,7 +432,9 @@ def cmd_retrieve(cfg: dict) -> int:
     write_results(results, out / "retrieval_results.jsonl")
 
     dedup = not cfg["no_url_dedup"]
-    if all(q.gold_entry_url for q in queries):
+    if not queries:
+        print("recall skipped (no queries)")
+    elif all(q.gold_entry_url for q in queries):
         url_map = dict(zip(index.entry_ids, urls))
         parts = []
         for kk in DEFAULT_RECALL_KS:

@@ -35,7 +35,6 @@ STRATA = {
 }
 STRATUM_MODES = tuple(STRATA)
 DISJOINT_STRATA = tuple(STRATA["disjoint"])
-CUMULATIVE_STRATA = tuple(STRATA["cumulative"])
 
 # Thousands-grouped form first so "1,234.5" is not read as "1".
 _NUMBER = re.compile(
@@ -202,6 +201,8 @@ def aggregate_accuracy(
     Overall is correct/total over all queries; per-stratum fractions are
     computed over the queries belonging to each bucket. With disjoint
     memberships the count-weighted stratum mean equals the overall fraction.
+    A bucket may be any key, such as a split tag or a (stratum, split) pair;
+    one that no query is in is left out.
     """
     if not correct_by_qid:
         raise EvalError("no verdicts to aggregate")
@@ -247,6 +248,11 @@ def score_run(
     """
     if not queries:
         raise EvalError("no queries to score")
+    seen: set[str] = set()
+    for query in queries:
+        if query.query_id in seen:
+            raise EvalError(f"duplicate query_id {query.query_id!r} in queries")
+        seen.add(query.query_id)
     trace_by_qid = {t.query_id: t for t in traces}
     result_by_qid = {r.query_id: r for r in results}
     missing = [q.query_id for q in queries if q.query_id not in trace_by_qid]
@@ -268,45 +274,34 @@ def score_run(
     recall = {int(k): sum(rank is not None and rank <= int(k) for rank in ranks) / len(queries)
               for k in ks}
 
-    plugin_queue: list[tuple[int, str, Query]] = []
-    verdicts: list[MatchVerdict | None] = [None] * len(queries)
-    for i, query in enumerate(queries):
-        pred = trace_by_qid[query.query_id].y_final
-        if plugin is not None and query.answer_type == "text":
-            plugin_queue.append((i, pred, query))
-        else:
-            verdicts[i] = match_answer(pred, query, tolerance=tolerance)
-    if plugin_queue:
-        outcomes = plugin.score([(pred, q.gold_answers) for _, pred, q in plugin_queue])
-        for (i, _pred, query), ok in zip(plugin_queue, outcomes):
-            verdicts[i] = MatchVerdict(query.query_id, ok, "plugin", "")
-    final_verdicts = tuple(v for v in verdicts if v is not None)
+    preds = [trace_by_qid[q.query_id].y_final for q in queries]
+    # The plugin, when given, judges every text answer in one batch.
+    judged = [i for i, q in enumerate(queries) if plugin is not None and q.answer_type == "text"]
+    outcomes = dict(zip(judged, plugin.score([(preds[i], queries[i].gold_answers)
+                                              for i in judged]))) if judged else {}
+    verdicts = tuple(
+        MatchVerdict(q.query_id, outcomes[i], "plugin", "") if i in outcomes
+        else match_answer(preds[i], q, tolerance=tolerance) for i, q in enumerate(queries))
 
     memberships = {query.query_id: strata_for_rank(rank, stratum_mode)
                    for query, rank in zip(queries, ranks)}
 
-    correct_by_qid = {v.query_id: v.correct for v in final_verdicts}
+    correct_by_qid = {v.query_id: v.correct for v in verdicts}
     overall, by_stratum = aggregate_accuracy(correct_by_qid, memberships, STRATA[stratum_mode])
-
-    split_counts: dict[str, int] = defaultdict(int)
-    split_hits: dict[str, int] = defaultdict(int)
-    for query, verdict in zip(queries, final_verdicts):
-        split_counts[query.split_tag] += 1
-        if verdict.correct:
-            split_hits[query.split_tag] += 1
-    by_split = {tag: split_hits[tag] / n for tag, n in sorted(split_counts.items())}
+    splits = {q.query_id: (q.split_tag,) for q in queries}
+    _, by_split = aggregate_accuracy(correct_by_qid, splits, sorted({q.split_tag for q in queries}))
 
     report = MetricReport(
         recall=recall,
         accuracy_overall=overall,
-        accuracy_by_split=by_split,
+        accuracy_by_split={tag: cell.fraction for tag, cell in by_split.items()},
         accuracy_by_stratum=by_stratum,
         stratum_mode=stratum_mode,
         total=len(queries),
         tolerance=tolerance,
         query_digest=query_set_digest([q.query_id for q in queries]),
     )
-    return ScoredRun(report=report, verdicts=final_verdicts, memberships=memberships)
+    return ScoredRun(report=report, verdicts=verdicts, memberships=memberships)
 
 
 @dataclass(frozen=True)
@@ -322,6 +317,13 @@ class DeltaRow:
         return self.value_b - self.value_a
 
 
+def _delta_rows(prefix: str, a: Mapping, b: Mapping, sort: bool = False) -> list[DeltaRow]:
+    """A row per name in the name -> fraction maps a and b: a's, then b's own, or all sorted."""
+    names = {**a, **b}
+    return [DeltaRow(f"{prefix}{name}", a.get(name), b.get(name))
+            for name in (sorted(names) if sort else names)]
+
+
 def compare_runs(report_a: MetricReport, report_b: MetricReport) -> list[DeltaRow]:
     """Per-metric differences between two runs over the same query set."""
     if report_a.total != report_b.total or report_a.query_digest != report_b.query_digest:
@@ -329,31 +331,14 @@ def compare_runs(report_a: MetricReport, report_b: MetricReport) -> list[DeltaRo
             "cannot compare runs over different query universes "
             f"({report_a.total} vs {report_b.total} queries)"
         )
-    rows = [DeltaRow("accuracy_overall", report_a.accuracy_overall, report_b.accuracy_overall)]
-    for k in sorted(set(report_a.recall) | set(report_b.recall)):
-        rows.append(DeltaRow(f"recall@{k}", report_a.recall.get(k), report_b.recall.get(k)))
-    for tag in sorted(set(report_a.accuracy_by_split) | set(report_b.accuracy_by_split)):
-        rows.append(
-            DeltaRow(
-                f"accuracy_split:{tag}",
-                report_a.accuracy_by_split.get(tag),
-                report_b.accuracy_by_split.get(tag),
-            )
-        )
-    strata = list(report_a.accuracy_by_stratum) + [
-        s for s in report_b.accuracy_by_stratum if s not in report_a.accuracy_by_stratum
-    ]
-    for s in strata:
-        a = report_a.accuracy_by_stratum.get(s)
-        b = report_b.accuracy_by_stratum.get(s)
-        rows.append(
-            DeltaRow(
-                f"accuracy_stratum:{s}",
-                a.fraction if a else None,
-                b.fraction if b else None,
-            )
-        )
-    return rows
+    a, b = report_a, report_b
+    strata_a, strata_b = ({s: cell.fraction for s, cell in r.accuracy_by_stratum.items()}
+                          for r in (a, b))
+    return [*_delta_rows("", {"accuracy_overall": a.accuracy_overall},
+                         {"accuracy_overall": b.accuracy_overall}),
+            *_delta_rows("recall@", a.recall, b.recall, sort=True),
+            *_delta_rows("accuracy_split:", a.accuracy_by_split, b.accuracy_by_split, sort=True),
+            *_delta_rows("accuracy_stratum:", strata_a, strata_b)]
 
 
 # -- file formats ---------------------------------------------------------
@@ -376,26 +361,22 @@ def write_report_csv(
 ) -> None:
     """Human-oriented table: accuracy per stratum and split (percent, one
     decimal) plus recall rows. Percent cells are blank for empty cells."""
+    report = scored.report
     split_by_qid = {q.query_id: q.split_tag for q in queries}
-    splits = sorted({q.split_tag for q in queries})
+    cells = [(stratum, split) for stratum in [*STRATA[report.stratum_mode], "all"]
+             for split in [*sorted({q.split_tag for q in queries}), "all"]]
+    correct_by_qid = {v.query_id: v.correct for v in scored.verdicts}
+    # Each query is in its strata and "all", crossed with its split and "all".
+    pairs = {qid: {(stratum, split) for stratum in (*scored.memberships.get(qid, ()), "all")
+                   for split in (split_by_qid.get(qid), "all")} for qid in correct_by_qid}
+    _, by_cell = aggregate_accuracy(correct_by_qid, pairs, cells)
 
     def rows():
-        for k, fraction in scored.report.recall.items():
-            yield [f"recall@{k}", "", "all", scored.report.total, _pct(fraction)]
-        for stratum in [*STRATA[scored.report.stratum_mode], "all"]:
-            for split in splits + ["all"]:
-                hits = 0
-                count = 0
-                for verdict in scored.verdicts:
-                    qid = verdict.query_id
-                    if stratum != "all" and stratum not in scored.memberships.get(qid, ()):
-                        continue
-                    if split != "all" and split_by_qid.get(qid) != split:
-                        continue
-                    count += 1
-                    hits += int(verdict.correct)
-                fraction = hits / count if count else None
-                yield ["accuracy", stratum, split, count, _pct(fraction)]
+        for k, fraction in report.recall.items():
+            yield [f"recall@{k}", "", "all", report.total, _pct(fraction)]
+        for cell in cells:
+            fraction, count = by_cell.get(cell, (None, 0))
+            yield ["accuracy", *cell, count, _pct(fraction)]
 
     write_csv(path, ["metric", "stratum", "split", "count", "value_pct"], rows())
 

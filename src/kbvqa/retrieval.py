@@ -229,6 +229,8 @@ def recall_at_k(
     """Fraction of queries whose gold entry URL appears among the top-k hit URLs."""
     if not results:
         raise EvalError("no retrieval results to score")
+    if not queries:
+        raise EvalError("no queries to score")
     by_id = {r.query_id: r for r in results}
     hit = 0
     for query in queries:

@@ -215,6 +215,25 @@ class TestStdout:
         out = capsys.readouterr().out
         assert "Recall@1 0.200  Recall@2 0.400  Recall@5 0.850  Recall@10 0.950" in out
 
+    def test_retrieve_over_no_queries_skips_recall(self, bundle, tmp_path, capsys):
+        """An empty query file retrieves nothing and exits 0, as ingest and run do."""
+        empty = tmp_path / "queries.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main([
+            "retrieve", "--kb", str(bundle.entries_path),
+            "--kb-manifest", str(bundle.kb_manifest),
+            "--kb-embeddings", str(bundle.kb_embeddings),
+            "--queries", str(empty),
+            "--query-manifest", str(bundle.query_manifest),
+            "--query-embeddings", str(bundle.query_embeddings),
+            "--out-dir", str(out),
+        ])
+        assert rc == 0, capsys.readouterr().err
+        assert "recall skipped (no queries)" in capsys.readouterr().out
+        assert (out / "retrieval_results.jsonl").read_bytes() == b""
+        assert json.loads((out / "run_config.json").read_text())["command"] == "retrieve"
+
     def test_run_prints_trace_summary(self, ws, bundle, tmp_path, capsys):
         rc = main([
             "run", "--variant", "core", "--kb", str(bundle.entries_path),

@@ -4,13 +4,17 @@ import dataclasses
 import random
 import re
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixture_gen
-from kbvqa import metrics, retrieval
+from kbvqa import metrics, records, retrieval
 from kbvqa.errors import EvalError
-from kbvqa.kb import Query
+from kbvqa.kb import SPLIT_TAGS, Query
 from kbvqa.metrics import (
     DISJOINT_STRATA,
     DeltaRow,
@@ -173,6 +177,14 @@ class TestScoreRunValidation:
         with pytest.raises(EvalError, match=re.escape(
                 f"query {queries[3].query_id!r} has no gold_entry_url")):
             score_run(traces, queries, results, url_map, ks=(1,))
+
+    def test_duplicate_query_id_rejected(self):
+        """A repeated query would count twice in recall and the splits but
+        once overall and in the strata; it is refused before any tally."""
+        queries, traces, results, url_map = fixture_gen.build_strata_fixture()
+        with pytest.raises(EvalError, match=re.escape(
+                f"duplicate query_id {queries[0].query_id!r} in queries")):
+            score_run(traces, queries + queries[:10], results, url_map, ks=(1,))
 
     def test_each_query_is_ranked_once(self, monkeypatch):
         queries, traces, results, url_map = fixture_gen.build_strata_fixture()
@@ -351,3 +363,108 @@ class TestReportFiles:
 def test_query_digest_is_order_insensitive():
     assert query_set_digest(["b", "a"]) == query_set_digest(["a", "b"])
     assert query_set_digest(["a"]) != query_set_digest(["a", "b"])
+
+
+# -- the one tally against the per-cell scans it replaced -------------------
+
+
+def _report_csv_by_cell_scan(scored, queries, path):
+    """report.csv as it was written before aggregate_accuracy did its
+    tally: every verdict scanned again for each stratum x split cell."""
+    split_by_qid = {q.query_id: q.split_tag for q in queries}
+    splits = sorted({q.split_tag for q in queries})
+
+    def rows():
+        for k, fraction in scored.report.recall.items():
+            yield [f"recall@{k}", "", "all", scored.report.total, metrics._pct(fraction)]
+        for stratum in [*metrics.STRATA[scored.report.stratum_mode], "all"]:
+            for split in splits + ["all"]:
+                hits = 0
+                count = 0
+                for verdict in scored.verdicts:
+                    qid = verdict.query_id
+                    if stratum != "all" and stratum not in scored.memberships.get(qid, ()):
+                        continue
+                    if split != "all" and split_by_qid.get(qid) != split:
+                        continue
+                    count += 1
+                    hits += int(verdict.correct)
+                fraction = hits / count if count else None
+                yield ["accuracy", stratum, split, count, metrics._pct(fraction)]
+
+    records.write_csv(path, ["metric", "stratum", "split", "count", "value_pct"], rows())
+
+
+def _compare_by_row_loops(report_a, report_b):
+    """compare_runs' rows as its four hand-written loops built them."""
+    rows = [DeltaRow("accuracy_overall", report_a.accuracy_overall, report_b.accuracy_overall)]
+    for k in sorted(set(report_a.recall) | set(report_b.recall)):
+        rows.append(DeltaRow(f"recall@{k}", report_a.recall.get(k), report_b.recall.get(k)))
+    for tag in sorted(set(report_a.accuracy_by_split) | set(report_b.accuracy_by_split)):
+        rows.append(DeltaRow(f"accuracy_split:{tag}", report_a.accuracy_by_split.get(tag),
+                             report_b.accuracy_by_split.get(tag)))
+    strata = list(report_a.accuracy_by_stratum) + [
+        s for s in report_b.accuracy_by_stratum if s not in report_a.accuracy_by_stratum
+    ]
+    for s in strata:
+        a = report_a.accuracy_by_stratum.get(s)
+        b = report_b.accuracy_by_stratum.get(s)
+        rows.append(DeltaRow(f"accuracy_stratum:{s}", a.fraction if a else None,
+                             b.fraction if b else None))
+    return rows
+
+
+_FRACTION = st.floats(min_value=0.0, max_value=1.0)
+_RECALL = st.dictionaries(st.sampled_from([1, 2, 5, 10, 20]), _FRACTION)
+_ALL_STRATA = list(dict.fromkeys(s for strata in metrics.STRATA.values() for s in strata))
+
+
+@st.composite
+def _scored_runs(draw):
+    """A ScoredRun and its queries: random verdicts, split tags, gold ranks
+    and stratum mode; some queries have no verdict, some no membership."""
+    mode = draw(st.sampled_from(metrics.STRATUM_MODES))
+    n = draw(st.integers(min_value=1, max_value=30))
+    queries = [Query(query_id=f"q{i}", question="?", split_tag=draw(st.sampled_from(SPLIT_TAGS)))
+               for i in range(n)]
+    scored_ids = [q.query_id for q in queries if draw(st.booleans())] or [queries[0].query_id]
+    verdicts = tuple(metrics.MatchVerdict(qid, draw(st.booleans()), "exact") for qid in scored_ids)
+    rank = st.none() | st.integers(min_value=1, max_value=8)
+    memberships = {qid: strata_for_rank(draw(rank), mode)
+                   for qid in scored_ids if draw(st.integers(0, 9))}
+    report = metrics.MetricReport(
+        recall=draw(_RECALL), accuracy_overall=0.0, accuracy_by_split={},
+        accuracy_by_stratum={}, stratum_mode=mode, total=n, tolerance=0.05,
+        query_digest=query_set_digest(scored_ids))
+    return metrics.ScoredRun(report, verdicts, memberships), queries
+
+
+@st.composite
+def _report_pairs(draw):
+    """Two reports over one query set whose recall keys, splits and strata differ."""
+    def report():
+        strata = draw(st.lists(st.sampled_from(_ALL_STRATA), unique=True))
+        return metrics.MetricReport(
+            recall=draw(_RECALL), accuracy_overall=draw(_FRACTION),
+            accuracy_by_split=draw(st.dictionaries(st.sampled_from(SPLIT_TAGS), _FRACTION)),
+            accuracy_by_stratum={s: metrics.StratumCell(draw(_FRACTION), draw(st.integers(1, 50)))
+                                 for s in strata},
+            stratum_mode="disjoint", total=7, tolerance=0.05, query_digest="d" * 64)
+    return report(), report()
+
+
+class TestTallyMatchesTheCellScan:
+    @settings(max_examples=200, deadline=None)
+    @given(_scored_runs())
+    def test_report_csv_bytes(self, run):
+        scored, queries = run
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, scan = Path(tmp) / "report.csv", Path(tmp) / "scan.csv"
+            write_report_csv(scored, queries, ours)
+            _report_csv_by_cell_scan(scored, queries, scan)
+            assert ours.read_bytes() == scan.read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_report_pairs())
+    def test_compare_rows(self, pair):
+        assert compare_runs(*pair) == _compare_by_row_loops(*pair)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fixture_gen
 from kbvqa import retrieval
+from kbvqa.errors import EvalError
 from kbvqa.kb import (
     EmbeddingManifest,
     EmbeddingMatrix,
@@ -271,6 +272,12 @@ def test_recall_on_planted_ranks(recall_bundle):
     assert recall_at_k(results, queries, 2, url_map) == pytest.approx(0.5)
     assert recall_at_k(results, queries, 5, url_map) == pytest.approx(0.7)
     assert recall_at_k(results, queries, 10, url_map) == pytest.approx(0.9)
+
+
+def test_recall_over_no_queries_is_an_eval_error():
+    results = [RetrievalResult("q1", 1, (("a", 1.0),))]
+    with pytest.raises(EvalError, match="no queries to score"):
+        recall_at_k(results, [], 1, {"a": "u"})
 
 
 def test_results_round_trip_and_score_format(tmp_path):
