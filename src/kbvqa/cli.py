@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from types import FunctionType
 from .errors import IngestError, KbvqaError
 from .kb import (
     KnowledgeBase, catalog_path, export_kb, export_queries, ingest_kb, ingest_queries,
-    load_embeddings, write_catalog,
+    load_embeddings, load_manifest, write_catalog,
 )
 from .records import atomic_write, load_json, write_csv, write_json
 from .retrieval import (
@@ -315,14 +316,14 @@ def cmd_index(cfg: dict) -> int:
     import numpy as np
 
     kb = _load_kb(cfg)
-    kb.attach_embeddings(load_embeddings(cfg["kb_manifest"], cfg["kb_embeddings"]))
-    index = build_index(kb)  # rejects an entry without an embedding row
+    matrix = load_embeddings(kb.manifest, cfg["kb_embeddings"])
+    index = build_index(kb, matrix)  # rejects an entry without an embedding row
     # The sha256 of the bytes ingest_kb and load_embeddings read and checked:
     # a file that changes while `index` runs then fails `retrieve --index`.
     members = {INDEX_DIGESTS["kb"]: kb.sha256, INDEX_DIGESTS["kb_manifest"]: kb.manifest_sha256,
-               INDEX_DIGESTS["kb_embeddings"]: kb.embeddings.sha256,
+               INDEX_DIGESTS["kb_embeddings"]: matrix.sha256,
                INDEX_PATH: str(Path(cfg["kb_embeddings"]).resolve()),
-               INDEX_IDENTITY: kb.embeddings.identity or ""}
+               INDEX_IDENTITY: matrix.identity or ""}
     out = _out_dir(cfg)
     path = out / "index.npz"
     with atomic_write(path) as fh:
@@ -378,7 +379,7 @@ def _load_index(cfg: dict) -> dict[str, str]:
     return members
 
 
-def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
+def _retrieval_index(cfg: dict, query_dim: int) -> tuple[FlatIndex, list[str]]:
     """The index over --kb and its entry URLs, built the same way with or without --index.
 
     With --index, the embedding file is --kb-embeddings, else the one the
@@ -386,8 +387,9 @@ def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     equal the index's. Bytes with the recorded digest passed load_embeddings'
     row checks in `kbvqa index`, so they are not checked again, nor hashed
     while the file's identity is the one the index records. Without --index
-    the embedding file is not hashed. The KB itself is dropped on return:
-    the search needs only the index and the URLs.
+    the embedding file is not hashed. --kb-manifest's dim must be the
+    queries', query_dim, before the matrix is loaded. The KB itself is
+    dropped on return: the search needs only the index and the URLs.
     """
     recorded = _load_index(cfg) if cfg.get("index") else {}
     embeddings = cfg.get("kb_embeddings") or recorded[INDEX_PATH]
@@ -402,29 +404,30 @@ def _retrieval_index(cfg: dict) -> tuple[FlatIndex, list[str]]:
     kb = _load_kb(cfg)
     check("kb", kb.sha256, cfg["kb"])
     check("kb_manifest", kb.manifest_sha256, cfg["kb_manifest"])
-    matrix = load_embeddings(cfg["kb_manifest"], embeddings,
-                             recorded.get(INDEX_DIGESTS["kb_embeddings"]),
+    if kb.manifest.dim != query_dim:
+        raise IngestError(f"--query-manifest {cfg['query_manifest']} has dim {query_dim}, but "
+                          f"--kb-manifest {cfg['kb_manifest']} has dim {kb.manifest.dim}")
+    matrix = load_embeddings(kb.manifest, embeddings, recorded.get(INDEX_DIGESTS["kb_embeddings"]),
                              recorded.get(INDEX_IDENTITY), digest=False)
     check("kb_embeddings", matrix.sha256, embeddings)
-    kb.attach_embeddings(matrix)
-    return build_index(kb), kb.urls
+    return build_index(kb, matrix), kb.urls
 
 
 def cmd_retrieve(cfg: dict) -> int:
     if not cfg["index"]:
         _require(cfg, "kb_embeddings")
-    index, urls = _retrieval_index(cfg)
+    query_manifest = load_manifest(cfg["query_manifest"])
+    index, urls = _retrieval_index(cfg, query_manifest.dim)
     queries = ingest_queries(cfg["queries"])
-    qemb = load_embeddings(cfg["query_manifest"], cfg["query_embeddings"], digest=False)
+    qemb = load_embeddings(query_manifest, cfg["query_embeddings"], digest=False)
     vectors = []
     for q in queries:
         row = q.query_embedding_row
         if row is None:
             raise IngestError(f"query {q.query_id!r} has no query_embedding_row")
-        if row >= qemb.count:
-            raise IngestError(
-                f"query {q.query_id!r} embedding row {row} out of range ({qemb.count} rows)"
-            )
+        if row >= query_manifest.count:
+            raise IngestError(f"query {q.query_id!r} embedding row {row} out of range "
+                              f"({query_manifest.count} rows)")
         vectors.append(qemb.data[row])
     k = cfg["k"]
     results = search_batch(index, vectors, [q.query_id for q in queries], k)
@@ -480,12 +483,13 @@ def _run_variant(cfg: dict, variant: str, traces_name: str) -> int:
 
 def cmd_mine_prki(cfg: dict) -> int:
     _bind("pipeline", "mining")
+    tolerance = _tolerance(cfg)
     queries = ingest_queries(cfg["queries"])
     traces_int = read_traces(cfg["traces_int"])
     # Core staged traces hold both answers, so one file may be named by both flags: read it once.
     same = Path(cfg["traces_int"]).resolve() == Path(cfg["traces_ext"]).resolve()
     traces_ext = traces_int if same else read_traces(cfg["traces_ext"])
-    mining = mine_prki(traces_int, traces_ext, queries, tolerance=float(cfg["tolerance"]))
+    mining = mine_prki(traces_int, traces_ext, queries, tolerance=tolerance)
     return _write_mining(cfg, mining, OBJECTIVE_TABLE["prki"].buckets)
 
 
@@ -529,16 +533,25 @@ def cmd_export_training(cfg: dict) -> int:
     return EXIT_OK
 
 
+def _tolerance(cfg: dict) -> float:
+    """--tolerance, which a command checks before it reads an input."""
+    tolerance = float(cfg["tolerance"])
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise IngestError(f"--tolerance must be finite and non-negative, got {tolerance}")
+    return tolerance
+
+
 def _score_options(cfg: dict) -> dict:
     """score_run's keyword arguments from --ks, --tolerance, --no-url-dedup and --stratum-mode."""
     return {
-        "ks": _parse_int_list(cfg["ks"], "--ks"), "tolerance": float(cfg["tolerance"]),
+        "ks": _parse_int_list(cfg["ks"], "--ks"), "tolerance": _tolerance(cfg),
         "dedup": not cfg["no_url_dedup"], "stratum_mode": cfg["stratum_mode"],
     }
 
 
 def cmd_score(cfg: dict) -> int:
     _bind("pipeline", "metrics")
+    options = _score_options(cfg)
     # A bad baseline, or one over other queries, stops the command before it writes.
     baseline = read_report_json(cfg["compare_to"]) if cfg["compare_to"] else None
     kb = _load_kb(cfg)
@@ -546,7 +559,7 @@ def cmd_score(cfg: dict) -> int:
     traces = read_traces(cfg["traces"])
     results = read_results(cfg["retrievals"])
     plugin = PluginScorer(cfg["plugin"]) if cfg["plugin"] else None
-    scored = score_run(traces, queries, results, kb.url_map(), plugin=plugin, **_score_options(cfg))
+    scored = score_run(traces, queries, results, kb.url_map(), plugin=plugin, **options)
     rows = None if baseline is None else compare_runs(baseline, scored.report)
     out = _out_dir(cfg)
     write_report_json(scored.report, out / "report.json")

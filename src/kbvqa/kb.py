@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import mmap
 import os
 import threading
@@ -110,12 +111,9 @@ class EmbeddingManifest:
 
 @dataclass
 class EmbeddingMatrix:
-    """Row-major float32 matrix of L2-normalized embedding vectors."""
+    """Row-major float32 matrix of L2-normalized embedding vectors, count x dim."""
 
-    dim: int
-    count: int
     data: np.ndarray
-    normalized: bool
     sha256: str | None = None  # of the file's bytes, as read
     identity: str | None = None  # the file's stat identity, when settled (records.FileDigest)
 
@@ -144,7 +142,6 @@ class KnowledgeBase:
                  export_lines: list[bytes] | None = None,
                  source: tuple[bytes | mmap.mmap, Path, Path] | None = None) -> None:
         self.manifest = manifest
-        self.embeddings: EmbeddingMatrix | None = None
         self.entry_ids, self.urls, self.embedding_rows = entry_ids, urls, embedding_rows
         self.line_offsets, self.line_lengths = line_offsets, line_lengths
         self.sha256, self.manifest_sha256, self.identity = sha256, manifest_sha256, identity
@@ -182,14 +179,6 @@ class KnowledgeBase:
     def url_map(self) -> dict[str, str]:
         """entry_id -> url for every entry."""
         return dict(zip(self.entry_ids, self.urls))
-
-    def attach_embeddings(self, matrix: EmbeddingMatrix) -> None:
-        if matrix.count != self.manifest.count or matrix.dim != self.manifest.dim:
-            raise IngestError(
-                f"embedding matrix {matrix.count}x{matrix.dim} does not match manifest "
-                f"{self.manifest.count}x{self.manifest.dim}"
-            )
-        self.embeddings = matrix
 
     def _entry(self, i: int) -> KnowledgeEntry:
         entry = self._parsed[i]
@@ -499,8 +488,10 @@ def _query_from_dict(obj: object) -> Query:
     row = query.query_embedding_row
     if row is not None and row < 0:
         raise field_error("query_embedding_row", "a non-negative integer or null", row)
-    if query.answer_type == "numeric_range":
-        query.gold_range()
+    if query.answer_type == "numeric_range" and any(map(math.isnan, query.gold_range())):
+        # No value lies in a range with a NaN bound; an inf bound leaves it half-open.
+        raise FieldError(f"numeric_range bound is NaN: {query.gold_answers[0]!r} "
+                         f"(query {query.query_id!r})")
     if not utf8_encodable("".join((query.query_id, query.question, query.image_ref,
                                    query.gold_entry_url or "", *query.gold_answers))):
         raise _lone_surrogate(to_record(query), f"query {query.query_id!r}")
@@ -513,10 +504,11 @@ def ingest_queries(path: str | Path) -> list[Query]:
                       IngestError)
 
 
-def load_embeddings(manifest_path: str | Path, data_path: str | Path,
+def load_embeddings(manifest: EmbeddingManifest, data_path: str | Path,
                     checked_sha256: str | None = None, checked_identity: str | None = None,
                     digest: bool = True) -> EmbeddingMatrix:
-    """Load the raw float32 matrix described by the manifest.
+    """Load the raw float32 matrix that manifest describes: kb.manifest for
+    a KB's matrix, load_manifest's for another. No manifest file is read here.
 
     Rows are L2-normalized in place, block by block, when the manifest says
     they are not already; zero-norm and non-finite rows are hard errors.
@@ -531,7 +523,6 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
     """
     import numpy as np
 
-    manifest = load_manifest(manifest_path)
     dim, count = manifest.dim, manifest.count
     path = Path(data_path)
     expected_bytes = count * dim * 4
@@ -611,8 +602,7 @@ def load_embeddings(manifest_path: str | Path, data_path: str | Path,
                 row = start + int(np.argmax(zero))
                 raise IngestError(f"{path}: zero-norm row {row} cannot be normalized")
             block[...] = rows64 / norms[:, None]
-    return EmbeddingMatrix(dim=dim, count=count, data=data, normalized=True, sha256=sha256,
-                           identity=identity)
+    return EmbeddingMatrix(data, sha256, identity)
 
 
 def export_kb(kb: KnowledgeBase, entries_path: str | Path) -> int:

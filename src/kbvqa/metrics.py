@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -67,8 +68,8 @@ def match_answer(pred: str, query: Query, tolerance: float = DEFAULT_TOLERANCE) 
     Numeric comparison uses |pred - gold| <= tolerance * |gold| directly so
     the boundary case is exact; a gold of zero accepts only an exact zero.
     """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     qid = query.query_id
     if query.answer_type == "numeric":
         value = first_number(pred)

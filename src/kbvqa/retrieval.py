@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .errors import EvalError, IngestError
-from .kb import KnowledgeBase, Query
+from .kb import EmbeddingMatrix, KnowledgeBase, Query
 from .records import from_record, read_jsonl, to_record, unique_query_ids, write_jsonl
 
 if TYPE_CHECKING:
@@ -84,29 +84,23 @@ class FlatIndex:
         return math.sqrt(float(squares.max())) if squares.size else 0.0
 
 
-def build_index(kb: KnowledgeBase) -> FlatIndex:
-    """Index every entry's embedding row, in ingestion order.
+def build_index(kb: KnowledgeBase, matrix: EmbeddingMatrix) -> FlatIndex:
+    """Index every entry's embedding row of matrix, in ingestion order.
 
-    All entries must have a bound embedding_row and the KB must have its
-    normalized matrix attached.
+    matrix is load_embeddings' over kb.manifest, and every entry must have
+    a bound embedding_row.
     """
     import numpy as np
 
-    if len(kb) == 0:
-        return FlatIndex([], np.zeros((0, kb.manifest.dim), dtype=np.float32))
     if None in kb.embedding_rows:
         unbound = [eid for eid, row in zip(kb.entry_ids, kb.embedding_rows) if row is None]
         raise IngestError(f"entries without embedding_row: {', '.join(unbound)}")
-    if kb.embeddings is None:
-        raise IngestError("knowledge base has no embedding matrix attached")
-    if not kb.embeddings.normalized:
-        raise IngestError("embedding matrix must be normalized before indexing")
     rows = np.array(kb.embedding_rows, dtype=np.int64)
     if np.array_equal(rows, np.arange(len(rows))):
-        matrix = kb.embeddings.data[:len(rows)]  # a view: no second copy of the matrix
+        data = matrix.data[:len(rows)]  # a view: no second copy of the matrix
     else:
-        matrix = kb.embeddings.data[rows]
-    return FlatIndex(list(kb.entry_ids), matrix)
+        data = matrix.data[rows]
+    return FlatIndex(list(kb.entry_ids), data)
 
 
 def _unit_query(query_embedding: np.ndarray, dim: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from kbvqa.kb import (
     ingest_kb,
     ingest_queries,
     load_embeddings,
+    load_manifest,
 )
 from kbvqa.metrics import DISJOINT_STRATA, aggregate_accuracy, match_answer, score_run
 from kbvqa.mining import mine_prki, mine_vtki
@@ -69,10 +70,9 @@ def _oracle_letter_index(text: str) -> int:
 
 def _load_stack(bundle, k=5):
     kb = ingest_kb(bundle.entries_path, bundle.kb_manifest)
-    kb.attach_embeddings(load_embeddings(bundle.kb_manifest, bundle.kb_embeddings))
     queries = ingest_queries(bundle.queries_path)
-    qemb = load_embeddings(bundle.query_manifest, bundle.query_embeddings)
-    index = build_index(kb)
+    qemb = load_embeddings(load_manifest(bundle.query_manifest), bundle.query_embeddings)
+    index = build_index(kb, load_embeddings(kb.manifest, bundle.kb_embeddings))
     results = search_batch(index, list(qemb.data), [q.query_id for q in queries], k)
     return kb, queries, {r.query_id: r for r in results}
 
@@ -91,8 +91,7 @@ def test_criterion_01_retrieval_matches_brute_force_oracle():
         for i in range(1000)
     ]
     kb = fixture_gen.kb_from_entries(entries, EmbeddingManifest(32, 1000, True))
-    kb.attach_embeddings(EmbeddingMatrix(dim=32, count=1000, data=mat, normalized=True))
-    index = build_index(kb)
+    index = build_index(kb, EmbeddingMatrix(mat))
     qraw = rng.normal(size=(100, 32))
     qs = qraw / np.linalg.norm(qraw, axis=1, keepdims=True)
 

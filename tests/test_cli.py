@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -437,6 +438,63 @@ def _flip_byte(path, offset):
     raw = bytearray(path.read_bytes())
     raw[offset] ^= 0x01
     path.write_bytes(bytes(raw))
+
+
+class TestEmbeddingLoad:
+    """`index` and `retrieve` read each manifest once, and the matrices it describes."""
+
+    def test_each_manifest_is_read_once(self, ws, bundle, tmp_path, monkeypatch):
+        reads = collections.Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)):
+                reads[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        kb_flags = ["--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+        assert main(["index", *kb_flags, "--kb-embeddings", str(bundle.kb_embeddings),
+                     "--out-dir", str(tmp_path / "index")]) == 0
+        assert reads[bundle.kb_manifest.resolve()] == 1
+        for source in (["--index", str(ws.index / "index.npz")],
+                       ["--kb-embeddings", str(bundle.kb_embeddings)]):
+            reads.clear()
+            assert main(["retrieve", *kb_flags, *source, "--queries", str(bundle.queries_path),
+                         "--query-manifest", str(bundle.query_manifest),
+                         "--query-embeddings", str(bundle.query_embeddings),
+                         "--out-dir", str(tmp_path / "retrieve")]) == 0
+            assert reads[bundle.kb_manifest.resolve()] == 1, source
+            assert reads[bundle.query_manifest.resolve()] == 1, source
+
+    @pytest.mark.parametrize("kb", ["fixture", "fixture with --index", "empty"])
+    def test_query_dim_other_than_the_kb_dim_exits_two_before_a_matrix_loads(
+            self, ws, bundle, tmp_path, capsys, monkeypatch, kb):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a matrix was loaded")
+
+        entries = bundle.entries_path
+        source = ["--kb-embeddings", str(bundle.kb_embeddings)]
+        if kb == "empty":
+            entries = tmp_path / "entries.jsonl"
+            entries.write_text("", encoding="utf-8")
+        elif kb == "fixture with --index":
+            source = ["--index", str(ws.index / "index.npz")]
+        rng = np.random.default_rng(32)
+        rows = rng.normal(size=(20, 32))
+        manifest, data = fixture_gen.write_matrix(
+            tmp_path, "q32", rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        monkeypatch.setattr(cli_module, "load_embeddings", refuse)
+        out = tmp_path / "out"
+        rc = main(["retrieve", "--kb", str(entries), "--kb-manifest", str(bundle.kb_manifest),
+                   *source, "--queries", str(bundle.queries_path),
+                   "--query-manifest", str(manifest), "--query-embeddings", str(data),
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --query-manifest {manifest} has dim 32, but --kb-manifest "
+            f"{bundle.kb_manifest} has dim 16\n")
+        assert not out.exists()
 
 
 class TestDigestBoundIndex:
@@ -954,6 +1012,41 @@ class TestExitCodes:
         assert rc == 2
         assert f"--ks values must be positive, got '{ks}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["score", "sweep", "mine-prki"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_outside_its_range_exits_two_before_reading_an_input(
+            self, ws, bundle, tmp_path, capsys, monkeypatch, command, value, source):
+        """A NaN tolerance marks every numeric answer wrong, and report.json
+        could not hold it as JSON; an infinite one marks every answer right."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(cli_module, "ingest_queries", refuse)
+        monkeypatch.setattr(cli_module, "ingest_kb", refuse)
+        traces = str(ws.run / "traces.jsonl")
+        flags = {
+            # A baseline that is not there: it is read only after the check.
+            "score": ["--traces", traces, "--compare-to", str(tmp_path / "absent.json")],
+            "sweep": ["--variant", "core", "--mock-script", str(bundle.mock_script)],
+            "mine-prki": ["--traces-int", traces, "--traces-ext", traces],
+        }[command]
+        if command != "mine-prki":
+            flags += ["--retrievals", str(ws.retrieve / "retrieval_results.jsonl"),
+                      "--kb", str(bundle.entries_path), "--kb-manifest", str(bundle.kb_manifest)]
+        if source == "flag":
+            flags += ["--tolerance", value]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"tolerance": float(value)}))
+            flags += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        rc = main([command, *flags, "--queries", str(bundle.queries_path), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: --tolerance must be finite and non-negative, got {float(value)}\n" == err
+        assert not out.exists()
 
     @pytest.mark.parametrize("top_m", ["1,9", "0", "2,6"])
     def test_sweep_top_m_out_of_range_exits_before_the_first_pass(

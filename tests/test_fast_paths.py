@@ -24,7 +24,7 @@ from kbvqa.backend import BackendResponse, EndpointConfig, ScriptLine
 from kbvqa.errors import IngestError
 from kbvqa.kb import (
     SCHEMA_VERSION, EmbeddingManifest, KnowledgeEntry, Query, _entry_fields, _export_line,
-    ingest_kb, load_embeddings,
+    ingest_kb, load_embeddings, load_manifest,
 )
 from kbvqa.metrics import DeltaRow, MatchVerdict, MetricReport, StratumCell
 from kbvqa.mining import MiningRecord
@@ -260,19 +260,21 @@ def test_float32_row_check_gives_the_float64_outcome_and_message(
             if kind == "value":
                 matrix[row, col % dim] = value
             else:
-                matrix[row] = (matrix[row].astype(np.float64) * value).astype(np.float32)
+                # A product past the float32 range is a fault injected on purpose.
+                with np.errstate(over="ignore"):
+                    matrix[row] = (matrix[row].astype(np.float64) * value).astype(np.float32)
     root = tmp_path_factory.mktemp("emb")
     manifest, data = fixture_gen.write_matrix(root, "m", matrix)
     if not normalized:
         manifest.write_text(json.dumps({"dim": dim, "count": count, "normalized": False}))
     expected = _float64_check(matrix, data, normalized, block_rows)
     if expected is None:
-        loaded = load_embeddings(manifest, data)
+        loaded = load_embeddings(load_manifest(manifest), data)
         if normalized:
             assert loaded.data.tobytes() == matrix.tobytes()
     else:
         with pytest.raises(IngestError) as got:
-            load_embeddings(manifest, data)
+            load_embeddings(load_manifest(manifest), data)
         assert str(got.value) == expected
 
 
@@ -286,7 +288,7 @@ def test_float32_row_check_at_the_edges_of_the_tolerance(tmp_path, dim):
             matrix = (direction * (edge + steps * 2.0 ** -23)).astype(np.float32)[None]
             manifest, data = fixture_gen.write_matrix(tmp_path, "edge", matrix)
             try:
-                load_embeddings(manifest, data)
+                load_embeddings(load_manifest(manifest), data)
                 got = None
             except IngestError as exc:
                 got = str(exc)
@@ -305,5 +307,5 @@ def test_float32_check_flags_only_the_blocks_it_must(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", lambda a, *args, **kwargs: (
         norms.append(len(a)), real_norm(a, *args, **kwargs))[1])
     with pytest.raises(IngestError, match="row 21 has norm 1.000200"):
-        load_embeddings(manifest, data)
+        load_embeddings(load_manifest(manifest), data)
     assert norms == [8]

@@ -21,7 +21,7 @@ import pytest
 
 from kbvqa import records
 from kbvqa.cli import main
-from kbvqa.kb import catalog_path, load_embeddings
+from kbvqa.kb import catalog_path, load_embeddings, load_manifest
 from kbvqa.records import SETTLED_NS, FileDigest, identity_holds, stat_identity
 
 # Long enough for any file system with sub-second timestamps to stamp a
@@ -171,7 +171,7 @@ def test_a_matching_identity_is_trusted_without_a_hash(settled, hashed):
     even one that is not the file's: the identity, not the bytes, is checked."""
     hashed.made.clear()
     identity = stat_identity(settled.kb_embeddings.stat())
-    matrix = load_embeddings(settled.kb_manifest, settled.kb_embeddings, "0" * 64, identity)
+    matrix = load_embeddings(load_manifest(settled.kb_manifest), settled.kb_embeddings, "0" * 64, identity)
     assert (matrix.sha256, matrix.identity) == ("0" * 64, identity)
     assert hashed.made == []
 

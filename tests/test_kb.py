@@ -403,8 +403,8 @@ def test_failed_exports_leave_no_file(tmp_path):
 
 
 def test_load_embeddings_shape_and_norm(bundle):
-    emb = load_embeddings(bundle.kb_manifest, bundle.kb_embeddings)
-    assert emb.count == 100 and emb.dim == 16
+    emb = load_embeddings(load_manifest(bundle.kb_manifest), bundle.kb_embeddings)
+    assert emb.data.shape == (100, 16)
     assert emb.data.dtype == np.float32
     norms = np.linalg.norm(emb.data.astype(np.float64), axis=1)
     assert np.all(np.abs(norms - 1.0) < 1e-4)
@@ -417,7 +417,7 @@ def test_load_embeddings_normalizes_raw_rows(tmp_path):
     manifest.write_text(json.dumps({
         "dim": 8, "count": 4, "normalized": False, "dtype": "f32le",
     }))
-    emb = load_embeddings(manifest, data)
+    emb = load_embeddings(load_manifest(manifest), data)
     norms = np.linalg.norm(emb.data.astype(np.float64), axis=1)
     assert np.allclose(norms, 1.0, atol=1e-6)
 
@@ -426,7 +426,7 @@ def test_load_embeddings_size_mismatch(tmp_path, bundle):
     short = tmp_path / "short.f32"
     short.write_bytes(bundle.kb_embeddings.read_bytes()[:-4])
     with pytest.raises(IngestError, match="bytes"):
-        load_embeddings(bundle.kb_manifest, short)
+        load_embeddings(load_manifest(bundle.kb_manifest), short)
 
 
 def test_load_embeddings_rejects_non_finite(tmp_path):
@@ -434,14 +434,14 @@ def test_load_embeddings_rejects_non_finite(tmp_path):
     mat[1, 2] = np.nan
     manifest, data = fixture_gen.write_matrix(tmp_path, "bad", mat)
     with pytest.raises(IngestError, match="finite"):
-        load_embeddings(manifest, data)
+        load_embeddings(load_manifest(manifest), data)
 
 
 def test_claimed_normalized_is_verified(tmp_path):
     mat = np.full((2, 4), 3.0, dtype=np.float32)
     manifest, data = fixture_gen.write_matrix(tmp_path, "lie", mat)
     with pytest.raises(IngestError, match="normalized"):
-        load_embeddings(manifest, data)
+        load_embeddings(load_manifest(manifest), data)
 
 
 def _raw_manifest(manifest, matrix):
@@ -471,7 +471,7 @@ def test_bad_row_past_first_block_reported_by_row(tmp_path, fault, normalized, m
     if not normalized:
         _raw_manifest(manifest, mat)
     with pytest.raises(IngestError, match=f"{match} {bad_row}"):
-        load_embeddings(manifest, data)
+        load_embeddings(load_manifest(manifest), data)
 
 
 def test_row_checks_are_skipped_only_for_the_checked_digest(tmp_path):
@@ -479,10 +479,10 @@ def test_row_checks_are_skipped_only_for_the_checked_digest(tmp_path):
     mat[1, 2] = np.nan
     manifest, data = fixture_gen.write_matrix(tmp_path, "bad", mat)
     digest = hashlib.sha256(data.read_bytes()).hexdigest()
-    emb = load_embeddings(manifest, data, checked_sha256=digest)
+    emb = load_embeddings(load_manifest(manifest), data, checked_sha256=digest)
     assert emb.sha256 == digest and emb.data.tobytes() == mat.tobytes()
     with pytest.raises(IngestError, match="finite"):
-        load_embeddings(manifest, data, checked_sha256="0" * 64)
+        load_embeddings(load_manifest(manifest), data, checked_sha256="0" * 64)
 
 
 def test_checked_digest_still_normalizes_raw_rows(tmp_path):
@@ -490,20 +490,20 @@ def test_checked_digest_still_normalizes_raw_rows(tmp_path):
     manifest, data = fixture_gen.write_matrix(tmp_path, "raw", raw)
     _raw_manifest(manifest, raw)
     digest = hashlib.sha256(data.read_bytes()).hexdigest()
-    assert load_embeddings(manifest, data, checked_sha256=digest).data.tobytes() == (
-        load_embeddings(manifest, data).data.tobytes())
+    assert load_embeddings(load_manifest(manifest), data, checked_sha256=digest).data.tobytes() == (
+        load_embeddings(load_manifest(manifest), data).data.tobytes())
     assert data.read_bytes() == raw.tobytes()  # normalized in memory, not in the file
 
 
 def test_load_embeddings_of_an_empty_matrix(tmp_path):
     manifest, data = fixture_gen.write_matrix(tmp_path, "empty", np.zeros((0, 3), dtype=np.float32))
-    emb = load_embeddings(manifest, data)
+    emb = load_embeddings(load_manifest(manifest), data)
     assert emb.data.shape == (0, 3) and emb.sha256 == hashlib.sha256(b"").hexdigest()
 
 
 def test_missing_embedding_file_named(tmp_path, bundle):
     with pytest.raises(IngestError, match=r"cannot read .*absent\.f32: No such file"):
-        load_embeddings(bundle.kb_manifest, tmp_path / "absent.f32")
+        load_embeddings(load_manifest(bundle.kb_manifest), tmp_path / "absent.f32")
 
 
 def test_blockwise_normalization_matches_whole_matrix_formula(tmp_path):
@@ -511,7 +511,7 @@ def test_blockwise_normalization_matches_whole_matrix_formula(tmp_path):
     raw = (rng.normal(size=(2 * NORM_BLOCK_ROWS + 123, 12)) * 40.0).astype(np.float32)
     manifest, data = fixture_gen.write_matrix(tmp_path, "raw", raw)
     _raw_manifest(manifest, raw)
-    emb = load_embeddings(manifest, data)
+    emb = load_embeddings(load_manifest(manifest), data)
     raw64 = raw.astype(np.float64)
     whole = (raw64 / np.linalg.norm(raw64, axis=1)[:, None]).astype(np.float32)
     assert emb.data.dtype == np.float32
@@ -524,6 +524,25 @@ def test_gold_range_parsing():
         "gold_answers": ["10..20"], "answer_type": "numeric_range",
     }])
     assert queries[0].gold_range() == (10.0, 20.0)
+
+
+def _range_query(gold):
+    return {"query_id": "g1", "question": "how many?", "image_ref": "i.jpg",
+            "gold_answers": [gold], "answer_type": "numeric_range"}
+
+
+@pytest.mark.parametrize("gold", ["nan..5", "1..nan", "NaN..NaN", "-inf..nan"])
+def test_gold_range_with_a_nan_bound_rejected_naming_the_query(gold):
+    # No prediction lies in such a range, so the query could never be answered right.
+    with pytest.raises(IngestError, match=re.escape(
+            f":1: numeric_range bound is NaN: {gold!r} (query 'g1')")):
+        ingest_queries_from_rows([_range_query(gold)])
+
+
+@pytest.mark.parametrize("gold, bounds", [
+    ("-inf..5", (-np.inf, 5.0)), ("1..inf", (1.0, np.inf)), ("-inf..inf", (-np.inf, np.inf))])
+def test_gold_range_with_an_infinite_bound_is_half_open(gold, bounds):
+    assert ingest_queries_from_rows([_range_query(gold)])[0].gold_range() == bounds
 
 
 def ingest_queries_from_rows(rows, tmp_path=None):

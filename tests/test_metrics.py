@@ -101,6 +101,12 @@ class TestMatchAnswer:
         with pytest.raises(ValueError):
             match_answer("5", q("numeric", golds=("5",)), tolerance=-0.1)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # A NaN tolerance marks every numeric answer wrong, an infinite one every answer right.
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            match_answer("5", q("numeric", golds=("5",)), tolerance=tolerance)
+
 
 class TestStrata:
     def test_disjoint(self):

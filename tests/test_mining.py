@@ -329,16 +329,14 @@ class TestExport:
 @pytest.fixture(scope="module")
 def mined(bundle):
     from kbvqa.backend import MockBackend
-    from kbvqa.kb import ingest_kb, ingest_queries, load_embeddings
+    from kbvqa.kb import ingest_kb, ingest_queries, load_embeddings, load_manifest
     from kbvqa.pipeline import PipelineRunner
     from kbvqa.retrieval import build_index, search_batch
 
     kb = ingest_kb(bundle.entries_path, bundle.kb_manifest)
-    kb.attach_embeddings(load_embeddings(bundle.kb_manifest,
-                                         bundle.kb_embeddings))
     queries = ingest_queries(bundle.queries_path)
-    qemb = load_embeddings(bundle.query_manifest, bundle.query_embeddings)
-    index = build_index(kb)
+    qemb = load_embeddings(load_manifest(bundle.query_manifest), bundle.query_embeddings)
+    index = build_index(kb, load_embeddings(kb.manifest, bundle.kb_embeddings))
     results = search_batch(index, list(qemb.data),
                            [q.query_id for q in queries], 5)
     by_qid = {r.query_id: r for r in results}

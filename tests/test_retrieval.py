@@ -18,6 +18,7 @@ from kbvqa.kb import (
     ingest_kb,
     ingest_queries,
     load_embeddings,
+    load_manifest,
 )
 from kbvqa.retrieval import (
     FlatIndex,
@@ -209,8 +210,7 @@ def test_search_batch_preserves_order_and_matches_serial():
 
 def test_build_index_from_fixture(bundle):
     kb = ingest_kb(bundle.entries_path, bundle.kb_manifest)
-    kb.attach_embeddings(load_embeddings(bundle.kb_manifest, bundle.kb_embeddings))
-    index = build_index(kb)
+    index = build_index(kb, load_embeddings(kb.manifest, bundle.kb_embeddings))
     assert len(index) == 100 and index.dim == 16
     assert index.entry_ids[0] == "e000"
     assert index.matrix.dtype == np.float32
@@ -218,10 +218,10 @@ def test_build_index_from_fixture(bundle):
 
 def test_build_index_keeps_in_order_rows_without_a_copy(bundle):
     kb = ingest_kb(bundle.entries_path, bundle.kb_manifest)
-    kb.attach_embeddings(load_embeddings(bundle.kb_manifest, bundle.kb_embeddings))
-    index = build_index(kb)
-    assert np.shares_memory(index.matrix, kb.embeddings.data)
-    assert np.array_equal(index.matrix, kb.embeddings.data)
+    matrix = load_embeddings(kb.manifest, bundle.kb_embeddings)
+    index = build_index(kb, matrix)
+    assert np.shares_memory(index.matrix, matrix.data)
+    assert np.array_equal(index.matrix, matrix.data)
 
 
 @pytest.mark.parametrize("rows", [[3, 0, 4, 1, 2], [0, 1, 2, 3], [5, 1, 2]])
@@ -230,8 +230,7 @@ def test_build_index_gathers_permuted_or_partial_rows(rows):
     entries = [KnowledgeEntry(f"e{i}", f"u{i}", "", "", embedding_row=row)
                for i, row in enumerate(rows)]
     kb = fixture_gen.kb_from_entries(entries, EmbeddingManifest(8, 6, True))
-    kb.attach_embeddings(EmbeddingMatrix(dim=8, count=6, data=matrix, normalized=True))
-    index = build_index(kb)
+    index = build_index(kb, EmbeddingMatrix(matrix))
     assert np.array_equal(index.matrix, matrix[rows])
     q = np.random.default_rng(2).normal(size=8)
     expected = oracle_top_k(matrix[rows], q, 3)
@@ -261,9 +260,9 @@ class TestUrlRanking:
 
 def test_recall_on_planted_ranks(recall_bundle):
     kb = ingest_kb(recall_bundle.entries_path, recall_bundle.kb_manifest)
-    kb.attach_embeddings(load_embeddings(recall_bundle.kb_manifest, recall_bundle.kb_embeddings))
-    index = build_index(kb)
-    qemb = load_embeddings(recall_bundle.query_manifest, recall_bundle.query_embeddings)
+    index = build_index(kb, load_embeddings(kb.manifest, recall_bundle.kb_embeddings))
+    qemb = load_embeddings(load_manifest(recall_bundle.query_manifest),
+                           recall_bundle.query_embeddings)
     queries = ingest_queries(recall_bundle.queries_path)
     results = search_batch(index, list(qemb.data), [q.query_id for q in queries], 10)
     url_map = {e.entry_id: e.url for e in kb.entries}
