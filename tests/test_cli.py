@@ -441,7 +441,8 @@ def _flip_byte(path, offset):
 
 
 class TestEmbeddingLoad:
-    """`index` and `retrieve` read each manifest once, and the matrices it describes."""
+    """`index` and `retrieve` read each manifest once, and `retrieve` checks the
+    two manifests against each other before it loads a matrix."""
 
     def test_each_manifest_is_read_once(self, ws, bundle, tmp_path, monkeypatch):
         reads = collections.Counter()
