@@ -31,9 +31,12 @@ from .kb import (
 )
 from .records import atomic_write, load_json, write_csv, write_json
 from .retrieval import (
-    DEFAULT_RECALL_KS, DEFAULT_TOP_K, FlatIndex, build_index, read_results, recall_at_k,
-    search_batch, write_results,
+    DEFAULT_RECALL_KS, DEFAULT_TOP_K, FlatIndex, build_index, read_results, search_batch,
+    write_results,
 )
+# Bound under the name the traced benchmark (perfbench/traced_cli.py) times
+# as its retrieval.recall span.
+from .retrieval import recall_at_ks as recall_at_k
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -41,9 +44,10 @@ EXIT_CONFIG = 2
 
 # The commands that load numpy, and the variables that size a BLAS
 # library's thread pool when numpy first loads it. main gives each variable
-# the environment does not set the value 1 for these commands: the one
-# GEMM of `retrieve` is too short to pay for starting threads, and other
-# threads only spin beside it. Results are the same for any thread count.
+# the environment does not set the value 1 for these commands: each GEMM of
+# `retrieve`'s one pass over the index, one block of entries against the
+# queries, is too short to pay for starting threads, and other threads only
+# spin beside it. Results are the same for any thread count.
 NUMPY_COMMANDS = ("index", "retrieve")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -438,12 +442,12 @@ def cmd_retrieve(cfg: dict) -> int:
     if not queries:
         print("recall skipped (no queries)")
     elif all(q.gold_entry_url for q in queries):
-        url_map = dict(zip(index.entry_ids, urls))
-        parts = []
-        for kk in DEFAULT_RECALL_KS:
-            if kk <= k:
-                parts.append(f"Recall@{kk} {recall_at_k(results, queries, kk, url_map, dedup=dedup):.3f}")
-        print("  ".join(parts))
+        # Recall looks up the URLs of the hits alone.
+        hit_ids = dict.fromkeys(eid for result in results for eid in result.entry_ids())
+        url_map = {eid: url for eid, url in zip(index.entry_ids, urls) if eid in hit_ids}
+        recall = recall_at_k(results, queries, [kk for kk in DEFAULT_RECALL_KS if kk <= k],
+                             url_map, dedup=dedup)
+        print("  ".join(f"Recall@{kk} {value:.3f}" for kk, value in recall.items()))
     else:
         missing = sum(1 for q in queries if not q.gold_entry_url)
         print(f"recall skipped ({missing} queries lack gold_entry_url)")

@@ -1,11 +1,14 @@
 """Exhaustive cosine-similarity retrieval over entry image embeddings.
 
-The index is flat and float32-resident. A search block scores every entry
-with one float32 GEMM, keeps each entry whose float32 score lies within a
-proven rounding bound of the k-th best, and rescores only those candidates
-in float64, one elementwise multiply-and-sum per row. Results are therefore
-those of a float64 brute-force scan: identical rows score identically
-wherever they sit, and ties are broken by ascending ingestion ordinal.
+The index is flat and float32-resident. A search reads it once, in blocks
+of entries: each block is scored against a group of queries with one
+float32 GEMM. The maximum of each chunk of a block's scores bounds the
+k-th best score from below, so only chunks that can hold a candidate are
+kept. Each entry whose float32 score lies within a proven rounding bound
+of the k-th best is rescored in float64, one elementwise multiply-and-sum
+per row. Results are therefore those of a float64 brute-force scan:
+identical rows score identically wherever they sit, and ties are broken by
+ascending ingestion ordinal.
 """
 
 from __future__ import annotations
@@ -47,8 +50,13 @@ class RetrievalResult:
         return [entry_id for entry_id, _ in self.hits]
 
 
-# Score elements (queries x entries) one float32 GEMM may produce: 32 MiB.
+# Score elements (entries x queries) one float32 GEMM may produce: 32 MiB.
+# It caps the queries scored together against one block of entries.
 _SCORE_BLOCK = 1 << 23
+# Entries per block of the pass over the index; 4096 to 65536 time alike.
+_ENTRY_BLOCK = 1 << 14
+# Entries per chunk whose maximum is taken, at most.
+_CHUNK = 64
 # float32 machine epsilon, float(np.finfo(np.float32).eps); a literal so
 # that importing this module does not load numpy.
 _EPS32 = 2.0 ** -23
@@ -143,7 +151,7 @@ def search_batch(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     n = len(index)
-    if n == 0:
+    if n == 0 or not query_ids:
         return [RetrievalResult(query_id=qid, hits=(), k=k) for qid in query_ids]
     queries = [_unit_query(v, index.dim) for v in query_vectors]
     top = min(k, n)
@@ -158,17 +166,56 @@ def search_batch(
     # rescore to >= t - d, so the k-th largest rescore T is >= t - d, and
     # every entry rescoring to >= T, ties included, has a float32 score
     # >= T - d >= t - 2d. These are the candidates.
-    slack = 2 * (index.dim + 2) * _EPS32 * index._max_norm
-    step = max(1, _SCORE_BLOCK // n)
+    # Finding them in one pass: the floor f, the least of the k largest chunk
+    # maxima seen so far, only rises, and is <= t, since k distinct chunks
+    # each hold an entry scoring >= f. A candidate's chunk has a maximum
+    # >= t - 2d >= f - 2d whenever it is seen, so every chunk holding one is
+    # kept. So the kept scores hold every score >= t: t is their k-th
+    # largest, and the candidates are the kept entries scoring >= t - 2d.
+    # Both thresholds are float32 differences with the float32 2d, and
+    # rounding is monotone, so f <= t keeps every candidate's chunk.
+    slack = np.float32(2 * (index.dim + 2) * _EPS32 * index._max_norm)
+    block = min(_ENTRY_BLOCK, n)
+    # The scores a query keeps grow as k*chunk and the maxima as block/chunk;
+    # sqrt(block/k) balances the two, and a block then holds >= k chunks.
+    chunk = max(1, min(_CHUNK, math.isqrt(block // top)))
+    offsets = np.arange(chunk)
+    group = max(1, _SCORE_BLOCK // block)
     results: list[RetrievalResult] = []
-    for start in range(0, len(queries), step):
-        block = np.stack(queries[start:start + step])
-        scores = block.astype(np.float32) @ index.matrix.T
-        for q, row_scores, qid in zip(block, scores, query_ids[start:start + step]):
-            # Partitioning a copy of one row, not of the whole block, keeps
-            # the block's working set to the scores themselves.
-            t = np.partition(row_scores, n - top)[n - top]
-            cand = np.flatnonzero(row_scores >= t - slack)
+    for first in range(0, len(queries), group):
+        q64 = np.stack(queries[first:first + group])
+        q32 = q64.T.astype(np.float32)
+        # The k largest chunk maxima per query; -inf until k chunks are seen.
+        best = np.full((len(q64), top), -np.inf, dtype=np.float32)
+        # Each block is scored into the head of one buffer of whole chunks;
+        # the rows past its last entry score -inf, so they are never kept.
+        scores = np.empty((-(-block // chunk) * chunk, len(q64)), dtype=np.float32)
+        kept_q, kept_at, kept_scores = [], [], []
+        for start in range(0, n, block):
+            rows = index.matrix[start:start + block]
+            np.matmul(rows, q32, out=scores[:len(rows)])
+            scores[len(rows):] = -np.inf
+            span = -(-len(rows) // chunk) * chunk
+            maxima = scores[:span].reshape(-1, chunk, len(q64)).max(axis=1)
+            merged = np.concatenate((best, maxima.T), axis=1)
+            best = np.partition(merged, merged.shape[1] - top, axis=1)[:, -top:]
+            qs, chunks = np.nonzero(maxima.T >= best.min(axis=1)[:, None] - slack)
+            at = (chunks * chunk)[:, None] + offsets
+            kept_scores.append(scores[at, qs[:, None]])
+            kept_q.append(qs)
+            kept_at.append(at + start)
+        # Each query's kept chunks, in entry order.
+        kept_q = np.concatenate(kept_q)
+        by_query = np.argsort(kept_q, kind="stable")
+        counts = np.bincount(kept_q, minlength=len(q64))
+        ends = np.cumsum(counts)
+        kept_at = np.concatenate(kept_at)[by_query]
+        kept_scores = np.concatenate(kept_scores)[by_query]
+        for q, qid, lo, hi in zip(q64, query_ids[first:first + group],
+                                  (ends - counts).tolist(), ends.tolist()):
+            row_scores = kept_scores[lo:hi].ravel()
+            t = np.partition(row_scores, len(row_scores) - top)[len(row_scores) - top]
+            cand = kept_at[lo:hi].ravel()[row_scores >= t - slack]
             # Elementwise products and a per-row sum: a row's score does not
             # depend on its position, so identical rows tie exactly.
             exact = (index.matrix[cand] * q).sum(axis=1)
@@ -213,6 +260,31 @@ def gold_rank(result: RetrievalResult, gold_url: str,
     return None
 
 
+def recall_at_ks(
+    results: Sequence[RetrievalResult],
+    queries: Sequence[Query],
+    ks: Sequence[int],
+    url_of: Mapping[str, str],
+    dedup: bool = True,
+) -> dict[int, float]:
+    """Recall at each cutoff of ks, in order, from one gold rank per query:
+    the fraction of queries whose gold entry URL appears among the top-k hit URLs."""
+    if not results:
+        raise EvalError("no retrieval results to score")
+    if not queries:
+        raise EvalError("no queries to score")
+    by_id = {r.query_id: r for r in results}
+    ranks = []
+    for query in queries:
+        if not query.gold_entry_url:
+            raise EvalError(f"query {query.query_id!r} has no gold_entry_url")
+        result = by_id.get(query.query_id)
+        if result is None:
+            raise EvalError(f"no retrieval result for query {query.query_id!r}")
+        ranks.append(gold_rank(result, query.gold_entry_url, url_of, dedup=dedup))
+    return {k: sum(rank is not None and rank <= k for rank in ranks) / len(queries) for k in ks}
+
+
 def recall_at_k(
     results: Sequence[RetrievalResult],
     queries: Sequence[Query],
@@ -221,22 +293,7 @@ def recall_at_k(
     dedup: bool = True,
 ) -> float:
     """Fraction of queries whose gold entry URL appears among the top-k hit URLs."""
-    if not results:
-        raise EvalError("no retrieval results to score")
-    if not queries:
-        raise EvalError("no queries to score")
-    by_id = {r.query_id: r for r in results}
-    hit = 0
-    for query in queries:
-        if not query.gold_entry_url:
-            raise EvalError(f"query {query.query_id!r} has no gold_entry_url")
-        result = by_id.get(query.query_id)
-        if result is None:
-            raise EvalError(f"no retrieval result for query {query.query_id!r}")
-        rank = gold_rank(result, query.gold_entry_url, url_of, dedup=dedup)
-        if rank is not None and rank <= k:
-            hit += 1
-    return hit / len(queries)
+    return recall_at_ks(results, queries, (k,), url_of, dedup=dedup)[k]
 
 
 def write_results(results: Sequence[RetrievalResult], path: str | Path) -> int:

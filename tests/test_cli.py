@@ -202,7 +202,18 @@ class TestWorkflowArtifacts:
 
 
 class TestStdout:
-    def test_retrieve_prints_recall(self, bundle, tmp_path, capsys):
+    def test_retrieve_prints_recall(self, bundle, tmp_path, capsys, monkeypatch):
+        """Every cutoff's recall comes from one gold rank per query."""
+        from kbvqa import retrieval
+
+        ranked = []
+        real_gold_rank = retrieval.gold_rank
+
+        def counting_gold_rank(result, *args, **kwargs):
+            ranked.append(result.query_id)
+            return real_gold_rank(result, *args, **kwargs)
+
+        monkeypatch.setattr(retrieval, "gold_rank", counting_gold_rank)
         rc = main([
             "retrieve", "--kb", str(bundle.entries_path),
             "--kb-manifest", str(bundle.kb_manifest),
@@ -215,6 +226,8 @@ class TestStdout:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Recall@1 0.200  Recall@2 0.400  Recall@5 0.850  Recall@10 0.950" in out
+        queries = ingest_queries(bundle.queries_path)
+        assert sorted(ranked) == sorted(q.query_id for q in queries)
 
     def test_retrieve_over_no_queries_skips_recall(self, bundle, tmp_path, capsys):
         """An empty query file retrieves nothing and exits 0, as ingest and run do."""

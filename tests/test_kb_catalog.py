@@ -8,6 +8,7 @@ with exit 2; and the commands that need few entries must really parse few.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -573,6 +574,21 @@ def test_read_only_kb_directory_ingests_without_a_catalog(kb_dir, capsys):
         _assert_ingest_warns_and_writes_no_catalog(kb_dir, capsys, None)
     finally:
         kb_dir.dir.chmod(0o755)
+
+
+def test_catalog_write_refused_with_eacces_ingests_without_a_catalog(kb_dir, capsys,
+                                                                    monkeypatch):
+    """What a read-only KB directory does to the catalog write, for any user."""
+    kb_dir.catalog.unlink()
+    real_open = Path.open
+
+    def refused(path, mode="r", *args, **kwargs):
+        if path.parent == kb_dir.dir and "w" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refused)
+    _assert_ingest_warns_and_writes_no_catalog(kb_dir, capsys, None)
 
 
 def test_catalog_path_taken_by_a_directory_ingests_with_a_warning(kb_dir, capsys):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixture_gen
@@ -28,6 +28,7 @@ from kbvqa.retrieval import (
     ranked_urls,
     read_results,
     recall_at_k,
+    recall_at_ks,
     search,
     search_batch,
     write_results,
@@ -91,8 +92,10 @@ def test_duplicates_across_query_and_entry_blocks_tie_by_ordinal():
     noise = [matrix[77] + 0.05 * rng.normal(size=24) for _ in range(7)]
     vectors = [matrix[77].astype(np.float64), *noise, matrix[77].astype(np.float64)]
     qids = [f"q{i}" for i in range(len(vectors))]
-    # Two queries per float32 GEMM: the first and last queries land in different blocks.
-    with mock.patch.object(retrieval, "_SCORE_BLOCK", 2 * len(index)):
+    # Blocks of 64 entries put each copy in a block of its own, and two
+    # queries per float32 GEMM put the first and last queries in different groups.
+    with mock.patch.object(retrieval, "_ENTRY_BLOCK", 64), \
+            mock.patch.object(retrieval, "_SCORE_BLOCK", 2 * 64):
         results = search_batch(index, vectors, qids, 8)
     tied = ["e0001", "e0077", "e0130", "e0255", "e0298"]
     for result in (results[0], results[-1]):
@@ -101,6 +104,37 @@ def test_duplicates_across_query_and_entry_blocks_tie_by_ordinal():
     assert results[0].hits == results[-1].hits
     for v, result in zip(vectors, results):
         assert result.entry_ids() == [f"e{i:04d}" for i, _ in oracle_top_k(matrix, v, 8)]
+
+
+def test_duplicates_in_different_entry_blocks_tie_by_ordinal():
+    _, matrix = _random_index(50, 6, 8)
+    # Blocks of 21 entries in chunks of 2 at k = 5: ordinals 20 and 41 are
+    # the one-entry tail chunks of the first two blocks, 42 and 49 sit in
+    # the short last block.
+    for ordinal in (20, 21, 41, 42, 49):
+        matrix[ordinal] = matrix[3]
+    index = FlatIndex([f"e{i:04d}" for i in range(50)], matrix)
+    with mock.patch.object(retrieval, "_ENTRY_BLOCK", 21), \
+            mock.patch.object(retrieval, "_CHUNK", 2):
+        result = search(index, matrix[3].astype(np.float64), 5)
+    assert result.entry_ids() == ["e0003", "e0020", "e0021", "e0041", "e0042"]
+    assert len({score for _, score in result.hits}) == 1
+
+
+def test_all_scores_negative_across_tail_chunks():
+    # Every entry scores below zero, so a tail chunk's missing entries must
+    # not count as scores of zero.
+    rng = np.random.default_rng(9)
+    raw = rng.normal(size=(50, 6))
+    raw[:, 0] = -np.abs(raw[:, 0]) - 0.1
+    matrix = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
+    index = FlatIndex([f"e{i:04d}" for i in range(50)], matrix)
+    q = np.eye(6)[0]
+    with mock.patch.object(retrieval, "_ENTRY_BLOCK", 21), \
+            mock.patch.object(retrieval, "_CHUNK", 2):
+        result = search(index, q, 3)
+    assert result.entry_ids() == [f"e{i:04d}" for i, _ in oracle_top_k(matrix, q, 3)]
+    assert result.hits[0].score < 0
 
 
 def test_near_tie_returns_float64_order():
@@ -150,9 +184,15 @@ def test_empty_index_and_empty_batch():
     k=st.integers(1, 45),
     seed=st.integers(0, 2 ** 32 - 1),
     copies=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=8),
-    block=st.integers(1, 4),
+    group=st.integers(1, 4),
+    entry_block=st.integers(1, 12),
+    chunk=st.integers(1, 4),
 )
-def test_search_batch_matches_naive_oracle(n, dim, k, seed, copies, block):
+# Blocks of 11 in chunks of 2, each with a tail chunk, and copies in three
+# blocks; then blocks of 4 one-entry chunks, fewer than k = 9.
+@example(n=40, dim=3, k=2, seed=1, copies=[(2, 17), (2, 39)], group=2, entry_block=11, chunk=3)
+@example(n=30, dim=2, k=9, seed=2, copies=[(0, 29)], group=1, entry_block=4, chunk=4)
+def test_search_batch_matches_naive_oracle(n, dim, k, seed, copies, group, entry_block, chunk):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, dim))
     matrix = (raw / np.linalg.norm(raw, axis=1, keepdims=True)).astype(np.float32)
@@ -162,7 +202,10 @@ def test_search_batch_matches_naive_oracle(n, dim, k, seed, copies, block):
     # The last query is a duplicated row itself, so its top hits tie exactly.
     vectors = [rng.normal(size=dim) for _ in range(5)]
     vectors.append(matrix[copies[0][0] % n] if copies else matrix[0])
-    with mock.patch.object(retrieval, "_SCORE_BLOCK", block * n):
+    # group queries per float32 GEMM, against blocks of entry_block entries.
+    with mock.patch.object(retrieval, "_ENTRY_BLOCK", entry_block), \
+            mock.patch.object(retrieval, "_CHUNK", chunk), \
+            mock.patch.object(retrieval, "_SCORE_BLOCK", group * min(entry_block, n)):
         results = search_batch(index, vectors, [f"q{i}" for i in range(len(vectors))], k)
     for v, result in zip(vectors, results):
         expected = oracle_top_k(matrix, v, k)
@@ -271,6 +314,8 @@ def test_recall_on_planted_ranks(recall_bundle):
     assert recall_at_k(results, queries, 2, url_map) == pytest.approx(0.5)
     assert recall_at_k(results, queries, 5, url_map) == pytest.approx(0.7)
     assert recall_at_k(results, queries, 10, url_map) == pytest.approx(0.9)
+    assert recall_at_ks(results, queries, (5, 1, 10, 2), url_map) == {
+        k: recall_at_k(results, queries, k, url_map) for k in (5, 1, 10, 2)}
 
 
 def test_recall_over_no_queries_is_an_eval_error():
